@@ -134,6 +134,12 @@ def record_to_json(rec: CensusRecord) -> str:
     return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
+@lru_cache(maxsize=None)
+def _parse_slopes(strs: tuple[str, ...]) -> tuple[Fraction, ...]:
+    """Slopes parsed once per distinct tuple; records share the result."""
+    return tuple(Fraction(s) for s in strs)
+
+
 def record_from_json(line: str) -> CensusRecord:
     d = json.loads(line)
     return CensusRecord(
@@ -143,7 +149,7 @@ def record_from_json(line: str) -> CensusRecord:
         note=d.get("note", ""),
         counts=tuple(int(n) for n in d["counts"]) if "counts" in d else None,
         weil=tuple(int(c) for c in d["weil"]) if "weil" in d else None,
-        slopes=tuple(Fraction(s) for s in d["slopes"]) if "slopes" in d else None,
+        slopes=_parse_slopes(tuple(d["slopes"])) if "slopes" in d else None,
         stratum=d.get("stratum"),
         p_rank=d.get("p_rank"),
         a_number=d.get("a_number"),
@@ -165,11 +171,32 @@ def write_records(path, records) -> None:
 
 
 def read_records(path) -> list[CensusRecord]:
+    """Records of a file written by write_records.
+
+    Refuses a foreign schema, a body whose line count differs from the
+    header's, ids that are not strictly ascending (a duplicated or moved
+    line) and unparsable lines, naming the line.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = json.loads(fh.readline())
         if header.get("schema") != SCHEMA:
             raise ValueError(f"unsupported records schema {header.get('schema')!r} (want {SCHEMA!r})")
-        return [record_from_json(line) for line in fh]
+        records = []
+        prev = ""
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                rec = record_from_json(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}: line {lineno}: malformed record: {exc!r}") from None
+            if rec.id <= prev:
+                raise ValueError(f"{path}: line {lineno}: id {rec.id!r} does not follow {prev!r} "
+                                 "(ids must be strictly ascending)")
+            prev = rec.id
+            records.append(rec)
+    if len(records) != header.get("records"):
+        raise ValueError(f"{path}: header promises {header.get('records')} records, "
+                         f"the body has {len(records)}")
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -419,51 +446,51 @@ def _ns_cartier(curve: QuadricCubicCurve):
     return a, s2, t43
 
 
-def _classified_record(kind: str, cid: str, counts: tuple[int, ...], cart) -> CensusRecord:
-    """Full record of a smooth model; cart is (a, 2-rank, type43) from the
-    Cartier operator, or None for cone models (which have no grid matrix:
-    there the 2-rank is read off the slopes, and 2-rank 0 forces a = 2 with
-    the [4,3] layer unreachable)."""
-    try:
-        w = weil_from_counts(counts, 2)
-        if predicted_counts(w)[:GENUS] != counts:
-            raise RuntimeError("count/Weil round trip failed")
-        poly = newton_polygon(w)
-        stratum = classify_stratum(poly)
-        pr = poly.p_rank
-        if cart is None:
-            a = 2 if pr == 0 else None
-            s2 = pr
-            t43 = False if pr == 0 else None
+@lru_cache(maxsize=None)
+def _smooth_invariants(counts: tuple[int, ...], cart) -> dict:
+    """Every record field that the counts and the Cartier data determine.
+
+    cart is (a, 2-rank, type43) from the Cartier operator, or None for cone
+    models (which have no grid matrix: there the 2-rank is read off the
+    slopes, and 2-rank 0 forces a = 2 with the [4,3] layer unreachable).
+    A few hundred distinct keys cover the whole census, so the zeta layer
+    and its cross-checks run once per key; a failed check raises, and
+    lru_cache keeps no entry for it, so every model with a bad key aborts.
+    """
+    w = weil_from_counts(counts, 2)
+    if predicted_counts(w)[:GENUS] != counts:
+        raise RuntimeError("count/Weil round trip failed")
+    poly = newton_polygon(w)
+    stratum = classify_stratum(poly)
+    pr = poly.p_rank
+    if cart is None:
+        a = 2 if pr == 0 else None
+        s2 = pr
+        t43 = False if pr == 0 else None
+    else:
+        a, s2, t43 = cart
+        if s2 != pr:
+            raise RuntimeError(f"2-rank {s2} from the Cartier operator, {pr} zero slopes")
+    eo_mu = None
+    eo_candidates = None
+    if pr == 0:
+        label = eo_classify_curve(stratum, a, t43)
+        if isinstance(label, EoLabel):
+            eo_mu = label.mu
         else:
-            a, s2, t43 = cart
-            if s2 != pr:
-                raise RuntimeError(f"2-rank {s2} from the Cartier operator, {pr} zero slopes")
-        eo_mu = None
-        eo_candidates = None
-        if pr == 0:
-            label = eo_classify_curve(stratum, a, t43)
-            if isinstance(label, EoLabel):
-                eo_mu = label.mu
-            else:
-                eo_candidates = label.options
+            eo_candidates = label.options
+    return dict(counts=counts, weil=w.coeffs, slopes=poly.slopes, stratum=stratum.name,
+                p_rank=pr, a_number=a, two_rank=s2, type43=t43,
+                eo_mu=eo_mu, eo_candidates=eo_candidates)
+
+
+def _classified_record(kind: str, cid: str, counts: tuple[int, ...], cart) -> CensusRecord:
+    """Full record of a smooth model; see _smooth_invariants for cart."""
+    try:
+        fields = _smooth_invariants(counts, cart)
     except (ValueError, RuntimeError) as exc:
         raise RuntimeError(f"inconsistent invariants for {cid}: {exc}") from None
-    return CensusRecord(
-        id=cid,
-        kind=kind,
-        smooth=True,
-        counts=counts,
-        weil=w.coeffs,
-        slopes=poly.slopes,
-        stratum=stratum.name,
-        p_rank=pr,
-        a_number=a,
-        two_rank=s2,
-        type43=t43,
-        eo_mu=eo_mu,
-        eo_candidates=eo_candidates,
-    )
+    return CensusRecord(id=cid, kind=kind, smooth=True, **fields)
 
 
 def _quadric_chunk(kind: str, t0: int, t1: int, keep=None) -> list[CensusRecord]:
@@ -489,7 +516,7 @@ def _quadric_chunk(kind: str, t0: int, t1: int, keep=None) -> list[CensusRecord]
             recs.append(CensusRecord(id=cid, kind=kind, smooth=False, note=res.note))
             continue
         cart = _ns_cartier(curve) if kind == "ns" else None
-        recs.append(_classified_record(kind, cid, tuple(int(c) for c in counts[k]), cart))
+        recs.append(_classified_record(kind, cid, tuple(counts[k].tolist()), cart))
     return recs
 
 
@@ -508,7 +535,7 @@ def _hyp_chunk(h0: int, h1: int, keep=None) -> list[CensusRecord]:
             if not ok:
                 recs.append(CensusRecord(id=cid, kind="hyp", smooth=False, note=why))
                 continue
-            recs.append(_classified_record("hyp", cid, tuple(int(c) for c in cts[k]), cart))
+            recs.append(_classified_record("hyp", cid, tuple(cts[k].tolist()), cart))
     return recs
 
 

@@ -6,12 +6,13 @@ enumeration; the named example curves pin the classification columns.
 """
 
 import random
+import zlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from genus4census import census
+from genus4census import census, zeta
 from genus4census.census import (
     CensusRecord,
     classify_model,
@@ -152,6 +153,11 @@ def test_classified_record_consistency_abort():
     # Cartier result claiming 2-rank 4 must abort, naming the curve id
     with pytest.raises(RuntimeError, match="hyp;h=0x01;f=0x220"):
         census._classified_record("hyp", "hyp;h=0x01;f=0x220", (5, 5, 5, 9), (0, 4, None))
+    # the invariants are cached per (counts, Cartier) key; a bad key is not,
+    # so a second model with the same key aborts too, under its own id
+    with pytest.raises(RuntimeError) as exc:
+        census._classified_record("hyp", "hyp;h=0x01;f=0x221", (5, 5, 5, 9), (0, 4, None))
+    assert "hyp;h=0x01;f=0x221" in str(exc.value) and "f=0x220" not in str(exc.value)
 
 
 def test_classified_record_bad_counts_abort():
@@ -190,6 +196,30 @@ def test_classify_model_matches_census_rows():
     assert not sing.smooth and sing.counts is None and sing.note
 
 
+def test_cached_invariants_match_direct_zeta():
+    # a 1/97 sample of every kind: each smooth record's zeta fields, built
+    # once per (counts, Cartier) key, against the uncached zeta functions
+    records = run_census(id_filter=lambda cid: zlib.crc32(cid.encode()) % 97 == 0)
+    smooth = [rec for rec in records if rec.smooth]
+    assert {rec.kind for rec in smooth} == set(census.KINDS)
+    assert len({rec.counts for rec in smooth}) < len(smooth)
+    for rec in smooth:
+        w = zeta.weil_from_counts(rec.counts, 2)
+        assert zeta.predicted_counts(w)[:4] == rec.counts, rec.id
+        poly = zeta.newton_polygon(w)
+        assert rec.weil == w.coeffs and rec.slopes == poly.slopes, rec.id
+        assert rec.stratum == zeta.classify_stratum(poly).name, rec.id
+        assert rec.p_rank == poly.p_rank, rec.id
+
+
+def test_cache_key_includes_cartier_data():
+    # same counts, different Cartier data: the a-number must not be shared
+    one = classify_model(parse_curve_id("hyp;h=0x06;f=0x281"))
+    two = classify_model(parse_curve_id("hyp;h=0x0a;f=0x205"))
+    assert one.counts == two.counts == (3, 3, 9, 15)
+    assert (one.a_number, two.a_number) == (1, 2)
+
+
 def test_workers_byte_identity():
     one = run_census(kinds="cone", workers=1)
     two = run_census(kinds=("cone",), workers=2)
@@ -208,6 +238,41 @@ def test_jsonl_round_trip(tmp_path):
     bad.write_text('{"schema":"g4c2-census/0","records":0}\n')
     with pytest.raises(ValueError, match="schema"):
         read_records(bad)
+
+
+def test_read_records_interns_slopes(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(path, _h1_subset())
+    back = [rec for rec in read_records(path) if rec.weil == census.CLASS_H_WEIL]
+    assert len(back) == 32
+    assert all(rec.slopes is back[0].slopes for rec in back)
+
+
+def _written_lines(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(path, run_census(id_filter=set(NAMED_EXPECTATIONS).__contains__))
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def test_read_records_refuses_truncated_file(tmp_path):
+    path, lines = _written_lines(tmp_path)
+    path.write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError, match="header promises 5 records, the body has 4"):
+        read_records(path)
+    # cut inside the last line
+    path.write_text("".join(lines)[:-10])
+    with pytest.raises(ValueError, match="line 6: malformed record"):
+        read_records(path)
+
+
+def test_read_records_refuses_duplicated_or_moved_line(tmp_path):
+    path, lines = _written_lines(tmp_path)
+    path.write_text("".join(lines[:4] + lines[3:]))
+    with pytest.raises(ValueError, match=r"line 5: id 'hyp;h=0x01;f=0x221' does not follow"):
+        read_records(path)
+    path.write_text("".join(lines[:1] + lines[2:3] + lines[1:2] + lines[3:]))
+    with pytest.raises(ValueError, match=r"line 3: id 'cone;c=0x4208' does not follow"):
+        read_records(path)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,18 @@ def test_verify_reports_failure_exit_code(capsys, tmp_path):
                for line in out.splitlines())
 
 
+def test_verify_refuses_truncated_file(capsys, tmp_path):
+    path = tmp_path / "cut.jsonl"
+    records = census.run_census(kinds="hyp",
+                                id_filter=lambda cid: cid.startswith("hyp;h=0x01;f=0x2"))
+    write_records(path, records)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    rc, out, err = run_cli(capsys, "verify", "--records", str(path))
+    assert rc == 2 and "PASS" not in out
+    assert f"header promises {len(records)} records, the body has {len(records) - 1}" in err
+
+
 def test_missing_records_file(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "stack-count", "--records", str(tmp_path / "nope.jsonl"),
                          "--weil", "16,16,8,0,-4,0,2,2,1")
