@@ -3,7 +3,7 @@ exhaustive census of their models over F_2.
 
 Submodules:
 
-* ``gfarith``   — F_{2^k} arithmetic, polynomials, integer polynomials
+* ``gfarith``   — F_{2^k} arithmetic and polynomials over F_{2^k}
 * ``zeta``      — Weil polynomials from point counts, Newton polygons
 * ``dieudonne`` — mod-2 Dieudonne modules and Ekedahl-Oort final types
 * ``curves``    — curve models (quadric/cubic intersections, hyperelliptic)

@@ -44,6 +44,8 @@ from .curves import (
     MONOMIALS3,
     HyperellipticCurve,
     QuadricCubicCurve,
+    _HYP_AFFINE_NOTE,
+    _HYP_INFINITY_NOTE,
     _quadric_smooth_f2,
     apply_transform,
     count_points,
@@ -90,8 +92,10 @@ class CensusRecord:
 
     Invariant fields are None when not computed: all of them for singular
     models, the matrix-derived ones (a_number, type43) for cone models of
-    positive p-rank, the EO fields outside p-rank 0, and the lazy aut orders
-    unless a stack-count query touched the record's isogeny class.
+    positive p-rank, and the EO fields outside p-rank 0.  aut and
+    jacobian_aut are optional fields of the file format that nothing in
+    this package sets; stack counts report aut orders per isomorphism
+    class in IsogenyClassReport instead.
     """
 
     id: str
@@ -197,35 +201,6 @@ def read_records(path) -> list[CensusRecord]:
         raise ValueError(f"{path}: header promises {header.get('records')} records, "
                          f"the body has {len(records)}")
     return records
-
-
-# ---------------------------------------------------------------------------
-# model enumeration
-# ---------------------------------------------------------------------------
-
-
-def _hyp_domain():
-    """(h_mask, f_mask) pairs of the genus-4 shape family, in id order.
-
-    deg h = 5 admits every f with deg f <= 10; smaller h forces deg f in
-    {9, 10}.  32*2048 + 31*1536 = 113152 models.
-    """
-    for hm in range(1, 64):
-        lo = 0 if hm >= 32 else 512
-        for fm in range(lo, 2048):
-            yield hm, fm
-
-
-def enumerate_f2(kind):
-    """Stream every census model of one kind, ordered by curve id."""
-    if kind in ("ns", "cone"):
-        for mask in range(1 << 16):
-            yield quadric_curve_from_mask(kind, mask)
-    elif kind == "hyp":
-        for hm, fm in _hyp_domain():
-            yield hyperelliptic_from_masks(hm, fm)
-    else:
-        raise ValueError(f"unknown model kind {kind!r} (one of {KINDS})")
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +380,9 @@ def _hyp_smooth_masks(hm: int, fm: int) -> tuple[bool, str]:
     hd = (hm >> 1) & 0x15
     crit = gf2x_mul(fd, fd) ^ gf2x_mul(fm, gf2x_mul(hd, hd))
     if gf2x_degree(gf2x_gcd(hm, crit)) >= 1:
-        return False, "singular affine point (common root of h and f'^2 + f h'^2)"
+        return False, _HYP_AFFINE_NOTE
     if not (hm >> 5) & 1 and not (((fm >> 9) & 1) ^ ((fm >> 10) & (hm >> 4) & 1)):
-        return False, "singular point at infinity"
+        return False, _HYP_INFINITY_NOTE
     return True, ""
 
 
@@ -628,28 +603,32 @@ class IsogenyClassReport:
     abelian_side: Fraction | None = None
 
 
-def isomorphism_canonical_id(curve) -> str:
-    """Smallest curve id in the F_2-isomorphism orbit of a smooth model.
+_SHIFTS = tuple(tuple((tm >> i) & 1 for i in range(6)) for tm in range(64))
+
+
+def _isomorphism_orbit(curve) -> tuple[set[str], int]:
+    """Curve ids of the F_2-isomorphism orbit of a smooth model, and the
+    order of the group that acts.
 
     Quadric models: the stabilizer of the quadric realizes every isomorphism
     (an isomorphism of canonical curves extends to an ambient collineation
     fixing the unique quadric through the curve).  Hyperelliptic models:
     x -> (ax+b)/(cx+d) over GL_2(F_2) with y -> (y + t(x))/(cx+d)^5 over all
-    64 shift polynomials t.
+    64 shift polynomials t.  By orbit-stabilizer, |Aut| = |G| / |orbit|.
     """
     if isinstance(curve, QuadricCubicCurve):
-        best = min(apply_transform(curve, t).mask for t in quadric_stabilizer_f2(curve.kind))
-        return f"{curve.kind};c=0x{best:04x}"
+        group = quadric_stabilizer_f2(curve.kind)
+        return {apply_transform(curve, t).curve_id for t in group}, len(group)
     if isinstance(curve, HyperellipticCurve):
-        best = None
-        for mat in gl2_f2():
-            for tm in range(64):
-                t = tuple((tm >> i) & 1 for i in range(6))
-                cand = hyperelliptic_transformed(curve, mat, t).masks
-                if best is None or cand < best:
-                    best = cand
-        return f"hyp;h=0x{best[0]:02x};f=0x{best[1]:03x}"
+        mats = gl2_f2()
+        ids = {hyperelliptic_transformed(curve, mat, t).curve_id for mat in mats for t in _SHIFTS}
+        return ids, len(mats) * len(_SHIFTS)
     raise TypeError(f"not a curve: {curve!r}")
+
+
+def isomorphism_canonical_id(curve) -> str:
+    """Smallest curve id in the F_2-isomorphism orbit of a smooth model."""
+    return min(_isomorphism_orbit(curve)[0])
 
 
 def group_isogeny_classes(records, weil_keys=None) -> list[IsogenyClassReport]:
@@ -660,6 +639,7 @@ def group_isogeny_classes(records, weil_keys=None) -> list[IsogenyClassReport]:
     keys, return one report per requested key in order, with isomorphism
     collapse, Jacobian aut orders, and the exact stack count filled in; a
     key no smooth record attains yields an empty report with stack count 0.
+    Each isomorphism orbit is walked once: its minimum id represents it.
     """
     groups: dict[tuple[int, ...], list[str]] = {}
     for rec in records:
@@ -675,14 +655,23 @@ def group_isogeny_classes(records, weil_keys=None) -> list[IsogenyClassReport]:
     for key in weil_keys:
         key = tuple(int(c) for c in key)
         ids = groups.get(key, [])
-        reps = sorted({isomorphism_canonical_id(parse_curve_id(i)) for i in ids})
-        auts = tuple(jacobian_aut_order(parse_curve_id(rep)) for rep in reps)
+        seen: set[str] = set()
+        orbits = []
+        for cid in ids:
+            if cid in seen:
+                continue
+            curve = parse_curve_id(cid)
+            orbit, order = _isomorphism_orbit(curve)
+            seen |= orbit
+            orbits.append((min(orbit), jacobian_aut_order(curve, order // len(orbit))))
+        orbits.sort()
+        auts = tuple(a for _, a in orbits)
         stack = sum((Fraction(1, a) for a in auts), start=Fraction(0))
         reports.append(IsogenyClassReport(
             weil=key,
             q=2,
             member_ids=tuple(ids),
-            iso_rep_ids=tuple(reps),
+            iso_rep_ids=tuple(rep for rep, _ in orbits),
             jacobian_auts=auts,
             stack_count=stack,
             abelian_side=ABELIAN_SIDE_COUNTS.get(key),

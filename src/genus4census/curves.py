@@ -65,22 +65,15 @@ __all__ = [
     "quadric_curve",
     "quadric_curve_from_mask",
     "HyperellipticCurve",
-    "hyperelliptic_curve",
     "hyperelliptic_from_masks",
     "parse_curve_id",
-    "monomial_str",
     "eval_quadric",
     "eval_cubic",
     "cubic_partials",
     "quadric_gradient",
     "affine_model_ns",
     "ProjectiveTransform",
-    "transform_type1",
-    "transform_type2",
-    "transform_type3",
-    "type3_group",
     "apply_transform",
-    "normalize_cubic",
     "count_points",
     "SmoothnessResult",
     "is_smooth",
@@ -90,9 +83,6 @@ __all__ = [
     "aut_order_f2",
     "jacobian_aut_order",
 ]
-
-VARIABLES = ("X", "Y", "Z", "T")
-
 
 def _graded_monomials(degree: int) -> tuple[tuple[int, int, int, int], ...]:
     out = []
@@ -152,16 +142,6 @@ def reduction_table(kind: str) -> dict[int, int]:
 
 def kept_monomials(kind: str) -> tuple[int, ...]:
     return _KEPT[kind]
-
-
-def monomial_str(exps: tuple[int, int, int, int]) -> str:
-    parts = []
-    for v, e in zip(VARIABLES, exps):
-        if e == 1:
-            parts.append(v)
-        elif e > 1:
-            parts.append(f"{v}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 def reduce_cubic(kind: str, spec: FieldSpec, coeffs) -> tuple[int, ...]:
@@ -264,10 +244,6 @@ class HyperellipticCurve:
     def curve_id(self) -> str:
         hm, fm = self.masks
         return f"hyp;h=0x{hm:02x};f=0x{fm:03x}"
-
-
-def hyperelliptic_curve(spec: FieldSpec, h, f) -> HyperellipticCurve:
-    return HyperellipticCurve(spec, poly_from_coeffs(spec, h), poly_from_coeffs(spec, f))
 
 
 def hyperelliptic_from_masks(h_mask: int, f_mask: int) -> HyperellipticCurve:
@@ -429,73 +405,6 @@ def _xor_sum(spec: FieldSpec, items) -> int:
     return acc
 
 
-def _identity_rows(spec: FieldSpec):
-    return tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-
-
-def transform_type1(spec: FieldSpec, variant: str, a: int) -> ProjectiveTransform:
-    """Unipotent quadric-preserving substitutions, one parameter each:
-
-    a: (X + a Z, Y, Z, T + a Y)      b: (X, Y + a T, Z + a X, T)
-    c: (X + a T, Y, Z + a Y, T)      d: (X, Y + a Z, Z, T + a X)
-    """
-    spec.check(a)
-    rows = [list(r) for r in _identity_rows(spec)]
-    pairs = {"a": ((0, 2), (3, 1)), "b": ((1, 3), (2, 0)), "c": ((0, 3), (2, 1)), "d": ((1, 2), (3, 0))}
-    if variant not in pairs:
-        raise ValueError(f"unknown type-1 variant {variant!r}")
-    for i, j in pairs[variant]:
-        rows[i][j] = spec.add(rows[i][j], a)
-    return ProjectiveTransform(spec, tuple(tuple(r) for r in rows))
-
-
-def transform_type2(spec: FieldSpec, variant: str, a: int) -> ProjectiveTransform:
-    """Diagonal rescalings fixing the quadric up to the scalar a:
-
-    a: (X, aY, aZ, T)   b: (aX, Y, Z, aT)   c: (aX, Y, aZ, T)   d: (X, aY, Z, aT)
-    """
-    spec.check(a)
-    if not a:
-        raise ValueError("type-2 substitutions need a nonzero scalar")
-    scaled = {"a": (1, 2), "b": (0, 3), "c": (0, 2), "d": (1, 3)}
-    if variant not in scaled:
-        raise ValueError(f"unknown type-2 variant {variant!r}")
-    rows = [list(r) for r in _identity_rows(spec)]
-    for i in scaled[variant]:
-        rows[i][i] = a
-    return ProjectiveTransform(spec, tuple(tuple(r) for r in rows))
-
-
-def transform_type3(spec: FieldSpec, variant: str) -> ProjectiveTransform:
-    """Coordinate permutations preserving the pairing {X,Y} | {Z,T}:
-
-    a: (X, Y, T, Z)   b: (Z, T, X, Y)   c: (T, Z, X, Y)
-    """
-    perms = {"a": (0, 1, 3, 2), "b": (2, 3, 0, 1), "c": (3, 2, 0, 1)}
-    if variant not in perms:
-        raise ValueError(f"unknown type-3 variant {variant!r}")
-    rows = tuple(tuple(1 if j == perms[variant][i] else 0 for j in range(4)) for i in range(4))
-    return ProjectiveTransform(spec, rows)
-
-
-def type3_group(spec: FieldSpec) -> tuple[ProjectiveTransform, ...]:
-    """The closure of the three permutation substitutions under composition,
-    in a deterministic order (sorted by matrix)."""
-    gens = [transform_type3(spec, v) for v in "abc"]
-    seen = {_identity_rows(spec): ProjectiveTransform(spec, _identity_rows(spec))}
-    frontier = list(seen.values())
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in gens:
-                u = t.compose(g)
-                if u.rows not in seen:
-                    seen[u.rows] = u
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(seen[r] for r in sorted(seen))
-
-
 def _expand_linear_product(spec: FieldSpec, forms) -> dict[tuple, int]:
     """Multiply out a product of linear forms into a monomial dict."""
     acc = {(0, 0, 0, 0): 1}
@@ -556,139 +465,6 @@ def apply_transform(curve: QuadricCubicCurve, t: ProjectiveTransform) -> Quadric
     if not lam or any(qtc != spec.mul(lam, qc) for qc, qtc in zip(q, qt)):
         raise ValueError("substitution does not preserve the quadric")
     return quadric_curve(curve.kind, spec, substitute_cubic(spec, curve.coeffs, t.rows))
-
-
-# ---------------------------------------------------------------------------
-# normal form of the cubic on the smooth quadric
-# ---------------------------------------------------------------------------
-
-_CUBE_IDX = {v: _INDEX3[tuple(3 if w == v else 0 for w in range(4))] for v in range(4)}
-
-
-def _embed_curve(curve: QuadricCubicCurve, sup: FieldSpec) -> QuadricCubicCurve:
-    e = embedding(curve.spec, sup)
-    return QuadricCubicCurve(curve.kind, sup, tuple(e(c) for c in curve.coeffs))
-
-
-def _extension_root(curve, coeffs):
-    """Smallest root of the given polynomial, extending the base field when
-    necessary; returns the (possibly embedded) curve and the root."""
-    spec = curve.spec
-    p = poly_from_coeffs(spec, coeffs)
-    while True:
-        roots = poly_roots(spec, p)
-        if roots:
-            return curve, min(roots)
-        d = min(poly_degree(g) for g, _ in poly_factor(spec, p))
-        if spec.k * d > 16:
-            raise ValueError("normalization needs a field extension beyond F_{2^16}")
-        sup = field(spec.k * d)
-        e = embedding(spec, sup)
-        p = tuple(e(c) for c in p)
-        curve = _embed_curve(curve, sup)
-        spec = sup
-
-
-# stage 0: creating a nonzero cube coefficient with a single type-1 move.
-# Each entry is (variant, cube index created, quadratic source, linear source):
-# variant "a" with parameter s makes c(Z^3) = s^2 c(X^2 Z) + s c(X Z^2), etc.
-_CUBE_SOURCES = (
-    ("a", _INDEX3[(0, 0, 3, 0)], _INDEX3[(2, 0, 1, 0)], _INDEX3[(1, 0, 2, 0)]),
-    ("c", _INDEX3[(0, 0, 0, 3)], _INDEX3[(2, 0, 0, 1)], _INDEX3[(1, 0, 0, 2)]),
-    ("d", _INDEX3[(0, 0, 3, 0)], _INDEX3[(0, 2, 1, 0)], _INDEX3[(0, 1, 2, 0)]),
-    ("b", _INDEX3[(0, 0, 0, 3)], _INDEX3[(0, 2, 0, 1)], _INDEX3[(0, 1, 0, 2)]),
-)
-
-
-def normalize_cubic(curve: QuadricCubicCurve) -> tuple[QuadricCubicCurve, str]:
-    """Normal form of a cubic on the smooth quadric, possibly after a base
-    extension: form "a" has X^3 and Y^3 coefficients 1, form "b" has X^3
-    coefficient 1 and no other cube.  Z^3 and T^3 vanish in both forms.
-
-    Raises ValueError when every quadric-preserving substitution leaves all
-    four cube coefficients zero (the cubic is degenerate along the quadric;
-    this cannot happen for a smooth curve) or when a required root would
-    live beyond F_{2^16}.
-    """
-    if curve.kind != "ns":
-        raise ValueError("the cubic normal form is defined on the smooth quadric")
-    cur = curve
-
-    def cube(c, v):
-        return c.coeffs[_CUBE_IDX[v]]
-
-    # stage 0: some cube must be nonzero; a type-1 move can always arrange
-    # that unless the relevant sources all vanish identically
-    if all(not cube(cur, v) for v in range(4)):
-        if all(not cur.coeffs[qi] and not cur.coeffs[li] for _, _, qi, li in _CUBE_SOURCES):
-            # every remaining monomial is X*Y times a linear form, so the
-            # section is reducible and has no normal form
-            raise ValueError("the cubic is a multiple of X*Y modulo the quadric; reducible section")
-        while True:
-            done = False
-            for variant, _, qi, li in _CUBE_SOURCES:
-                for s in cur.spec.elements():
-                    if not s:
-                        continue
-                    val = cur.spec.add(
-                        cur.spec.mul(cur.spec.mul(s, s), cur.coeffs[qi]),
-                        cur.spec.mul(s, cur.coeffs[li]),
-                    )
-                    if val:
-                        cur = apply_transform(cur, transform_type1(cur.spec, variant, s))
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-            if cur.spec.k * 2 > 16:
-                raise ValueError("normalization needs a field extension beyond F_{2^16}")
-            cur = _embed_curve(cur, field(cur.spec.k * 2))
-
-    # stage 1: move a nonzero cube onto X^3 with a coordinate permutation
-    if not cube(cur, 0):
-        for g in type3_group(cur.spec):
-            cand = apply_transform(cur, g)
-            if cube(cand, 0):
-                cur = cand
-                break
-        else:
-            raise AssertionError("a nonzero cube exists but no permutation reaches X^3")
-
-    # stage 2: rescale the equation itself so c(X^3) = 1 (not a substitution)
-    inv = cur.spec.inv(cube(cur, 0))
-    cur = QuadricCubicCurve(cur.kind, cur.spec, tuple(cur.spec.mul(inv, c) for c in cur.coeffs))
-
-    # stage 3: kill Z^3 with variant "a"; the new coefficient is
-    # s^3 + c(X^2 Z) s^2 + c(X Z^2) s + c(Z^3), and X^3, T^3 are untouched
-    if cube(cur, 2):
-        co = cur.coeffs
-        cur, s = _extension_root(
-            cur, [co[_INDEX3[(0, 0, 3, 0)]], co[_INDEX3[(1, 0, 2, 0)]], co[_INDEX3[(2, 0, 1, 0)]], 1]
-        )
-        cur = apply_transform(cur, transform_type1(cur.spec, "a", s))
-        assert not cube(cur, 2)
-
-    # stage 4: kill T^3 with variant "c"; this preserves c(X^3) and c(Z^3)
-    if cube(cur, 3):
-        co = cur.coeffs
-        cur, s = _extension_root(
-            cur, [co[_INDEX3[(0, 0, 0, 3)]], co[_INDEX3[(1, 0, 0, 2)]], co[_INDEX3[(2, 0, 0, 1)]], 1]
-        )
-        cur = apply_transform(cur, transform_type1(cur.spec, "c", s))
-        assert not cube(cur, 3)
-
-    # stage 5: scale Y so c(Y^3) becomes 1, via the cube root of its inverse
-    form = "b"
-    if cube(cur, 1):
-        cur, s = _extension_root(cur, [cur.spec.inv(cube(cur, 1)), 0, 0, 1])
-        cur = apply_transform(cur, transform_type2(cur.spec, "a", s))
-        form = "a"
-
-    assert cube(cur, 0) == 1 and not cube(cur, 2) and not cube(cur, 3)
-    assert cube(cur, 1) == (1 if form == "a" else 0)
-    return cur, form
 
 
 # ---------------------------------------------------------------------------
@@ -992,6 +768,12 @@ def _gf2x_eval_in_field(spec: FieldSpec, p: int, x: int) -> int:
     return acc
 
 
+# shared with the census's packed twin, so a model's note is the same in
+# classify output and in the records file
+_HYP_AFFINE_NOTE = "singular affine point (common root of h and f'^2 + f h'^2)"
+_HYP_INFINITY_NOTE = "singular point at infinity"
+
+
 def _hyperelliptic_smooth(curve: HyperellipticCurve) -> SmoothnessResult:
     F = curve.spec
     h, f = curve.h, curve.f
@@ -1002,17 +784,17 @@ def _hyperelliptic_smooth(curve: HyperellipticCurve) -> SmoothnessResult:
     g = poly_gcd(F, h, crit)
     if poly_degree(g) >= 1:
         roots = poly_roots(F, g)
+        witness = None
         if roots:
             x0 = roots[0]
-            y0 = F.sqrt(poly_eval(F, f, x0))
-            return SmoothnessResult(False, (F.k, (x0, y0)), "singular affine point")
-        return SmoothnessResult(False, None, "singular affine point over an extension")
+            witness = (F.k, (x0, F.sqrt(poly_eval(F, f, x0))))
+        return SmoothnessResult(False, witness, _HYP_AFFINE_NOTE)
     h5 = h[5] if len(h) > 5 else 0
     h4 = h[4] if len(h) > 4 else 0
     f9 = f[9] if len(f) > 9 else 0
     f10 = f[10] if len(f) > 10 else 0
     if not h5 and not F.add(F.mul(f9, f9), F.mul(f10, F.mul(h4, h4))):
-        return SmoothnessResult(False, None, "singular at infinity")
+        return SmoothnessResult(False, None, _HYP_INFINITY_NOTE)
     return SmoothnessResult(True)
 
 

@@ -1,6 +1,6 @@
 """Arithmetic foundations for everything else in this package.
 
-Four layers, bottom to top:
+Three layers, bottom to top:
 
 * packed polynomials over F_2: a polynomial is a Python int whose bit i is
   the coefficient of x^i, so xor is addition and shifting is multiplication
@@ -10,8 +10,7 @@ Four layers, bottom to top:
   (``FieldSpec``), plus compatible subfield embeddings;
 * dense univariate polynomials over such a field (or over a quotient field
   built on top of one): tuples of elements, constant term first, no trailing
-  zeros (``poly_*`` functions, ``PolyQuotientField``);
-* exact integer polynomials used for Weil polynomials (``intpoly_*``).
+  zeros (``poly_*`` functions, ``PolyQuotientField``).
 
 All arithmetic here is exact; nothing floats.
 """
@@ -363,29 +362,6 @@ def field(k: int) -> FieldSpec:
 F2 = field(1)
 
 
-def element_to_str(spec: FieldSpec, a: int) -> str:
-    """Serialize an element as e.g. "F16:0x9" (field order, then coordinates)."""
-    spec.check(a)
-    return f"F{spec.order}:{a:#x}"
-
-
-def element_from_str(s: str) -> tuple[FieldSpec, int]:
-    """Inverse of :func:`element_to_str`, always against the canonical modulus."""
-    try:
-        head, _, tail = s.partition(":")
-        if not head.startswith("F"):
-            raise ValueError
-        order = int(head[1:])
-        k = order.bit_length() - 1
-        if 1 << k != order:
-            raise ValueError
-        a = int(tail, 16)
-    except ValueError:
-        raise ValueError(f"malformed field element {s!r}") from None
-    spec = field(k)
-    return spec, spec.check(a)
-
-
 # ---------------------------------------------------------------------------
 # subfield embeddings
 # ---------------------------------------------------------------------------
@@ -452,10 +428,6 @@ def poly_degree(p: tuple) -> int:
 
 def poly_x(F) -> tuple:
     return (F.zero, F.one)
-
-
-def poly_const(F, c) -> tuple:
-    return (c,) if c != F.zero else ()
 
 
 def poly_add(F, a: tuple, b: tuple) -> tuple:
@@ -756,70 +728,3 @@ class PolyQuotientField:
             for b in self.base.f2_basis():
                 out.append(poly_shift(self.base, self.lift(b), j))
         return out
-
-
-# ---------------------------------------------------------------------------
-# exact integer polynomials
-# ---------------------------------------------------------------------------
-# Same conventions: tuples of ints, constant first, no trailing zeros.
-
-
-def intpoly(coeffs: Sequence[int]) -> tuple[int, ...]:
-    cs = list(int(c) for c in coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def intpoly_degree(p: Sequence[int]) -> int:
-    return len(p) - 1
-
-
-def intpoly_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    return intpoly(out)
-
-
-def intpoly_neg(a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-c for c in a)
-
-
-def intpoly_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return intpoly_add(a, intpoly_neg(b))
-
-
-def intpoly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return intpoly(out)
-
-
-def intpoly_eval(p: Sequence[int], x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def intpoly_to_str(p: Sequence[int]) -> str:
-    """Comma-separated coefficients, constant term first: "16,32,...,1"."""
-    if not p:
-        return "0"
-    return ",".join(str(c) for c in p)
-
-
-def intpoly_from_str(s: str) -> tuple[int, ...]:
-    s = s.strip()
-    if s == "0" or not s:
-        return ()
-    try:
-        return intpoly(int(part.strip()) for part in s.split(","))
-    except ValueError:
-        raise ValueError(f"malformed integer polynomial {s!r}") from None

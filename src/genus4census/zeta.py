@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-from .gfarith import intpoly, intpoly_mul
 
 GENUS = 4
 
@@ -155,8 +152,8 @@ def weil_from_counts(counts, q: int | None = None) -> WeilPolynomial:
     return WeilPolynomial(tuple(reversed(a)), q)
 
 
-def predicted_counts(w: WeilPolynomial, upto: int = 8) -> tuple[int, ...]:
-    """N_1..N_upto implied by w, via the power-sum recurrence."""
+def _power_sums(w: WeilPolynomial, upto: int) -> list[int]:
+    """s_0..s_upto of the roots of w by Newton's identities (s_0 unused)."""
     deg = len(w.coeffs) - 1
     a = w.l_coeffs
     s = [0] * (upto + 1)
@@ -165,6 +162,12 @@ def predicted_counts(w: WeilPolynomial, upto: int = 8) -> tuple[int, ...]:
         if n <= deg:
             acc += n * a[n]
         s[n] = -acc
+    return s
+
+
+def predicted_counts(w: WeilPolynomial, upto: int = 8) -> tuple[int, ...]:
+    """N_1..N_upto implied by w, via the power-sum recurrence."""
+    s = _power_sums(w, upto)
     return tuple(w.q**n + 1 - s[n] for n in range(1, upto + 1))
 
 
@@ -212,94 +215,19 @@ def classify_stratum(np_: NewtonPolygon) -> StratumLabel:
     return StratumLabel("Ordinary-or-other", p_rank)
 
 
-def _rational_resultant(a: list[Fraction], b: list[Fraction]) -> Fraction:
-    """Signed resultant of two rational polynomials (constant term first)."""
-
-    def trim(p: list[Fraction]) -> list[Fraction]:
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = trim(list(a)), trim(list(b))
-    if not a or not b:
-        raise ValueError("resultant with a zero polynomial")
-    res = Fraction(1)
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        # a mod b
-        r = list(a)
-        inv_lc = 1 / b[-1]
-        for shift in range(da - db, -1, -1):
-            c = r[shift + db] * inv_lc
-            if c:
-                for i, bc in enumerate(b):
-                    r[shift + i] -= bc * c
-        r = trim(r)
-        if not r:
-            return Fraction(0)
-        dr = len(r) - 1
-        if (da * db) % 2:
-            res = -res
-        res *= b[-1] ** (da - dr)
-        a, b = b, r
-    return res * b[0] ** (len(a) - 1)
-
-
 def base_extend(w: WeilPolynomial, n: int) -> WeilPolynomial:
-    """prod (t - alpha_i^n), exactly: Res_x(P(x), t - x^n) by evaluation
-    and interpolation, sign fixed so the output is monic; q becomes q^n."""
+    """prod (t - alpha_i^n), exactly; q becomes q^n.
+
+    The roots alpha_i^n have power sums s_{nk}, so Newton's identities read
+    off the coefficients b_k over the integers.
+    """
     if n < 1:
         raise ValueError("extension degree must be >= 1")
     if n == 1:
         return w
     deg = len(w.coeffs) - 1
-    p = [Fraction(c) for c in w.coeffs]
-    ts = list(range(deg + 1))
-    values = []
-    for t0 in ts:
-        g = [Fraction(0)] * (n + 1)
-        g[0] = Fraction(t0)
-        g[n] = Fraction(-1)
-        values.append(_rational_resultant(p, g))
-    # Lagrange interpolation at 0..deg
-    out = [Fraction(0)] * (deg + 1)
-    for i, t0 in enumerate(ts):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, t1 in enumerate(ts):
-            if j == i:
-                continue
-            denom *= t0 - t1
-            basis = [
-                (basis[m - 1] if m else 0) - t1 * (basis[m] if m < len(basis) else 0)
-                for m in range(len(basis) + 1)
-            ]
-        scale = values[i] / denom
-        for m, c in enumerate(basis):
-            out[m] += c * scale
-    if out[-1] == -1:
-        out = [-c for c in out]
-    if out[-1] != 1 or any(c.denominator != 1 for c in out):
-        raise AssertionError("base extension did not produce a monic integer polynomial")
-    return WeilPolynomial(tuple(int(c) for c in out), w.q**n)
-
-
-def weil_product(ws: Sequence[WeilPolynomial]) -> WeilPolynomial:
-    """Weil polynomial of the product abelian variety (degrees must sum to 8)."""
-    if not ws:
-        raise ValueError("empty Weil product")
-    q = ws[0].q
-    if any(w.q != q for w in ws):
-        raise ValueError("mixed base fields in weil_product")
-    if sum(len(w.coeffs) - 1 for w in ws) != 2 * GENUS:
-        raise ValueError("factor degrees must sum to 8")
-    prod = intpoly([1])
-    for w in ws:
-        prod = intpoly_mul(prod, w.coeffs)
-    return WeilPolynomial(prod, q)
-
-
-def is_supersingular(w: WeilPolynomial) -> bool:
-    """True iff every Newton slope is 1/2."""
-    half = Fraction(1, 2)
-    return all(x == half for x in newton_polygon(w).slopes)
+    s = _power_sums(w, n * deg)
+    b = [1]
+    for k in range(1, deg + 1):
+        b.append(-(s[n * k] + sum(b[i] * s[n * (k - i)] for i in range(1, k))) // k)
+    return WeilPolynomial(tuple(reversed(b)), w.q**n)

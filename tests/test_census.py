@@ -17,7 +17,6 @@ from genus4census.census import (
     CensusRecord,
     classify_model,
     discrepancy_report,
-    enumerate_f2,
     group_isogeny_classes,
     read_records,
     record_from_json,
@@ -27,6 +26,7 @@ from genus4census.census import (
     write_records,
 )
 from genus4census.curves import (
+    aut_order_f2,
     count_points,
     hyperelliptic_from_masks,
     is_smooth,
@@ -50,24 +50,18 @@ def _gray_to_mask_table(arr):
 
 
 def test_enumeration_sizes_and_order():
-    ids = [c.curve_id for c in enumerate_f2("ns")]
-    assert len(ids) == 1 << 16
-    assert ids == sorted(ids)
-    assert ids[0] == "ns;c=0x0000" and ids[-1] == "ns;c=0xffff"
-    assert "ns;c=0x1d0c" in ids
+    # deg h = 5 admits every f; deg h <= 4 forces deg f in {9, 10}
+    records = run_census(kinds="hyp", id_filter=lambda cid: cid.startswith(("hyp;h=0x01;", "hyp;h=0x20;")))
+    ids = [rec.id for rec in records]
+    assert len(ids) == 1536 + 2048
+    assert ids == sorted(ids) and len(set(ids)) == len(ids)
+    assert ids[0] == "hyp;h=0x01;f=0x200" and ids[-1] == "hyp;h=0x20;f=0x7ff"
+    assert "hyp;h=0x01;f=0x220" in ids
+    assert "hyp;h=0x01;f=0x1ff" not in ids
+    assert "hyp;h=0x20;f=0x000" in ids
 
-    assert sum(1 for _ in enumerate_f2("cone")) == 1 << 16
-
-    hyp_ids = [c.curve_id for c in enumerate_f2("hyp")]
-    assert len(hyp_ids) == 113152
-    assert hyp_ids == sorted(hyp_ids)
-    assert "hyp;h=0x01;f=0x220" in hyp_ids
-    # deg h <= 4 forces deg f in {9, 10}
-    assert "hyp;h=0x01;f=0x1ff" not in hyp_ids
-    assert "hyp;h=0x20;f=0x000" in hyp_ids
-
-    with pytest.raises(ValueError):
-        next(enumerate_f2("elliptic"))
+    with pytest.raises(ValueError, match="unknown model kind"):
+        run_census(kinds="elliptic")
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +188,17 @@ def test_classify_model_matches_census_rows():
         assert (rec.a_number, rec.two_rank, rec.type43, rec.eo_mu) == (a, s2, t43, mu)
     sing = classify_model(quadric_curve_from_mask("ns", 0x0000))
     assert not sing.smooth and sing.counts is None and sing.note
+
+
+def test_classify_model_matches_census_hyp_records():
+    # the per-curve route (generic smoothness, direct counts) and the packed
+    # census route agree field for field, singular notes included
+    hs = ("hyp;h=0x01;", "hyp;h=0x03;", "hyp;h=0x20;")
+    records = run_census(kinds="hyp", id_filter=lambda cid: cid.startswith(hs))
+    assert len(records) == 1536 * 2 + 2048
+    assert sum(not rec.smooth for rec in records) > 1000
+    for rec in records:
+        assert classify_model(parse_curve_id(rec.id)) == rec, rec.id
 
 
 def test_cached_invariants_match_direct_zeta():
@@ -359,6 +364,27 @@ def test_group_isogeny_classes_lazy_and_keyed():
     assert rep.jacobian_auts == (4,)
     assert rep.stack_count == Fraction(1, 4)
     assert rep.abelian_side == Fraction(7, 4)
+
+
+def test_orbit_walk_matches_fixed_point_count():
+    # |G| / |orbit| against the explicit stabilizer count, on smooth models
+    rng = random.Random(4242)
+    for kind in census.KINDS:
+        checked = 0
+        while checked < 4:
+            if kind == "hyp":
+                hm = rng.randrange(1, 64)
+                curve = hyperelliptic_from_masks(hm, rng.randrange(0 if hm >= 32 else 512, 2048))
+            else:
+                curve = quadric_curve_from_mask(kind, rng.randrange(1 << 16))
+            if not is_smooth(curve).smooth:
+                continue
+            orbit, order = census._isomorphism_orbit(curve)
+            assert curve.curve_id in orbit
+            assert order // len(orbit) == aut_order_f2(curve), curve.curve_id
+            assert census.isomorphism_canonical_id(curve) == min(orbit)
+            assert all(is_smooth(parse_curve_id(cid)).smooth for cid in orbit)
+            checked += 1
 
 
 def test_group_isogeny_classes_empty_class():

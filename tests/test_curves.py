@@ -1,5 +1,5 @@
-"""Curve models: tables, reduction, counting, transforms, normal form,
-smoothness, automorphisms.
+"""Curve models: tables, reduction, counting, transforms, smoothness,
+automorphisms.
 
 Point-count oracles: the projective enumeration tests recount every curve by
 brute force over all of P^3 (resp. the affine hyperelliptic plane plus the
@@ -16,6 +16,7 @@ import pytest
 from genus4census.curves import (
     MONOMIALS3,
     HyperellipticCurve,
+    ProjectiveTransform,
     QuadricCubicCurve,
     affine_model_ns,
     apply_transform,
@@ -29,7 +30,6 @@ from genus4census.curves import (
     is_smooth,
     jacobian_aut_order,
     kept_monomials,
-    normalize_cubic,
     parse_curve_id,
     quadric_coeffs,
     quadric_curve,
@@ -38,10 +38,6 @@ from genus4census.curves import (
     reduce_cubic,
     reduction_table,
     substitute_quadric,
-    transform_type1,
-    transform_type2,
-    transform_type3,
-    type3_group,
 )
 from genus4census.curves import _quadric_smooth_f2, _quadric_smooth_generic
 from genus4census.gfarith import F2, field, poly_eval
@@ -292,48 +288,28 @@ def test_grid_matches_affine_values():
 # ---------------------------------------------------------------------------
 
 
-def _random_transform(rng, spec):
-    kind = rng.randrange(3)
-    if kind == 0:
-        return transform_type1(spec, rng.choice("abcd"), rng.randrange(spec.order))
-    if kind == 1:
-        return transform_type2(spec, rng.choice("abcd"), rng.randrange(1, spec.order))
-    return transform_type3(spec, rng.choice("abc"))
-
-
-def test_transform_generators_preserve_ns_quadric():
-    for spec in (F2, field(2), field(3)):
-        q = quadric_coeffs("ns")
-        for v in "abcd":
-            for a in spec.elements():
-                t = transform_type1(spec, v, a)
-                assert substitute_quadric(spec, q, t.rows) == q
-            for a in spec.elements():
-                if a:
-                    t = transform_type2(spec, v, a)
-                    qt = substitute_quadric(spec, q, t.rows)
-                    assert qt == tuple(spec.mul(a, c) for c in q)
-        for v in "abc":
-            t = transform_type3(spec, v)
-            assert substitute_quadric(spec, q, t.rows) == q
-
-
-def test_type3_group_order():
-    g = type3_group(F2)
-    assert len(g) == 8
-    rows = {t.rows for t in g}
-    for s in g:
-        for t in g:
-            assert s.compose(t).rows in rows
+# ns-quadric substitutions over F_4 = F_2[w]/(w^2 + w + 1), elements 0, 1, w = 2,
+# w^2 = 3: (X + wZ, Y, Z, T + wY), (X, w^2 Y, w^2 Z, T), (Z, T, X, Y) and
+# (X, Y + w^2 T, Z + w^2 X, T)
+F4_NS_SUBSTITUTIONS = (
+    ((1, 0, 2, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 2, 0, 1)),
+    ((1, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 1)),
+    ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
+    ((1, 0, 0, 0), (0, 1, 0, 3), (3, 0, 1, 0), (0, 0, 0, 1)),
+)
 
 
 def test_compose_matches_sequential_application():
     rng = random.Random(41)
-    for spec in (F2, field(2)):
+    pools = {
+        F2: quadric_stabilizer_f2("ns"),
+        field(2): tuple(ProjectiveTransform(field(2), rows) for rows in F4_NS_SUBSTITUTIONS),
+    }
+    for spec, pool in pools.items():
         for _ in range(30):
             c = quadric_curve("ns", spec, [rng.randrange(spec.order) for _ in range(20)])
-            s = _random_transform(rng, spec)
-            t = _random_transform(rng, spec)
+            s = rng.choice(pool)
+            t = rng.choice(pool)
             lhs = apply_transform(apply_transform(c, s), t)
             rhs = apply_transform(c, s.compose(t))
             assert lhs.coeffs == rhs.coeffs
@@ -342,83 +318,11 @@ def test_compose_matches_sequential_application():
 
 
 def test_transform_rejects_wrong_quadric():
-    from genus4census.curves import ProjectiveTransform
-
     c = curve_from_monomials("ns", SMOOTH_SS)
     # X <-> Z does not preserve X*Y + Z*T
     swap = ProjectiveTransform(F2, ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)))
     with pytest.raises(ValueError, match="quadric"):
         apply_transform(c, swap)
-
-
-def test_transforms_preserve_counts_and_smoothness():
-    rng = random.Random(42)
-    for _ in range(40):
-        c = quadric_curve_from_mask("ns", rng.randrange(1 << 16))
-        t = _random_transform(rng, F2)
-        img = apply_transform(c, t)
-        assert is_smooth(img).smooth == is_smooth(c).smooth
-        for n in (1, 2):
-            assert count_points(img, n, raw=True) == count_points(c, n, raw=True)
-
-
-# ---------------------------------------------------------------------------
-# the normal form
-# ---------------------------------------------------------------------------
-
-
-def _cube(curve, v):
-    return curve.coeffs[IDX[tuple(3 if w == v else 0 for w in range(4))]]
-
-
-def test_normalize_example_stays_rational():
-    ss = curve_from_monomials("ns", SMOOTH_SS)
-    norm, form = normalize_cubic(ss)
-    assert norm.spec.k == 1
-    assert form == "b"
-    assert [count_points(norm, n) for n in (1, 2, 3, 4)] == [7, 9, 13, 9]
-
-
-def test_normalize_cube_pattern():
-    rng = random.Random(51)
-    seen = {"a": 0, "b": 0, "ext": 0}
-    for _ in range(250):
-        c = quadric_curve_from_mask("ns", rng.randrange(1, 1 << 16))
-        try:
-            norm, form = normalize_cubic(c)
-        except ValueError as exc:
-            if "reducible" in str(exc):
-                # the cubic must be X*Y times a linear form
-                assert all(not c.coeffs[i] for i in range(20) if MONOMIALS3[i] not in
-                           ((2, 1, 0, 0), (1, 2, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1)))
-            else:
-                assert "F_{2^16}" in str(exc)
-            continue
-        assert _cube(norm, 0) == 1
-        assert _cube(norm, 2) == 0 and _cube(norm, 3) == 0
-        if form == "a":
-            assert _cube(norm, 1) == 1
-        else:
-            assert _cube(norm, 1) == 0
-        seen[form] += 1
-        if norm.spec.k > 1:
-            seen["ext"] += 1
-            if norm.spec.k <= 2:
-                # counts over the new base come from the old tower
-                assert count_points(norm, 1, raw=True) == count_points(c, norm.spec.k, raw=True)
-        else:
-            assert count_points(norm, 1, raw=True) == count_points(c, 1, raw=True)
-            assert is_smooth(norm).smooth == is_smooth(c).smooth
-    assert seen["a"] > 20 and seen["b"] > 5 and seen["ext"] > 10
-
-
-def test_normalize_rejects_reducible_and_cone():
-    # X^2*Y alone is X*Y times X: no cube can ever appear
-    c = quadric_curve_from_mask("ns", 0x0002)
-    with pytest.raises(ValueError, match="reducible"):
-        normalize_cubic(c)
-    with pytest.raises(ValueError, match="smooth quadric"):
-        normalize_cubic(curve_from_monomials("cone", EO41_CONE))
 
 
 # ---------------------------------------------------------------------------
