@@ -17,10 +17,11 @@ the run with the offending curve id rather than emit a bad record.
 
 Fast paths, both validated against the generic engines in the test suite:
 
-* quadric counting walks the 2^16 masks in Gray-code order, XOR-updating a
-  table of monomial values and Jacobian 2x2 minors at every quadric point
-  over F_2..F_16; a column of zeros is exactly a rational singular point, and
-  masks without one are confirmed by the symbolic smoothness engine;
+* quadric counting evaluates each of the 2^16 masks as the XOR of two byte
+  tables of monomial values and Jacobian 2x2 minors at every quadric point
+  over F_2..F_16, in numpy blocks; a column of zeros is exactly a rational
+  singular point, and masks without one are confirmed by the symbolic
+  smoothness engine;
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
   of all f at once through a parity table.
@@ -49,6 +50,8 @@ from .curves import (
     _quadric_smooth_f2,
     apply_transform,
     count_points,
+    cubic_partials,
+    eval_cubic,
     gl2_f2,
     hyperelliptic_from_masks,
     hyperelliptic_transformed,
@@ -58,6 +61,7 @@ from .curves import (
     parse_curve_id,
     quadric_curve_from_mask,
     quadric_gradient,
+    quadric_points,
     quadric_stabilizer_f2,
 )
 from .dieudonne import EoLabel, eo_classify_curve
@@ -204,113 +208,81 @@ def read_records(path) -> list[CensusRecord]:
 
 
 # ---------------------------------------------------------------------------
-# quadric fast path: Gray-code walk over cubic masks
+# quadric fast path: every cubic mask evaluated from byte tables
 # ---------------------------------------------------------------------------
 
 _MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _quadric_points(kind: str, d: int):
-    """All F_{2^d}-points of the quadric, in the counting parametrization."""
-    K = field(d)
-    pts = []
-    if kind == "ns":
-        line = [(1, a) for a in K.elements()] + [(0, 1)]
-        for x, y in line:
-            for z, t in line:
-                pts.append((K.mul(x, z), K.mul(y, t), K.mul(y, z), K.mul(x, t)))
-        return pts
-    for u in K.elements():
-        uu = K.mul(u, u)
-        for v in K.elements():
-            pts.append((1, uu, v, u))
-    for v in K.elements():
-        pts.append((0, 1, v, 0))
-    pts.append((0, 0, 1, 0))  # the vertex
-    return pts
-
-
-def _monomial_data(K, exps, pt):
-    """Value and the four partial derivatives of one monomial at a point."""
-    pw = []
-    for c in pt:
-        row = [K.one]
-        for _ in range(3):
-            row.append(K.mul(row[-1], c))
-        pw.append(row)
-    val = K.mul(K.mul(pw[0][exps[0]], pw[1][exps[1]]), K.mul(pw[2][exps[2]], pw[3][exps[3]]))
-    parts = []
-    for v in range(4):
-        if exps[v] % 2 == 0:  # even exponents die in characteristic 2
-            parts.append(K.zero)
-            continue
-        m = pw[v][exps[v] - 1]
-        for w in range(4):
-            if w != v:
-                m = K.mul(m, pw[w][exps[w]])
-        parts.append(m)
-    return val, parts
+def _byte_table(bits: np.ndarray) -> np.ndarray:
+    """XOR of the rows of bits selected by each byte value; shape (256, ...)."""
+    out = np.zeros((256,) + bits.shape[1:], np.uint8)
+    for b in range(8):
+        out[1 << b:2 << b] = out[:1 << b] ^ bits[b]
+    return out
 
 
 @lru_cache(maxsize=None)
 def _quadric_tables(kind: str):
-    """Per mask bit: cubic value and Jacobian minors at every table point.
+    """(lo, hi, bounds): cubic value and Jacobian minors at every point of
+    the quadric, for every cubic mask.
 
-    Row 0 of the middle axis is the monomial value, rows 1..6 the six 2x2
-    minors of (grad cubic; grad quadric); all seven are F_2-linear in the
-    cubic coefficients, so XOR accumulates them over mask bits.  A column
+    Columns are quadric_points over F_2, F_4, F_8, F_16 in turn; bounds[d-1]
+    to bounds[d] are the F_{2^d} columns.  For one cubic monomial, row 0 of
+    the middle axis is its value and rows 1..6 the six 2x2 minors of
+    (grad monomial; grad quadric).  All seven are F_2-linear in the cubic
+    coefficients, so the data of mask m is lo[m & 255] ^ hi[m >> 8], where
+    lo and hi XOR the rows of the low and high eight mask bits.  A column
     that is entirely zero is a point on the curve where the Jacobian drops
     rank: a rational singular point, and conversely.
     """
-    blocks = []
-    sizes = []
+    points = []
+    bounds = [0]
     for d in _DEGREES:
         K = field(d)
-        pts = _quadric_points(kind, d)
-        sizes.append(len(pts))
-        block = np.zeros((16, 7, len(pts)), np.uint8)
-        for pi, pt in enumerate(pts):
+        points += [(K, pt) for pt in quadric_points(kind, K)]
+        bounds.append(len(points))
+    bits = np.zeros((16, 7, len(points)), np.uint8)
+    for bit, idx in enumerate(kept_monomials(kind)):
+        onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
+        for col, (K, pt) in enumerate(points):
+            cp = cubic_partials(K, onehot, pt)
             qg = quadric_gradient(kind, K, pt)
-            for bit, idx in enumerate(kept_monomials(kind)):
-                val, cp = _monomial_data(K, MONOMIALS3[idx], pt)
-                block[bit, 0, pi] = val
-                for m, (i, j) in enumerate(_MINOR_PAIRS):
-                    block[bit, 1 + m, pi] = K.add(K.mul(cp[i], qg[j]), K.mul(cp[j], qg[i]))
-        blocks.append(block)
-    tab = np.ascontiguousarray(np.concatenate(blocks, axis=2))
-    bounds = tuple(int(b) for b in np.cumsum([0] + sizes))
-    return tab, bounds
+            bits[bit, :, col] = [eval_cubic(K, onehot, pt)] + [
+                K.add(K.mul(cp[i], qg[j]), K.mul(cp[j], qg[i])) for i, j in _MINOR_PAIRS]
+    return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(bounds)
 
 
-def _quadric_scan(kind: str, t0: int, t1: int):
-    """Counts and rational-singularity data for Gray positions [t0, t1).
+def _quadric_scan(kind: str, m0: int, m1: int):
+    """Counts and rational-singularity data for the masks m0 <= m < m1.
 
-    The mask visited at position t is t ^ (t >> 1); stepping to t+1 flips
-    one bit, one XOR of the per-bit table into the accumulator.  Returns
-    (counts, flagged, witness_col), indexed by position.
+    The masks sharing a high byte are evaluated as one numpy block.
+    Returns (counts, flagged, witness_col), indexed by mask - m0;
+    witness_col is the first all-zero column of a flagged mask.
     """
-    tab, bounds = _quadric_tables(kind)
-    n = t1 - t0
+    lo, hi, bounds = _quadric_tables(kind)
+    n = m1 - m0
     counts = np.zeros((n, 4), np.int16)
     flagged = np.zeros(n, np.bool_)
     witness = np.zeros(n, np.int32)
-    cur = np.zeros((7, tab.shape[2]), np.uint8)
-    m0 = t0 ^ (t0 >> 1)
-    for bit in range(16):
-        if (m0 >> bit) & 1:
-            cur ^= tab[bit]
-    for k in range(n):
-        deadcol = ~cur.any(axis=0)
-        if deadcol.any():
-            flagged[k] = True
-            witness[k] = int(deadcol.argmax())
-        oncurve = cur[0] == 0
-        for d in range(4):
-            counts[k, d] = np.count_nonzero(oncurve[bounds[d]:bounds[d + 1]])
-        t = t0 + k + 1
-        if t < t1:
-            cur ^= tab[(t & -t).bit_length() - 1]
+    a = m0
+    while a < m1:
+        b = min((a | 255) + 1, m1)
+        cur = lo[a & 255:((b - 1) & 255) + 1] ^ hi[a >> 8]
+        dead = ~cur.any(axis=1)
+        rows = slice(a - m0, b - m0)
+        flagged[rows] = dead.any(axis=1)
+        witness[rows] = dead.argmax(axis=1)
+        counts[rows] = np.add.reduceat(cur[:, 0] == 0, bounds[:-1], axis=1, dtype=np.int16)
+        a = b
     return counts, flagged, witness
+
+
+def _scan_singular_note(kind: str, witness_col: int) -> str:
+    """Note of a mask the scan flags: the smallest field with a singular point."""
+    bounds = _quadric_tables(kind)[2]
+    d = next(d for d in _DEGREES if witness_col < bounds[d])
+    return f"rational singular point over F_{2 ** d}"
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +440,17 @@ def _classified_record(kind: str, cid: str, counts: tuple[int, ...], cart) -> Ce
     return CensusRecord(id=cid, kind=kind, smooth=True, **fields)
 
 
-def _quadric_chunk(kind: str, t0: int, t1: int, keep=None) -> list[CensusRecord]:
-    counts, flagged, witness = _quadric_scan(kind, t0, t1)
-    _, bounds = _quadric_tables(kind)
+def _quadric_chunk(kind: str, m0: int, m1: int, keep=None) -> list[CensusRecord]:
+    counts, flagged, witness = _quadric_scan(kind, m0, m1)
     recs = []
-    for k in range(t1 - t0):
-        t = t0 + k
-        mask = t ^ (t >> 1)
+    for mask in range(m0, m1):
+        k = mask - m0
         cid = f"{kind};c=0x{mask:04x}"
         if keep is not None and not keep(cid):
             continue
         if flagged[k]:
-            d = 1
-            while witness[k] >= bounds[d]:
-                d += 1
             recs.append(CensusRecord(id=cid, kind=kind, smooth=False,
-                                     note=f"rational singular point over F_{2 ** d}"))
+                                     note=_scan_singular_note(kind, witness[k])))
             continue
         curve = quadric_curve_from_mask(kind, mask)
         res = _quadric_smooth_f2(curve)
@@ -523,6 +490,10 @@ def classify_model(curve) -> CensusRecord:
     else:
         raise TypeError(f"not a curve: {curve!r}")
     cid = curve.curve_id
+    if kind != "hyp":
+        _, flagged, witness = _quadric_scan(kind, curve.mask, curve.mask + 1)
+        if flagged[0]:
+            return CensusRecord(id=cid, kind=kind, smooth=False, note=_scan_singular_note(kind, witness[0]))
     res = is_smooth(curve)
     if not res.smooth:
         return CensusRecord(id=cid, kind=kind, smooth=False, note=res.note)
@@ -590,16 +561,16 @@ class IsogenyClassReport:
 
     member_ids lists every smooth record with the class's Weil polynomial;
     iso_rep_ids collapses them to one canonical model per F_2-isomorphism
-    class.  stack_count is sum of 1/|Aut(Jacobian)| over those classes, None
-    until a stack-count query computes it (aut orders are the lazy part).
+    class, jacobian_auts gives |Aut(Jacobian)| for each, and stack_count is
+    the sum of 1/|Aut(Jacobian)| over those classes.
     """
 
     weil: tuple[int, ...]
     q: int
     member_ids: tuple[str, ...]
-    iso_rep_ids: tuple[str, ...] | None = None
-    jacobian_auts: tuple[int, ...] | None = None
-    stack_count: Fraction | None = None
+    iso_rep_ids: tuple[str, ...]
+    jacobian_auts: tuple[int, ...]
+    stack_count: Fraction
     abelian_side: Fraction | None = None
 
 
@@ -631,26 +602,17 @@ def isomorphism_canonical_id(curve) -> str:
     return min(_isomorphism_orbit(curve)[0])
 
 
-def group_isogeny_classes(records, weil_keys=None) -> list[IsogenyClassReport]:
-    """Group smooth records by exact Weil polynomial.
-
-    With weil_keys=None, return one bare report per observed class (members
-    only, no aut computation), sorted by Weil coefficients.  With explicit
-    keys, return one report per requested key in order, with isomorphism
-    collapse, Jacobian aut orders, and the exact stack count filled in; a
-    key no smooth record attains yields an empty report with stack count 0.
-    Each isomorphism orbit is walked once: its minimum id represents it.
+def group_isogeny_classes(records, weil_keys) -> list[IsogenyClassReport]:
+    """One report per requested Weil polynomial, in order, over the smooth
+    records: members, isomorphism collapse, Jacobian aut orders and the
+    exact stack count.  A key no smooth record attains yields an empty
+    report with stack count 0.  Each isomorphism orbit is walked once: its
+    minimum id represents it.
     """
     groups: dict[tuple[int, ...], list[str]] = {}
     for rec in records:
         if rec.smooth:
             groups.setdefault(rec.weil, []).append(rec.id)
-    if weil_keys is None:
-        return [
-            IsogenyClassReport(weil=key, q=2, member_ids=tuple(ids),
-                               abelian_side=ABELIAN_SIDE_COUNTS.get(key))
-            for key, ids in sorted(groups.items())
-        ]
     reports = []
     for key in weil_keys:
         key = tuple(int(c) for c in key)
@@ -684,8 +646,6 @@ def discrepancy_report(report: IsogenyClassReport) -> str:
     classes, side by side with the published abelian-variety-side count."""
     if report.abelian_side is None:
         raise ValueError("no published abelian-side count is recorded for this class")
-    if report.stack_count is None:
-        raise ValueError("class h not yet grouped (run the stack-count query first)")
     lines = [
         f"curve-side stack count:   {report.stack_count}",
         f"abelian-side stack count: {report.abelian_side} (externally computed published value)",

@@ -31,6 +31,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import elimination as el
 from .gfarith import (
     F2,
@@ -74,6 +76,7 @@ __all__ = [
     "affine_model_ns",
     "ProjectiveTransform",
     "apply_transform",
+    "quadric_points",
     "count_points",
     "SmoothnessResult",
     "is_smooth",
@@ -486,30 +489,26 @@ def _projective_line(spec: FieldSpec):
     yield (0, 1)
 
 
+def quadric_points(kind: str, spec: FieldSpec) -> list[tuple[int, int, int, int]]:
+    """Every point of the quadric over spec, each once.
+
+    ns is P^1 x P^1 via (X, Y, Z, T) = (x z, y t, y z, x t); the cone is
+    (1 : u^2 : v : u), then (0 : 1 : v : 0), then the vertex (0 : 0 : 1 : 0).
+    """
+    if kind == "ns":
+        line = list(_projective_line(spec))
+        return [(spec.mul(x, z), spec.mul(y, t), spec.mul(y, z), spec.mul(x, t))
+                for x, y in line for z, t in line]
+    pts = [(1, spec.mul(u, u), v, u) for u in spec.elements() for v in spec.elements()]
+    pts += [(0, 1, v, 0) for v in spec.elements()]
+    pts.append((0, 0, 1, 0))
+    return pts
+
+
 def _count_quadric_points(curve: QuadricCubicCurve, n: int) -> int:
     sup, emb = _extension_for(curve, n)
     co = tuple(emb(c) for c in curve.coeffs)
-    total = 0
-    if curve.kind == "ns":
-        # the smooth quadric is P^1 x P^1: (X,Y,Z,T) = (x z, y t, y z, x t)
-        for x, y in _projective_line(sup):
-            for z, t in _projective_line(sup):
-                pt = (sup.mul(x, z), sup.mul(y, t), sup.mul(y, z), sup.mul(x, t))
-                if not eval_cubic(sup, co, pt):
-                    total += 1
-        return total
-    # the cone: (1 : u^2 : v : u), then (0 : 1 : v : 0), then the vertex
-    for u in sup.elements():
-        uu = sup.mul(u, u)
-        for v in sup.elements():
-            if not eval_cubic(sup, co, (1, uu, v, u)):
-                total += 1
-    for v in sup.elements():
-        if not eval_cubic(sup, co, (0, 1, v, 0)):
-            total += 1
-    if not co[_INDEX3[(0, 0, 3, 0)]]:  # the vertex lies on the cubic iff c(Z^3) = 0
-        total += 1
-    return total
+    return sum(1 for pt in quadric_points(curve.kind, sup) if not eval_cubic(sup, co, pt))
 
 
 def _count_hyperelliptic_points(curve: HyperellipticCurve, n: int) -> int:
@@ -815,52 +814,30 @@ def is_smooth(curve) -> SmoothnessResult:
 # ---------------------------------------------------------------------------
 
 
-def _f2_apply_mat(rows4: tuple[int, ...], v: int) -> int:
-    out = 0
-    for i, r in enumerate(rows4):
-        b = r & v
-        b ^= b >> 2
-        b ^= b >> 1
-        out |= (b & 1) << i
-    return out
-
-
-def _f2_rows_invertible(rows4) -> bool:
-    rows = list(rows4)
-    rank = 0
-    for bit in range(4):
-        piv = next((i for i in range(rank, 4) if (rows[i] >> bit) & 1), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(4):
-            if i != rank and (rows[i] >> bit) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank == 4
-
-
-def _quadric_value_f2(kind: str, v: int) -> int:
-    x, y, z, t = v & 1, (v >> 1) & 1, (v >> 2) & 1, (v >> 3) & 1
-    if kind == "ns":
-        return (x & y) ^ (z & t)
-    return (x & y) ^ t
-
-
 @lru_cache(maxsize=None)
 def quadric_stabilizer_f2(kind: str) -> tuple[ProjectiveTransform, ...]:
     """All of GL_4(F_2) preserving the quadric form (as a function on F_2^4,
-    which pins the form itself).  Computed once by scanning the 2^16 matrices."""
-    values = tuple(_quadric_value_f2(kind, v) for v in range(16))
-    found = []
-    for m in range(1 << 16):
-        rows4 = ((m >> 0) & 15, (m >> 4) & 15, (m >> 8) & 15, (m >> 12) & 15)
-        if not _f2_rows_invertible(rows4):
-            continue
-        if all(values[_f2_apply_mat(rows4, v)] == values[v] for v in range(16)):
-            rows = tuple(tuple((r >> j) & 1 for j in range(4)) for r in rows4)
-            found.append(ProjectiveTransform(F2, rows))
-    return tuple(found)
+    which pins the form itself), in ascending order of the 16-bit matrix m
+    whose row i is bits 4i..4i+3.  Computed once from the images of the 16
+    vectors under all 2^16 matrices: a matrix is kept when it preserves the
+    quadric's values and maps no nonzero vector to 0."""
+    ms = np.arange(1 << 16, dtype=np.uint16)
+    # column j of every matrix as a 4-bit vector; the image of v XORs the
+    # columns at the set bits of v
+    cols = [sum(((ms >> (4 * i + j)) & 1) << i for i in range(4)).astype(np.uint8) for j in range(4)]
+    values = [eval_quadric(kind, F2, tuple((v >> i) & 1 for i in range(4))) for v in range(16)]
+    qset = np.uint16(sum(val << v for v, val in enumerate(values)))  # bit v is the value at v
+    keep = np.ones(1 << 16, np.bool_)
+    for v in range(1, 16):
+        image = np.zeros(1 << 16, np.uint8)
+        for j in range(4):
+            if (v >> j) & 1:
+                image ^= cols[j]
+        keep &= (image != 0) & (((qset >> image) & 1) == values[v])
+    return tuple(
+        ProjectiveTransform(F2, tuple(tuple((int(m) >> (4 * i + j)) & 1 for j in range(4)) for i in range(4)))
+        for m in np.flatnonzero(keep)
+    )
 
 
 def gl2_f2() -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:

@@ -35,15 +35,6 @@ from genus4census.curves import (
 )
 
 
-def _gray_to_mask_table(arr):
-    """Reindex a Gray-position array by mask value."""
-    gray = np.arange(1 << 16)
-    gray = gray ^ (gray >> 1)
-    out = np.zeros_like(arr)
-    out[gray] = arr
-    return out
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -72,8 +63,6 @@ def test_enumeration_sizes_and_order():
 @pytest.mark.parametrize("kind", ["ns", "cone"])
 def test_quadric_scan_matches_engines(kind):
     counts, flagged, witness = census._quadric_scan(kind, 0, 1 << 16)
-    counts = _gray_to_mask_table(counts)
-    flagged = _gray_to_mask_table(flagged)
     rng = random.Random(5150 + len(kind))
     masks = [rng.randrange(1 << 16) for _ in range(40)] + [0, 0xFFFF]
     if kind == "ns":
@@ -95,8 +84,10 @@ def test_quadric_scan_chunks_agree():
     whole = census._quadric_scan("ns", 0, 1 << 16)
     lo = census._quadric_scan("ns", 0, 21000)
     hi = census._quadric_scan("ns", 21000, 1 << 16)
+    one = census._quadric_scan("ns", 0x1D0C, 0x1D0D)
     for i in range(3):
         assert np.array_equal(whole[i], np.concatenate([lo[i], hi[i]]))
+        assert np.array_equal(whole[i][0x1D0C:0x1D0D], one[i])
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +188,20 @@ def test_classify_model_matches_census_hyp_records():
     records = run_census(kinds="hyp", id_filter=lambda cid: cid.startswith(hs))
     assert len(records) == 1536 * 2 + 2048
     assert sum(not rec.smooth for rec in records) > 1000
+    for rec in records:
+        assert classify_model(parse_curve_id(rec.id)) == rec, rec.id
+
+
+def test_classify_model_matches_census_quadric_records():
+    # a fixed CRC-32 sample of ns and cone ids: the per-curve route (a
+    # one-mask scan, then is_smooth and direct counts) against the census
+    # records, singular notes included
+    records = run_census(kinds=("ns", "cone"), id_filter=lambda cid: zlib.crc32(cid.encode()) % 193 == 0)
+    assert len(records) >= 500
+    seen = {(rec.kind, rec.smooth) for rec in records}
+    assert seen == {(k, s) for k in ("ns", "cone") for s in (True, False)}
+    notes = {rec.note for rec in records if not rec.smooth}
+    assert "rational singular point over F_2" in notes and len(notes) > 2
     for rec in records:
         assert classify_model(parse_curve_id(rec.id)) == rec, rec.id
 
@@ -349,14 +354,8 @@ def _h1_subset():
     return run_census(kinds="hyp", id_filter=lambda cid: cid.startswith("hyp;h=0x01;"))
 
 
-def test_group_isogeny_classes_lazy_and_keyed():
+def test_group_isogeny_classes_keyed():
     records = _h1_subset()
-    bare = group_isogeny_classes(records)
-    assert all(rep.stack_count is None and rep.iso_rep_ids is None for rep in bare)
-    assert [rep.weil for rep in bare] == sorted(rep.weil for rep in bare)
-    total = sum(len(rep.member_ids) for rep in bare)
-    assert total == sum(1 for rec in records if rec.smooth)
-
     keyed = group_isogeny_classes(records, [census.CLASS_H_WEIL])
     (rep,) = keyed
     assert len(rep.member_ids) == 32  # f = x^9 + x^5 + t^2 + t, 32 distinct f
@@ -404,9 +403,6 @@ def test_discrepancy_report_text():
     assert "abelian-side stack count: 7/4" in text
     assert "1/4 != 7/4: supersingular locus not contained in Torelli locus (evidence)" in text
 
-    (bare,) = [r for r in group_isogeny_classes(records) if r.weil == census.CLASS_H_WEIL]
-    with pytest.raises(ValueError, match="not yet grouped"):
-        discrepancy_report(bare)
     (other,) = group_isogeny_classes(records, [(16, 16, 16, 12, 9, 6, 4, 2, 1)])
     with pytest.raises(ValueError, match="no published abelian-side count"):
         discrepancy_report(other)

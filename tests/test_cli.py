@@ -71,7 +71,7 @@ def test_classify_singular_curve(capsys):
     assert rc == 0
     rec = json.loads(out)
     assert rec == {"id": "ns;c=0x0000", "kind": "ns", "smooth": False,
-                   "note": "singular at (0:0:0:1)"}
+                   "note": "rational singular point over F_2"}
 
 
 def test_classify_bad_id(capsys):

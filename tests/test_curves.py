@@ -437,6 +437,9 @@ def test_stabilizer_sizes_and_closure():
     for kind, grp in (("ns", g_ns), ("cone", g_cone)):
         q = quadric_coeffs(kind)
         rows = {t.rows for t in grp}
+        # ascending in the 16-bit matrix whose row i is bits 4i..4i+3
+        ms = [sum(c << (4 * i + j) for i, r in enumerate(t.rows) for j, c in enumerate(r)) for t in grp]
+        assert ms == sorted(ms)
         for t in grp:
             assert substitute_quadric(F2, q, t.rows) == q
         rng = random.Random(71)
