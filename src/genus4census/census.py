@@ -17,11 +17,11 @@ the run with the offending curve id rather than emit a bad record.
 
 Fast paths, both validated against the generic engines in the test suite:
 
-* quadric counting evaluates each of the 2^16 masks as the XOR of two byte
-  tables of monomial values and Jacobian 2x2 minors at every quadric point
-  over F_2..F_16, in numpy blocks; a column of zeros is exactly a rational
-  singular point, and masks without one are confirmed by the symbolic
-  smoothness engine;
+* quadric counting runs the quadric scan of curves (_quadric_scan): each of
+  the 2^16 masks is the XOR of two byte tables of monomial values and Jacobian
+  2x2 minors at every quadric point over F_2..F_16, in numpy blocks; a column
+  of zeros is exactly a rational singular point, and masks without one go to
+  the chart-only symbolic engine (_quadric_smooth_f2), as in is_smooth;
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
   of all f at once through a parity table.
@@ -32,6 +32,7 @@ Output is byte-identical for any worker count.
 """
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,26 +43,22 @@ import numpy as np
 from . import cartier
 from .cartier import cartier_hyperelliptic, cartier_ns
 from .curves import (
-    MONOMIALS3,
     HyperellipticCurve,
     QuadricCubicCurve,
     _HYP_AFFINE_NOTE,
     _HYP_INFINITY_NOTE,
+    _quadric_scan,
     _quadric_smooth_f2,
+    _scan_singular,
     apply_transform,
     count_points,
-    cubic_partials,
-    eval_cubic,
     gl2_f2,
     hyperelliptic_from_masks,
     hyperelliptic_transformed,
     is_smooth,
     jacobian_aut_order,
-    kept_monomials,
     parse_curve_id,
     quadric_curve_from_mask,
-    quadric_gradient,
-    quadric_points,
     quadric_stabilizer_f2,
 )
 from .dieudonne import EoLabel, eo_classify_curve
@@ -171,22 +168,37 @@ def record_from_json(line: str) -> CensusRecord:
 
 
 def write_records(path, records) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        header = {"records": len(records), "schema": SCHEMA}
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for rec in records:
-            fh.write(record_to_json(rec) + "\n")
+    """Header and records, written to a temporary file beside path and then
+    renamed onto it, so a failed write leaves an existing file unchanged."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            header = {"records": len(records), "schema": SCHEMA}
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            for rec in records:
+                fh.write(record_to_json(rec) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_records(path) -> list[CensusRecord]:
     """Records of a file written by write_records.
 
-    Refuses a foreign schema, a body whose line count differs from the
-    header's, ids that are not strictly ascending (a duplicated or moved
-    line) and unparsable lines, naming the line.
+    Refuses a header that is not a JSON object (an empty file included), a
+    foreign schema, a body whose line count differs from the header's, ids
+    that are not strictly ascending (a duplicated or moved line) and
+    unparsable lines, naming the line.
     """
     with open(path, "r", encoding="ascii") as fh:
-        header = json.loads(fh.readline())
+        first = fh.readline()
+        try:
+            header = json.loads(first)
+        except ValueError:
+            header = None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: line 1: header is not a JSON object: {first.strip()[:80]!r}")
         if header.get("schema") != SCHEMA:
             raise ValueError(f"unsupported records schema {header.get('schema')!r} (want {SCHEMA!r})")
         records = []
@@ -205,84 +217,6 @@ def read_records(path) -> list[CensusRecord]:
         raise ValueError(f"{path}: header promises {header.get('records')} records, "
                          f"the body has {len(records)}")
     return records
-
-
-# ---------------------------------------------------------------------------
-# quadric fast path: every cubic mask evaluated from byte tables
-# ---------------------------------------------------------------------------
-
-_MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _byte_table(bits: np.ndarray) -> np.ndarray:
-    """XOR of the rows of bits selected by each byte value; shape (256, ...)."""
-    out = np.zeros((256,) + bits.shape[1:], np.uint8)
-    for b in range(8):
-        out[1 << b:2 << b] = out[:1 << b] ^ bits[b]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _quadric_tables(kind: str):
-    """(lo, hi, bounds): cubic value and Jacobian minors at every point of
-    the quadric, for every cubic mask.
-
-    Columns are quadric_points over F_2, F_4, F_8, F_16 in turn; bounds[d-1]
-    to bounds[d] are the F_{2^d} columns.  For one cubic monomial, row 0 of
-    the middle axis is its value and rows 1..6 the six 2x2 minors of
-    (grad monomial; grad quadric).  All seven are F_2-linear in the cubic
-    coefficients, so the data of mask m is lo[m & 255] ^ hi[m >> 8], where
-    lo and hi XOR the rows of the low and high eight mask bits.  A column
-    that is entirely zero is a point on the curve where the Jacobian drops
-    rank: a rational singular point, and conversely.
-    """
-    points = []
-    bounds = [0]
-    for d in _DEGREES:
-        K = field(d)
-        points += [(K, pt) for pt in quadric_points(kind, K)]
-        bounds.append(len(points))
-    bits = np.zeros((16, 7, len(points)), np.uint8)
-    for bit, idx in enumerate(kept_monomials(kind)):
-        onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
-        for col, (K, pt) in enumerate(points):
-            cp = cubic_partials(K, onehot, pt)
-            qg = quadric_gradient(kind, K, pt)
-            bits[bit, :, col] = [eval_cubic(K, onehot, pt)] + [
-                K.add(K.mul(cp[i], qg[j]), K.mul(cp[j], qg[i])) for i, j in _MINOR_PAIRS]
-    return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(bounds)
-
-
-def _quadric_scan(kind: str, m0: int, m1: int):
-    """Counts and rational-singularity data for the masks m0 <= m < m1.
-
-    The masks sharing a high byte are evaluated as one numpy block.
-    Returns (counts, flagged, witness_col), indexed by mask - m0;
-    witness_col is the first all-zero column of a flagged mask.
-    """
-    lo, hi, bounds = _quadric_tables(kind)
-    n = m1 - m0
-    counts = np.zeros((n, 4), np.int16)
-    flagged = np.zeros(n, np.bool_)
-    witness = np.zeros(n, np.int32)
-    a = m0
-    while a < m1:
-        b = min((a | 255) + 1, m1)
-        cur = lo[a & 255:((b - 1) & 255) + 1] ^ hi[a >> 8]
-        dead = ~cur.any(axis=1)
-        rows = slice(a - m0, b - m0)
-        flagged[rows] = dead.any(axis=1)
-        witness[rows] = dead.argmax(axis=1)
-        counts[rows] = np.add.reduceat(cur[:, 0] == 0, bounds[:-1], axis=1, dtype=np.int16)
-        a = b
-    return counts, flagged, witness
-
-
-def _scan_singular_note(kind: str, witness_col: int) -> str:
-    """Note of a mask the scan flags: the smallest field with a singular point."""
-    bounds = _quadric_tables(kind)[2]
-    d = next(d for d in _DEGREES if witness_col < bounds[d])
-    return f"rational singular point over F_{2 ** d}"
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +384,7 @@ def _quadric_chunk(kind: str, m0: int, m1: int, keep=None) -> list[CensusRecord]
             continue
         if flagged[k]:
             recs.append(CensusRecord(id=cid, kind=kind, smooth=False,
-                                     note=_scan_singular_note(kind, witness[k])))
+                                     note=_scan_singular(kind, witness[k]).note))
             continue
         curve = quadric_curve_from_mask(kind, mask)
         res = _quadric_smooth_f2(curve)
@@ -490,10 +424,6 @@ def classify_model(curve) -> CensusRecord:
     else:
         raise TypeError(f"not a curve: {curve!r}")
     cid = curve.curve_id
-    if kind != "hyp":
-        _, flagged, witness = _quadric_scan(kind, curve.mask, curve.mask + 1)
-        if flagged[0]:
-            return CensusRecord(id=cid, kind=kind, smooth=False, note=_scan_singular_note(kind, witness[0]))
     res = is_smooth(curve)
     if not res.smooth:
         return CensusRecord(id=cid, kind=kind, smooth=False, note=res.note)

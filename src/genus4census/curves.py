@@ -40,8 +40,6 @@ from .gfarith import (
     PolyQuotientField,
     embedding,
     field,
-    gf2x_degree,
-    gf2x_factor,
     poly_add,
     poly_degree,
     poly_deriv,
@@ -511,6 +509,85 @@ def _count_quadric_points(curve: QuadricCubicCurve, n: int) -> int:
     return sum(1 for pt in quadric_points(curve.kind, sup) if not eval_cubic(sup, co, pt))
 
 
+# ---------------------------------------------------------------------------
+# the quadric scan: every F_2 cubic mask evaluated from byte tables
+# ---------------------------------------------------------------------------
+
+_MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _byte_table(bits: np.ndarray) -> np.ndarray:
+    """XOR of the rows of bits selected by each byte value; shape (256, ...)."""
+    out = np.zeros((256,) + bits.shape[1:], np.uint8)
+    for b in range(8):
+        out[1 << b:2 << b] = out[:1 << b] ^ bits[b]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _quadric_tables(kind: str):
+    """(lo, hi, bounds, points): cubic value and Jacobian minors at every
+    point of the quadric, for every cubic mask.
+
+    Columns are quadric_points over F_2, F_4, F_8, F_16 in turn; bounds[d-1]
+    to bounds[d] are the F_{2^d} columns, and points[col] is (d, point).
+    For one cubic monomial, row 0 of the middle axis is its value and rows
+    1..6 the six 2x2 minors of (grad monomial; grad quadric).  All seven are
+    F_2-linear in the cubic coefficients, so the data of mask m is
+    lo[m & 255] ^ hi[m >> 8], where lo and hi XOR the rows of the low and
+    high eight mask bits.  A column that is entirely zero is a point on the
+    curve where the Jacobian drops rank: a rational singular point, and
+    conversely.
+    """
+    points = []
+    bounds = [0]
+    for d in (1, 2, 3, 4):
+        points += [(d, pt) for pt in quadric_points(kind, field(d))]
+        bounds.append(len(points))
+    bits = np.zeros((16, 7, len(points)), np.uint8)
+    for bit, idx in enumerate(_KEPT[kind]):
+        onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
+        for col, (d, pt) in enumerate(points):
+            K = field(d)
+            cp = cubic_partials(K, onehot, pt)
+            qg = quadric_gradient(kind, K, pt)
+            bits[bit, :, col] = [eval_cubic(K, onehot, pt)] + [
+                K.add(K.mul(cp[i], qg[j]), K.mul(cp[j], qg[i])) for i, j in _MINOR_PAIRS]
+    return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(bounds), tuple(points)
+
+
+def _quadric_scan(kind: str, m0: int, m1: int):
+    """Counts and rational-singularity data for the masks m0 <= m < m1.
+
+    The masks sharing a high byte are evaluated as one numpy block.
+    Returns (counts, flagged, witness_col), indexed by mask - m0;
+    witness_col is the first all-zero column of a flagged mask.
+    """
+    lo, hi, bounds, _ = _quadric_tables(kind)
+    n = m1 - m0
+    counts = np.zeros((n, 4), np.int16)
+    flagged = np.zeros(n, np.bool_)
+    witness = np.zeros(n, np.int32)
+    a = m0
+    while a < m1:
+        b = min((a | 255) + 1, m1)
+        cur = lo[a & 255:((b - 1) & 255) + 1] ^ hi[a >> 8]
+        dead = ~cur.any(axis=1)
+        rows = slice(a - m0, b - m0)
+        flagged[rows] = dead.any(axis=1)
+        witness[rows] = dead.argmax(axis=1)
+        counts[rows] = np.add.reduceat(cur[:, 0] == 0, bounds[:-1], axis=1, dtype=np.int16)
+        a = b
+    return counts, flagged, witness
+
+
+def _scan_singular(kind: str, witness_col: int) -> SmoothnessResult:
+    """Result for a mask the scan flags: its first singular point, over the
+    smallest field that has one."""
+    d, pt = _quadric_tables(kind)[3][witness_col]
+    return SmoothnessResult(False, (d, pt), f"rational singular point over F_{2 ** d}")
+
+
 def _count_hyperelliptic_points(curve: HyperellipticCurve, n: int) -> int:
     sup, emb = _extension_for(curve, n)
     h = tuple(emb(c) for c in curve.h)
@@ -689,66 +766,23 @@ def _quadric_smooth_generic(curve: QuadricCubicCurve) -> SmoothnessResult:
     return SmoothnessResult(True)
 
 
-# F_2 fast path: same logic with packed integers.  Precompute, per kind, the
-# chart cell of every kept monomial and the bit slots of the boundary forms.
-
-
-def _f2_tables(kind: str):
-    cells = []
-    for idx in _KEPT[kind]:
-        a, b, g, d = MONOMIALS3[idx]
-        cells.append((a + g, a + d) if kind == "ns" else (g, 2 * b + d))
-    lines = []
-    for base, direction, slots in (_NS_LINES if kind == "ns" else _CONE_LINES):
-        bits = []
-        for e in slots:
-            idx = _INDEX3[e]
-            bits.append(_KEPT[kind].index(idx))
-        lines.append((base, direction, tuple(bits)))
-    return tuple(cells), tuple(lines)
-
-
-_F2_TABLES = {kind: _f2_tables(kind) for kind in QUADRIC_KINDS}
-_F2_DISTINGUISHED = {
-    "ns": (
-        ((0, 0, 0, 1), tuple(_KEPT["ns"].index(_INDEX3[e]) for e in ((0, 0, 0, 3), (1, 0, 0, 2), (0, 1, 0, 2)))),
-        ((0, 0, 1, 0), tuple(_KEPT["ns"].index(_INDEX3[e]) for e in ((0, 0, 3, 0), (1, 0, 2, 0), (0, 1, 2, 0)))),
-    ),
-    "cone": (((0, 0, 1, 0), (_KEPT["cone"].index(_INDEX3[(0, 0, 3, 0)]),)),),
-}
+# the affine chart's (v-degree, u-degree) of each F_2 mask bit
+_F2_CELLS = {kind: tuple((a + g, a + d) if kind == "ns" else (g, 2 * b + d)
+                         for a, b, g, d in (MONOMIALS3[i] for i in _KEPT[kind]))
+             for kind in QUADRIC_KINDS}
 
 
 def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
+    """Smoothness of an F_2 model whose mask the quadric scan did not flag.
+
+    Every point off the affine chart is a scan column: (0:0:0:1), (0:0:1:0)
+    and the cone vertex lie over F_2, and a boundary line meets the cubic
+    over F_2, F_4 or F_8 (no unflagged cubic contains a whole line).  What
+    is left is the chart, decided by packed-F_2 elimination.
+    """
     mask = curve.mask
-    for point, bits in _F2_DISTINGUISHED[curve.kind]:
-        if all(not (mask >> b) & 1 for b in bits):
-            if curve.kind == "cone":
-                note = "the cubic meets the cone vertex"
-            else:
-                note = "singular at (0:0:0:1)" if point == (0, 0, 0, 1) else "singular at (0:0:1:0)"
-            return SmoothnessResult(False, (1, point), note)
-    cells, lines = _F2_TABLES[curve.kind]
-    for base, direction, bits in lines:
-        form = 0
-        for j, b in enumerate(bits):
-            if (mask >> b) & 1:
-                form |= 1 << j
-        if form == 0:
-            return SmoothnessResult(False, None, "a boundary line lies on the cubic")
-        for g, _ in gf2x_factor(form):
-            d = gf2x_degree(g)
-            if d == 0:
-                continue
-            sub = field(d)
-            # realize a root of g inside F_{2^d} (d <= 3 here); the 0/1 curve
-            # coefficients are valid elements of any binary field as-is
-            rt = min(r for r in sub.elements() if _gf2x_eval_in_field(sub, g, r) == 0)
-            pt = _line_point(base, direction, sub, rt)
-            if _singular_at(curve, sub, curve.coeffs, pt):
-                return SmoothnessResult(False, (d, pt), "singular on a boundary line")
-    # the affine chart; cells give (v-degree, u-degree) per mask bit
     grid = [0] * 4
-    for bit, (v_e, u_e) in enumerate(cells):
+    for bit, (v_e, u_e) in enumerate(_F2_CELLS[curve.kind]):
         if (mask >> bit) & 1:
             grid[v_e] ^= 1 << u_e
     f = tuple(grid)
@@ -756,15 +790,6 @@ def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
     if el.exists_common_zero_f2(system):
         return SmoothnessResult(False, None, "singular point inside the affine chart")
     return SmoothnessResult(True)
-
-
-def _gf2x_eval_in_field(spec: FieldSpec, p: int, x: int) -> int:
-    acc = 0
-    for i in range(gf2x_degree(p), -1, -1):
-        acc = spec.mul(acc, x)
-        if (p >> i) & 1:
-            acc = spec.add(acc, 1)
-    return acc
 
 
 # shared with the census's packed twin, so a model's note is the same in
@@ -803,9 +828,12 @@ def is_smooth(curve) -> SmoothnessResult:
     if isinstance(curve, HyperellipticCurve):
         return _hyperelliptic_smooth(curve)
     if isinstance(curve, QuadricCubicCurve):
-        if curve.spec.k == 1:
-            return _quadric_smooth_f2(curve)
-        return _quadric_smooth_generic(curve)
+        if curve.spec.k != 1:
+            return _quadric_smooth_generic(curve)
+        _, flagged, witness = _quadric_scan(curve.kind, curve.mask, curve.mask + 1)
+        if flagged[0]:
+            return _scan_singular(curve.kind, witness[0])
+        return _quadric_smooth_f2(curve)
     raise TypeError(f"not a curve: {curve!r}")
 
 

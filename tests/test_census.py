@@ -33,6 +33,7 @@ from genus4census.curves import (
     parse_curve_id,
     quadric_curve_from_mask,
 )
+from genus4census.curves import _quadric_smooth_generic
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +72,7 @@ def test_quadric_scan_matches_engines(kind):
         curve = quadric_curve_from_mask(kind, m)
         want = tuple(count_points(curve, n, raw=True) for n in (1, 2, 3, 4))
         assert tuple(int(c) for c in counts[m]) == want, hex(m)
-        res = is_smooth(curve)
+        res = _quadric_smooth_generic(curve)
         if res.smooth:
             # no false singularity flags on smooth curves
             assert not flagged[m], hex(m)
@@ -248,6 +249,30 @@ def test_jsonl_round_trip(tmp_path):
     bad.write_text('{"schema":"g4c2-census/0","records":0}\n')
     with pytest.raises(ValueError, match="schema"):
         read_records(bad)
+
+
+@pytest.mark.parametrize("first", ["[]\n", "null\n", "7\n", "not json\n", ""])
+def test_read_records_refuses_header_that_is_not_an_object(tmp_path, first):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(first)
+    with pytest.raises(ValueError, match=r"bad\.jsonl: line 1: header is not a JSON object"):
+        read_records(path)
+
+
+def test_write_records_failure_leaves_target_unchanged(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(path, _h1_subset()[:3])
+    before = path.read_bytes()
+
+    class Breaks(list):
+        def __iter__(self):
+            yield from self[:2]
+            raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_records(path, Breaks(_h1_subset()))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
 
 def test_read_records_interns_slopes(tmp_path):

@@ -197,6 +197,14 @@ def test_verify_refuses_truncated_file(capsys, tmp_path):
     assert f"header promises {len(records)} records, the body has {len(records) - 1}" in err
 
 
+def test_verify_refuses_header_that_is_not_an_object(capsys, tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text("[]\n")
+    rc, out, err = run_cli(capsys, "verify", "--records", str(path))
+    assert rc == 2 and "PASS" not in out
+    assert "list.jsonl: line 1: header is not a JSON object" in err
+
+
 def test_missing_records_file(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "stack-count", "--records", str(tmp_path / "nope.jsonl"),
                          "--weil", "16,16,8,0,-4,0,2,2,1")

@@ -11,6 +11,7 @@ named example curves are published values.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from genus4census.curves import (
@@ -18,6 +19,7 @@ from genus4census.curves import (
     HyperellipticCurve,
     ProjectiveTransform,
     QuadricCubicCurve,
+    SmoothnessResult,
     affine_model_ns,
     apply_transform,
     aut_order_f2,
@@ -39,7 +41,7 @@ from genus4census.curves import (
     reduction_table,
     substitute_quadric,
 )
-from genus4census.curves import _quadric_smooth_f2, _quadric_smooth_generic
+from genus4census.curves import _CONE_LINES, _NS_LINES, _quadric_scan, _quadric_smooth_generic
 from genus4census.gfarith import F2, field, poly_eval
 
 IDX = {e: i for i, e in enumerate(MONOMIALS3)}
@@ -331,15 +333,22 @@ def test_transform_rejects_wrong_quadric():
 
 
 def test_known_singularity_witnesses():
+    # over F_2 the quadric scan names the first singular point of
+    # quadric_points, over the smallest field that has one; the generic
+    # engine checks the distinguished points and boundary lines first
+    f2_note = "rational singular point over F_2"
     # X^3 alone: both distinguished points satisfy their vanishing pattern
-    r = is_smooth(quadric_curve_from_mask("ns", 0x0001))
-    assert not r.smooth and r.witness == (1, (0, 0, 0, 1))
-    # cone cubic avoiding Z^3: passes through the vertex
-    r = is_smooth(curve_from_monomials("cone", [(3, 0, 0, 0)]))
-    assert not r.smooth and r.witness == (1, (0, 0, 1, 0)) and "vertex" in r.note
+    c = quadric_curve_from_mask("ns", 0x0001)
+    assert is_smooth(c) == SmoothnessResult(False, (1, (0, 0, 0, 1)), f2_note)
+    assert _quadric_smooth_generic(c) == SmoothnessResult(False, (1, (0, 0, 0, 1)), "singular at (0:0:0:1)")
+    # cone cubic avoiding Z^3: singular on the line {X = T = 0} before the vertex
+    c = curve_from_monomials("cone", [(3, 0, 0, 0)])
+    assert is_smooth(c) == SmoothnessResult(False, (1, (0, 1, 0, 0)), f2_note)
+    assert _quadric_smooth_generic(c) == SmoothnessResult(False, (1, (0, 0, 1, 0)), "the cubic meets the cone vertex")
     # cubic containing the boundary line {Y = Z = 0}
-    r = is_smooth(curve_from_monomials("ns", [(0, 1, 0, 2), (0, 1, 2, 0)]))
-    assert not r.smooth and "line" in r.note
+    c = curve_from_monomials("ns", [(0, 1, 0, 2), (0, 1, 2, 0)])
+    assert is_smooth(c) == SmoothnessResult(False, (1, (1, 0, 0, 0)), f2_note)
+    assert _quadric_smooth_generic(c) == SmoothnessResult(False, None, "a boundary line lies on the cubic")
     # hyperelliptic: y^2 + x y = x^9 is singular at the origin
     r = is_smooth(hyperelliptic_from_masks(0x02, 0x200))
     assert not r.smooth and r.witness == (1, (0, 0))
@@ -362,12 +371,37 @@ def test_smoothness_engines_agree():
     for i in range(1200):
         kind = "ns" if i % 2 == 0 else "cone"
         c = quadric_curve_from_mask(kind, rng.randrange(1 << 16))
-        fast = _quadric_smooth_f2(c)
+        fast = is_smooth(c)
         slow = _quadric_smooth_generic(c)
         assert fast.smooth == slow.smooth, (c.curve_id, fast, slow)
         smooth_seen += fast.smooth
         singular_seen += not fast.smooth
     assert smooth_seen > 150 and singular_seen > 150
+
+
+# per distinguished point off the affine chart, the monomials whose
+# vanishing makes it singular: (0:0:0:1) and (0:0:1:0) on ns, the cone vertex
+DISTINGUISHED_PATTERNS = {
+    "ns": (((0, 0, 0, 3), (1, 0, 0, 2), (0, 1, 0, 2)), ((0, 0, 3, 0), (1, 0, 2, 0), (0, 1, 2, 0))),
+    "cone": (((0, 0, 3, 0),),),
+}
+
+
+@pytest.mark.parametrize("kind", ["ns", "cone"])
+def test_scan_flags_every_off_chart_pattern(kind):
+    # the packed engine checks only the affine chart: every mask singular at
+    # a distinguished point, or whose cubic contains a boundary line, must
+    # already be flagged by the quadric scan
+    masks = np.arange(1 << 16)
+    flagged = _quadric_scan(kind, 0, 1 << 16)[1]
+    bit = {idx: b for b, idx in enumerate(kept_monomials(kind))}
+
+    def vanish(monomials):
+        return (masks & sum(1 << bit[IDX[e]] for e in monomials)) == 0
+
+    lines = _NS_LINES if kind == "ns" else _CONE_LINES
+    for hit in [vanish(slots) for _, _, slots in lines] + [vanish(p) for p in DISTINGUISHED_PATTERNS[kind]]:
+        assert hit.any() and flagged[hit].all()
 
 
 def test_smoothness_generic_engine_over_f4():
