@@ -20,8 +20,14 @@ Fast paths, both validated against the generic engines in the test suite:
 * quadric counting runs the quadric scan of curves (_quadric_scan): each of
   the 2^16 masks is the XOR of two byte tables of monomial values and Jacobian
   2x2 minors at every quadric point over F_2..F_16, in numpy blocks; a column
-  of zeros is exactly a rational singular point, and masks without one go to
-  the chart-only symbolic engine (_quadric_smooth_f2), as in is_smooth;
+  of zeros is exactly a rational singular point;
+* the masks without one are decided once per orbit of the quadric's
+  stabilizer: image tables (_quadric_images) give each mask its orbit's
+  least mask, whose smoothness (the chart-only symbolic engine,
+  _quadric_smooth_f2) and ns Cartier data are computed once per process and
+  broadcast to the members; counts stay per mask, so each member's counts
+  are checked against the broadcast 2-rank.  classify_model and is_smooth
+  decide the model itself, a second route to the same records;
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
   of all f at once through a parity table.
@@ -47,6 +53,7 @@ from .curves import (
     QuadricCubicCurve,
     _HYP_AFFINE_NOTE,
     _HYP_INFINITY_NOTE,
+    _quadric_images,
     _quadric_scan,
     _quadric_smooth_f2,
     _scan_singular,
@@ -374,24 +381,43 @@ def _classified_record(kind: str, cid: str, counts: tuple[int, ...], cart) -> Ce
     return CensusRecord(id=cid, kind=kind, smooth=True, **fields)
 
 
+@lru_cache(maxsize=None)
+def _quadric_orbit_decision(kind: str, rep: int):
+    """(SmoothnessResult, Cartier data) of an orbit representative the scan
+    leaves unflagged, or None when the scan flags it.  Decided once per
+    process and broadcast to the orbit: an F_2-automorphism of the quadric
+    maps a model to an isomorphic one, with the same smoothness and the
+    same Cartier data."""
+    if _quadric_scan(kind, rep, rep + 1)[1][0]:
+        return None
+    curve = quadric_curve_from_mask(kind, rep)
+    res = _quadric_smooth_f2(curve)
+    cart = _ns_cartier(curve) if res.smooth and kind == "ns" else None
+    return res, cart
+
+
 def _quadric_chunk(kind: str, m0: int, m1: int, keep=None) -> list[CensusRecord]:
     counts, flagged, witness = _quadric_scan(kind, m0, m1)
+    ids = {mask: f"{kind};c=0x{mask:04x}" for mask in range(m0, m1)}
+    if keep is not None:
+        ids = {mask: cid for mask, cid in ids.items() if keep(cid)}
+    open_masks = [mask for mask in ids if not flagged[mask - m0]]
+    reps = dict(zip(open_masks, _quadric_images(kind, open_masks).min(axis=1).tolist()))
     recs = []
-    for mask in range(m0, m1):
+    for mask, cid in ids.items():
         k = mask - m0
-        cid = f"{kind};c=0x{mask:04x}"
-        if keep is not None and not keep(cid):
-            continue
         if flagged[k]:
             recs.append(CensusRecord(id=cid, kind=kind, smooth=False,
                                      note=_scan_singular(kind, witness[k]).note))
             continue
-        curve = quadric_curve_from_mask(kind, mask)
-        res = _quadric_smooth_f2(curve)
+        decided = _quadric_orbit_decision(kind, reps[mask])
+        if decided is None:
+            raise RuntimeError(f"the scan flags the orbit representative {kind};c=0x{reps[mask]:04x} "
+                               f"of {cid} but not {cid} itself")
+        res, cart = decided
         if not res.smooth:
             recs.append(CensusRecord(id=cid, kind=kind, smooth=False, note=res.note))
             continue
-        cart = _ns_cartier(curve) if kind == "ns" else None
         recs.append(_classified_record(kind, cid, tuple(counts[k].tolist()), cart))
     return recs
 

@@ -518,7 +518,7 @@ _MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 def _byte_table(bits: np.ndarray) -> np.ndarray:
     """XOR of the rows of bits selected by each byte value; shape (256, ...)."""
-    out = np.zeros((256,) + bits.shape[1:], np.uint8)
+    out = np.zeros((256,) + bits.shape[1:], bits.dtype)
     for b in range(8):
         out[1 << b:2 << b] = out[:1 << b] ^ bits[b]
     return out
@@ -544,15 +544,20 @@ def _quadric_tables(kind: str):
     for d in (1, 2, 3, 4):
         points += [(d, pt) for pt in quadric_points(kind, field(d))]
         bounds.append(len(points))
+    exps = [MONOMIALS3[idx] for idx in _KEPT[kind]]
     bits = np.zeros((16, 7, len(points)), np.uint8)
-    for bit, idx in enumerate(_KEPT[kind]):
-        onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
-        for col, (d, pt) in enumerate(points):
-            K = field(d)
-            cp = cubic_partials(K, onehot, pt)
-            qg = quadric_gradient(kind, K, pt)
-            bits[bit, :, col] = [eval_cubic(K, onehot, pt)] + [
-                K.add(K.mul(cp[i], qg[j]), K.mul(cp[j], qg[i])) for i, j in _MINOR_PAIRS]
+    for col, (d, pt) in enumerate(points):
+        K = field(d)
+        mul = K.mul
+        pw = [_powers(K, c, 3) for c in pt]
+        qg = quadric_gradient(kind, K, pt)
+        for bit, e in enumerate(exps):
+            f = [pw[v][e[v]] for v in range(4)]
+            # partial in v: the odd exponent e[v] drops by one, the rest stay
+            cp = [mul(mul(pw[v][e[v] - 1], f[(v + 1) % 4]), mul(f[(v + 2) % 4], f[(v + 3) % 4]))
+                  if e[v] & 1 else 0 for v in range(4)]
+            bits[bit, :, col] = [mul(mul(f[0], f[1]), mul(f[2], f[3]))] + [
+                mul(cp[i], qg[j]) ^ mul(cp[j], qg[i]) for i, j in _MINOR_PAIRS]
     return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(bounds), tuple(points)
 
 
@@ -773,7 +778,9 @@ _F2_CELLS = {kind: tuple((a + g, a + d) if kind == "ns" else (g, 2 * b + d)
 
 
 def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
-    """Smoothness of an F_2 model whose mask the quadric scan did not flag.
+    """Smoothness of an F_2 model whose mask the quadric scan did not flag:
+    the one model in is_smooth, and in the census the least mask of each
+    stabilizer orbit, whose result holds for the whole orbit.
 
     Every point off the affine chart is a scan column: (0:0:0:1), (0:0:1:0)
     and the cone vertex lie over F_2, and a boundary line meets the cubic
@@ -866,6 +873,34 @@ def quadric_stabilizer_f2(kind: str) -> tuple[ProjectiveTransform, ...]:
         ProjectiveTransform(F2, tuple(tuple((int(m) >> (4 * i + j)) & 1 for j in range(4)) for i in range(4)))
         for m in np.flatnonzero(keep)
     )
+
+
+@lru_cache(maxsize=None)
+def _quadric_image_tables(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each of shape (256, |G|) for G = quadric_stabilizer_f2(kind):
+    the mask of apply_transform(curve of mask m, G[i]) is
+    lo[m & 255, i] ^ hi[m >> 8, i].  Substitution and reduction are
+    F_2-linear in the cubic, so the columns XOR the images of the 16 mask
+    bits, like the scan's byte tables."""
+    group = quadric_stabilizer_f2(kind)
+    kept = _KEPT[kind]
+    bits = np.zeros((16, len(group)), np.uint16)
+    for bit, idx in enumerate(kept):
+        onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
+        for g, t in enumerate(group):
+            image = reduce_cubic(kind, F2, substitute_cubic(F2, onehot, t.rows))
+            bits[bit, g] = sum(image[i] << b for b, i in enumerate(kept))
+    return _byte_table(bits[:8]), _byte_table(bits[8:])
+
+
+def _quadric_images(kind: str, masks) -> np.ndarray:
+    """Masks of the images of each F_2 model under every element of
+    quadric_stabilizer_f2(kind); shape (len(masks), |G|).  A row's minimum
+    is the mask of isomorphism_canonical_id, and the count of entries equal
+    to the mask is aut_order_f2."""
+    lo, hi = _quadric_image_tables(kind)
+    masks = np.asarray(masks, np.intp)
+    return lo[masks & 255] ^ hi[masks >> 8]
 
 
 def gl2_f2() -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:

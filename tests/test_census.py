@@ -193,18 +193,81 @@ def test_classify_model_matches_census_hyp_records():
         assert classify_model(parse_curve_id(rec.id)) == rec, rec.id
 
 
+# the one cone orbit singular inside the affine chart (24 models) has
+# representative 0x4f47; this member is not it, so its record comes from
+# the broadcast of a decision about another mask
+CONE_CHART_SINGULAR = "cone;c=0xfb1d"
+
+
 def test_classify_model_matches_census_quadric_records():
     # a fixed CRC-32 sample of ns and cone ids: the per-curve route (a
-    # one-mask scan, then is_smooth and direct counts) against the census
-    # records, singular notes included
-    records = run_census(kinds=("ns", "cone"), id_filter=lambda cid: zlib.crc32(cid.encode()) % 193 == 0)
+    # one-mask scan, then is_smooth, direct counts and the model's own
+    # Cartier operator) against the census records, which decide one
+    # representative per orbit; singular notes included
+    records = run_census(kinds=("ns", "cone"), id_filter=lambda cid: zlib.crc32(cid.encode()) % 193 == 0
+                         or cid == CONE_CHART_SINGULAR)
     assert len(records) >= 500
     seen = {(rec.kind, rec.smooth) for rec in records}
     assert seen == {(k, s) for k in ("ns", "cone") for s in (True, False)}
     notes = {rec.note for rec in records if not rec.smooth}
     assert "rational singular point over F_2" in notes and len(notes) > 2
+    chart = {rec.kind for rec in records if rec.note == "singular point inside the affine chart"}
+    assert chart == {"ns", "cone"}
     for rec in records:
         assert classify_model(parse_curve_id(rec.id)) == rec, rec.id
+
+
+@pytest.fixture
+def fresh_orbit_decisions():
+    # the per-representative decisions are cached per process; a test that
+    # patches what they call must neither see nor leave cached entries
+    census._quadric_orbit_decision.cache_clear()
+    yield
+    census._quadric_orbit_decision.cache_clear()
+
+
+def test_orbit_broadcast_checked_per_member(monkeypatch, fresh_orbit_decisions):
+    # a wrong 2-rank for one ns representative reaches its members through
+    # the broadcast, and the first member's own counts refuse it
+    row = census._quadric_images("ns", [0x1D0C])[0]
+    rep = int(row.min())
+    members = {f"ns;c=0x{int(m):04x}" for m in row if m != rep}
+    assert len(members) > 1
+    real = census._ns_cartier
+
+    def wrong(curve):
+        a, s2, t43 = real(curve)
+        return (a, s2 + 1, t43) if curve.mask == rep else (a, s2, t43)
+
+    monkeypatch.setattr(census, "_ns_cartier", wrong)
+    with pytest.raises(RuntimeError, match=f"inconsistent invariants for {min(members)}"):
+        run_census(kinds="ns", id_filter=members.__contains__)
+
+
+def test_orbit_representative_flagged_aborts(monkeypatch, fresh_orbit_decisions):
+    # the scan flags the zero cubic; an unflagged model mapped onto it
+    # breaks the orbit invariance, and the census names both
+    monkeypatch.setattr(census, "_quadric_images", lambda kind, masks: np.zeros((len(masks), 1), np.uint16))
+    with pytest.raises(RuntimeError, match="representative cone;c=0x0000 of cone;c=0x4208"):
+        run_census(kinds="cone", id_filter={"cone;c=0x4208"}.__contains__)
+
+
+def test_orbit_table_matches_orbit_walk():
+    # on a CRC-32 sample of smooth quadric models: the image table's orbit,
+    # its minimum and its stabilizer count against the explicit orbit walk
+    checked = 0
+    for kind in ("ns", "cone"):
+        masks = [m for m in range(1 << 16) if zlib.crc32(f"{kind};c=0x{m:04x}".encode()) % 1009 == 0]
+        for m, row in zip(masks, census._quadric_images(kind, masks)):
+            curve = quadric_curve_from_mask(kind, m)
+            if not is_smooth(curve).smooth:
+                continue
+            orbit, order = census._isomorphism_orbit(curve)
+            assert {f"{kind};c=0x{int(i):04x}" for i in row} == orbit, curve.curve_id
+            assert f"{kind};c=0x{int(row.min()):04x}" == census.isomorphism_canonical_id(curve)
+            assert int((row == m).sum()) == aut_order_f2(curve) == order // len(orbit), curve.curve_id
+            checked += 1
+    assert checked >= 30
 
 
 def test_cached_invariants_match_direct_zeta():

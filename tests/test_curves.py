@@ -24,6 +24,7 @@ from genus4census.curves import (
     apply_transform,
     aut_order_f2,
     count_points,
+    cubic_partials,
     eval_cubic,
     eval_quadric,
     gl2_f2,
@@ -36,12 +37,23 @@ from genus4census.curves import (
     quadric_coeffs,
     quadric_curve,
     quadric_curve_from_mask,
+    quadric_gradient,
+    quadric_points,
     quadric_stabilizer_f2,
     reduce_cubic,
     reduction_table,
     substitute_quadric,
 )
-from genus4census.curves import _CONE_LINES, _NS_LINES, _quadric_scan, _quadric_smooth_generic
+from genus4census.curves import (
+    _CONE_LINES,
+    _MINOR_PAIRS,
+    _NS_LINES,
+    _byte_table,
+    _quadric_images,
+    _quadric_scan,
+    _quadric_smooth_generic,
+    _quadric_tables,
+)
 from genus4census.gfarith import F2, field, poly_eval
 
 IDX = {e: i for i, e in enumerate(MONOMIALS3)}
@@ -402,6 +414,50 @@ def test_scan_flags_every_off_chart_pattern(kind):
     lines = _NS_LINES if kind == "ns" else _CONE_LINES
     for hit in [vanish(slots) for _, _, slots in lines] + [vanish(p) for p in DISTINGUISHED_PATTERNS[kind]]:
         assert hit.any() and flagged[hit].all()
+
+
+def _quadric_tables_onehot(kind):
+    """The scan tables built one monomial at a time: eval_cubic and
+    cubic_partials on the one-hot cubic of each kept monomial, at every
+    quadric point over F_2..F_16.  Oracle of the one-pass build."""
+    points = [(d, pt) for d in (1, 2, 3, 4) for pt in quadric_points(kind, field(d))]
+    bits = np.zeros((16, 7, len(points)), np.uint8)
+    for bit, idx in enumerate(kept_monomials(kind)):
+        onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
+        for col, (d, pt) in enumerate(points):
+            K = field(d)
+            cp = cubic_partials(K, onehot, pt)
+            qg = quadric_gradient(kind, K, pt)
+            bits[bit, :, col] = [eval_cubic(K, onehot, pt)] + [
+                K.add(K.mul(cp[i], qg[j]), K.mul(cp[j], qg[i])) for i, j in _MINOR_PAIRS]
+    return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(points)
+
+
+@pytest.mark.parametrize("kind", ["ns", "cone"])
+def test_quadric_tables_match_onehot_build(kind):
+    lo, hi, bounds, points = _quadric_tables(kind)
+    want_lo, want_hi, want_points = _quadric_tables_onehot(kind)
+    assert points == want_points
+    assert [points[b][0] for b in bounds[:-1]] == [1, 2, 3, 4] and bounds[-1] == len(points)
+    assert lo.dtype == hi.dtype == np.uint8
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+@pytest.mark.parametrize("kind", ["ns", "cone"])
+def test_scan_decision_constant_on_orbits(kind):
+    # every mask against its images under the whole stabilizer: being
+    # flagged, and the least field degree of a rational singular point,
+    # do not change along an orbit, which is what lets the census decide
+    # one representative per orbit
+    masks = np.arange(1 << 16)
+    _, flagged, witness = _quadric_scan(kind, 0, 1 << 16)
+    degree = np.searchsorted(_quadric_tables(kind)[2], witness, side="right").astype(np.uint8)
+    images = _quadric_images(kind, masks)
+    assert images.shape == (1 << 16, len(quadric_stabilizer_f2(kind)))
+    assert (images == masks[:, None]).any(axis=1).all()
+    assert (flagged[images] == flagged[:, None]).all()
+    assert (degree[images] == degree[:, None])[flagged].all()
+    assert set(degree[flagged].tolist()) == {1, 2, 3, 4}
 
 
 def test_smoothness_generic_engine_over_f4():
