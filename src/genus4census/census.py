@@ -32,17 +32,25 @@ Fast paths, both validated against the generic engines in the test suite:
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
   of all f at once through a parity table.
 
-Persistence is JSON lines: one header object carrying the schema version,
-then one record per line, sorted by curve id, exact integers as strings.
-Output is byte-identical for any worker count.
+Persistence is JSON lines: one header object carrying the schema version
+and the record count, then one record per line, sorted by curve id, exact
+integers as strings.  Output is byte-identical for any worker count.  The
+whole census has only a few hundred distinct lines once the id is cut out,
+so write_records serializes each id-free record once and splices each id
+into its template, and read_records parses each id-free remainder once and
+shares the parsed field tuples between the records that carry it.  Ids are
+therefore restricted to printable ASCII without '"' or '\\', which every
+curve id is; both directions refuse any other id.
 """
 
 import json
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +102,7 @@ ABELIAN_SIDE_COUNTS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """Everything the census knows about one curve model over F_2.
 
     Invariant fields are None when not computed: all of them for singular
@@ -104,6 +111,12 @@ class CensusRecord:
     jacobian_aut are optional fields of the file format that nothing in
     this package sets; stack counts report aut orders per isomorphism
     class in IsogenyClassReport instead.
+
+    A record is a named tuple, so it is cheap to build and pickles as a
+    plain tuple; it is also iterable and compares equal to a tuple of the
+    same values.  Records of one (counts, Cartier) key, whether built by
+    the census or read back by read_records, share their counts, weil,
+    slopes and EO tuples.
     """
 
     id: str
@@ -146,14 +159,17 @@ def record_to_json(rec: CensusRecord) -> str:
     return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
-@lru_cache(maxsize=None)
-def _parse_slopes(strs: tuple[str, ...]) -> tuple[Fraction, ...]:
-    """Slopes parsed once per distinct tuple; records share the result."""
-    return tuple(Fraction(s) for s in strs)
+def _unique_keys(pairs) -> dict:
+    d = dict(pairs)
+    if len(d) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in d if keys.count(k) > 1)!r}")
+    return d
 
 
 def record_from_json(line: str) -> CensusRecord:
-    d = json.loads(line)
+    """The record of one JSON line; a line that repeats a key is refused."""
+    d = json.loads(line, object_pairs_hook=_unique_keys)
     return CensusRecord(
         id=d["id"],
         kind=d["kind"],
@@ -161,7 +177,7 @@ def record_from_json(line: str) -> CensusRecord:
         note=d.get("note", ""),
         counts=tuple(int(n) for n in d["counts"]) if "counts" in d else None,
         weil=tuple(int(c) for c in d["weil"]) if "weil" in d else None,
-        slopes=_parse_slopes(tuple(d["slopes"])) if "slopes" in d else None,
+        slopes=tuple(Fraction(s) for s in d["slopes"]) if "slopes" in d else None,
         stratum=d.get("stratum"),
         p_rank=d.get("p_rank"),
         a_number=d.get("a_number"),
@@ -174,16 +190,35 @@ def record_from_json(line: str) -> CensusRecord:
     )
 
 
+# an id as the records file stores it: its JSON string body is the id itself
+_ID = re.compile(r'[ !#-\[\]-~]+')
+_ID_RULE = "printable ASCII without '\"' or '\\'"
+_ID_FIELD = re.compile(r'"id":"(' + _ID.pattern + ')"')
+
+
 def write_records(path, records) -> None:
     """Header and records, written to a temporary file beside path and then
-    renamed onto it, so a failed write leaves an existing file unchanged."""
+    renamed onto it, so a failed write leaves an existing file unchanged.
+
+    Each line is record_to_json's, built from a template per id-free record
+    (rec[1:]) with the id spliced in.  An id that is not printable ASCII, or
+    holds '"' or '\\', is refused.
+    """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    templates: dict[tuple, tuple[str, str]] = {}
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             header = {"records": len(records), "schema": SCHEMA}
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
             for rec in records:
-                fh.write(record_to_json(rec) + "\n")
+                cid = rec.id
+                if not (isinstance(cid, str) and _ID.fullmatch(cid)):
+                    raise ValueError(f"record id {cid!r} is not {_ID_RULE}")
+                halves = templates.get(rec[1:])
+                if halves is None:
+                    head, _, tail = record_to_json(rec._replace(id="")).partition('"id":""')
+                    halves = templates[rec[1:]] = (head + '"id":"', '"' + tail + "\n")
+                fh.write(halves[0] + cid + halves[1])
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -193,10 +228,14 @@ def write_records(path, records) -> None:
 def read_records(path) -> list[CensusRecord]:
     """Records of a file written by write_records.
 
-    Refuses a header that is not a JSON object (an empty file included), a
-    foreign schema, a body whose line count differs from the header's, ids
-    that are not strictly ascending (a duplicated or moved line) and
-    unparsable lines, naming the line.
+    Refuses a header that is not a JSON object (an empty file included) or
+    whose records count is not a non-negative integer, a foreign schema, a
+    body whose line count differs from the header's, ids that are not
+    strictly ascending (a duplicated or moved line), and malformed lines,
+    naming the line.  A line is malformed when it has no "id" string that
+    is printable ASCII without '"' or '\\', or when what remains with the
+    id cut out is not a record (a repeated key included).  Each distinct
+    remainder is parsed once, and its records share the parsed field tuples.
     """
     with open(path, "r", encoding="ascii") as fh:
         first = fh.readline()
@@ -208,20 +247,32 @@ def read_records(path) -> list[CensusRecord]:
             raise ValueError(f"{path}: line 1: header is not a JSON object: {first.strip()[:80]!r}")
         if header.get("schema") != SCHEMA:
             raise ValueError(f"unsupported records schema {header.get('schema')!r} (want {SCHEMA!r})")
+        promised = header.get("records")
+        if type(promised) is not int or promised < 0:
+            raise ValueError(f"{path}: line 1: header records count {promised!r} "
+                             "is not a non-negative integer")
+        tails: dict[str, tuple] = {}
         records = []
         prev = ""
         for lineno, line in enumerate(fh, start=2):
+            m = _ID_FIELD.search(line)
             try:
-                rec = record_from_json(line)
-            except (ValueError, KeyError, TypeError) as exc:
+                if m is None:
+                    raise ValueError(f"no \"id\" string of {_ID_RULE}")
+                cid = m[1]
+                rest = line[:m.start(1)] + line[m.end(1):]
+                tail = tails.get(rest)
+                if tail is None:
+                    tail = tails[rest] = record_from_json(rest)[1:]
+            except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed record: {exc!r}") from None
-            if rec.id <= prev:
-                raise ValueError(f"{path}: line {lineno}: id {rec.id!r} does not follow {prev!r} "
+            if cid <= prev:
+                raise ValueError(f"{path}: line {lineno}: id {cid!r} does not follow {prev!r} "
                                  "(ids must be strictly ascending)")
-            prev = rec.id
-            records.append(rec)
-    if len(records) != header.get("records"):
-        raise ValueError(f"{path}: header promises {header.get('records')} records, "
+            prev = cid
+            records.append(CensusRecord(cid, *tail))
+    if len(records) != promised:
+        raise ValueError(f"{path}: header promises {promised} records, "
                          f"the body has {len(records)}")
     return records
 
@@ -335,8 +386,9 @@ def _ns_cartier(curve: QuadricCubicCurve):
 
 
 @lru_cache(maxsize=None)
-def _smooth_invariants(counts: tuple[int, ...], cart) -> dict:
-    """Every record field that the counts and the Cartier data determine.
+def _smooth_invariants(counts: tuple[int, ...], cart) -> tuple:
+    """Every record field that the counts and the Cartier data determine,
+    counts to eo_candidates in CensusRecord order.
 
     cart is (a, 2-rank, type43) from the Cartier operator, or None for cone
     models (which have no grid matrix: there the 2-rank is read off the
@@ -367,9 +419,7 @@ def _smooth_invariants(counts: tuple[int, ...], cart) -> dict:
             eo_mu = label.mu
         else:
             eo_candidates = label.options
-    return dict(counts=counts, weil=w.coeffs, slopes=poly.slopes, stratum=stratum.name,
-                p_rank=pr, a_number=a, two_rank=s2, type43=t43,
-                eo_mu=eo_mu, eo_candidates=eo_candidates)
+    return counts, w.coeffs, poly.slopes, stratum.name, pr, a, s2, t43, eo_mu, eo_candidates
 
 
 def _classified_record(kind: str, cid: str, counts: tuple[int, ...], cart) -> CensusRecord:
@@ -378,7 +428,7 @@ def _classified_record(kind: str, cid: str, counts: tuple[int, ...], cart) -> Ce
         fields = _smooth_invariants(counts, cart)
     except (ValueError, RuntimeError) as exc:
         raise RuntimeError(f"inconsistent invariants for {cid}: {exc}") from None
-    return CensusRecord(id=cid, kind=kind, smooth=True, **fields)
+    return CensusRecord(cid, kind, True, "", *fields)
 
 
 @lru_cache(maxsize=None)

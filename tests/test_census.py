@@ -5,6 +5,7 @@ The fast counting paths are checked against the generic per-curve engines
 enumeration; the named example curves pin the classification columns.
 """
 
+import functools
 import random
 import zlib
 from fractions import Fraction
@@ -298,6 +299,8 @@ def test_workers_byte_identity():
     one = run_census(kinds="cone", workers=1)
     two = run_census(kinds=("cone",), workers=2)
     assert [record_to_json(r) for r in one] == [record_to_json(r) for r in two]
+    assert two == one
+    assert all(type(r) is CensusRecord for r in two)
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -312,6 +315,75 @@ def test_jsonl_round_trip(tmp_path):
     bad.write_text('{"schema":"g4c2-census/0","records":0}\n')
     with pytest.raises(ValueError, match="schema"):
         read_records(bad)
+
+
+def _mixed_records():
+    """Singular records of every kind, smooth records sharing keys, one
+    record with aut and jacobian_aut set and one note that JSON escapes."""
+    records = run_census(id_filter=lambda cid: cid.startswith(
+        ("cone;c=0x42", "hyp;h=0x01;f=0x2", "hyp;h=0x01;f=0x40", "ns;c=0x00")))
+    smooth = next(r for r in records if r.smooth)
+    singular = next(r for r in records if not r.smooth)
+    return records + [smooth._replace(id="zz;aut", aut=6, jacobian_aut=12),
+                      singular._replace(id="zz;note", note='a "quoted" \\ note,\twith\u00e9 escapes')]
+
+
+def test_write_records_lines_are_record_to_json(tmp_path):
+    records = _mixed_records()
+    assert {(r.kind, r.smooth) for r in records} == {
+        (kind, smooth) for kind in census.KINDS for smooth in (False, True)} - {("ns", True)}
+    path = tmp_path / "records.jsonl"
+    write_records(path, records)
+    lines = path.read_text(encoding="ascii").splitlines()[1:]
+    assert lines == [record_to_json(r) for r in records]
+    assert '"jacobian_aut":12' in lines[-2] and '\\"quoted\\"' in lines[-1]
+
+    back = read_records(path)
+    assert back == records
+    first_of_key = {}
+    for rec in back:
+        first = first_of_key.setdefault(rec[1:], rec)
+        assert rec.counts is first.counts and rec.weil is first.weil
+    assert len(first_of_key) < len([r for r in back if r.smooth])
+
+
+@pytest.mark.parametrize("cid", ['hyp;"x"', "hyp;\\x", "hyp;\tx", "hyp;\u00e9", "", 7])
+def test_write_records_refuses_id_outside_the_rule(tmp_path, cid):
+    path = tmp_path / "records.jsonl"
+    records = _h1_subset()[:3]
+    write_records(path, records)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=r"record id .* is not printable ASCII"):
+        write_records(path, records[:2] + [records[2]._replace(id=cid)])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda line: line.replace('{', '{"id":"cone;c=0x4207",', 1), id="two-ids"),
+    pytest.param(lambda line: line.replace('}', ',"id":""}', 1), id="two-ids-empty-last"),
+    pytest.param(lambda line: line.replace('"id":"cone;c=0x4208",', ""), id="no-id"),
+    pytest.param(lambda line: line.replace('"cone;c=0x4208"', "4208"), id="number-id"),
+    pytest.param(lambda line: line.replace("cone;c=0x4208", 'cone;c=\\"0x4208'), id="quote-escape"),
+    pytest.param(lambda line: line.replace("cone;c=0x4208", "cone;c=0x420\\u0038"), id="u-escape"),
+    pytest.param(lambda line: line[:line.index("cone;c=0x42")] + "cone;c=0x42\n", id="cut-in-id"),
+    pytest.param(lambda line: line.replace('"slopes":["', '"slopes":["1/0","', 1), id="zero-denominator"),
+])
+def test_read_records_refuses_malformed_line(tmp_path, edit):
+    path, lines = _written_lines(tmp_path)
+    assert '"id":"cone;c=0x4208"' in lines[1]
+    path.write_text("".join(lines[:1] + [edit(lines[1])] + lines[2:]))
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 2: malformed record"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("count", ["", ',"records":"5"', ',"records":-1', ',"records":true',
+                                   ',"records":5.0'])
+def test_read_records_refuses_header_without_a_record_count(tmp_path, count):
+    path, lines = _written_lines(tmp_path)
+    path.write_text("".join(['{"schema":"g4c2-census/1"' + count + "}\n"] + lines[1:]))
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 1: header records count .* non-negative integer"):
+        read_records(path)
 
 
 @pytest.mark.parametrize("first", ["[]\n", "null\n", "7\n", "not json\n", ""])
@@ -346,9 +418,14 @@ def test_read_records_interns_slopes(tmp_path):
     assert all(rec.slopes is back[0].slopes for rec in back)
 
 
+@functools.lru_cache(maxsize=None)
+def _named_records():
+    return run_census(id_filter=set(NAMED_EXPECTATIONS).__contains__)
+
+
 def _written_lines(tmp_path):
     path = tmp_path / "records.jsonl"
-    write_records(path, run_census(id_filter=set(NAMED_EXPECTATIONS).__contains__))
+    write_records(path, _named_records())
     return path, path.read_text().splitlines(keepends=True)
 
 
