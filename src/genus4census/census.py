@@ -15,7 +15,7 @@ table applies.  Internal cross-checks (count/Weil round trip, 2-rank against
 the zero-slope count, the branch-point count for hyperelliptic models) abort
 the run with the offending curve id rather than emit a bad record.
 
-Fast paths, both validated against the generic engines in the test suite:
+Fast paths, each validated against the generic engines in the test suite:
 
 * quadric counting runs the quadric scan of curves (_quadric_scan): each of
   the 2^16 masks is the XOR of two byte tables of monomial values and Jacobian
@@ -30,7 +30,15 @@ Fast paths, both validated against the generic engines in the test suite:
   decide the model itself, a second route to the same records;
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
-  of all f at once through a parity table.
+  of all f at once through a parity table;
+* hyperelliptic smoothness is decided once per residue: f'^2 + f h'^2 is
+  F_2-linear in the bits of f, so its residue mod h is an XOR of 11 column
+  residues, and gcd(h, residue) is computed once for each of the at most 32
+  residues of an h (_hyp_smooth_masks); the check at infinity is a bit test.
+
+run_census plans its jobs by cost: each quadric kind is one job, so its
+tables and orbit decisions are paid once, and hyp is cut into h-ranges of
+about equal model count.
 
 Persistence is JSON lines: one header object carrying the schema version
 and the record count, then one record per line, sorted by curve id, exact
@@ -77,7 +85,7 @@ from .curves import (
     quadric_stabilizer_f2,
 )
 from .dieudonne import EoLabel, eo_classify_curve
-from .gfarith import field, gf2x_degree, gf2x_factor, gf2x_gcd, gf2x_mul
+from .gfarith import field, gf2x_degree, gf2x_factor, gf2x_gcd, gf2x_mod, gf2x_mul
 from .zeta import GENUS, classify_stratum, newton_polygon, predicted_counts, weil_from_counts
 
 SCHEMA = "g4c2-census/1"
@@ -201,11 +209,14 @@ def write_records(path, records) -> None:
     renamed onto it, so a failed write leaves an existing file unchanged.
 
     Each line is record_to_json's, built from a template per id-free record
-    (rec[1:]) with the id spliced in.  An id that is not printable ASCII, or
-    holds '"' or '\\', is refused.
+    (rec[1:]) with the id spliced in.  The template key takes the slopes
+    tuple by identity, since hashing its Fractions runs in Python; records
+    of one key share that tuple, and the template holds it so that its id
+    stays unique while the write runs.  An id that is not printable ASCII,
+    or holds '"' or '\\', is refused.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    templates: dict[tuple, tuple[str, str]] = {}
+    templates: dict[tuple, tuple[str, str, tuple | None]] = {}
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             header = {"records": len(records), "schema": SCHEMA}
@@ -214,15 +225,24 @@ def write_records(path, records) -> None:
                 cid = rec.id
                 if not (isinstance(cid, str) and _ID.fullmatch(cid)):
                     raise ValueError(f"record id {cid!r} is not {_ID_RULE}")
-                halves = templates.get(rec[1:])
-                if halves is None:
+                key = (id(rec.slopes), rec[1:6], rec[7:])  # rec[6] is slopes
+                template = templates.get(key)
+                if template is None:
                     head, _, tail = record_to_json(rec._replace(id="")).partition('"id":""')
-                    halves = templates[rec[1:]] = (head + '"id":"', '"' + tail + "\n")
-                fh.write(halves[0] + cid + halves[1])
+                    template = templates[key] = (head + '"id":"', '"' + tail + "\n", rec.slopes)
+                fh.write(template[0] + cid + template[1])
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _non_ascii(path, lineno: int, line: str) -> ValueError:
+    """The error for a line read with errors="surrogateescape" that holds a
+    byte outside ASCII, naming the line and the first such byte."""
+    raw = line.encode("ascii", "surrogateescape")
+    col = next(i for i, b in enumerate(raw) if b > 0x7F)
+    return ValueError(f"{path}: line {lineno}: non-ASCII byte 0x{raw[col]:02x} at column {col + 1}")
 
 
 def read_records(path) -> list[CensusRecord]:
@@ -236,9 +256,14 @@ def read_records(path) -> list[CensusRecord]:
     is printable ASCII without '"' or '\\', or when what remains with the
     id cut out is not a record (a repeated key included).  Each distinct
     remainder is parsed once, and its records share the parsed field tuples.
+    A line holding a byte outside ASCII is refused, naming the line.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte outside ASCII decodes to a lone surrogate, so str.isascii,
+    # which costs nothing per line, finds it
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         first = fh.readline()
+        if not first.isascii():
+            raise _non_ascii(path, 1, first)
         try:
             header = json.loads(first)
         except ValueError:
@@ -255,6 +280,8 @@ def read_records(path) -> list[CensusRecord]:
         records = []
         prev = ""
         for lineno, line in enumerate(fh, start=2):
+            if not line.isascii():
+                raise _non_ascii(path, lineno, line)
             m = _ID_FIELD.search(line)
             try:
                 if m is None:
@@ -338,16 +365,36 @@ def _hyp_counts_vector(hm: int, farr: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _hyp_smooth_masks(hm: int, fm: int) -> tuple[bool, str]:
-    """Packed-int twin of the hyperelliptic smoothness test."""
-    fd = (fm >> 1) & 0x155  # d/dx keeps odd-exponent bits
-    hd = (hm >> 1) & 0x15
-    crit = gf2x_mul(fd, fd) ^ gf2x_mul(fm, gf2x_mul(hd, hd))
-    if gf2x_degree(gf2x_gcd(hm, crit)) >= 1:
-        return False, _HYP_AFFINE_NOTE
-    if not (hm >> 5) & 1 and not (((fm >> 9) & 1) ^ ((fm >> 10) & (hm >> 4) & 1)):
-        return False, _HYP_INFINITY_NOTE
-    return True, ""
+_HYP_NOTES = np.array(["", _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE], dtype=object)
+
+
+@lru_cache(maxsize=None)
+def _hyp_smooth_masks(hm: int) -> tuple[str, ...]:
+    """Singular note of every f mask 0..2047 with this h, indexed by the
+    mask; "" when the model is smooth.
+
+    An affine point is singular exactly when h and crit = f'^2 + f h'^2
+    have a common root.  crit is F_2-linear in the bits of f (squaring is),
+    so crit mod h is the XOR of one residue per set bit, and
+    gcd(h, crit) = gcd(h, crit mod h) is decided once for each of the
+    2^deg h residues.  When deg h < 5 the point at infinity is singular
+    exactly when f9 + f10 h4 = 0.
+    """
+    hd = (hm >> 1) & 0x15  # d/dx keeps odd-exponent bits
+    hd2 = gf2x_mul(hd, hd)
+    farr = np.arange(2048)
+    residue = np.zeros(2048, np.int64)
+    for i in range(11):
+        fd = (1 << i >> 1) & 0x155
+        col = gf2x_mod(gf2x_mul(fd, fd) ^ gf2x_mul(1 << i, hd2), hm)
+        residue ^= ((farr >> i) & 1) * col
+    common_root = np.array([gf2x_degree(gf2x_gcd(hm, r)) >= 1
+                            for r in range(1 << gf2x_degree(hm))])
+    codes = np.where(common_root[residue], 1, 0)
+    if not (hm >> 5) & 1:
+        at_infinity = (((farr >> 9) ^ (farr >> 10) & (hm >> 4)) & 1) == 0
+        codes[(codes == 0) & at_infinity] = 2
+    return tuple(_HYP_NOTES[codes].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -472,20 +519,26 @@ def _quadric_chunk(kind: str, m0: int, m1: int, keep=None) -> list[CensusRecord]
     return recs
 
 
+def _hyp_f_min(hm: int) -> int:
+    """Least f mask of the genus-4 shape: deg h = 5 admits every f, deg h <= 4
+    forces deg f in {9, 10}."""
+    return 0 if hm >= 32 else 512
+
+
 def _hyp_chunk(h0: int, h1: int, keep=None) -> list[CensusRecord]:
     recs = []
     for hm in range(h0, h1):
-        lo = 0 if hm >= 32 else 512
-        farr = np.arange(lo, 2048, dtype=np.int64)
-        cts = _hyp_counts_vector(hm, farr)
+        lo = _hyp_f_min(hm)
+        cts = _hyp_counts_vector(hm, np.arange(lo, 2048, dtype=np.int64))
         cart = _hyp_cartier(hm)
+        notes = _hyp_smooth_masks(hm)
         for k, fm in enumerate(range(lo, 2048)):
             cid = f"hyp;h=0x{hm:02x};f=0x{fm:03x}"
             if keep is not None and not keep(cid):
                 continue
-            ok, why = _hyp_smooth_masks(hm, fm)
-            if not ok:
-                recs.append(CensusRecord(id=cid, kind="hyp", smooth=False, note=why))
+            note = notes[fm]
+            if note:
+                recs.append(CensusRecord(id=cid, kind="hyp", smooth=False, note=note))
                 continue
             recs.append(_classified_record("hyp", cid, tuple(cts[k].tolist()), cart))
     return recs
@@ -520,18 +573,44 @@ def _census_job(args) -> list[CensusRecord]:
     return _quadric_chunk(kind, lo, hi, keep)
 
 
-def _split(lo: int, hi: int, pieces: int):
-    step = max(1, (hi - lo + pieces - 1) // pieces)
-    return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+def _hyp_ranges(pieces: int) -> list[tuple[int, int]]:
+    """Contiguous ranges [h0, h1) covering h = 1..63, min(pieces, 63) of them,
+    of about equal model count: each range takes the next h while that
+    brings it closer to an equal share of the models still left."""
+    models = [2048 - _hyp_f_min(hm) for hm in range(64)]
+    left = sum(models[1:])
+    ranges = []
+    h0 = 1
+    for p in range(min(pieces, 63), 0, -1):
+        h1, size = h0 + 1, models[h0]
+        while 64 - h1 >= p and size + models[h1] / 2 <= left / p:
+            size += models[h1]
+            h1 += 1
+        ranges.append((h0, h1))
+        left -= size
+        h0 = h1
+    return ranges
+
+
+def _census_jobs(kinds, workers: int, keep) -> list[tuple]:
+    """The job plan: one job per quadric kind, so its scan tables, image
+    tables and orbit decisions are paid once, placed first as the largest;
+    then hyp cut into `workers` h-ranges of about equal model count."""
+    jobs = [(kind, 0, 1 << 16, keep) for kind in kinds if kind != "hyp"]
+    if "hyp" in kinds:
+        jobs += [("hyp", h0, h1, keep) for h0, h1 in _hyp_ranges(workers)]
+    return jobs
 
 
 def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> list[CensusRecord]:
     """CensusRecords for every model of the requested kinds, sorted by id.
 
-    workers > 1 partitions each kind's model space into contiguous chunks
-    handled by separate processes; the sorted result is identical for any
-    worker count.  id_filter, when given, keeps only ids it accepts (it must
-    be picklable if workers > 1).
+    The jobs are those of _census_jobs: one per quadric kind, and hyp cut
+    into `workers` contiguous h-ranges of about equal model count.  They run
+    in a pool of min(workers, jobs) processes, or in this process when that
+    is one; the sorted result is identical for any worker count.  id_filter,
+    when given, keeps only ids it accepts (it must be picklable when a pool
+    runs).
     """
     if isinstance(kinds, str):
         kinds = (kinds,)
@@ -541,15 +620,12 @@ def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> list[CensusReco
             raise ValueError(f"unknown model kind {kind!r} (one of {KINDS})")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    jobs = []
-    for kind in kinds:
-        lo, hi = (1, 64) if kind == "hyp" else (0, 1 << 16)
-        for a, b in _split(lo, hi, workers):
-            jobs.append((kind, a, b, id_filter))
-    if workers == 1:
+    jobs = _census_jobs(kinds, workers, id_filter)
+    processes = min(workers, len(jobs))
+    if processes <= 1:
         parts = [_census_job(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_census_job, jobs))
     records = [rec for part in parts for rec in part]
     records.sort(key=lambda rec: rec.id)

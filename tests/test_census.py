@@ -34,7 +34,8 @@ from genus4census.curves import (
     parse_curve_id,
     quadric_curve_from_mask,
 )
-from genus4census.curves import _quadric_smooth_generic
+from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_smooth_generic
+from genus4census.gfarith import gf2x_degree, gf2x_gcd, gf2x_mul
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +114,40 @@ def test_hyp_smoothness_matches_engine():
     for _ in range(150):
         hm = rng.randrange(1, 64)
         fm = rng.randrange(0 if hm >= 32 else 512, 2048)
-        ok, note = census._hyp_smooth_masks(hm, fm)
+        note = census._hyp_smooth_masks(hm)[fm]
+        ok = not note
         res = is_smooth(hyperelliptic_from_masks(hm, fm))
         assert ok == res.smooth, (hm, fm, note, res.note)
         seen_smooth += ok
         seen_singular += not ok
     assert seen_smooth > 30 and seen_singular > 30
+
+
+def _hyp_smooth_oracle(hm: int, fm: int) -> str:
+    """The per-model packed-int smoothness test: gcd(h, f'^2 + f h'^2), then
+    the point at infinity."""
+    fd = (fm >> 1) & 0x155  # d/dx keeps odd-exponent bits
+    hd = (hm >> 1) & 0x15
+    crit = gf2x_mul(fd, fd) ^ gf2x_mul(fm, gf2x_mul(hd, hd))
+    if gf2x_degree(gf2x_gcd(hm, crit)) >= 1:
+        return _HYP_AFFINE_NOTE
+    if not (hm >> 5) & 1 and not (((fm >> 9) & 1) ^ ((fm >> 10) & (hm >> 4) & 1)):
+        return _HYP_INFINITY_NOTE
+    return ""
+
+
+def test_hyp_smoothness_table_matches_per_model_oracle():
+    # every one of the 113152 models: the per-residue table against the
+    # per-model gcd, note for note
+    seen = set()
+    for hm in range(1, 64):
+        notes = census._hyp_smooth_masks(hm)
+        assert len(notes) == 2048
+        for fm in range(0 if hm >= 32 else 512, 2048):
+            want = _hyp_smooth_oracle(hm, fm)
+            assert notes[fm] == want, (hex(hm), hex(fm))
+            seen.add(want)
+    assert seen == {"", _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE}
 
 
 def test_hyp_cartier_shared_by_h():
@@ -303,6 +332,83 @@ def test_workers_byte_identity():
     assert all(type(r) is CensusRecord for r in two)
 
 
+def _hyp_models(h0, h1):
+    return sum(2048 - (0 if hm >= 32 else 512) for hm in range(h0, h1))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_job_plan_one_job_per_quadric_kind_and_balanced_hyp(workers):
+    jobs = census._census_jobs(census.KINDS, workers, None)
+    quadric = [job for job in jobs if job[0] != "hyp"]
+    assert quadric == [("cone", 0, 1 << 16, None), ("ns", 0, 1 << 16, None)]
+    assert jobs[:2] == quadric  # the largest jobs go first
+    ranges = [(h0, h1) for kind, h0, h1, _ in jobs if kind == "hyp"]
+    assert len(ranges) == workers
+    assert ranges[0][0] == 1 and ranges[-1][1] == 64
+    assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(ranges, ranges[1:]))
+    sizes = [_hyp_models(h0, h1) for h0, h1 in ranges]
+    assert sum(sizes) == 113152
+    assert max(sizes) - min(sizes) <= 2048, sizes
+
+
+def test_job_plan_cuts_hyp_at_most_once_per_h():
+    assert census._hyp_ranges(100) == [(hm, hm + 1) for hm in range(1, 64)]
+    assert census._census_jobs(["ns"], 4, None) == [("ns", 0, 1 << 16, None)]
+
+
+class _RecordingExecutor:
+    """Runs the pool's jobs in this process and records the pool size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+@pytest.mark.parametrize("kinds, workers, pool", [
+    ("ns", 2, []),
+    (("cone", "ns"), 3, [2]),
+    ("hyp", 3, [3]),
+    (census.KINDS, 2, [2]),
+])
+def test_pool_runs_no_more_processes_than_jobs(monkeypatch, kinds, workers, pool):
+    monkeypatch.setattr(census, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    keep = {"ns;c=0x1d0c", "cone;c=0x4208", "hyp;h=0x01;f=0x221"}.__contains__
+    records = run_census(kinds=kinds, workers=workers, id_filter=keep)
+    assert records
+    assert _RecordingExecutor.sizes == pool
+
+
+def test_hyp_workers_byte_identity():
+    one = run_census(kinds="hyp", workers=1)
+    two = run_census(kinds="hyp", workers=2)
+    assert len(one) == 113152
+    assert [record_to_json(r) for r in one] == [record_to_json(r) for r in two]
+
+
+def test_three_workers_byte_identity_on_a_sample():
+    # every kind at three workers: two quadric jobs and three hyp ranges in
+    # a pool of three processes; the filter pickles as a frozenset method
+    ids = [f"{kind};c=0x{m:04x}" for kind in ("cone", "ns") for m in range(1 << 16)]
+    ids += [f"hyp;h=0x{hm:02x};f=0x{fm:03x}" for hm in range(1, 64)
+            for fm in range(0 if hm >= 32 else 512, 2048)]
+    keep = frozenset(cid for cid in ids if zlib.crc32(cid.encode()) % 61 == 0).__contains__
+    one = run_census(workers=1, id_filter=keep)
+    three = run_census(workers=3, id_filter=keep)
+    assert {rec.kind for rec in one if rec.smooth} == set(census.KINDS)
+    assert [record_to_json(r) for r in one] == [record_to_json(r) for r in three]
+
+
 def test_jsonl_round_trip(tmp_path):
     records = run_census(id_filter=set(NAMED_EXPECTATIONS).__contains__)
     path = tmp_path / "records.jsonl"
@@ -377,6 +483,20 @@ def test_read_records_refuses_malformed_line(tmp_path, edit):
         read_records(path)
 
 
+@pytest.mark.parametrize("encoding", ["latin-1", "utf-8"])
+def test_read_records_refuses_non_ascii_byte(tmp_path, encoding):
+    path = tmp_path / "records.jsonl"
+    write_records(path, _h1_subset()[:5])
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    lines[3] = lines[3].replace('"hyp"', '"hyp\u00e9"', 1)
+    path.write_text("".join(lines), encoding=encoding)
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 4: non-ASCII byte 0x(e9|c3) at column"):
+        read_records(path)
+    path.write_text("\u00e9" + "".join(lines[:3]), encoding=encoding)
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 1: non-ASCII byte"):
+        read_records(path)
+
+
 @pytest.mark.parametrize("count", ["", ',"records":"5"', ',"records":-1', ',"records":true',
                                    ',"records":5.0'])
 def test_read_records_refuses_header_without_a_record_count(tmp_path, count):
@@ -408,6 +528,27 @@ def test_write_records_failure_leaves_target_unchanged(tmp_path):
         write_records(path, Breaks(_h1_subset()))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+
+def test_write_records_template_outlives_its_slopes(tmp_path):
+    # records built on the fly, each with a fresh slopes tuple freed after its
+    # line is written, all other fields equal: a freed tuple's id must not
+    # pick up the template of another tuple
+    base = next(r for r in _h1_subset() if r.smooth)
+    values = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+    class OnTheFly:
+        def __len__(self):
+            return 40
+
+        def __iter__(self):
+            for i in range(40):
+                yield base._replace(id=f"x{i:02d}", slopes=(values[i % 3], values[i % 2]))
+
+    path = tmp_path / "records.jsonl"
+    write_records(path, OnTheFly())
+    lines = path.read_text(encoding="ascii").splitlines()[1:]
+    assert lines == [record_to_json(r) for r in OnTheFly()]
 
 
 def test_read_records_interns_slopes(tmp_path):
