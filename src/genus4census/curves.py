@@ -254,16 +254,21 @@ def hyperelliptic_from_masks(h_mask: int, f_mask: int) -> HyperellipticCurve:
 
 
 def parse_curve_id(s: str):
-    """Inverse of the curve_id properties (census encodings, base field F_2)."""
-    parts = s.strip().split(";")
+    """Inverse of the curve_id properties (census encodings, base field F_2).
+    Only a model's own curve_id is accepted, so no model has two ids."""
+    parts = s.split(";")
     try:
         if parts[0] in QUADRIC_KINDS and len(parts) == 2 and parts[1].startswith("c="):
-            return quadric_curve_from_mask(parts[0], int(parts[1][2:], 16))
-        if parts[0] == "hyp" and len(parts) == 3 and parts[1].startswith("h=") and parts[2].startswith("f="):
-            return hyperelliptic_from_masks(int(parts[1][2:], 16), int(parts[2][2:], 16))
+            curve = quadric_curve_from_mask(parts[0], int(parts[1][2:], 16))
+        elif parts[0] == "hyp" and len(parts) == 3 and parts[1].startswith("h=") and parts[2].startswith("f="):
+            curve = hyperelliptic_from_masks(int(parts[1][2:], 16), int(parts[2][2:], 16))
+        else:
+            raise ValueError("not a census id")
+        if curve.curve_id != s:
+            raise ValueError(f"the model's own id is {curve.curve_id!r}")
     except ValueError as exc:
         raise ValueError(f"bad curve id {s!r}: {exc}") from None
-    raise ValueError(f"bad curve id {s!r}")
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +790,7 @@ def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
     Every point off the affine chart is a scan column: (0:0:0:1), (0:0:1:0)
     and the cone vertex lie over F_2, and a boundary line meets the cubic
     over F_2, F_4 or F_8 (no unflagged cubic contains a whole line).  What
-    is left is the chart, decided by packed-F_2 elimination.
+    is left is the chart, decided by elimination over packed F_2[u].
     """
     mask = curve.mask
     grid = [0] * 4
@@ -799,8 +804,8 @@ def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
     return SmoothnessResult(True)
 
 
-# shared with the census's packed twin, so a model's note is the same in
-# classify output and in the records file
+# shared with the census's per-residue table (_hyp_smooth_masks), so a
+# model's note is the same in classify output and in the records file
 _HYP_AFFINE_NOTE = "singular affine point (common root of h and f'^2 + f h'^2)"
 _HYP_INFINITY_NOTE = "singular point at infinity"
 

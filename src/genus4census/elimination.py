@@ -1,9 +1,9 @@
 """Deciding whether bivariate polynomial systems have a common zero.
 
-Polynomials live in F[u, v] with F one of the binary fields from gfarith.
-The question answered is geometric: do all the polynomials vanish at some
-point (u0, v0) with coordinates in an algebraic closure of F?  The closure
-is never constructed; instead:
+Polynomials live in F[u, v] with F a binary field.  The question answered is
+geometric: do all the polynomials vanish at some point (u0, v0) with
+coordinates in an algebraic closure of F?  The closure is never
+constructed; instead:
 
 * eliminate v with a Sylvester resultant.  Res_v(f, g) is an F[u]-linear
   combination A f + B g, so any common zero (u0, v0) of f and g forces the
@@ -18,15 +18,26 @@ is never constructed; instead:
   the total v-degree strictly decreases.
 
 A bivariate polynomial is a tuple indexed by the v-exponent whose entries
-are univariate polynomials in u (gfarith tuple convention), with no trailing
-zero entries; the zero polynomial is the empty tuple.  The companion fast
-path at the bottom of the module works over F_2 only and stores the inner
-u-polynomials as packed integers.
+are univariate polynomials in u, with no trailing zero entries; the zero
+polynomial is the empty tuple.  The algorithm is written once, over a ring
+R of u-polynomials (_Ring) that hides their format.  R has two instances:
 
-Everything is exact and deterministic.
+* F[u] for any field F of gfarith, u-polynomials as gfarith tuples and
+  residue fields from PolyQuotientField (_poly_ring(F));
+* F_2[u] with u-polynomials as packed ints and residue fields from
+  _PackedQuotient (_F2_PACKED), which keeps the census's chart decision
+  cheap.
+
+The public functions bind one ring each, picked by the input format: the
+functions taking a field F work on tuples, the f2_ names on packed
+rows.  Everything is exact and deterministic.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
+from typing import Any, Callable, NamedTuple
 
 from .gfarith import (
     PolyQuotientField,
@@ -45,10 +56,7 @@ from .gfarith import (
     poly_factor,
     poly_from_coeffs,
     poly_gcd,
-    poly_mod,
-    poly_monic,
     poly_mul,
-    poly_scale,
 )
 
 __all__ = [
@@ -62,7 +70,6 @@ __all__ = [
     "exists_common_zero",
     "f2_biv_deriv_u",
     "f2_biv_deriv_v",
-    "f2_resultant_v",
     "exists_common_zero_f2",
 ]
 
@@ -94,15 +101,6 @@ def biv_eval(F, f: tuple, u0, v0):
     return acc
 
 
-def biv_deriv_u(F, f: tuple) -> tuple:
-    return _strip(poly_deriv(F, p) for p in f)
-
-
-def biv_deriv_v(F, f: tuple) -> tuple:
-    """d/dv in characteristic 2: only odd v-exponents survive."""
-    return _strip(f[j] if j % 2 == 1 else () for j in range(1, len(f)))
-
-
 def biv_add(F, f: tuple, g: tuple) -> tuple:
     if len(f) < len(g):
         f, g = g, f
@@ -126,30 +124,89 @@ def biv_mul(F, f: tuple, g: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# resultant in v (matrix entries are u-polynomials; char 2 kills all signs)
+# the two coefficient rings
 # ---------------------------------------------------------------------------
 
 
-def _det_poly(F, mat: list) -> tuple:
-    """Determinant over F[u] by expansion along rows, memoized on the set of
+class _Ring(NamedTuple):
+    """A ring F[u] of u-polynomials, as the engine uses it.  Its zero is
+    falsy, so bivariate rows strip the same way in every instance."""
+
+    zero: Any
+    one: Any
+    add: Callable
+    mul: Callable
+    divmod: Callable
+    gcd: Callable  # monic
+    degree: Callable  # -1 for the zero polynomial
+    deriv: Callable
+    factor: Callable  # irreducible factors with multiplicities
+    quotient: Callable  # irreducible pi -> the residue field F[u]/(pi)
+
+
+class _PackedQuotient:
+    """F_2[u]/(pi) for an irreducible packed pi, elements as packed ints:
+    the field operations gfarith's poly_* functions need."""
+
+    zero = 0
+    one = 1
+    add = staticmethod(operator.xor)
+
+    def __init__(self, pi: int):
+        self.pi = pi
+
+    def mul(self, a: int, b: int) -> int:
+        return gf2x_mod(gf2x_mul(a, b), self.pi)
+
+    def inv(self, a: int) -> int:
+        return gf2x_invmod(a, self.pi)
+
+
+_F2_PACKED = _Ring(0, 1, operator.xor, gf2x_mul, gf2x_divmod, gf2x_gcd, gf2x_degree,
+                   gf2x_deriv, gf2x_factor, _PackedQuotient)
+
+
+@functools.lru_cache(maxsize=None)
+def _poly_ring(F) -> _Ring:
+    p = functools.partial
+    return _Ring((), (F.one,), p(poly_add, F), p(poly_mul, F), p(poly_divmod, F),
+                 p(poly_gcd, F), poly_degree, p(poly_deriv, F), p(poly_factor, F),
+                 p(PolyQuotientField, F))
+
+
+# ---------------------------------------------------------------------------
+# derivatives and the resultant in v (char 2 kills all signs)
+# ---------------------------------------------------------------------------
+
+
+def _deriv_u(R: _Ring, f: tuple) -> tuple:
+    return _strip(map(R.deriv, f))
+
+
+def _deriv_v(R: _Ring, f: tuple) -> tuple:
+    """d/dv in characteristic 2: only odd v-exponents survive."""
+    return _strip(f[j] if j % 2 == 1 else R.zero for j in range(1, len(f)))
+
+
+def _det(R: _Ring, mat: list):
+    """Determinant over R by expansion along rows, memoized on the set of
     still-available columns (which determines the row index)."""
     n = len(mat)
-    memo: dict[int, tuple] = {}
+    memo: dict = {}
 
-    def minor(r: int, cols: int) -> tuple:
+    def minor(r: int, cols: int):
         if r == n:
-            return (F.one,)
+            return R.one
         got = memo.get(cols)
         if got is not None:
             return got
-        acc: tuple = ()
+        acc = R.zero
         rest = cols
         while rest:
             low = rest & -rest
-            j = low.bit_length() - 1
-            e = mat[r][j]
+            e = mat[r][low.bit_length() - 1]
             if e:
-                acc = poly_add(F, acc, poly_mul(F, e, minor(r + 1, cols ^ low)))
+                acc = R.add(acc, R.mul(e, minor(r + 1, cols ^ low)))
             rest ^= low
         memo[cols] = acc
         return acc
@@ -157,27 +214,18 @@ def _det_poly(F, mat: list) -> tuple:
     return minor(0, (1 << n) - 1)
 
 
-def resultant_v(F, f: tuple, g: tuple) -> tuple:
-    """Sylvester resultant eliminating v; a polynomial in u.
-
-    Lies in the ideal (f, g) of F[u][v], so it vanishes at the u-coordinate
-    of every common zero.  Res of two v-constant polynomials is 1.
-    """
+def _resultant(R: _Ring, f: tuple, g: tuple):
     f, g = _strip(f), _strip(g)
     if not f or not g:
         raise ValueError("resultant of the zero polynomial is not defined here")
     m, n = len(f) - 1, len(g) - 1
     size = m + n
     if size == 0:
-        return (F.one,)
-    fd = list(reversed(f))
-    gd = list(reversed(g))
-    rows = []
-    for i in range(n):
-        rows.append([fd[j - i] if i <= j <= i + m else () for j in range(size)])
-    for i in range(m):
-        rows.append([gd[j - i] if i <= j <= i + n else () for j in range(size)])
-    return _det_poly(F, rows)
+        return R.one
+    fd, gd = f[::-1], g[::-1]
+    rows = [[fd[j - i] if i <= j <= i + m else R.zero for j in range(size)] for i in range(n)]
+    rows += [[gd[j - i] if i <= j <= i + n else R.zero for j in range(size)] for i in range(m)]
+    return _det(R, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,73 +233,55 @@ def resultant_v(F, f: tuple, g: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _content(F, f: tuple) -> tuple:
-    c: tuple = ()
+def _primitive(R: _Ring, f: tuple) -> tuple:
+    """f divided by its content, the gcd of its u-coefficients."""
+    c = R.zero
     for p in f:
-        if p:
-            c = poly_gcd(F, c, p) if c else poly_monic(F, p)
-            if poly_degree(c) == 0:
-                break
-    return c
+        c = R.gcd(c, p)
+        if R.degree(c) == 0:
+            return f
+    return tuple(R.divmod(p, c)[0] for p in f)
 
 
-def _primitive(F, f: tuple) -> tuple:
-    c = _content(F, f)
-    if poly_degree(c) == 0:
-        return f
-    return tuple(poly_divmod(F, p, c)[0] if p else () for p in f)
-
-
-def _pseudo_rem_v(F, f: tuple, g: tuple) -> tuple:
-    dg = len(g) - 1
-    lg = g[-1]
-    cur = list(f)
-    while cur and len(cur) - 1 >= dg:
-        df = len(cur) - 1
-        lf = cur[-1]
-        nxt = [poly_mul(F, lg, c) for c in cur]
+def _pseudo_rem_v(R: _Ring, f: tuple, g: tuple) -> tuple:
+    dg, lg = len(g) - 1, g[-1]
+    while len(f) > dg:
+        off, lf = len(f) - 1 - dg, f[-1]
+        nxt = [R.mul(lg, c) for c in f]
         for j, c in enumerate(g):
-            nxt[df - dg + j] = poly_add(F, nxt[df - dg + j], poly_mul(F, lf, c))
+            nxt[off + j] = R.add(nxt[off + j], R.mul(lf, c))
         assert not nxt[-1], "pseudo-division failed to cancel the top term"
-        nxt.pop()
-        while nxt and not nxt[-1]:
-            nxt.pop()
-        cur = nxt
-    return tuple(cur)
+        f = _strip(nxt)
+    return f
 
 
-def _biv_gcd_v(F, f: tuple, g: tuple) -> tuple:
-    """Gcd of the primitive parts (a gcd in F(u)[v], kept in F[u][v])."""
-    a = _primitive(F, _strip(f))
-    b = _primitive(F, _strip(g))
+def _gcd_v(R: _Ring, f: tuple, g: tuple) -> tuple:
+    """Gcd of the primitive parts: a gcd in F(u)[v], kept in F[u][v] and
+    determined up to a unit of F, which changes neither the decision nor
+    the exact divisions by it."""
+    a, b = _primitive(R, f), _primitive(R, g)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _pseudo_rem_v(F, a, b)
-        a, b = b, (_primitive(F, r) if r else ())
-    lc = a[-1][-1]
-    if lc != F.one:
-        inv = F.inv(lc)
-        a = tuple(poly_scale(F, p, inv) for p in a)
+        a, b = b, _primitive(R, _pseudo_rem_v(R, a, b))
     return a
 
 
-def _biv_exact_div_v(F, f: tuple, d: tuple) -> tuple:
-    f = list(_strip(f))
-    d = _strip(d)
+def _exact_div_v(R: _Ring, f: tuple, d: tuple) -> tuple:
+    f = list(f)
     dd = len(d) - 1
     lc = d[-1]
-    q: list[tuple] = [() for _ in range(len(f) - dd)]
+    q = [R.zero] * (len(f) - dd)
     for shift in range(len(f) - 1 - dd, -1, -1):
         top = f[shift + dd]
         if not top:
             continue
-        qc, rem = poly_divmod(F, top, lc)
+        qc, rem = R.divmod(top, lc)
         assert not rem, "division by a non-factor"
         q[shift] = qc
         for j, c in enumerate(d):
-            f[shift + j] = poly_add(F, f[shift + j], poly_mul(F, qc, c))
-    assert all(not c for c in f), "division by a non-factor"
+            f[shift + j] = R.add(f[shift + j], R.mul(qc, c))
+    assert not any(f), "division by a non-factor"
     return _strip(q)
 
 
@@ -260,258 +290,81 @@ def _biv_exact_div_v(F, f: tuple, d: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _fiber_has_zero(F, pi: tuple, polys: list) -> bool:
+def _fiber_has_zero(R: _Ring, pi, polys: list) -> bool:
     """Does the system vanish somewhere on the fiber u = (a root of pi)?"""
-    K = PolyQuotientField(F, pi)
-    reduced = []
+    K = R.quotient(pi)
+    g: tuple = ()
     for p in polys:
-        sp = poly_from_coeffs(K, [poly_mod(F, c, pi) for c in p])
+        sp = poly_from_coeffs(K, [R.divmod(c, pi)[1] for c in p])
         if sp:
-            if poly_degree(sp) == 0:
+            g = poly_gcd(K, g, sp) if g else sp
+            if poly_degree(g) == 0:
                 return False
-            reduced.append(sp)
-    if not reduced:
-        return True
-    g = reduced[0]
-    for sp in reduced[1:]:
-        g = poly_gcd(K, g, sp)
-        if poly_degree(g) == 0:
-            return False
     return True
 
 
-def exists_common_zero(F, polys) -> bool:
-    """True iff the bivariate system has a common zero over the closure of F."""
-    nz = [p for p in (_strip(q) for q in polys) if p]
+def _exists(R: _Ring, polys) -> bool:
+    nz = [p for p in map(_strip, polys) if p]
     if not nz:
         return True
     consts = [p[0] for p in nz if len(p) == 1]
     if consts:
-        r = consts[0]
-        for c in consts[1:]:
-            r = poly_gcd(F, r, c)
-        if poly_degree(r) < 1:
+        r = functools.reduce(R.gcd, consts)
+        if R.degree(r) < 1:
             return False
         others = [p for p in nz if len(p) > 1]
-        return any(_fiber_has_zero(F, pi, others) for pi, _ in poly_factor(F, r))
+        return any(_fiber_has_zero(R, pi, others) for pi, _ in R.factor(r))
     if len(nz) == 1:
         # a single curve of positive v-degree always has points over the closure
         return True
     nz.sort(key=len)
     f, g = nz[0], nz[1]
-    res = resultant_v(F, f, g)
+    res = _resultant(R, f, g)
     if res:
-        if poly_degree(res) < 1:
+        if R.degree(res) < 1:
             return False
-        return any(_fiber_has_zero(F, pi, nz) for pi, _ in poly_factor(F, res))
-    d = _biv_gcd_v(F, f, g)
+        return any(_fiber_has_zero(R, pi, nz) for pi, _ in R.factor(res))
+    d = _gcd_v(R, f, g)
     rest = nz[2:]
-    if exists_common_zero(F, [d] + rest):
-        return True
-    deflated = [_biv_exact_div_v(F, f, d), _biv_exact_div_v(F, g, d)]
-    return exists_common_zero(F, deflated + rest)
+    return (_exists(R, [d] + rest)
+            or _exists(R, [_exact_div_v(R, f, d), _exact_div_v(R, g, d)] + rest))
 
 
 # ---------------------------------------------------------------------------
-# fast path over F_2: u-polynomials as packed integers
+# the public bindings: tuples over a field F, or packed rows over F_2
 # ---------------------------------------------------------------------------
-# Same algorithm as above, specialized so the census hot loop stays cheap.
-# A bivariate polynomial is a tuple of ints (v-exponent -> packed u-poly).
 
 
-def _f2_strip(rows) -> tuple:
-    rows = list(rows)
-    while rows and not rows[-1]:
-        rows.pop()
-    return tuple(rows)
+def biv_deriv_u(F, f: tuple) -> tuple:
+    return _deriv_u(_poly_ring(F), f)
+
+
+def biv_deriv_v(F, f: tuple) -> tuple:
+    return _deriv_v(_poly_ring(F), f)
+
+
+def resultant_v(F, f: tuple, g: tuple) -> tuple:
+    """Sylvester resultant eliminating v; a polynomial in u.
+
+    Lies in the ideal (f, g) of F[u][v], so it vanishes at the u-coordinate
+    of every common zero.  Res of two v-constant polynomials is 1.
+    """
+    return _resultant(_poly_ring(F), f, g)
+
+
+def exists_common_zero(F, polys) -> bool:
+    """True iff the bivariate system has a common zero over the closure of F."""
+    return _exists(_poly_ring(F), polys)
 
 
 def f2_biv_deriv_u(f: tuple) -> tuple:
-    return _f2_strip(gf2x_deriv(p) for p in f)
+    return _deriv_u(_F2_PACKED, f)
 
 
 def f2_biv_deriv_v(f: tuple) -> tuple:
-    return _f2_strip(f[j] if j % 2 == 1 else 0 for j in range(1, len(f)))
-
-
-def _f2_det(mat: list) -> int:
-    n = len(mat)
-    memo: dict[int, int] = {}
-
-    def minor(r: int, cols: int) -> int:
-        if r == n:
-            return 1
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        acc = 0
-        rest = cols
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            e = mat[r][j]
-            if e:
-                acc ^= gf2x_mul(e, minor(r + 1, cols ^ low))
-            rest ^= low
-        memo[cols] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
-
-
-def f2_resultant_v(f: tuple, g: tuple) -> int:
-    f, g = _f2_strip(f), _f2_strip(g)
-    if not f or not g:
-        raise ValueError("resultant of the zero polynomial is not defined here")
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    if size == 0:
-        return 1
-    fd = list(reversed(f))
-    gd = list(reversed(g))
-    rows = []
-    for i in range(n):
-        rows.append([fd[j - i] if i <= j <= i + m else 0 for j in range(size)])
-    for i in range(m):
-        rows.append([gd[j - i] if i <= j <= i + n else 0 for j in range(size)])
-    return _f2_det(rows)
-
-
-def _f2_content(f: tuple) -> int:
-    c = 0
-    for p in f:
-        c = gf2x_gcd(c, p)
-        if c == 1:
-            break
-    return c
-
-
-def _f2_primitive(f: tuple) -> tuple:
-    c = _f2_content(f)
-    if c == 1:
-        return f
-    return tuple(gf2x_divmod(p, c)[0] if p else 0 for p in f)
-
-
-def _f2_pseudo_rem_v(f: tuple, g: tuple) -> tuple:
-    dg = len(g) - 1
-    lg = g[-1]
-    cur = list(f)
-    while cur and len(cur) - 1 >= dg:
-        df = len(cur) - 1
-        lf = cur[-1]
-        nxt = [gf2x_mul(lg, c) for c in cur]
-        for j, c in enumerate(g):
-            nxt[df - dg + j] ^= gf2x_mul(lf, c)
-        assert nxt[-1] == 0
-        nxt.pop()
-        while nxt and not nxt[-1]:
-            nxt.pop()
-        cur = nxt
-    return tuple(cur)
-
-
-def _f2_biv_gcd_v(f: tuple, g: tuple) -> tuple:
-    a = _f2_primitive(_f2_strip(f))
-    b = _f2_primitive(_f2_strip(g))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _f2_pseudo_rem_v(a, b)
-        a, b = b, (_f2_primitive(r) if r else ())
-    return a
-
-
-def _f2_biv_exact_div_v(f: tuple, d: tuple) -> tuple:
-    f = list(_f2_strip(f))
-    d = _f2_strip(d)
-    dd = len(d) - 1
-    lc = d[-1]
-    q = [0] * (len(f) - dd)
-    for shift in range(len(f) - 1 - dd, -1, -1):
-        top = f[shift + dd]
-        if not top:
-            continue
-        qc, rem = gf2x_divmod(top, lc)
-        assert rem == 0, "division by a non-factor"
-        q[shift] = qc
-        for j, c in enumerate(d):
-            f[shift + j] ^= gf2x_mul(qc, c)
-    assert all(c == 0 for c in f), "division by a non-factor"
-    return _f2_strip(q)
-
-
-def _f2_kpoly_gcd(a: list, b: list, pi: int) -> list:
-    """Gcd of v-polynomials with coefficients in F_2[u]/(pi), pi irreducible."""
-
-    def kmul(x: int, y: int) -> int:
-        return gf2x_mod(gf2x_mul(x, y), pi)
-
-    while b:
-        inv = gf2x_invmod(b[-1], pi)
-        # reduce a modulo b
-        r = list(a)
-        while r and len(r) >= len(b):
-            lf = r[-1]
-            if lf:
-                c = kmul(lf, inv)
-                off = len(r) - len(b)
-                for j, bc in enumerate(b):
-                    r[off + j] ^= kmul(c, bc)
-            assert r[-1] == 0
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, r
-    return a
-
-
-def _f2_fiber_has_zero(pi: int, polys: list) -> bool:
-    reduced = []
-    for p in polys:
-        sp = [gf2x_mod(c, pi) for c in p]
-        while sp and sp[-1] == 0:
-            sp.pop()
-        if sp:
-            if len(sp) == 1:
-                return False
-            reduced.append(sp)
-    if not reduced:
-        return True
-    g = reduced[0]
-    for sp in reduced[1:]:
-        g = _f2_kpoly_gcd(g, sp, pi)
-        if len(g) == 1:
-            return False
-    return True
+    return _deriv_v(_F2_PACKED, f)
 
 
 def exists_common_zero_f2(polys) -> bool:
-    """Packed-integer twin of exists_common_zero over F = F_2."""
-    nz = [p for p in (_f2_strip(q) for q in polys) if p]
-    if not nz:
-        return True
-    consts = [p[0] for p in nz if len(p) == 1]
-    if consts:
-        r = consts[0]
-        for c in consts[1:]:
-            r = gf2x_gcd(r, c)
-        if gf2x_degree(r) < 1:
-            return False
-        others = [p for p in nz if len(p) > 1]
-        return any(_f2_fiber_has_zero(pi, others) for pi, _ in gf2x_factor(r))
-    if len(nz) == 1:
-        return True
-    nz.sort(key=len)
-    f, g = nz[0], nz[1]
-    res = f2_resultant_v(f, g)
-    if res:
-        if gf2x_degree(res) < 1:
-            return False
-        return any(_f2_fiber_has_zero(pi, nz) for pi, _ in gf2x_factor(res))
-    d = _f2_biv_gcd_v(f, g)
-    rest = nz[2:]
-    if exists_common_zero_f2([d] + rest):
-        return True
-    deflated = [_f2_biv_exact_div_v(f, d), _f2_biv_exact_div_v(g, d)]
-    return exists_common_zero_f2(deflated + rest)
+    """exists_common_zero over F = F_2, u-polynomials as packed ints."""
+    return _exists(_F2_PACKED, polys)

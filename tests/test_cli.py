@@ -205,6 +205,18 @@ def test_verify_refuses_header_that_is_not_an_object(capsys, tmp_path):
     assert "list.jsonl: line 1: header is not a JSON object" in err
 
 
+def test_stack_count_refuses_second_spelling_of_an_id(capsys, tmp_path):
+    # one model under its own id and under a second spelling int() accepts:
+    # counted as two orbits, it would halve the class's stack count
+    path = tmp_path / "twice.jsonl"
+    rec = census.classify_model(census.parse_curve_id("ns;c=0x1d0c"))
+    write_records(path, [rec, rec._replace(id="ns;c=0x1d_0c")])
+    rc, out, err = run_cli(capsys, "stack-count", "--records", str(path),
+                           "--weil", "16,32,40,40,32,20,10,4,1")
+    assert rc == 2 and out == ""
+    assert "ns;c=0x1d_0c" in err
+
+
 def test_missing_records_file(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "stack-count", "--records", str(tmp_path / "nope.jsonl"),
                          "--weil", "16,16,8,0,-4,0,2,2,1")

@@ -141,7 +141,11 @@ def test_example_masks_and_id_round_trip():
 
 
 def test_parse_curve_id_errors():
-    for bad in ("", "ns", "ns;c=0xfffff", "pear;c=0x1", "hyp;h=0x00;f=0x220", "hyp;h=0x1", "ns;c=zz"):
+    for bad in ("", "ns", "ns;c=0xfffff", "pear;c=0x1", "hyp;h=0x00;f=0x220", "hyp;h=0x1", "ns;c=zz",
+                # spellings of a real model's id other than its own curve_id
+                " ns;c=0x1d0c", "ns;c=0x1d0c\n", "ns;c=0x1D0C", "ns;c=0x1d_0c", "ns;c=1d0c",
+                "ns;c=0x0001d0c", "cone;c=0x1", "hyp;h=0x1;f=0x220", "hyp;h=0x01;f=0x0220",
+                "hyp;h=0x01;f=0X220"):
         with pytest.raises(ValueError):
             parse_curve_id(bad)
 

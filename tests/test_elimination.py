@@ -29,6 +29,18 @@ def from_packed(p):
     return tuple(tuple((row >> i) & 1 for i in range(row.bit_length())) for row in p)
 
 
+def to_packed(p):
+    """Convert a generic F_2 bivariate polynomial to packed-int rows."""
+    return tuple(sum(c << i for i, c in enumerate(row)) for row in p)
+
+
+def exists_f2(polys):
+    """The F_2 decision over both coefficient rings, which must agree."""
+    got = el.exists_common_zero(F2, polys)
+    assert el.exists_common_zero_f2([to_packed(p) for p in polys]) == got, polys
+    return got
+
+
 def brute_common_zero(spec, polys, search_k=4):
     E = gf.field(search_k)
     emb = gf.embedding(spec, E)
@@ -151,18 +163,18 @@ def test_exists_hand_cases():
     v = P(F2, [[], [1]])
     # cusp v^2 = u^3 meets v = 0 at the origin
     cusp = P(F2, [[0, 0, 0, 1], [], [1]])
-    assert el.exists_common_zero(F2, [cusp, v])
+    assert exists_f2([cusp, v])
     # ... and v = 1 where u^3 = 1
     v1 = P(F2, [[1], [1]])
-    assert el.exists_common_zero(F2, [cusp, v1])
+    assert exists_f2([cusp, v1])
     # u*v = 1 and u^2*v = u + 1 force u = u + 1: empty
     f = P(F2, [[1], [0, 1]])
     g = P(F2, [[1, 1], [0, 0, 1]])
-    assert not el.exists_common_zero(F2, [f, g])
+    assert not exists_f2([f, g])
     # parallel lines
-    assert not el.exists_common_zero(F2, [P(F2, [[0, 1], [1]]), P(F2, [[1, 1], [1]])])
+    assert not exists_f2([P(F2, [[0, 1], [1]]), P(F2, [[1, 1], [1]])])
     # v^2+v+1 has zeros only over F_4, where the line v = u catches them
-    assert el.exists_common_zero(F2, [P(F2, [[1], [1], [1]]), P(F2, [[0, 1], [1]])])
+    assert exists_f2([P(F2, [[1], [1], [1]]), P(F2, [[0, 1], [1]])])
 
 
 def test_exists_shared_factor_branch():
@@ -170,24 +182,25 @@ def test_exists_shared_factor_branch():
     f = el.biv_mul(F2, P(F2, [[0, 1], [1]]), P(F2, [[1], [1]]))
     g = el.biv_mul(F2, P(F2, [[0, 1], [1]]), P(F2, [[0, 0, 1], [1]]))
     assert el.resultant_v(F2, f, g) == ()
-    assert el.exists_common_zero(F2, [f, g])
+    assert el._resultant(el._F2_PACKED, to_packed(f), to_packed(g)) == 0
+    assert exists_f2([f, g])
     # a third poly cutting the v = 1 component: zeros remain along v = 1
     h = P(F2, [[1], [1]])
-    assert el.exists_common_zero(F2, [f, el.biv_mul(F2, P(F2, [[0, 1], [1]]), h), h])
+    assert exists_f2([f, el.biv_mul(F2, P(F2, [[0, 1], [1]]), h), h])
 
 
 def test_exists_degenerate_inputs():
-    assert el.exists_common_zero(F2, [])
-    assert el.exists_common_zero(F2, [(), ()])
-    assert not el.exists_common_zero(F2, [(), P(F2, [[1]])])
+    assert exists_f2([])
+    assert exists_f2([(), ()])
+    assert not exists_f2([(), P(F2, [[1]])])
     # u-only systems
-    assert el.exists_common_zero(F2, [P(F2, [[0, 1, 1]])])  # u^2+u = 0
-    assert not el.exists_common_zero(F2, [P(F2, [[0, 1]]), P(F2, [[1, 1]])])
-    assert el.exists_common_zero(F2, [P(F2, [[0, 1, 1]]), P(F2, [[0, 1]])])
+    assert exists_f2([P(F2, [[0, 1, 1]])])  # u^2+u = 0
+    assert not exists_f2([P(F2, [[0, 1]]), P(F2, [[1, 1]])])
+    assert exists_f2([P(F2, [[0, 1, 1]]), P(F2, [[0, 1]])])
     # mixed u-constraint and v-constraint
-    assert el.exists_common_zero(F2, [P(F2, [[0, 1]]), P(F2, [[1], [1]])])
+    assert exists_f2([P(F2, [[0, 1]]), P(F2, [[1], [1]])])
     # u = 0 and u*v = 1 is empty
-    assert not el.exists_common_zero(F2, [P(F2, [[0, 1]]), P(F2, [[1], [0, 1]])])
+    assert not exists_f2([P(F2, [[0, 1]]), P(F2, [[1], [0, 1]])])
 
 
 def test_exists_single_positive_v_degree_poly():
@@ -211,6 +224,7 @@ def test_exists_matches_brute_force_f2():
         want = brute_common_zero(F2, polys)
         got = el.exists_common_zero(F2, polys)
         assert got == want, polys
+        assert el.exists_common_zero_f2([to_packed(p) for p in polys]) == want, polys
         if want:
             agree_true += 1
         else:
@@ -226,7 +240,7 @@ def test_exists_matches_brute_force_f4():
 
 
 # ---------------------------------------------------------------------------
-# packed-integer fast path
+# the packed F_2[u] ring
 # ---------------------------------------------------------------------------
 
 
@@ -237,7 +251,7 @@ def test_f2_resultant_matches_generic():
         g = tuple(rng.getrandbits(4) for _ in range(rng.randrange(1, 5)))
         if not any(f) or not any(g):
             continue
-        res = el.f2_resultant_v(f, g)
+        res = el._resultant(el._F2_PACKED, f, g)
         want = el.resultant_v(F2, from_packed(f), from_packed(g))
         assert tuple((res >> i) & 1 for i in range(res.bit_length())) == want
 
