@@ -34,7 +34,14 @@ Fast paths, each validated against the generic engines in the test suite:
 * hyperelliptic smoothness is decided once per residue: f'^2 + f h'^2 is
   F_2-linear in the bits of f, so its residue mod h is an XOR of 11 column
   residues, and gcd(h, residue) is computed once for each of the at most 32
-  residues of an h (_hyp_smooth_masks); the check at infinity is a bit test.
+  residues of an h (_hyp_smooth_masks); the check at infinity is a bit test;
+* a stack count walks each hyperelliptic isomorphism orbit through packed
+  F_2-linear image tables (curves._hyp_images): the 384 substitutions act
+  F_2-linearly on the bits of h and of f, plus a shift t^2 + h' t linear in
+  t, so an orbit is a few hundred XORs rather than 384 generic transports
+  (hyperelliptic_transformed, its test oracle).  Quadric orbits still walk
+  the stabilizer with apply_transform, which for one orbit is cheaper than
+  building the quadric image tables.
 
 run_census plans its jobs by cost: each quadric kind is one job, so its
 tables and orbit decisions are paid once, and hyp is cut into h-ranges of
@@ -69,15 +76,18 @@ from .curves import (
     QuadricCubicCurve,
     _HYP_AFFINE_NOTE,
     _HYP_INFINITY_NOTE,
+    _hyp_images,
     _quadric_images,
     _quadric_scan,
     _quadric_smooth_f2,
     _scan_singular,
     apply_transform,
     count_points,
-    gl2_f2,
     hyperelliptic_from_masks,
-    hyperelliptic_transformed,
+    # unused here since the hyp orbit walk reads _hyp_images; kept bound
+    # because the benchmark's traced run wraps census.hyperelliptic_transformed
+    # by name, which tests/test_surface.py checks
+    hyperelliptic_transformed,  # noqa: F401
     is_smooth,
     jacobian_aut_order,
     parse_curve_id,
@@ -175,6 +185,11 @@ def _unique_keys(pairs) -> dict:
     return d
 
 
+# the whole census has seven slope strings; Fractions are immutable, so the
+# records share one parsed Fraction per string (a failed parse is not cached)
+_slope = lru_cache(maxsize=None)(Fraction)
+
+
 def record_from_json(line: str) -> CensusRecord:
     """The record of one JSON line; a line that repeats a key is refused."""
     d = json.loads(line, object_pairs_hook=_unique_keys)
@@ -185,7 +200,7 @@ def record_from_json(line: str) -> CensusRecord:
         note=d.get("note", ""),
         counts=tuple(int(n) for n in d["counts"]) if "counts" in d else None,
         weil=tuple(int(c) for c in d["weil"]) if "weil" in d else None,
-        slopes=tuple(Fraction(s) for s in d["slopes"]) if "slopes" in d else None,
+        slopes=tuple(_slope(s) for s in d["slopes"]) if "slopes" in d else None,
         stratum=d.get("stratum"),
         p_rank=d.get("p_rank"),
         a_number=d.get("a_number"),
@@ -656,26 +671,31 @@ class IsogenyClassReport:
     abelian_side: Fraction | None = None
 
 
-_SHIFTS = tuple(tuple((tm >> i) & 1 for i in range(6)) for tm in range(64))
-
-
 def _isomorphism_orbit(curve) -> tuple[set[str], int]:
     """Curve ids of the F_2-isomorphism orbit of a smooth model, and the
     order of the group that acts.
 
     Quadric models: the stabilizer of the quadric realizes every isomorphism
     (an isomorphism of canonical curves extends to an ambient collineation
-    fixing the unique quadric through the curve).  Hyperelliptic models:
+    fixing the unique quadric through the curve); the walk transports the
+    model by each of its 72 or 48 elements.  Hyperelliptic models:
     x -> (ax+b)/(cx+d) over GL_2(F_2) with y -> (y + t(x))/(cx+d)^5 over all
-    64 shift polynomials t.  By orbit-stabilizer, |Aut| = |G| / |orbit|.
+    64 shift polynomials t, 384 elements; the images are read from the
+    packed F_2-linear tables of _hyp_images, and the generic transport
+    hyperelliptic_transformed is their test oracle.  An image outside the
+    genus-4 shape (only a singular model has one) raises ValueError naming
+    the model.  By orbit-stabilizer, |Aut| = |G| / |orbit|.
     """
     if isinstance(curve, QuadricCubicCurve):
         group = quadric_stabilizer_f2(curve.kind)
         return {apply_transform(curve, t).curve_id for t in group}, len(group)
     if isinstance(curve, HyperellipticCurve):
-        mats = gl2_f2()
-        ids = {hyperelliptic_transformed(curve, mat, t).curve_id for mat in mats for t in _SHIFTS}
-        return ids, len(mats) * len(_SHIFTS)
+        images = _hyp_images(*curve.masks)
+        # max(2 deg h, deg f) in {9, 10} means deg h = 5 or deg f >= 9
+        if not all(h >> 5 or f >> 9 for h, f in images):
+            raise ValueError(f"{curve.curve_id}: a transported model leaves the genus-4 shape "
+                             "(the model is singular)")
+        return {f"hyp;h=0x{h:02x};f=0x{f:03x}" for h, f in images}, len(images)
     raise TypeError(f"not a curve: {curve!r}")
 
 

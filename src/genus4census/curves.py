@@ -40,6 +40,7 @@ from .gfarith import (
     PolyQuotientField,
     embedding,
     field,
+    gf2x_mul,
     poly_add,
     poly_degree,
     poly_deriv,
@@ -923,6 +924,10 @@ def hyperelliptic_transformed(curve: HyperellipticCurve, mat, t) -> Hyperellipti
     to max(2 deg h, deg f) <= 8 it would have h5 = f9 = f10 = 0, which the
     infinity criterion rejects as singular.  Transporting a singular model
     can therefore raise ValueError when its image leaves the family.
+
+    This is the generic route, over any base field.  The F_2 orbit walk
+    reads the images from _hyp_images instead; this function, with
+    aut_order_f2, is its test oracle.
     """
     F = curve.spec
     (a, b), (c, d) = mat
@@ -944,6 +949,51 @@ def hyperelliptic_transformed(curve: HyperellipticCurve, mat, t) -> Hyperellipti
     t = poly_from_coeffs(F, t)
     ff = poly_add(F, ff, poly_add(F, poly_mul(F, t, t), poly_mul(F, hh, t)))
     return HyperellipticCurve(F, hh, ff)
+
+
+@lru_cache(maxsize=None)
+def _hyp_image_table() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(hb, fb) for each matrix of gl2_f2(), with num = a x + b and
+    den = c x + d packed in F_2[x]: hb[i] = num^i den^(5-i) and
+    fb[i] = num^i den^(10-i), the images of the monomials x^i of h and of f."""
+    table = []
+    for (a, b), (c, d) in gl2_f2():
+        num, den = (a << 1) | b, (c << 1) | d
+        num_pow, den_pow = [1], [1]
+        for _ in range(10):
+            num_pow.append(gf2x_mul(num_pow[-1], num))
+            den_pow.append(gf2x_mul(den_pow[-1], den))
+        table.append((tuple(gf2x_mul(num_pow[i], den_pow[5 - i]) for i in range(6)),
+                      tuple(gf2x_mul(num_pow[i], den_pow[10 - i]) for i in range(11))))
+    return tuple(table)
+
+
+def _hyp_images(hm: int, fm: int) -> list[tuple[int, int]]:
+    """(h, f) masks of hyperelliptic_transformed(F_2 model (hm, fm), mat, t)
+    for every mat of gl2_f2() and, inside it, every shift mask t in 0..63
+    (bit i of t is the coefficient of x^i), in that order.
+
+    The substitution is F_2-linear in the bits of h and of f, so it XORs
+    the basis images of _hyp_image_table; the shift adds t^2 + h' t, which
+    is F_2-linear in t, so its 64 values XOR those of t = x^j, namely
+    x^(2j) + h' x^j.  The images are not checked against the genus-4 shape
+    (only a singular model can leave it).
+    """
+    out = []
+    for hb, fb in _hyp_image_table():
+        h = f = 0
+        for i in range(6):
+            if (hm >> i) & 1:
+                h ^= hb[i]
+        for i in range(11):
+            if (fm >> i) & 1:
+                f ^= fb[i]
+        fs = [f]
+        for j in range(6):
+            step = (1 << 2 * j) ^ (h << j)
+            fs += [g ^ step for g in fs]
+        out += [(h, g) for g in fs]
+    return out
 
 
 def aut_order_f2(curve) -> int:

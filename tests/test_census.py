@@ -29,7 +29,9 @@ from genus4census.census import (
 from genus4census.curves import (
     aut_order_f2,
     count_points,
+    gl2_f2,
     hyperelliptic_from_masks,
+    hyperelliptic_transformed,
     is_smooth,
     parse_curve_id,
     quadric_curve_from_mask,
@@ -560,6 +562,21 @@ def test_read_records_interns_slopes(tmp_path):
     assert all(rec.slopes is back[0].slopes for rec in back)
 
 
+def test_read_records_shares_one_fraction_per_slope_string(tmp_path):
+    # records of different remainders (different counts) that share a slope
+    # value share one Fraction object for it
+    path = tmp_path / "records.jsonl"
+    write_records(path, _h1_subset())
+    objects: dict[Fraction, set[int]] = {}
+    remainders: dict[Fraction, set[tuple]] = {}
+    for rec in read_records(path):
+        for s in rec.slopes or ():
+            objects.setdefault(s, set()).add(id(s))
+            remainders.setdefault(s, set()).add(rec.counts)
+    assert Fraction(1, 2) in objects and len(remainders[Fraction(1, 2)]) > 1
+    assert all(len(ids) == 1 for ids in objects.values()), objects
+
+
 @functools.lru_cache(maxsize=None)
 def _named_records():
     return run_census(id_filter=set(NAMED_EXPECTATIONS).__contains__)
@@ -652,6 +669,38 @@ def test_census_prank0_classification_tallies(full_census):
     assert strata == {"N14"}
 
 
+def test_census_hyp_orbits_partition_smooth_models(full_census):
+    # the table orbits of the smooth hyp records are disjoint, cover them
+    # exactly and each lies inside one Weil class
+    records, _ = full_census
+    weil = {rec.id: rec.weil for rec in records if rec.smooth and rec.kind == "hyp"}
+    seen: set[str] = set()
+    orbits = 0
+    for cid in weil:
+        if cid in seen:
+            continue
+        orbit, order = census._isomorphism_orbit(parse_curve_id(cid))
+        assert order == 384 and not orbit & seen, cid
+        assert {weil.get(member) for member in orbit} == {weil[cid]}, cid
+        seen |= orbit
+        orbits += 1
+    assert len(weil) == 49152 and seen == set(weil)
+    assert orbits == 264
+
+
+def test_census_seven_orbit_class(full_census):
+    records, _ = full_census
+    (rep,) = group_isogeny_classes(records, [(16, 0, 8, 0, 3, 0, 2, 0, 1)])
+    assert len(rep.member_ids) == 960
+    assert rep.iso_rep_ids == (
+        "cone;c=0x4b6a",
+        "hyp;h=0x19;f=0x201", "hyp;h=0x19;f=0x20b", "hyp;h=0x19;f=0x302", "hyp;h=0x19;f=0x308",
+        "ns;c=0x03b5", "ns;c=0x07ff",
+    )
+    assert rep.jacobian_auts == (2,) * 7
+    assert rep.stack_count == Fraction(7, 2)
+
+
 # ---------------------------------------------------------------------------
 # isogeny classes, stack counts, discrepancy
 # ---------------------------------------------------------------------------
@@ -691,6 +740,19 @@ def test_orbit_walk_matches_fixed_point_count():
             assert census.isomorphism_canonical_id(curve) == min(orbit)
             assert all(is_smooth(parse_curve_id(cid)).smooth for cid in orbit)
             checked += 1
+
+
+def test_orbit_of_singular_hyp_model_refused():
+    # an image of this model leaves the genus-4 shape, where the generic
+    # transport refuses to build it
+    curve = parse_curve_id("hyp;h=0x01;f=0x406")
+    assert is_smooth(curve).note == _HYP_INFINITY_NOTE
+    with pytest.raises(ValueError, match="genus-4 shape"):
+        for mat in gl2_f2():
+            for tm in range(64):
+                hyperelliptic_transformed(curve, mat, tuple((tm >> i) & 1 for i in range(6)))
+    with pytest.raises(ValueError, match=r"^hyp;h=0x01;f=0x406: .*genus-4 shape"):
+        census._isomorphism_orbit(curve)
 
 
 def test_group_isogeny_classes_empty_class():

@@ -49,6 +49,7 @@ from genus4census.curves import (
     _MINOR_PAIRS,
     _NS_LINES,
     _byte_table,
+    _hyp_images,
     _quadric_images,
     _quadric_scan,
     _quadric_smooth_generic,
@@ -594,6 +595,28 @@ def test_aut_hyperelliptic_orbit_stabilizer():
                 orbit.add((img.h, img.f))
         assert len(orbit) * aut_order_f2(c) == 384
         checked += 1
+
+
+def _first_smooth_hyp(hm: int, fm: int) -> HyperellipticCurve:
+    while not is_smooth(c := hyperelliptic_from_masks(hm, fm)).smooth:
+        fm += 1
+    return c
+
+
+def test_hyp_images_match_generic_transport():
+    # the packed image tables against hyperelliptic_transformed, element by
+    # element over all 384 (mat, t), on one smooth model per deg h, class h
+    # y^2 + y = x^9 + x^5 and its twist; deg h = 5 starts at f = 0, so the
+    # shape rule is met by 2 deg h = 10 there and by deg f >= 9 elsewhere
+    sample = [_first_smooth_hyp((1 << d) | (d > 0), 0 if d == 5 else 0x200) for d in range(6)]
+    sample += [hyperelliptic_from_masks(0x01, 0x220), hyperelliptic_from_masks(0x01, 0x221)]
+    masks = [c.masks for c in sample]
+    assert sorted({hm.bit_length() - 1 for hm, _ in masks}) == [0, 1, 2, 3, 4, 5]
+    assert any(fm < 0x200 for _, fm in masks) and any(hm < 0x20 for hm, _ in masks)
+    shifts = [tuple((tm >> i) & 1 for i in range(6)) for tm in range(64)]
+    for c in sample:
+        want = [hyperelliptic_transformed(c, mat, t).masks for mat in gl2_f2() for t in shifts]
+        assert _hyp_images(*c.masks) == want, c.curve_id
 
 
 def test_aut_requires_f2():

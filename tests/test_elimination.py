@@ -1,12 +1,24 @@
 """Tests for the bivariate common-zero decision engine.
 
-The brute-force oracle scans u0 over a field big enough to contain every
-candidate u-coordinate.  For systems with deg_u <= 1 and deg_v <= 1 the
-resultant in v has degree <= 2, so any isolated common zero has u0 of degree
-at most 2 over the base; components that are not vertical lines have points
-over every field with more elements than the (at most one) bad u0, and
-vertical lines u = c have c of degree <= 1.  Scanning F_16 (which contains
-F_2 and F_4) therefore decides such systems exactly, over base F_2 or F_4.
+The brute-force oracle scans u0 over fields that together contain every
+candidate u-coordinate, and at each u0 decides the univariate system in v.
+It answers for systems with deg_v <= 1, where each nonzero polynomial is
+a_i(u) v + b_i(u).  Take a common zero (u0, v0).  If some polynomial has
+v-degree 0, or every a_i vanishes at u0, then u0 is a root of a nonzero
+polynomial of degree <= deg_u.  Otherwise a_i(u0) != 0 for some i, so
+v0 = b_i(u0)/a_i(u0), and every j has R_ij(u0) = 0 for
+R_ij = a_i b_j + a_j b_i, of degree <= 2 deg_u.  If some R_ij is nonzero,
+u0 has degree <= 2 deg_u.  If all vanish, every u with a_i(u) != 0
+carries the common zero (u, b_i(u)/a_i(u)), and a_i has at most deg_u
+roots, so any scanned field with more than deg_u elements holds such a u.
+
+* deg_u <= 1, base F_2 or F_4: u0 can be taken of degree <= 2 over the
+  base, so in F_16, and scanning F_16 decides the system.
+* deg_u <= 2, base F_2: u0 can be taken of degree <= 4 over F_2, so in F_8
+  (degrees 1, 3) or F_16 (degrees 1, 2, 4), and scanning both decides the
+  system.  The resultants then have degree up to 4 and often several
+  irreducible factors, so the engine's one-check-per-factor step is
+  exercised.
 """
 
 import random
@@ -41,8 +53,11 @@ def exists_f2(polys):
     return got
 
 
-def brute_common_zero(spec, polys, search_k=4):
-    E = gf.field(search_k)
+def brute_common_zero(spec, polys, search_ks=(4,)):
+    return any(_brute_over(spec, polys, gf.field(k)) for k in search_ks)
+
+
+def _brute_over(spec, polys, E):
     emb = gf.embedding(spec, E)
     epolys = [[tuple(emb(c) for c in row) for row in p] for p in polys]
     for u0 in E.elements():
@@ -230,6 +245,23 @@ def test_exists_matches_brute_force_f2():
         else:
             agree_false += 1
     assert agree_true and agree_false  # both outcomes exercised
+
+
+def test_exists_matches_brute_force_f2_u_degree_2():
+    # two or three polynomials a(u) v + b(u) with deg a, deg b <= 2
+    rng = random.Random(311)
+    agree_true = agree_false = several_factors = 0
+    for _ in range(300):
+        polys = [P(F2, [[rng.randrange(2) for _ in range(3)] for _ in range(2)])
+                 for _ in range(rng.randrange(2, 4))]
+        want = brute_common_zero(F2, polys, search_ks=(3, 4))
+        assert exists_f2(polys) == want, polys
+        agree_true += want
+        agree_false += not want
+        res = el.resultant_v(F2, polys[0], polys[1]) if polys[0] and polys[1] else ()
+        several_factors += bool(res) and len(gf.poly_factor(F2, res)) > 1
+    assert agree_true > 50 and agree_false > 50
+    assert several_factors > 50
 
 
 def test_exists_matches_brute_force_f4():
