@@ -18,30 +18,36 @@ the run with the offending curve id rather than emit a bad record.
 Fast paths, each validated against the generic engines in the test suite:
 
 * quadric counting runs the quadric scan of curves (_quadric_scan): each of
-  the 2^16 masks is the XOR of two byte tables of monomial values and Jacobian
-  2x2 minors at every quadric point over F_2..F_16, in numpy blocks; a column
-  of zeros is exactly a rational singular point;
+  the 2^16 masks is the XOR of two byte tables of packed words, one uint32
+  per quadric point over F_2..F_16 holding the monomial value and the six
+  Jacobian 2x2 minors as nibbles, in numpy blocks; a zero word is exactly
+  a rational singular point, and a zero low nibble a point on the curve;
 * the masks without one are decided once per orbit of the quadric's
-  stabilizer: image tables (_quadric_images) give each mask its orbit's
-  least mask, whose smoothness (the chart-only symbolic engine,
-  _quadric_smooth_f2) and ns Cartier data are computed once per process and
-  broadcast to the members; counts stay per mask, so each member's counts
-  are checked against the broadcast 2-rank.  classify_model and is_smooth
-  decide the model itself, a second route to the same records;
+  stabilizer: image tables (_quadric_images, built from F_2 bitset
+  products of each element's linear forms) give each mask its orbit's
+  least mask.  That representative's scan flag is read from the chunk's
+  own scan, and its smoothness (the chart-only symbolic engine,
+  _quadric_smooth_f2) and ns Cartier data are computed once per process
+  and broadcast to the members; counts stay per mask, so each member's
+  counts are checked against the broadcast 2-rank.  classify_model and
+  is_smooth decide the model itself, a second route to the same records;
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
-  of all f at once through a parity table;
+  of all f at once: one gather of parity(f & l) over the functionals of
+  all four degrees per h, for the kept f only;
 * hyperelliptic smoothness is decided once per residue: f'^2 + f h'^2 is
   F_2-linear in the bits of f, so its residue mod h is an XOR of 11 column
   residues, and gcd(h, residue) is computed once for each of the at most 32
   residues of an h (_hyp_smooth_masks); the check at infinity is a bit test;
-* a stack count walks each hyperelliptic isomorphism orbit through packed
-  F_2-linear image tables (curves._hyp_images): the 384 substitutions act
-  F_2-linearly on the bits of h and of f, plus a shift t^2 + h' t linear in
-  t, so an orbit is a few hundred XORs rather than 384 generic transports
-  (hyperelliptic_transformed, its test oracle).  Quadric orbits still walk
-  the stabilizer with apply_transform, which for one orbit is cheaper than
-  building the quadric image tables.
+* a stack count reads each isomorphism orbit from packed F_2-linear image
+  tables: the quadric stabilizer's (_quadric_images), and the 384
+  hyperelliptic substitutions' (curves._hyp_images), which act F_2-linearly
+  on the bits of h and of f, plus a shift t^2 + h' t linear in t.  The
+  generic transports apply_transform and hyperelliptic_transformed are
+  their test oracles;
+* the field arithmetic under all of these (gfarith.FieldSpec) reads
+  log/antilog tables, and the Newton polygon is memoised on the valuation
+  pattern of the Weil polynomial.
 
 run_census plans its jobs by cost: each quadric kind is one job, so its
 tables and orbit decisions are paid once, and hyp is cut into h-ranges of
@@ -55,7 +61,8 @@ so write_records serializes each id-free record once and splices each id
 into its template, and read_records parses each id-free remainder once and
 shares the parsed field tuples between the records that carry it.  Ids are
 therefore restricted to printable ASCII without '"' or '\\', which every
-curve id is; both directions refuse any other id.
+curve id is, and both directions refuse any other id; read_records also
+refuses an id that is not a census model's curve_id.
 """
 
 import json
@@ -81,18 +88,19 @@ from .curves import (
     _quadric_scan,
     _quadric_smooth_f2,
     _scan_singular,
-    apply_transform,
+    # unused here since the orbit walks read _quadric_images and _hyp_images;
+    # kept bound because the benchmark's traced run wraps apply_transform,
+    # hyperelliptic_transformed and quadric_stabilizer_f2 in this module by
+    # name, which tests/test_surface.py checks
+    apply_transform,  # noqa: F401
     count_points,
     hyperelliptic_from_masks,
-    # unused here since the hyp orbit walk reads _hyp_images; kept bound
-    # because the benchmark's traced run wraps census.hyperelliptic_transformed
-    # by name, which tests/test_surface.py checks
     hyperelliptic_transformed,  # noqa: F401
     is_smooth,
     jacobian_aut_order,
     parse_curve_id,
     quadric_curve_from_mask,
-    quadric_stabilizer_f2,
+    quadric_stabilizer_f2,  # noqa: F401
 )
 from .dieudonne import EoLabel, eo_classify_curve
 from .gfarith import field, gf2x_degree, gf2x_factor, gf2x_gcd, gf2x_mod, gf2x_mul
@@ -216,7 +224,13 @@ def record_from_json(line: str) -> CensusRecord:
 # an id as the records file stores it: its JSON string body is the id itself
 _ID = re.compile(r'[ !#-\[\]-~]+')
 _ID_RULE = "printable ASCII without '\"' or '\\'"
-_ID_FIELD = re.compile(r'"id":"(' + _ID.pattern + ')"')
+# the curve_id of every census model, in its one spelling: a quadric mask
+# in four hex digits; hyp h in 0x01..0x3f with f in 0x000..0x7ff when
+# deg h = 5 and in 0x200..0x7ff otherwise (the genus-4 shape)
+_CURVE_ID = (r"(?:cone|ns);c=0x[0-9a-f]{4}"
+             r"|hyp;h=0x(?:[23][0-9a-f];f=0x[0-7]|(?:0[1-9a-f]|1[0-9a-f]);f=0x[2-7])[0-9a-f]{2}")
+# group 1 is a curve id, group 2 any other id of the write rule
+_ID_FIELD = re.compile(r'"id":"(?:(' + _CURVE_ID + ')|(' + _ID.pattern + '))"')
 
 
 def write_records(path, records) -> None:
@@ -268,8 +282,10 @@ def read_records(path) -> list[CensusRecord]:
     body whose line count differs from the header's, ids that are not
     strictly ascending (a duplicated or moved line), and malformed lines,
     naming the line.  A line is malformed when it has no "id" string that
-    is printable ASCII without '"' or '\\', or when what remains with the
-    id cut out is not a record (a repeated key included).  Each distinct
+    is printable ASCII without '"' or '\\', when that id is not the
+    curve_id of a census model in its one spelling (so no model is read
+    under two ids), or when what remains with the id cut out is not a
+    record (a repeated key included).  Each distinct
     remainder is parsed once, and its records share the parsed field tuples.
     A line holding a byte outside ASCII is refused, naming the line.
     """
@@ -302,6 +318,8 @@ def read_records(path) -> list[CensusRecord]:
                 if m is None:
                     raise ValueError(f"no \"id\" string of {_ID_RULE}")
                 cid = m[1]
+                if cid is None:
+                    raise ValueError(f"id {m[2]!r} is not the curve_id of a census model")
                 rest = line[:m.start(1)] + line[m.end(1):]
                 tail = tails.get(rest)
                 if tail is None:
@@ -323,24 +341,28 @@ def read_records(path) -> list[CensusRecord]:
 # hyperelliptic fast path: counts linear in the coefficient bits of f
 # ---------------------------------------------------------------------------
 
-_PARITY = np.array([bin(i).count("1") & 1 for i in range(1 << 11)], np.int32)
+_PARITY = np.array([bin(i).count("1") & 1 for i in range(1 << 11)], np.uint8)
 
 
 @lru_cache(maxsize=None)
 def _hyp_count_data(hm: int):
-    """Per degree n: (base, functionals) with N_n(f) = base - 2 sum_l parity(f & l).
+    """(bases, functionals, starts) with N_n(f) = bases[n-1] - 2 sum_l
+    parity(f & l), the sum over the functionals from starts[n-1] up to the
+    next degree's start.
 
     Each x with h(x) != 0 contributes 2 points when Tr(f(x)/h(x)^2) = 0 and
     none otherwise; the trace is an XOR over the set bits i of f of the
     fixed values Tr(x^i/h(x)^2), which pack into an 11-bit functional l.
     Roots of h contribute one point each, as does infinity when deg h < 5;
     for deg h = 5 infinity behaves like an extra functional with only the
-    f10 bit (Tr(1) = n mod 2).
+    f10 bit (Tr(1) = n mod 2).  Each degree's functionals start with 0,
+    which adds nothing, so that no degree has an empty run.
     """
-    out = []
+    bases, lms, starts = [], [], []
     for n in _DEGREES:
         K = field(n)
-        lms = []
+        starts.append(len(lms))
+        lms.append(0)
         h_roots = 0
         for x in K.elements():
             hx = 0
@@ -352,32 +374,25 @@ def _hyp_count_data(hm: int):
             if hx == 0:
                 h_roots += 1
                 continue
-            w = K.inv(hx)
-            w = K.mul(w, w)
+            w = K.inv(K.mul(hx, hx))
             lm = 0
             xp = K.one
             for i in range(11):
-                if K.trace(K.mul(xp, w)):
-                    lm |= 1 << i
+                lm |= K.trace(K.mul(xp, w)) << i
                 xp = K.mul(xp, x)
             lms.append(lm)
-        h5 = (hm >> 5) & 1
-        if h5:
+        if (hm >> 5) & 1:
             lms.append((n & 1) << 10)
-        base = h_roots + (0 if h5 else 1) + 2 * len(lms)
-        out.append((base, tuple(lms)))
-    return tuple(out)
+        bases.append(h_roots + (0 if (hm >> 5) & 1 else 1) + 2 * (len(lms) - 1 - starts[-1]))
+    return np.array(bases, np.int16), np.array(lms, np.int16), np.array(starts)
 
 
 def _hyp_counts_vector(hm: int, farr: np.ndarray) -> np.ndarray:
-    """N_1..N_4 for every f mask in farr at once; shape (len(farr), 4)."""
-    cols = []
-    for base, lms in _hyp_count_data(hm):
-        acc = np.zeros(len(farr), np.int32)
-        for lm in lms:
-            acc += _PARITY[np.bitwise_and(farr, lm)]
-        cols.append(base - 2 * acc)
-    return np.stack(cols, axis=1)
+    """N_1..N_4 for every f mask in farr at once; shape (len(farr), 4), from
+    one gather of parity(f & l) over the functionals of all four degrees."""
+    bases, lms, starts = _hyp_count_data(hm)
+    odd = _PARITY.take(np.asarray(farr, np.int16)[:, None] & lms)
+    return bases - 2 * np.add.reduceat(odd, starts, axis=1, dtype=np.int16)
 
 
 _HYP_NOTES = np.array(["", _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE], dtype=object)
@@ -496,12 +511,9 @@ def _classified_record(kind: str, cid: str, counts: tuple[int, ...], cart) -> Ce
 @lru_cache(maxsize=None)
 def _quadric_orbit_decision(kind: str, rep: int):
     """(SmoothnessResult, Cartier data) of an orbit representative the scan
-    leaves unflagged, or None when the scan flags it.  Decided once per
-    process and broadcast to the orbit: an F_2-automorphism of the quadric
-    maps a model to an isomorphic one, with the same smoothness and the
-    same Cartier data."""
-    if _quadric_scan(kind, rep, rep + 1)[1][0]:
-        return None
+    leaves unflagged.  Decided once per process and broadcast to the orbit:
+    an F_2-automorphism of the quadric maps a model to an isomorphic one,
+    with the same smoothness and the same Cartier data."""
     curve = quadric_curve_from_mask(kind, rep)
     res = _quadric_smooth_f2(curve)
     cart = _ns_cartier(curve) if res.smooth and kind == "ns" else None
@@ -513,6 +525,7 @@ def _quadric_chunk(kind: str, m0: int, m1: int, keep=None) -> list[CensusRecord]
     ids = {mask: f"{kind};c=0x{mask:04x}" for mask in range(m0, m1)}
     if keep is not None:
         ids = {mask: cid for mask, cid in ids.items() if keep(cid)}
+    flagged = flagged.tolist()
     open_masks = [mask for mask in ids if not flagged[mask - m0]]
     reps = dict(zip(open_masks, _quadric_images(kind, open_masks).min(axis=1).tolist()))
     recs = []
@@ -522,11 +535,13 @@ def _quadric_chunk(kind: str, m0: int, m1: int, keep=None) -> list[CensusRecord]
             recs.append(CensusRecord(id=cid, kind=kind, smooth=False,
                                      note=_scan_singular(kind, witness[k]).note))
             continue
-        decided = _quadric_orbit_decision(kind, reps[mask])
-        if decided is None:
-            raise RuntimeError(f"the scan flags the orbit representative {kind};c=0x{reps[mask]:04x} "
+        rep = reps[mask]
+        # the representative is the orbit's least mask, so it lies in the
+        # chunk's own scan unless the chunk starts above it
+        if flagged[rep - m0] if rep >= m0 else _quadric_scan(kind, rep, rep + 1)[1][0]:
+            raise RuntimeError(f"the scan flags the orbit representative {kind};c=0x{rep:04x} "
                                f"of {cid} but not {cid} itself")
-        res, cart = decided
+        res, cart = _quadric_orbit_decision(kind, rep)
         if not res.smooth:
             recs.append(CensusRecord(id=cid, kind=kind, smooth=False, note=res.note))
             continue
@@ -540,22 +555,24 @@ def _hyp_f_min(hm: int) -> int:
     return 0 if hm >= 32 else 512
 
 
+_F_SUFFIX = tuple(f";f=0x{fm:03x}" for fm in range(2048))
+
+
 def _hyp_chunk(h0: int, h1: int, keep=None) -> list[CensusRecord]:
     recs = []
     for hm in range(h0, h1):
-        lo = _hyp_f_min(hm)
-        cts = _hyp_counts_vector(hm, np.arange(lo, 2048, dtype=np.int64))
-        cart = _hyp_cartier(hm)
+        prefix = f"hyp;h=0x{hm:02x}"
+        ids = ((fm, prefix + _F_SUFFIX[fm]) for fm in range(_hyp_f_min(hm), 2048))
+        kept = [(fm, cid) for fm, cid in ids if keep is None or keep(cid)]
         notes = _hyp_smooth_masks(hm)
-        for k, fm in enumerate(range(lo, 2048)):
-            cid = f"hyp;h=0x{hm:02x};f=0x{fm:03x}"
-            if keep is not None and not keep(cid):
-                continue
+        cart = _hyp_cartier(hm)
+        cts = iter(_hyp_counts_vector(hm, [fm for fm, _ in kept if not notes[fm]]).tolist())
+        for fm, cid in kept:
             note = notes[fm]
             if note:
                 recs.append(CensusRecord(id=cid, kind="hyp", smooth=False, note=note))
-                continue
-            recs.append(_classified_record("hyp", cid, tuple(cts[k].tolist()), cart))
+            else:
+                recs.append(_classified_record("hyp", cid, tuple(next(cts)), cart))
     return recs
 
 
@@ -677,9 +694,10 @@ def _isomorphism_orbit(curve) -> tuple[set[str], int]:
 
     Quadric models: the stabilizer of the quadric realizes every isomorphism
     (an isomorphism of canonical curves extends to an ambient collineation
-    fixing the unique quadric through the curve); the walk transports the
-    model by each of its 72 or 48 elements.  Hyperelliptic models:
-    x -> (ax+b)/(cx+d) over GL_2(F_2) with y -> (y + t(x))/(cx+d)^5 over all
+    fixing the unique quadric through the curve); its 72 or 48 images of
+    the model are read from the image tables of _quadric_images, and the
+    generic transport apply_transform is their test oracle.  Hyperelliptic
+    models: x -> (ax+b)/(cx+d) over GL_2(F_2) with y -> (y + t(x))/(cx+d)^5 over all
     64 shift polynomials t, 384 elements; the images are read from the
     packed F_2-linear tables of _hyp_images, and the generic transport
     hyperelliptic_transformed is their test oracle.  An image outside the
@@ -687,8 +705,8 @@ def _isomorphism_orbit(curve) -> tuple[set[str], int]:
     the model.  By orbit-stabilizer, |Aut| = |G| / |orbit|.
     """
     if isinstance(curve, QuadricCubicCurve):
-        group = quadric_stabilizer_f2(curve.kind)
-        return {apply_transform(curve, t).curve_id for t in group}, len(group)
+        row = _quadric_images(curve.kind, [curve.mask])[0].tolist()
+        return {f"{curve.kind};c=0x{m:04x}" for m in row}, len(row)
     if isinstance(curve, HyperellipticCurve):
         images = _hyp_images(*curve.masks)
         # max(2 deg h, deg f) in {9, 10} means deg h = 5 or deg f >= 9

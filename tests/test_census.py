@@ -7,6 +7,7 @@ enumeration; the named example curves pin the classification columns.
 
 import functools
 import random
+import re
 import zlib
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from genus4census.census import (
     write_records,
 )
 from genus4census.curves import (
+    apply_transform,
     aut_order_f2,
     count_points,
     gl2_f2,
@@ -35,6 +37,7 @@ from genus4census.curves import (
     is_smooth,
     parse_curve_id,
     quadric_curve_from_mask,
+    quadric_stabilizer_f2,
 )
 from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_smooth_generic
 from genus4census.gfarith import gf2x_degree, gf2x_gcd, gf2x_mul
@@ -285,19 +288,23 @@ def test_orbit_representative_flagged_aborts(monkeypatch, fresh_orbit_decisions)
 
 
 def test_orbit_table_matches_orbit_walk():
-    # on a CRC-32 sample of smooth quadric models: the image table's orbit,
-    # its minimum and its stabilizer count against the explicit orbit walk
+    # on a CRC-32 sample of smooth quadric models: the orbit that
+    # _isomorphism_orbit reads from the image tables, its minimum and its
+    # stabilizer count against an explicit apply_transform walk over the
+    # quadric's stabilizer
     checked = 0
     for kind in ("ns", "cone"):
+        group = quadric_stabilizer_f2(kind)
         masks = [m for m in range(1 << 16) if zlib.crc32(f"{kind};c=0x{m:04x}".encode()) % 1009 == 0]
-        for m, row in zip(masks, census._quadric_images(kind, masks)):
+        for m in masks:
             curve = quadric_curve_from_mask(kind, m)
             if not is_smooth(curve).smooth:
                 continue
+            walk = [apply_transform(curve, t).curve_id for t in group]
             orbit, order = census._isomorphism_orbit(curve)
-            assert {f"{kind};c=0x{int(i):04x}" for i in row} == orbit, curve.curve_id
-            assert f"{kind};c=0x{int(row.min()):04x}" == census.isomorphism_canonical_id(curve)
-            assert int((row == m).sum()) == aut_order_f2(curve) == order // len(orbit), curve.curve_id
+            assert orbit == set(walk) and order == len(group), curve.curve_id
+            assert census.isomorphism_canonical_id(curve) == min(walk)
+            assert walk.count(curve.curve_id) == aut_order_f2(curve) == order // len(orbit), curve.curve_id
             checked += 1
     assert checked >= 30
 
@@ -428,13 +435,14 @@ def test_jsonl_round_trip(tmp_path):
 
 def _mixed_records():
     """Singular records of every kind, smooth records sharing keys, one
-    record with aut and jacobian_aut set and one note that JSON escapes."""
+    record with aut and jacobian_aut set and one note that JSON escapes
+    (the last two under the last two ns ids, which read_records accepts)."""
     records = run_census(id_filter=lambda cid: cid.startswith(
         ("cone;c=0x42", "hyp;h=0x01;f=0x2", "hyp;h=0x01;f=0x40", "ns;c=0x00")))
     smooth = next(r for r in records if r.smooth)
     singular = next(r for r in records if not r.smooth)
-    return records + [smooth._replace(id="zz;aut", aut=6, jacobian_aut=12),
-                      singular._replace(id="zz;note", note='a "quoted" \\ note,\twith\u00e9 escapes')]
+    return records + [smooth._replace(id="ns;c=0xfffe", aut=6, jacobian_aut=12),
+                      singular._replace(id="ns;c=0xffff", note='a "quoted" \\ note,\twith\u00e9 escapes')]
 
 
 def test_write_records_lines_are_record_to_json(tmp_path):
@@ -586,6 +594,33 @@ def _written_lines(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(path, _named_records())
     return path, path.read_text().splitlines(keepends=True)
+
+
+def test_read_records_refuses_second_spelling_of_an_id(tmp_path):
+    # one model under its own id and under a second spelling that int()
+    # accepts: the ids ascend, so only the id grammar refuses the file
+    path = tmp_path / "twice.jsonl"
+    rec = classify_model(parse_curve_id("ns;c=0x1d0c"))
+    write_records(path, [rec, rec._replace(id="ns;c=0x1d_0c")])
+    with pytest.raises(ValueError, match=r"twice\.jsonl: line 3: malformed record: .*'ns;c=0x1d_0c' is not the "
+                                         "curve_id of a census model"):
+        read_records(path)
+
+
+def test_read_records_id_grammar_is_the_census_id_domain():
+    # every id of the model space and nothing else: all 2^16 masks of each
+    # quadric kind; hyp with h != 0 in the genus-4 shape
+    grammar = re.compile(census._CURVE_ID)
+    for kind in ("ns", "cone"):
+        assert all(grammar.fullmatch(f"{kind};c=0x{m:04x}") for m in range(1 << 16))
+    hyp = [(h, f) for h in range(64) for f in range(2048)
+           if grammar.fullmatch(f"hyp;h=0x{h:02x};f=0x{f:03x}")]
+    assert hyp == [(h, f) for h in range(1, 64) for f in range(census._hyp_f_min(h), 2048)]
+    assert len(hyp) == 113152
+    for bad in ("ns;c=0x1D0C", "ns;c=0x1d0", "ns;c=0x01d0c", "ns;c=1d0c", "ell;c=0x1d0c", "cone;c=0x1d0c ",
+                "hyp;h=0x00;f=0x200", "hyp;h=0x1f;f=0x1ff", "hyp;h=0x40;f=0x000", "hyp;h=0x20;f=0x800",
+                "hyp;h=0x3;f=0x200", "hyp;f=0x200;h=0x03"):
+        assert not grammar.fullmatch(bad), bad
 
 
 def test_read_records_refuses_truncated_file(tmp_path):

@@ -217,6 +217,15 @@ def test_stack_count_refuses_second_spelling_of_an_id(capsys, tmp_path):
     assert "ns;c=0x1d_0c" in err
 
 
+def test_verify_refuses_second_spelling_of_an_id(capsys, tmp_path):
+    path = tmp_path / "twice.jsonl"
+    rec = census.classify_model(census.parse_curve_id("ns;c=0x1d0c"))
+    write_records(path, [rec, rec._replace(id="ns;c=0x1d_0c")])
+    rc, out, err = run_cli(capsys, "verify", "--records", str(path))
+    assert rc == 2 and "PASS" not in out
+    assert "twice.jsonl: line 3: malformed record" in err and "ns;c=0x1d_0c" in err
+
+
 def test_missing_records_file(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "stack-count", "--records", str(tmp_path / "nope.jsonl"),
                          "--weil", "16,16,8,0,-4,0,2,2,1")

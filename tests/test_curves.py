@@ -42,6 +42,7 @@ from genus4census.curves import (
     quadric_stabilizer_f2,
     reduce_cubic,
     reduction_table,
+    substitute_cubic,
     substitute_quadric,
 )
 from genus4census.curves import (
@@ -50,6 +51,7 @@ from genus4census.curves import (
     _NS_LINES,
     _byte_table,
     _hyp_images,
+    _quadric_image_tables,
     _quadric_images,
     _quadric_scan,
     _quadric_smooth_generic,
@@ -424,17 +426,20 @@ def test_scan_flags_every_off_chart_pattern(kind):
 def _quadric_tables_onehot(kind):
     """The scan tables built one monomial at a time: eval_cubic and
     cubic_partials on the one-hot cubic of each kept monomial, at every
-    quadric point over F_2..F_16.  Oracle of the one-pass build."""
+    quadric point over F_2..F_16, packed as the scan packs them (the value
+    in bits 0-3, the six minors in the nibbles above).  Oracle of the
+    one-pass build."""
     points = [(d, pt) for d in (1, 2, 3, 4) for pt in quadric_points(kind, field(d))]
-    bits = np.zeros((16, 7, len(points)), np.uint8)
+    bits = np.zeros((16, len(points)), np.uint32)
     for bit, idx in enumerate(kept_monomials(kind)):
         onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
         for col, (d, pt) in enumerate(points):
             K = field(d)
             cp = cubic_partials(K, onehot, pt)
             qg = quadric_gradient(kind, K, pt)
-            bits[bit, :, col] = [eval_cubic(K, onehot, pt)] + [
+            nibbles = [eval_cubic(K, onehot, pt)] + [
                 K.add(K.mul(cp[i], qg[j]), K.mul(cp[j], qg[i])) for i, j in _MINOR_PAIRS]
+            bits[bit, col] = sum(v << 4 * n for n, v in enumerate(nibbles))
     return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(points)
 
 
@@ -444,8 +449,25 @@ def test_quadric_tables_match_onehot_build(kind):
     want_lo, want_hi, want_points = _quadric_tables_onehot(kind)
     assert points == want_points
     assert [points[b][0] for b in bounds[:-1]] == [1, 2, 3, 4] and bounds[-1] == len(points)
-    assert lo.dtype == hi.dtype == np.uint8
+    assert lo.dtype == hi.dtype == np.uint32
     assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+@pytest.mark.parametrize("kind", ["ns", "cone"])
+def test_quadric_image_tables_match_substitution(kind):
+    # every stabilizer element and every mask bit: the bitset products of
+    # the image tables against substitute_cubic followed by reduce_cubic
+    lo, hi = _quadric_image_tables(kind)
+    kept = kept_monomials(kind)
+    group = quadric_stabilizer_f2(kind)
+    assert lo.shape == hi.shape == (256, len(group))
+    for g, t in enumerate(group):
+        for bit, idx in enumerate(kept):
+            onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
+            image = reduce_cubic(kind, F2, substitute_cubic(F2, onehot, t.rows))
+            want = sum(image[i] << b for b, i in enumerate(kept))
+            got = lo[1 << bit, g] if bit < 8 else hi[1 << (bit - 8), g]
+            assert int(got) == want, (kind, g, bit)
 
 
 @pytest.mark.parametrize("kind", ["ns", "cone"])

@@ -134,6 +134,67 @@ def test_gf2x_factor_known_values():
 # ---------------------------------------------------------------------------
 
 
+def _reference_mul(F, a, b):
+    return gf.gf2x_mod(gf.gf2x_mul(a, b), F.modulus)
+
+
+def _reference_pow(F, a, e):
+    return gf.gf2x_pow_mod(a, e, F.modulus) if a else int(e == 0)
+
+
+def _check_table_arithmetic(F, pairs, elements):
+    """FieldSpec's log/antilog arithmetic against packed F_2[x] products
+    reduced mod the modulus: mul on pairs; inv, pow, sqrt and trace (the
+    sum of the 2^i-th powers) on elements."""
+    n = F.order - 1
+    for a, b in pairs:
+        assert F.mul(a, b) == _reference_mul(F, a, b), (F.k, a, b)
+    for a in elements:
+        if a:
+            assert _reference_mul(F, a, F.inv(a)) == 1, (F.k, a)
+            assert F.pow(a, -3) == _reference_pow(F, F.inv(a), 3), (F.k, a)
+        for e in (0, 1, 2, 7, n, n + 5):
+            assert F.pow(a, e) == _reference_pow(F, a, e), (F.k, a, e)
+        assert _reference_mul(F, F.sqrt(a), F.sqrt(a)) == a, (F.k, a)
+        t = acc = a
+        for _ in range(F.k - 1):
+            t = _reference_mul(F, t, t)
+            acc ^= t
+        assert acc in (0, 1) and F.trace(a) == acc, (F.k, a)
+
+
+def test_field_tables_match_gf2x_reference_exhaustive_small():
+    for k in range(1, 9):
+        F = gf.field(k)
+        els = list(F.elements())
+        _check_table_arithmetic(F, [(a, b) for a in els for b in els], els)
+
+
+def test_field_tables_match_gf2x_reference_sampled_large():
+    rng = random.Random(111)
+    for k in range(9, 17):
+        F = gf.field(k)
+        els = [0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(300)]
+        pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
+        _check_table_arithmetic(F, pairs + [(0, 5), (F.order - 1, 1)], els)
+
+
+def test_field_tables_for_a_modulus_of_choice():
+    # x^8 + x^4 + x^3 + x + 1 is not primitive: x has order 51, so the
+    # tables must find another generator; x^4 + x^3 + 1 is a second modulus
+    for k, modulus in ((8, 0x11B), (4, 0x19)):
+        F = gf.FieldSpec(k, modulus)
+        els = list(F.elements())
+        _check_table_arithmetic(F, [(a, b) for a in els for b in els[::3]], els)
+
+
+def test_field_pow_of_zero():
+    F = gf.field(5)
+    assert F.pow(0, 0) == 1 and F.pow(0, 3) == 0
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
+
+
 def test_field_axioms_exhaustive_small():
     for k in (1, 2, 3):
         F = gf.field(k)
