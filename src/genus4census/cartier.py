@@ -50,6 +50,7 @@ __all__ = [
     "a_number",
     "two_rank",
     "is_type43_candidate",
+    "invariants",
 ]
 
 GENUS = 4
@@ -202,3 +203,9 @@ def is_type43_candidate(op: SemilinearOperator) -> bool:
     if two_rank(op) != 0:
         raise ValueError("criterion only valid at p-rank 0")
     return op.rank == 2 and semilinear_power(op, 2).is_zero()
+
+
+def invariants(op: SemilinearOperator) -> tuple[int, int, bool | None]:
+    """(a-number, 2-rank, type43), with type43 None unless the 2-rank is 0."""
+    s2 = two_rank(op)
+    return a_number(op), s2, is_type43_candidate(op) if s2 == 0 else None

@@ -59,10 +59,10 @@ integers as strings.  Output is byte-identical for any worker count.  The
 whole census has only a few hundred distinct lines once the id is cut out,
 so write_records serializes each id-free record once and splices each id
 into its template, and read_records parses each id-free remainder once and
-shares the parsed field tuples between the records that carry it.  Ids are
-therefore restricted to printable ASCII without '"' or '\\', which every
-curve id is, and both directions refuse any other id; read_records also
-refuses an id that is not a census model's curve_id.
+shares the parsed field tuples between the records that carry it.  Both
+directions hold ids to one rule: the curve_id of a census model, in its one
+spelling, which has no '"' or '\\' to escape; any other id is refused, so
+no model is written or read under two ids.
 """
 
 import json
@@ -221,7 +221,7 @@ def record_from_json(line: str) -> CensusRecord:
     )
 
 
-# an id as the records file stores it: its JSON string body is the id itself
+# an id the reader can name in an error: a JSON string body that is the id itself
 _ID = re.compile(r'[ !#-\[\]-~]+')
 _ID_RULE = "printable ASCII without '\"' or '\\'"
 # the curve_id of every census model, in its one spelling: a quadric mask
@@ -229,7 +229,8 @@ _ID_RULE = "printable ASCII without '\"' or '\\'"
 # deg h = 5 and in 0x200..0x7ff otherwise (the genus-4 shape)
 _CURVE_ID = (r"(?:cone|ns);c=0x[0-9a-f]{4}"
              r"|hyp;h=0x(?:[23][0-9a-f];f=0x[0-7]|(?:0[1-9a-f]|1[0-9a-f]);f=0x[2-7])[0-9a-f]{2}")
-# group 1 is a curve id, group 2 any other id of the write rule
+_IS_CURVE_ID = re.compile(_CURVE_ID).fullmatch
+# group 1 is a curve id, group 2 any other nameable id
 _ID_FIELD = re.compile(r'"id":"(?:(' + _CURVE_ID + ')|(' + _ID.pattern + '))"')
 
 
@@ -241,8 +242,8 @@ def write_records(path, records) -> None:
     (rec[1:]) with the id spliced in.  The template key takes the slopes
     tuple by identity, since hashing its Fractions runs in Python; records
     of one key share that tuple, and the template holds it so that its id
-    stays unique while the write runs.  An id that is not printable ASCII,
-    or holds '"' or '\\', is refused.
+    stays unique while the write runs.  An id that is not the curve_id of
+    a census model (_CURVE_ID) is refused, naming it.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     templates: dict[tuple, tuple[str, str, tuple | None]] = {}
@@ -252,8 +253,8 @@ def write_records(path, records) -> None:
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
             for rec in records:
                 cid = rec.id
-                if not (isinstance(cid, str) and _ID.fullmatch(cid)):
-                    raise ValueError(f"record id {cid!r} is not {_ID_RULE}")
+                if not (isinstance(cid, str) and _IS_CURVE_ID(cid)):
+                    raise ValueError(f"record id {cid!r} is not the curve_id of a census model")
                 key = (id(rec.slopes), rec[1:6], rec[7:])  # rec[6] is slopes
                 template = templates.get(key)
                 if template is None:
@@ -436,16 +437,13 @@ def _hyp_cartier(hm: int):
     the branch points are the distinct roots of h plus infinity when
     deg h < 5, so the matrix-side 2-rank is checked against that count.
     """
-    op = cartier_hyperelliptic(hyperelliptic_from_masks(hm, 1 << 10))
-    a = cartier.a_number(op)
-    s2 = cartier.two_rank(op)
+    a, s2, t43 = cartier.invariants(cartier_hyperelliptic(hyperelliptic_from_masks(hm, 1 << 10)))
     branch = sum(gf2x_degree(p) for p, _ in gf2x_factor(hm))
     branch += 1 if gf2x_degree(hm) < 5 else 0
     if s2 != branch - 1:
         raise RuntimeError(
             f"2-rank {s2} of the Cartier operator disagrees with {branch} branch points for h=0x{hm:02x}"
         )
-    t43 = cartier.is_type43_candidate(op) if s2 == 0 else None
     return a, s2, t43
 
 
@@ -455,11 +453,7 @@ def _hyp_cartier(hm: int):
 
 
 def _ns_cartier(curve: QuadricCubicCurve):
-    op = cartier_ns(curve)
-    a = cartier.a_number(op)
-    s2 = cartier.two_rank(op)
-    t43 = cartier.is_type43_candidate(op) if s2 == 0 else None
-    return a, s2, t43
+    return cartier.invariants(cartier_ns(curve))
 
 
 @lru_cache(maxsize=None)

@@ -89,14 +89,14 @@ def _cmd_zeta(args) -> int:
 def _cmd_hasse_witt(args) -> int:
     curve = parse_curve_id(args.curve)
     op = cartier.cartier_operator(curve)
-    s2 = cartier.two_rank(op)
+    a, s2, t43 = cartier.invariants(op)
     _emit({
         "cartier": [list(row) for row in op.rows],
         "hasse_witt": [list(row) for row in cartier.hasse_witt_rows(op)],
         "rank": op.rank,
-        "a_number": cartier.a_number(op),
+        "a_number": a,
         "two_rank": s2,
-        "type43": cartier.is_type43_candidate(op) if s2 == 0 else None,
+        "type43": t43,
     })
     return 0
 

@@ -14,6 +14,12 @@ Two families of models:
   into X*Y-multiples modulo the quadric at construction time, so exactly 16
   coefficients are free; over F_2 they pack into a 16-bit mask.
 
+  Smoothness is decided on two affine charts, X = 1 and Y = 1, which cover
+  the quadric up to its distinguished points X = Y = 0 ((0:0:1:0) and
+  (0:0:0:1) on ns, the vertex on the cone); those are checked by their
+  coefficient patterns.  Over F_2 a scan of the points over F_2..F_16
+  settles most masks first, and one chart is left to eliminate.
+
 * hyperelliptic: y^2 + h(x) y = f(x) with deg h <= 5, deg f <= 10,
   max(2 deg h, deg f) in {9, 10}, h != 0.  The smooth model lives in the
   weighted projective plane P(1, 5, 1); the chart at infinity is
@@ -37,7 +43,6 @@ from . import elimination as el
 from .gfarith import (
     F2,
     FieldSpec,
-    PolyQuotientField,
     embedding,
     field,
     gf2x_mul,
@@ -45,10 +50,8 @@ from .gfarith import (
     poly_degree,
     poly_deriv,
     poly_eval,
-    poly_factor,
     poly_from_coeffs,
     poly_gcd,
-    poly_mod,
     poly_mul,
     poly_roots,
     poly_scale,
@@ -327,13 +330,25 @@ def quadric_gradient(kind: str, spec, point) -> tuple:
     return (y, x, spec.zero, spec.zero)  # d(T^2)/dT = 2T = 0
 
 
-# the affine bidegree-(3,3) picture of an ns cubic: the smooth quadric is
-# P^1 x P^1 via (X, Y, Z, T) = (x z, y t, y z, x t), and each kept monomial
-# X^a Y^b Z^g T^d lands on a distinct grid cell (a+g, b+g)
-_GRID_CELL = {}
-for _i in _KEPT["ns"]:
-    _a, _b, _g, _d = MONOMIALS3[_i]
-    _GRID_CELL[_i] = (_a + _g, _b + _g)
+# the affine charts of each quadric: (kind, chart) -> the exponent pairs of
+# X, Y, Z, T in the chart's two parameters ((v, u), or (x, y) on the grid),
+# so X^a Y^b Z^g T^d lands on cell a*X + b*Y + g*Z + d*T.  The charts Y = 1
+# and X = 1 of a kind, with its distinguished points X = Y = 0, cover the
+# quadric; the ns chart T = 1 is the bidegree grid of the Cartier matrix.
+_CHARTS = {
+    ("ns", "Y"): ((1, 1), (0, 0), (1, 0), (0, 1)),    # (u v, 1, v, u)
+    ("ns", "X"): ((0, 0), (1, 1), (1, 0), (0, 1)),    # (1, u v, v, u)
+    ("ns", "T"): ((1, 0), (0, 1), (1, 1), (0, 0)),    # (x, y, x y, 1)
+    ("cone", "X"): ((0, 0), (0, 2), (1, 0), (0, 1)),  # (1, u^2, v, u)
+    ("cone", "Y"): ((0, 2), (0, 0), (1, 0), (0, 1)),  # (u^2, 1, v, u)
+}
+# the cover decided by the generic route; the first chart is the packed one
+_COVER = {"ns": ("Y", "X"), "cone": ("X", "Y")}
+_CELLS = {key: tuple(tuple(sum(e * xy[i] for e, xy in zip(mono, chart)) for i in (0, 1))
+                     for mono in MONOMIALS3)
+          for key, chart in _CHARTS.items()}
+# the kept ns monomials fill the 4x4 bidegree grid, one cell each
+_GRID_CELL = {i: _CELLS["ns", "T"][i] for i in _KEPT["ns"]}
 assert sorted(_GRID_CELL.values()) == sorted(itertools.product(range(4), repeat=2))
 
 
@@ -661,88 +676,14 @@ class SmoothnessResult:
         return self.smooth
 
 
-def _rank_le_one(spec, v, w) -> bool:
-    """All 2x2 minors of the two gradient rows vanish."""
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if spec.add(spec.mul(v[i], w[j]), spec.mul(v[j], w[i])):
-                return False
-    return True
-
-
-def _singular_at(curve: QuadricCubicCurve, spec, coeffs, point) -> bool:
-    """Jacobian criterion at a point already known to lie on both surfaces."""
-    grad_c = cubic_partials(spec, coeffs, point)
-    grad_q = quadric_gradient(curve.kind, spec, point)
-    return _rank_le_one(spec, grad_c, grad_q)
-
-
-# the parts of each quadric not covered by its affine chart are lines; on
-# them the cubic restricts to a binary form with these coefficient slots
-# (ascending in the line parameter s, point = base + s * direction)
-_NS_LINES = (
-    # {Y = Z = 0}: points (1 : 0 : 0 : s); s -> infinity is (0:0:0:1)
-    ((1, 0, 0, 0), (0, 0, 0, 1), ((3, 0, 0, 0), (2, 0, 0, 1), (1, 0, 0, 2), (0, 0, 0, 3))),
-    # {Y = T = 0}: points (1 : 0 : s : 0); s -> infinity is (0:0:1:0)
-    ((1, 0, 0, 0), (0, 0, 1, 0), ((3, 0, 0, 0), (2, 0, 1, 0), (1, 0, 2, 0), (0, 0, 3, 0))),
-)
-_CONE_LINES = (
-    # {X = T = 0}: points (0 : 1 : s : 0); s -> infinity is the vertex
-    ((0, 1, 0, 0), (0, 0, 1, 0), ((0, 3, 0, 0), (0, 2, 1, 0), (0, 1, 2, 0), (0, 0, 3, 0))),
-)
-
-
-def _line_point(base, direction, spec, s):
-    return tuple(spec.add(b, spec.mul(s, d)) for b, d in zip(base, direction))
-
-
-def _check_line(curve: QuadricCubicCurve, line) -> SmoothnessResult | None:
-    """Scan the singular locus along one of the boundary lines (the point at
-    s = infinity is handled separately by the distinguished-point checks)."""
+def _chart_polys_generic(curve: QuadricCubicCurve, chart: str):
+    """The cubic pulled back to one affine chart of its quadric (_CHARTS)."""
     spec = curve.spec
-    base, direction, slots = line
-    form = poly_from_coeffs(spec, [curve.coeffs[_INDEX3[e]] for e in slots])
-    if not form:
-        # the cubic vanishes on the whole line, which then is a component of
-        # the intersection; the residual degree-5 part meets it somewhere
-        return SmoothnessResult(False, None, "a boundary line lies on the cubic")
-    for g, _ in poly_factor(spec, form):
-        if poly_degree(g) == 1:
-            s = g[0]  # monic s + c has root c in char 2
-            pt = _line_point(base, direction, spec, s)
-            if _singular_at(curve, spec, curve.coeffs, pt):
-                return SmoothnessResult(False, (spec.k, pt), "singular on a boundary line")
-        else:
-            K = PolyQuotientField(spec, g)
-            s = poly_mod(spec, (0, 1), g)
-            lifted = tuple(K.lift(c) for c in curve.coeffs)
-            pt = tuple(K.add(K.lift(b), K.mul(s, K.lift(d))) for b, d in zip(base, direction))
-            if _singular_at(curve, K, lifted, pt):
-                return SmoothnessResult(
-                    False, None, f"singular on a boundary line over a degree-{poly_degree(g)} extension"
-                )
-    return None
-
-
-def _chart_polys_generic(curve: QuadricCubicCurve):
-    """The cubic pulled back to the affine chart of its quadric.
-
-    ns:   (X,Y,Z,T) = (u v, 1, v, u) parametrizes {Y != 0}
-    cone: (X,Y,Z,T) = (1, u^2, v, u) parametrizes {X != 0}
-    """
-    spec = curve.spec
-    if curve.kind == "ns":
-        rows = [[0] * 4 for _ in range(4)]
-        for idx, c in enumerate(curve.coeffs):
-            if c:
-                a, b, g, d = MONOMIALS3[idx]
-                rows[a + g][a + d] = spec.add(rows[a + g][a + d], c)
-    else:
-        rows = [[0] * 7 for _ in range(4)]
-        for idx, c in enumerate(curve.coeffs):
-            if c:
-                a, b, g, d = MONOMIALS3[idx]
-                rows[g][2 * b + d] = spec.add(rows[g][2 * b + d], c)
+    rows = [[0] * 7 for _ in range(4)]
+    for idx, c in enumerate(curve.coeffs):
+        if c:
+            v_e, u_e = _CELLS[curve.kind, chart][idx]
+            rows[v_e][u_e] = spec.add(rows[v_e][u_e], c)
     return el.biv_from_rows(spec, rows)
 
 
@@ -765,25 +706,27 @@ def _distinguished_checks(curve: QuadricCubicCurve) -> SmoothnessResult | None:
 
 
 def _quadric_smooth_generic(curve: QuadricCubicCurve) -> SmoothnessResult:
+    """Smoothness over any base field.  Every point of the quadric lies in
+    one of the two affine charts of _COVER or is a distinguished point
+    (X = Y = 0: (0:0:1:0) and (0:0:0:1) on ns, the vertex on the cone).
+    The distinguished points are checked by their coefficient patterns,
+    and each chart by elimination: the curve is singular there exactly
+    when the chart polynomial and its two partials have a common zero over
+    the algebraic closure.
+    """
     res = _distinguished_checks(curve)
     if res is not None:
         return res
-    for line in _NS_LINES if curve.kind == "ns" else _CONE_LINES:
-        res = _check_line(curve, line)
-        if res is not None:
-            return res
-    f = _chart_polys_generic(curve)
     spec = curve.spec
-    system = [f, el.biv_deriv_u(spec, f), el.biv_deriv_v(spec, f)]
-    if el.exists_common_zero(spec, system):
-        return SmoothnessResult(False, None, "singular point inside the affine chart")
+    for chart in _COVER[curve.kind]:
+        f = _chart_polys_generic(curve, chart)
+        if el.exists_common_zero(spec, [f, el.biv_deriv_u(spec, f), el.biv_deriv_v(spec, f)]):
+            return SmoothnessResult(False, None, "singular point inside the affine chart")
     return SmoothnessResult(True)
 
 
-# the affine chart's (v-degree, u-degree) of each F_2 mask bit
-_F2_CELLS = {kind: tuple((a + g, a + d) if kind == "ns" else (g, 2 * b + d)
-                         for a, b, g, d in (MONOMIALS3[i] for i in _KEPT[kind]))
-             for kind in QUADRIC_KINDS}
+# the packed chart's (v-degree, u-degree) of each F_2 mask bit
+_F2_CELLS = {kind: tuple(_CELLS[kind, _COVER[kind][0]][i] for i in _KEPT[kind]) for kind in QUADRIC_KINDS}
 
 
 def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
@@ -791,10 +734,12 @@ def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
     the one model in is_smooth, and in the census the least mask of each
     stabilizer orbit, whose result holds for the whole orbit.
 
-    Every point off the affine chart is a scan column: (0:0:0:1), (0:0:1:0)
-    and the cone vertex lie over F_2, and a boundary line meets the cubic
-    over F_2, F_4 or F_8 (no unflagged cubic contains a whole line).  What
-    is left is the chart, decided by elimination over packed F_2[u].
+    The quadric is covered as in _quadric_smooth_generic, and this route
+    eliminates, over packed F_2[u], on the first chart of _COVER only.
+    Every other point is a scan column: the distinguished points lie over
+    F_2, and what the second chart adds are lines (Y = Z = 0 and Y = T = 0
+    on ns, X = T = 0 on the cone), which a cubic not containing them meets
+    over F_2, F_4 or F_8 (no unflagged cubic contains a whole line).
     """
     mask = curve.mask
     grid = [0] * 4

@@ -31,16 +31,20 @@ from genus4census.curves import (
     apply_transform,
     aut_order_f2,
     count_points,
+    cubic_partials,
+    eval_cubic,
     gl2_f2,
     hyperelliptic_from_masks,
     hyperelliptic_transformed,
     is_smooth,
     parse_curve_id,
     quadric_curve_from_mask,
+    quadric_gradient,
+    quadric_points,
     quadric_stabilizer_f2,
 )
-from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_smooth_generic
-from genus4census.gfarith import gf2x_degree, gf2x_gcd, gf2x_mul
+from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_tables
+from genus4census.gfarith import embedding, field, gf2x_degree, gf2x_gcd, gf2x_mul
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +72,24 @@ def test_enumeration_sizes_and_order():
 # ---------------------------------------------------------------------------
 
 
+def _rational_singular_point(curve):
+    """The first point of the quadric over F_2..F_16 where the model is
+    singular (on the cubic, Jacobian of rank <= 1), by brute force; None if
+    there is none."""
+    for d in (1, 2, 3, 4):
+        K = field(d)
+        co = tuple(map(embedding(curve.spec, K), curve.coeffs))
+        for pt in quadric_points(curve.kind, K):
+            if eval_cubic(K, co, pt):
+                continue
+            grad_c = cubic_partials(K, co, pt)
+            grad_q = quadric_gradient(curve.kind, K, pt)
+            if not any(K.add(K.mul(grad_c[i], grad_q[j]), K.mul(grad_c[j], grad_q[i]))
+                       for i in range(4) for j in range(i + 1, 4)):
+                return d, pt
+    return None
+
+
 @pytest.mark.parametrize("kind", ["ns", "cone"])
 def test_quadric_scan_matches_engines(kind):
     counts, flagged, witness = census._quadric_scan(kind, 0, 1 << 16)
@@ -75,17 +97,17 @@ def test_quadric_scan_matches_engines(kind):
     masks = [rng.randrange(1 << 16) for _ in range(40)] + [0, 0xFFFF]
     if kind == "ns":
         masks.append(0x1D0C)
+    assert 0 < sum(bool(flagged[m]) for m in masks) < len(masks)
     for m in masks:
         curve = quadric_curve_from_mask(kind, m)
         want = tuple(count_points(curve, n, raw=True) for n in (1, 2, 3, 4))
         assert tuple(int(c) for c in counts[m]) == want, hex(m)
-        res = _quadric_smooth_generic(curve)
-        if res.smooth:
-            # no false singularity flags on smooth curves
-            assert not flagged[m], hex(m)
-        elif res.witness is not None and res.witness[0] <= 4:
-            # a rational singular point of degree <= 4 must be flagged
-            assert flagged[m], (hex(m), res)
+        # flagged exactly when a rational singular point exists, and the
+        # witness is the first one
+        found = _rational_singular_point(curve)
+        assert bool(flagged[m]) == (found is not None), (hex(m), found)
+        if found is not None:
+            assert _quadric_tables(kind)[3][witness[m]] == found, hex(m)
 
 
 def test_quadric_scan_chunks_agree():
@@ -333,9 +355,10 @@ def test_cache_key_includes_cartier_data():
     assert (one.a_number, two.a_number) == (1, 2)
 
 
-def test_workers_byte_identity():
-    # two quadric kinds are two jobs, so the 2-worker run goes through a pool
-    one = run_census(kinds=("cone", "ns"), workers=1)
+def test_workers_byte_identity(full_census):
+    # two quadric kinds are two jobs, so the 2-worker run goes through a pool;
+    # the 1-worker side is the session's full census, filtered by kind
+    one = [rec for rec in full_census[0] if rec.kind in ("cone", "ns")]
     two = run_census(kinds=("cone", "ns"), workers=2)
     assert [record_to_json(r) for r in one] == [record_to_json(r) for r in two]
     assert two == one
@@ -399,8 +422,8 @@ def test_pool_runs_no_more_processes_than_jobs(monkeypatch, kinds, workers, pool
     assert _RecordingExecutor.sizes == pool
 
 
-def test_hyp_workers_byte_identity():
-    one = run_census(kinds="hyp", workers=1)
+def test_hyp_workers_byte_identity(full_census):
+    one = [rec for rec in full_census[0] if rec.kind == "hyp"]
     two = run_census(kinds="hyp", workers=2)
     assert len(one) == 113152
     assert [record_to_json(r) for r in one] == [record_to_json(r) for r in two]
@@ -464,13 +487,13 @@ def test_write_records_lines_are_record_to_json(tmp_path):
     assert len(first_of_key) < len([r for r in back if r.smooth])
 
 
-@pytest.mark.parametrize("cid", ['hyp;"x"', "hyp;\\x", "hyp;\tx", "hyp;\u00e9", "", 7])
+@pytest.mark.parametrize("cid", ['hyp;"x"', "hyp;\\x", "hyp;\tx", "hyp;\u00e9", "", 7, "ns;c=0x1d_0c", "zz;x"])
 def test_write_records_refuses_id_outside_the_rule(tmp_path, cid):
     path = tmp_path / "records.jsonl"
     records = _h1_subset()[:3]
     write_records(path, records)
     before = path.read_bytes()
-    with pytest.raises(ValueError, match=r"record id .* is not printable ASCII"):
+    with pytest.raises(ValueError, match=r"record id .* is not the curve_id of a census model"):
         write_records(path, records[:2] + [records[2]._replace(id=cid)])
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
@@ -554,7 +577,7 @@ def test_write_records_template_outlives_its_slopes(tmp_path):
 
         def __iter__(self):
             for i in range(40):
-                yield base._replace(id=f"x{i:02d}", slopes=(values[i % 3], values[i % 2]))
+                yield base._replace(id=f"ns;c=0x{i:04x}", slopes=(values[i % 3], values[i % 2]))
 
     path = tmp_path / "records.jsonl"
     write_records(path, OnTheFly())
@@ -601,7 +624,8 @@ def test_read_records_refuses_second_spelling_of_an_id(tmp_path):
     # accepts: the ids ascend, so only the id grammar refuses the file
     path = tmp_path / "twice.jsonl"
     rec = classify_model(parse_curve_id("ns;c=0x1d0c"))
-    write_records(path, [rec, rec._replace(id="ns;c=0x1d_0c")])
+    write_records(path, [rec, rec._replace(id="ns;c=0x1d0d")])
+    path.write_text(path.read_text().replace("ns;c=0x1d0d", "ns;c=0x1d_0c"))
     with pytest.raises(ValueError, match=r"twice\.jsonl: line 3: malformed record: .*'ns;c=0x1d_0c' is not the "
                                          "curve_id of a census model"):
         read_records(path)

@@ -210,7 +210,8 @@ def test_stack_count_refuses_second_spelling_of_an_id(capsys, tmp_path):
     # counted as two orbits, it would halve the class's stack count
     path = tmp_path / "twice.jsonl"
     rec = census.classify_model(census.parse_curve_id("ns;c=0x1d0c"))
-    write_records(path, [rec, rec._replace(id="ns;c=0x1d_0c")])
+    write_records(path, [rec, rec._replace(id="ns;c=0x1d0d")])
+    path.write_text(path.read_text().replace("ns;c=0x1d0d", "ns;c=0x1d_0c"))
     rc, out, err = run_cli(capsys, "stack-count", "--records", str(path),
                            "--weil", "16,32,40,40,32,20,10,4,1")
     assert rc == 2 and out == ""
@@ -220,7 +221,8 @@ def test_stack_count_refuses_second_spelling_of_an_id(capsys, tmp_path):
 def test_verify_refuses_second_spelling_of_an_id(capsys, tmp_path):
     path = tmp_path / "twice.jsonl"
     rec = census.classify_model(census.parse_curve_id("ns;c=0x1d0c"))
-    write_records(path, [rec, rec._replace(id="ns;c=0x1d_0c")])
+    write_records(path, [rec, rec._replace(id="ns;c=0x1d0d")])
+    path.write_text(path.read_text().replace("ns;c=0x1d0d", "ns;c=0x1d_0c"))
     rc, out, err = run_cli(capsys, "verify", "--records", str(path))
     assert rc == 2 and "PASS" not in out
     assert "twice.jsonl: line 3: malformed record" in err and "ns;c=0x1d_0c" in err

@@ -46,9 +46,7 @@ from genus4census.curves import (
     substitute_quadric,
 )
 from genus4census.curves import (
-    _CONE_LINES,
     _MINOR_PAIRS,
-    _NS_LINES,
     _byte_table,
     _hyp_images,
     _quadric_image_tables,
@@ -354,7 +352,7 @@ def test_transform_rejects_wrong_quadric():
 def test_known_singularity_witnesses():
     # over F_2 the quadric scan names the first singular point of
     # quadric_points, over the smallest field that has one; the generic
-    # engine checks the distinguished points and boundary lines first
+    # engine checks the distinguished points, then eliminates on two charts
     f2_note = "rational singular point over F_2"
     # X^3 alone: both distinguished points satisfy their vanishing pattern
     c = quadric_curve_from_mask("ns", 0x0001)
@@ -367,7 +365,7 @@ def test_known_singularity_witnesses():
     # cubic containing the boundary line {Y = Z = 0}
     c = curve_from_monomials("ns", [(0, 1, 0, 2), (0, 1, 2, 0)])
     assert is_smooth(c) == SmoothnessResult(False, (1, (1, 0, 0, 0)), f2_note)
-    assert _quadric_smooth_generic(c) == SmoothnessResult(False, None, "a boundary line lies on the cubic")
+    assert _quadric_smooth_generic(c) == SmoothnessResult(False, None, "singular point inside the affine chart")
     # hyperelliptic: y^2 + x y = x^9 is singular at the origin
     r = is_smooth(hyperelliptic_from_masks(0x02, 0x200))
     assert not r.smooth and r.witness == (1, (0, 0))
@@ -398,11 +396,42 @@ def test_smoothness_engines_agree():
     assert smooth_seen > 150 and singular_seen > 150
 
 
+@pytest.mark.parametrize("kind", ["ns", "cone"])
+def test_smoothness_survives_base_extension(kind):
+    # an F_2 model read over F_4 and F_8 goes the generic route (the
+    # distinguished points and both charts) and must get the F_2 route's
+    # decision: flagged masks, unflagged masks and orbit representatives
+    rng = random.Random(4242 + len(kind))
+    flagged = _quadric_scan(kind, 0, 1 << 16)[1]
+    open_masks = np.flatnonzero(~flagged)
+    reps = np.unique(_quadric_images(kind, open_masks).min(axis=1))
+    masks = ([int(m) for m in rng.sample(list(np.flatnonzero(flagged)), 24)]
+             + [int(m) for m in rng.sample(list(open_masks), 24)]
+             + [int(m) for m in rng.sample(list(reps), 48)])
+    decided = set()
+    for m in masks:
+        curve = quadric_curve_from_mask(kind, m)
+        want = is_smooth(curve).smooth
+        decided.add(want)
+        for k in (2, 3):
+            assert is_smooth(quadric_curve(kind, field(k), curve.coeffs)).smooth == want, (hex(m), k)
+    assert decided == {True, False}
+
+
 # per distinguished point off the affine chart, the monomials whose
 # vanishing makes it singular: (0:0:0:1) and (0:0:1:0) on ns, the cone vertex
 DISTINGUISHED_PATTERNS = {
     "ns": (((0, 0, 0, 3), (1, 0, 0, 2), (0, 1, 0, 2)), ((0, 0, 3, 0), (1, 0, 2, 0), (0, 1, 2, 0))),
     "cone": (((0, 0, 3, 0),),),
+}
+# per line of the quadric off the packed engine's chart, the monomials the
+# cubic restricts to on it: the cubic contains the line when all vanish
+BOUNDARY_SLOTS = {
+    # {Y = Z = 0} and {Y = T = 0}
+    "ns": (((3, 0, 0, 0), (2, 0, 0, 1), (1, 0, 0, 2), (0, 0, 0, 3)),
+           ((3, 0, 0, 0), (2, 0, 1, 0), (1, 0, 2, 0), (0, 0, 3, 0))),
+    # {X = T = 0}
+    "cone": (((0, 3, 0, 0), (0, 2, 1, 0), (0, 1, 2, 0), (0, 0, 3, 0)),),
 }
 
 
@@ -418,8 +447,7 @@ def test_scan_flags_every_off_chart_pattern(kind):
     def vanish(monomials):
         return (masks & sum(1 << bit[IDX[e]] for e in monomials)) == 0
 
-    lines = _NS_LINES if kind == "ns" else _CONE_LINES
-    for hit in [vanish(slots) for _, _, slots in lines] + [vanish(p) for p in DISTINGUISHED_PATTERNS[kind]]:
+    for hit in [vanish(p) for p in BOUNDARY_SLOTS[kind] + DISTINGUISHED_PATTERNS[kind]]:
         assert hit.any() and flagged[hit].all()
 
 
