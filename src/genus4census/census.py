@@ -25,9 +25,9 @@ Fast paths, each validated against the generic engines in the test suite:
 * the masks without one are decided once per orbit of the quadric's
   stabilizer: image tables (_quadric_images, built from F_2 bitset
   products of each element's linear forms) give each mask its orbit's
-  least mask.  That representative's scan flag is read from the chunk's
-  own scan, and its smoothness (the chart-only symbolic engine,
-  _quadric_smooth_f2) and ns Cartier data are computed once per process
+  least mask.  That representative's scan flag is read from the kind's
+  one scan of all 2^16 masks, and its smoothness (the chart-only symbolic
+  engine, _quadric_smooth_f2) and ns Cartier data are computed once per process
   and broadcast to the members; counts stay per mask, so each member's
   counts are checked against the broadcast 2-rank.  classify_model and
   is_smooth decide the model itself, a second route to the same records;
@@ -514,32 +514,31 @@ def _quadric_orbit_decision(kind: str, rep: int):
     return res, cart
 
 
-def _quadric_chunk(kind: str, m0: int, m1: int, keep=None) -> list[CensusRecord]:
-    counts, flagged, witness = _quadric_scan(kind, m0, m1)
-    ids = {mask: f"{kind};c=0x{mask:04x}" for mask in range(m0, m1)}
+def _quadric_chunk(kind: str, keep=None) -> list[CensusRecord]:
+    """Records of the masks of one quadric kind that keep accepts; one scan
+    covers all 2^16 masks, so every orbit representative lies in it."""
+    counts, flagged, witness = _quadric_scan(kind, 0, 1 << 16)
+    ids = {mask: f"{kind};c=0x{mask:04x}" for mask in range(1 << 16)}
     if keep is not None:
         ids = {mask: cid for mask, cid in ids.items() if keep(cid)}
     flagged = flagged.tolist()
-    open_masks = [mask for mask in ids if not flagged[mask - m0]]
+    open_masks = [mask for mask in ids if not flagged[mask]]
     reps = dict(zip(open_masks, _quadric_images(kind, open_masks).min(axis=1).tolist()))
     recs = []
     for mask, cid in ids.items():
-        k = mask - m0
-        if flagged[k]:
+        if flagged[mask]:
             recs.append(CensusRecord(id=cid, kind=kind, smooth=False,
-                                     note=_scan_singular(kind, witness[k]).note))
+                                     note=_scan_singular(kind, witness[mask]).note))
             continue
         rep = reps[mask]
-        # the representative is the orbit's least mask, so it lies in the
-        # chunk's own scan unless the chunk starts above it
-        if flagged[rep - m0] if rep >= m0 else _quadric_scan(kind, rep, rep + 1)[1][0]:
+        if flagged[rep]:
             raise RuntimeError(f"the scan flags the orbit representative {kind};c=0x{rep:04x} "
                                f"of {cid} but not {cid} itself")
         res, cart = _quadric_orbit_decision(kind, rep)
         if not res.smooth:
             recs.append(CensusRecord(id=cid, kind=kind, smooth=False, note=res.note))
             continue
-        recs.append(_classified_record(kind, cid, tuple(counts[k].tolist()), cart))
+        recs.append(_classified_record(kind, cid, tuple(counts[mask].tolist()), cart))
     return recs
 
 
@@ -596,7 +595,7 @@ def _census_job(args) -> list[CensusRecord]:
     kind, lo, hi, keep = args
     if kind == "hyp":
         return _hyp_chunk(lo, hi, keep)
-    return _quadric_chunk(kind, lo, hi, keep)
+    return _quadric_chunk(kind, keep)
 
 
 def _hyp_ranges(pieces: int) -> list[tuple[int, int]]:

@@ -12,7 +12,8 @@ Subcommands::
     discrepancy --records records.jsonl [--weil c0,...,c8]
 
 All numeric output is exact (integers and fractions as strings).  Exit codes:
-0 success, 1 failed assertion or internal inconsistency, 2 usage error.
+0 success, 1 failed assertion or internal inconsistency, 2 usage error
+(including hasse-witt on a singular or cone model).
 """
 
 import argparse
@@ -20,7 +21,7 @@ import json
 import sys
 
 from . import cartier, census
-from .curves import parse_curve_id
+from .curves import is_smooth, parse_curve_id
 from .dieudonne import EoLabel, young_to_final
 from .zeta import classify_stratum, newton_polygon, weil_from_counts
 
@@ -88,6 +89,10 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_hasse_witt(args) -> int:
     curve = parse_curve_id(args.curve)
+    res = is_smooth(curve)
+    if not res.smooth:
+        raise ValueError(f"{curve.curve_id} is singular ({res.note}); "
+                         "the Cartier matrix is defined for smooth models only")
     op = cartier.cartier_operator(curve)
     a, s2, t43 = cartier.invariants(op)
     _emit({

@@ -19,14 +19,15 @@ constructed; instead:
 
 A bivariate polynomial is a tuple indexed by the v-exponent whose entries
 are univariate polynomials in u, with no trailing zero entries; the zero
-polynomial is the empty tuple.  The algorithm is written once, over a ring
-R of u-polynomials (_Ring) that hides their format.  R has two instances:
+polynomial is the empty tuple.  The algorithm is written once, over a
+gfarith Ring R of u-polynomials that hides their format, and so are the
+factorization and the residue fields F[u]/(pi) it uses.  R has two
+instances:
 
-* F[u] for any field F of gfarith, u-polynomials as gfarith tuples and
-  residue fields from PolyQuotientField (_poly_ring(F));
-* F_2[u] with u-polynomials as packed ints and residue fields from
-  _PackedQuotient (_F2_PACKED), which keeps the census's chart decision
-  cheap.
+* F[u] for any field F of gfarith, u-polynomials as gfarith tuples
+  (poly_ring(F));
+* F_2[u] with u-polynomials as packed ints (gfarith.F2X, bound here as
+  _F2_PACKED), which keeps the census's chart decision cheap.
 
 The public functions bind one ring each, picked by the input format: the
 functions taking a field F work on tuples, the f2_ names on packed
@@ -36,27 +37,18 @@ rows.  Everything is exact and deterministic.
 from __future__ import annotations
 
 import functools
-import operator
-from typing import Any, Callable, NamedTuple
 
 from .gfarith import (
-    PolyQuotientField,
-    gf2x_degree,
-    gf2x_deriv,
-    gf2x_divmod,
-    gf2x_factor,
-    gf2x_gcd,
-    gf2x_invmod,
-    gf2x_mod,
-    gf2x_mul,
+    F2X,
+    ResidueField,
+    Ring,
+    factor,
     poly_add,
     poly_degree,
-    poly_deriv,
-    poly_divmod,
-    poly_factor,
     poly_from_coeffs,
     poly_gcd,
     poly_mul,
+    poly_ring,
 )
 
 __all__ = [
@@ -124,71 +116,20 @@ def biv_mul(F, f: tuple, g: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the two coefficient rings
-# ---------------------------------------------------------------------------
-
-
-class _Ring(NamedTuple):
-    """A ring F[u] of u-polynomials, as the engine uses it.  Its zero is
-    falsy, so bivariate rows strip the same way in every instance."""
-
-    zero: Any
-    one: Any
-    add: Callable
-    mul: Callable
-    divmod: Callable
-    gcd: Callable  # monic
-    degree: Callable  # -1 for the zero polynomial
-    deriv: Callable
-    factor: Callable  # irreducible factors with multiplicities
-    quotient: Callable  # irreducible pi -> the residue field F[u]/(pi)
-
-
-class _PackedQuotient:
-    """F_2[u]/(pi) for an irreducible packed pi, elements as packed ints:
-    the field operations gfarith's poly_* functions need."""
-
-    zero = 0
-    one = 1
-    add = staticmethod(operator.xor)
-
-    def __init__(self, pi: int):
-        self.pi = pi
-
-    def mul(self, a: int, b: int) -> int:
-        return gf2x_mod(gf2x_mul(a, b), self.pi)
-
-    def inv(self, a: int) -> int:
-        return gf2x_invmod(a, self.pi)
-
-
-_F2_PACKED = _Ring(0, 1, operator.xor, gf2x_mul, gf2x_divmod, gf2x_gcd, gf2x_degree,
-                   gf2x_deriv, gf2x_factor, _PackedQuotient)
-
-
-@functools.lru_cache(maxsize=None)
-def _poly_ring(F) -> _Ring:
-    p = functools.partial
-    return _Ring((), (F.one,), p(poly_add, F), p(poly_mul, F), p(poly_divmod, F),
-                 p(poly_gcd, F), poly_degree, p(poly_deriv, F), p(poly_factor, F),
-                 p(PolyQuotientField, F))
-
-
-# ---------------------------------------------------------------------------
 # derivatives and the resultant in v (char 2 kills all signs)
 # ---------------------------------------------------------------------------
 
 
-def _deriv_u(R: _Ring, f: tuple) -> tuple:
+def _deriv_u(R: Ring, f: tuple) -> tuple:
     return _strip(map(R.deriv, f))
 
 
-def _deriv_v(R: _Ring, f: tuple) -> tuple:
+def _deriv_v(R: Ring, f: tuple) -> tuple:
     """d/dv in characteristic 2: only odd v-exponents survive."""
     return _strip(f[j] if j % 2 == 1 else R.zero for j in range(1, len(f)))
 
 
-def _det(R: _Ring, mat: list):
+def _det(R: Ring, mat: list):
     """Determinant over R by expansion along rows, memoized on the set of
     still-available columns (which determines the row index)."""
     n = len(mat)
@@ -214,7 +155,7 @@ def _det(R: _Ring, mat: list):
     return minor(0, (1 << n) - 1)
 
 
-def _resultant(R: _Ring, f: tuple, g: tuple):
+def _resultant(R: Ring, f: tuple, g: tuple):
     f, g = _strip(f), _strip(g)
     if not f or not g:
         raise ValueError("resultant of the zero polynomial is not defined here")
@@ -233,7 +174,7 @@ def _resultant(R: _Ring, f: tuple, g: tuple):
 # ---------------------------------------------------------------------------
 
 
-def _primitive(R: _Ring, f: tuple) -> tuple:
+def _primitive(R: Ring, f: tuple) -> tuple:
     """f divided by its content, the gcd of its u-coefficients."""
     c = R.zero
     for p in f:
@@ -243,7 +184,7 @@ def _primitive(R: _Ring, f: tuple) -> tuple:
     return tuple(R.divmod(p, c)[0] for p in f)
 
 
-def _pseudo_rem_v(R: _Ring, f: tuple, g: tuple) -> tuple:
+def _pseudo_rem_v(R: Ring, f: tuple, g: tuple) -> tuple:
     dg, lg = len(g) - 1, g[-1]
     while len(f) > dg:
         off, lf = len(f) - 1 - dg, f[-1]
@@ -255,7 +196,7 @@ def _pseudo_rem_v(R: _Ring, f: tuple, g: tuple) -> tuple:
     return f
 
 
-def _gcd_v(R: _Ring, f: tuple, g: tuple) -> tuple:
+def _gcd_v(R: Ring, f: tuple, g: tuple) -> tuple:
     """Gcd of the primitive parts: a gcd in F(u)[v], kept in F[u][v] and
     determined up to a unit of F, which changes neither the decision nor
     the exact divisions by it."""
@@ -267,7 +208,7 @@ def _gcd_v(R: _Ring, f: tuple, g: tuple) -> tuple:
     return a
 
 
-def _exact_div_v(R: _Ring, f: tuple, d: tuple) -> tuple:
+def _exact_div_v(R: Ring, f: tuple, d: tuple) -> tuple:
     f = list(f)
     dd = len(d) - 1
     lc = d[-1]
@@ -290,9 +231,9 @@ def _exact_div_v(R: _Ring, f: tuple, d: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _fiber_has_zero(R: _Ring, pi, polys: list) -> bool:
+def _fiber_has_zero(R: Ring, pi, polys: list) -> bool:
     """Does the system vanish somewhere on the fiber u = (a root of pi)?"""
-    K = R.quotient(pi)
+    K = ResidueField(R, pi)
     g: tuple = ()
     for p in polys:
         sp = poly_from_coeffs(K, [R.divmod(c, pi)[1] for c in p])
@@ -303,7 +244,7 @@ def _fiber_has_zero(R: _Ring, pi, polys: list) -> bool:
     return True
 
 
-def _exists(R: _Ring, polys) -> bool:
+def _exists(R: Ring, polys) -> bool:
     nz = [p for p in map(_strip, polys) if p]
     if not nz:
         return True
@@ -313,7 +254,7 @@ def _exists(R: _Ring, polys) -> bool:
         if R.degree(r) < 1:
             return False
         others = [p for p in nz if len(p) > 1]
-        return any(_fiber_has_zero(R, pi, others) for pi, _ in R.factor(r))
+        return any(_fiber_has_zero(R, pi, others) for pi, _ in factor(R, r))
     if len(nz) == 1:
         # a single curve of positive v-degree always has points over the closure
         return True
@@ -323,7 +264,7 @@ def _exists(R: _Ring, polys) -> bool:
     if res:
         if R.degree(res) < 1:
             return False
-        return any(_fiber_has_zero(R, pi, nz) for pi, _ in R.factor(res))
+        return any(_fiber_has_zero(R, pi, nz) for pi, _ in factor(R, res))
     d = _gcd_v(R, f, g)
     rest = nz[2:]
     return (_exists(R, [d] + rest)
@@ -336,11 +277,11 @@ def _exists(R: _Ring, polys) -> bool:
 
 
 def biv_deriv_u(F, f: tuple) -> tuple:
-    return _deriv_u(_poly_ring(F), f)
+    return _deriv_u(poly_ring(F), f)
 
 
 def biv_deriv_v(F, f: tuple) -> tuple:
-    return _deriv_v(_poly_ring(F), f)
+    return _deriv_v(poly_ring(F), f)
 
 
 def resultant_v(F, f: tuple, g: tuple) -> tuple:
@@ -349,12 +290,15 @@ def resultant_v(F, f: tuple, g: tuple) -> tuple:
     Lies in the ideal (f, g) of F[u][v], so it vanishes at the u-coordinate
     of every common zero.  Res of two v-constant polynomials is 1.
     """
-    return _resultant(_poly_ring(F), f, g)
+    return _resultant(poly_ring(F), f, g)
 
 
 def exists_common_zero(F, polys) -> bool:
     """True iff the bivariate system has a common zero over the closure of F."""
-    return _exists(_poly_ring(F), polys)
+    return _exists(poly_ring(F), polys)
+
+
+_F2_PACKED = F2X
 
 
 def f2_biv_deriv_u(f: tuple) -> tuple:

@@ -1,25 +1,36 @@
 """Arithmetic foundations for everything else in this package.
 
-Three layers, bottom to top:
+Polynomials over binary fields come in two encodings:
 
-* packed polynomials over F_2: a polynomial is a Python int whose bit i is
-  the coefficient of x^i, so xor is addition and shifting is multiplication
+* packed F_2[x]: a polynomial is a Python int whose bit i is the
+  coefficient of x^i, so xor is addition and shifting is multiplication
   by x (``gf2x_*`` functions);
-* the fields F_{2^k} for k <= 16: elements are ints < 2^k holding their
-  polynomial-basis coordinates with respect to a fixed irreducible modulus
-  (``FieldSpec``), plus compatible subfield embeddings;
-* dense univariate polynomials over such a field (or over a quotient field
-  built on top of one): tuples of elements, constant term first, no trailing
-  zeros (``poly_*`` functions, ``PolyQuotientField``).
+* dense F[x] over a field-like F: tuples of elements, constant term first,
+  no trailing zeros (``poly_*`` functions).
+
+Both are instances of one ring interface (``Ring``: ``F2X`` and
+``poly_ring(F)``), and everything above the basic arithmetic is written
+once over it: powers and inverses modulo a polynomial, the squarefree
+decomposition, Cantor-Zassenhaus factorization, roots and the residue
+field F[x]/(pi) (``ResidueField``).  The ``gf2x_*`` and ``poly_*`` names
+bind those algorithms to one encoding each.  Both encodings stay: with
+its F_2 factorizations on tuples, the census's quadric smoothness decisions
+take about twice as long.
+
+On top sit the fields F_{2^k} for k <= 16: elements are ints < 2^k holding
+their polynomial-basis coordinates with respect to a fixed irreducible
+modulus (``FieldSpec``), plus compatible subfield embeddings.  A
+ResidueField over one of them reaches beyond k = 16.
 
 All arithmetic here is exact; nothing floats.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 # ---------------------------------------------------------------------------
 # packed polynomials over F_2 (ints as bit vectors)
@@ -74,16 +85,379 @@ def gf2x_deriv(a: int) -> int:
     return a & mask
 
 
+def gf2x_sqrt(a: int) -> int:
+    """Square root of a perfect square: keep the even-index bits, halve exponents."""
+    r = 0
+    i = 0
+    while a:
+        if a & 1:
+            r |= 1 << i
+        if a & 2:
+            raise ValueError("polynomial is not a square over F_2")
+        a >>= 2
+        i += 1
+    return r
+
+
+# ---------------------------------------------------------------------------
+# dense univariate polynomials over a field-like object
+# ---------------------------------------------------------------------------
+# A "field-like" object provides zero/one/order, add/mul/inv/pow/sqrt and
+# f2_basis(); FieldSpec does, and so does ResidueField below.  Polynomials
+# are tuples of elements, constant term first, normalized (no trailing zeros);
+# the zero polynomial is the empty tuple.
+
+
+def poly_from_coeffs(F, coeffs: Sequence) -> tuple:
+    cs = list(coeffs)
+    while cs and cs[-1] == F.zero:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_degree(p: tuple) -> int:
+    return len(p) - 1
+
+
+def poly_x(F) -> tuple:
+    return (F.zero, F.one)
+
+
+def poly_add(F, a: tuple, b: tuple) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = F.add(out[i], c)
+    return poly_from_coeffs(F, out)
+
+
+def poly_scale(F, a: tuple, c) -> tuple:
+    if c == F.zero:
+        return ()
+    return poly_from_coeffs(F, [F.mul(x, c) for x in a])
+
+
+def poly_mul(F, a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == F.zero:
+            continue
+        for j, y in enumerate(b):
+            if y != F.zero:
+                out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return poly_from_coeffs(F, out)
+
+
+def poly_shift(F, a: tuple, n: int) -> tuple:
+    if not a:
+        return ()
+    return (F.zero,) * n + a
+
+
+def poly_divmod(F, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if len(a) < len(b):
+        return (), a
+    inv_lc = F.inv(b[-1])
+    rem = list(a)
+    q = [F.zero] * (len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = rem[shift + len(b) - 1]
+        if c == F.zero:
+            continue
+        c = F.mul(c, inv_lc)
+        q[shift] = c
+        for i, bc in enumerate(b):
+            rem[shift + i] = F.add(rem[shift + i], F.mul(bc, c))
+    return poly_from_coeffs(F, q), poly_from_coeffs(F, rem)
+
+
+def poly_mod(F, a: tuple, b: tuple) -> tuple:
+    return poly_divmod(F, a, b)[1]
+
+
+def poly_monic(F, a: tuple) -> tuple:
+    if not a or a[-1] == F.one:
+        return a
+    return poly_scale(F, a, F.inv(a[-1]))
+
+
+def poly_gcd(F, a: tuple, b: tuple) -> tuple:
+    while b:
+        a, b = b, poly_mod(F, a, b)
+    return poly_monic(F, a)
+
+
+def poly_eval(F, p: tuple, x):
+    acc = F.zero
+    for c in reversed(p):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def poly_deriv(F, p: tuple) -> tuple:
+    """Formal derivative in characteristic 2: only odd-degree terms survive."""
+    return poly_from_coeffs(F, [p[i] if i % 2 == 1 else F.zero for i in range(1, len(p))])
+
+
+def poly_resultant(F, a: tuple, b: tuple):
+    """Resultant of two polynomials over a field of characteristic 2.
+
+    Euclidean descent: Res(a, b) = lc(b)^(deg a - deg r) Res(b, r) where
+    r = a mod b; all signs vanish in characteristic 2.  Res of two nonzero
+    constants is 1; if exactly one input is the zero polynomial the result
+    is 0 by convention; two zero inputs have no sensible value.
+    """
+    if not a and not b:
+        raise ValueError("undefined resultant of two zero polynomials")
+    if not a or not b:
+        return F.zero
+    res = F.one
+    while poly_degree(b) > 0:
+        r = poly_mod(F, a, b)
+        if not r:
+            return F.zero
+        res = F.mul(res, F.pow(b[-1], poly_degree(a) - poly_degree(r)))
+        a, b = b, r
+    return F.mul(res, F.pow(b[0], poly_degree(a)))
+
+
+def _poly_even_sqrt(F, p: tuple) -> tuple:
+    """For p with zero derivative (all exponents even), the s with s^2 = p."""
+    return poly_from_coeffs(F, [F.sqrt(p[i]) for i in range(0, len(p), 2)])
+
+
+# ---------------------------------------------------------------------------
+# one ring interface over both encodings
+# ---------------------------------------------------------------------------
+
+
+class Ring(NamedTuple):
+    """A polynomial ring F[x] over a binary field F, as the algorithms below
+    use it.  Its zero is falsy, and equal-degree polynomials compare by
+    their encoding, which orders factor lists."""
+
+    zero: Any
+    one: Any
+    x: Any
+    order: int  # the order of F
+    basis: tuple  # an F_2-basis of F, as constant polynomials
+    add: Callable
+    mul: Callable
+    divmod: Callable
+    gcd: Callable  # monic; gcd(a, 0) is the monic associate of a
+    degree: Callable  # -1 for the zero polynomial
+    deriv: Callable
+    sqrt: Callable  # the s with s^2 = a, for a with zero derivative
+    shift: Callable  # (a, j) -> a x^j
+
+
+F2X = Ring(0, 1, 2, 2, (1,), operator.xor, gf2x_mul, gf2x_divmod, gf2x_gcd, gf2x_degree,
+           gf2x_deriv, gf2x_sqrt, operator.lshift)
+
+
+@functools.lru_cache(maxsize=32)  # bounded: residue fields hash by identity
+def poly_ring(F) -> Ring:
+    """F[x] with polynomials as tuples over the field-like F."""
+    p = functools.partial
+    return Ring((), (F.one,), poly_x(F), F.order, tuple((b,) for b in F.f2_basis()),
+                p(poly_add, F), p(poly_mul, F), p(poly_divmod, F), p(poly_gcd, F),
+                poly_degree, p(poly_deriv, F), p(_poly_even_sqrt, F), p(poly_shift, F))
+
+
+def _pow_mod(R: Ring, a, e: int, m):
+    """a^e mod m (e an ordinary integer >= 0), squaring left to right."""
+    if not e:
+        return R.one
+    a = R.divmod(a, m)[1]
+    r = a
+    for bit in bin(e)[3:]:
+        r = R.divmod(R.mul(r, r), m)[1]
+        if bit == "1":
+            r = R.divmod(R.mul(r, a), m)[1]
+    return r
+
+
+def _inv_mod(R: Ring, a, m):
+    """The inverse of a modulo m, reduced; a must be coprime to m.
+
+    Extended Euclid keeps r_i = s_i a (mod m).  The Bezout coefficient s of
+    the last nonzero remainder has degree below deg m, so it needs no
+    reduction, only division by that (constant) remainder.
+    """
+    r0, r1 = m, a
+    s0, s1 = R.zero, R.one
+    while r1:
+        q, r = R.divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, R.add(s0, R.mul(q, s1))
+    if R.degree(r0) != 0:
+        raise ZeroDivisionError("element is not invertible modulo the given polynomial")
+    return s0 if r0 == R.one else R.divmod(s0, r0)[0]
+
+
+def _squarefree_decomposition(R: Ring, p) -> list:
+    """[(s_i, m_i)] with p = lc(p) prod s_i^{m_i}, the s_i squarefree, monic
+    and pairwise coprime: Yun's loop, in characteristic 2."""
+    p = R.gcd(p, R.zero)
+    if R.degree(p) < 1:
+        return []
+    dp = R.deriv(p)
+    if not dp:
+        return [(s, 2 * m) for s, m in _squarefree_decomposition(R, R.sqrt(p))]
+    out = []
+    c = R.gcd(p, dp)
+    w = R.divmod(p, c)[0]
+    i = 1
+    while R.degree(w) > 0:
+        y = R.gcd(w, c)
+        z = R.divmod(w, y)[0]
+        if R.degree(z) > 0:
+            out.append((z, i))
+        c = R.divmod(c, y)[0]
+        w = y
+        i += 1
+    if R.degree(c) > 0:
+        # c is now a perfect square, so the recursion doubles multiplicities
+        out.extend(_squarefree_decomposition(R, c))
+    return out
+
+
+def _equal_degree_split(R: Ring, f, d: int, out: list) -> None:
+    """Split f, squarefree with all irreducible factors of degree d, into
+    those factors (appended to out).
+
+    Deterministic: for F = F_{2^m} the absolute trace t = sum_{i < md}
+    alpha^(2^i) of alpha in F[x]/(f) is 0 or 1 modulo each factor, so
+    gcd(f, t) collects the factors where it is 0.  The trace patterns of an
+    F_2-basis span F_2^(number of factors), so some basis element b x^j
+    has a pattern that is neither all 0 nor all 1, and splits f.
+    """
+    n = R.degree(f)
+    if n == d:
+        out.append(f)
+        return
+    length = (R.order.bit_length() - 1) * d
+    for j in range(n):
+        for b in R.basis:
+            t = acc = R.divmod(R.shift(b, j), f)[1]
+            for _ in range(length - 1):
+                t = R.divmod(R.mul(t, t), f)[1]
+                acc = R.add(acc, t)
+            g = R.gcd(f, acc)
+            if 0 < R.degree(g) < n:
+                _equal_degree_split(R, g, d, out)
+                _equal_degree_split(R, R.divmod(f, g)[0], d, out)
+                return
+    raise AssertionError("trace sweep failed to split an equal-degree product")
+
+
+def factor(R: Ring, p) -> list:
+    """Monic irreducible factors of p with multiplicities, sorted by degree
+    then by encoding; p must be nonzero.  Squarefree decomposition, then the
+    distinct-degree stage (gcd with x^(q^d) - x) and the equal-degree split."""
+    if not p:
+        raise ValueError("cannot factor the zero polynomial")
+    out = []
+    for s, mult in _squarefree_decomposition(R, p):
+        rest, h, d = s, R.x, 0
+        while R.degree(rest) > 0:
+            d += 1
+            if 2 * d > R.degree(rest):
+                out.append((rest, mult))
+                break
+            h = _pow_mod(R, h, R.order, rest)
+            g = R.gcd(rest, R.add(h, R.x))
+            if R.degree(g) > 0:
+                pieces: list = []
+                _equal_degree_split(R, g, d, pieces)
+                out.extend((piece, mult) for piece in pieces)
+                rest = R.divmod(rest, g)[0]
+    out.sort(key=lambda fm: (R.degree(fm[0]), fm[0]))
+    return out
+
+
+def _linear_factors(R: Ring, p) -> list:
+    """The monic linear factors x + c of p, one for each root c in F."""
+    if not p:
+        raise ValueError("every element is a root of the zero polynomial")
+    g = R.gcd(p, R.add(_pow_mod(R, R.x, R.order, p), R.x))
+    out: list = []
+    if R.degree(g) > 0:
+        _equal_degree_split(R, g, 1, out)
+    return out
+
+
+class ResidueField:
+    """R/(modulus) for an irreducible modulus of a Ring R, as a field-like
+    object whose elements are reduced ring elements.
+
+    Provides the protocol of FieldSpec (zero/one/order/add/mul/inv/pow/
+    sqrt/f2_basis/check), so the poly_* functions work over it unchanged.
+    The modulus is not tested for irreducibility.
+    """
+
+    def __init__(self, R: Ring, modulus):
+        if R.degree(modulus) < 1:
+            raise ValueError("quotient modulus must be nonconstant")
+        self.ring = R
+        self.modulus = R.gcd(modulus, R.zero)
+        self.degree = R.degree(modulus)
+        self.order = R.order ** self.degree
+        self.zero, self.one, self.add = R.zero, R.one, R.add
+
+    def check(self, a):
+        return a
+
+    def mul(self, a, b):
+        R = self.ring
+        return R.divmod(R.mul(a, b), self.modulus)[1]
+
+    def inv(self, a):
+        return _inv_mod(self.ring, a, self.modulus)
+
+    def pow(self, a, e: int):
+        if e < 0:
+            a, e = self.inv(a), -e
+        return _pow_mod(self.ring, a, e, self.modulus)
+
+    def sqrt(self, a):
+        """a^(order / 2): squaring is the Frobenius, of order log2(order)."""
+        for _ in range(self.order.bit_length() - 2):
+            a = self.mul(a, a)
+        return a
+
+    def f2_basis(self) -> list:
+        R = self.ring
+        return [R.shift(b, j) for j in range(self.degree) for b in R.basis]
+
+
+# -- the packed bindings ------------------------------------------------------
+
+
 def gf2x_pow_mod(base: int, e: int, m: int) -> int:
     """base^e mod m for packed polynomials (e an ordinary integer >= 0)."""
-    r = 1
-    base = gf2x_mod(base, m)
-    while e:
-        if e & 1:
-            r = gf2x_mod(gf2x_mul(r, base), m)
-        base = gf2x_mod(gf2x_mul(base, base), m)
-        e >>= 1
-    return r
+    return _pow_mod(F2X, base, e, m)
+
+
+def gf2x_invmod(a: int, m: int) -> int:
+    """Inverse of a modulo m (packed polynomials); a must be coprime to m."""
+    return _inv_mod(F2X, a, m)
+
+
+def gf2x_squarefree_decomposition(a: int) -> list[tuple[int, int]]:
+    """[(s_i, m_i)] with a = prod s_i^{m_i}, s_i squarefree and pairwise coprime."""
+    return _squarefree_decomposition(F2X, a)
+
+
+def gf2x_factor(a: int) -> list[tuple[int, int]]:
+    """Factor a packed polynomial into irreducibles, as (factor, multiplicity)
+    pairs sorted by degree then by packed value.  a must be nonzero."""
+    return factor(F2X, a)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -115,124 +489,42 @@ def gf2x_is_irreducible(f: int) -> bool:
     return True
 
 
-def gf2x_invmod(a: int, m: int) -> int:
-    """Inverse of a modulo m (packed polynomials); a must be coprime to m."""
-    r0, r1 = m, gf2x_mod(a, m)
-    s0, s1 = 0, 1
-    while r1:
-        q, r = gf2x_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ gf2x_mul(q, s1)
-    if r0 != 1:
-        raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-    return gf2x_mod(s0, m)
+# -- the tuple bindings -------------------------------------------------------
 
 
-def gf2x_sqrt(a: int) -> int:
-    """Square root of a perfect square: keep the even-index bits, halve exponents."""
-    r = 0
-    i = 0
-    while a:
-        if a & 1:
-            r |= 1 << i
-        if a & 2:
-            raise ValueError("polynomial is not a square over F_2")
-        a >>= 2
-        i += 1
-    return r
+def poly_pow_mod(F, p: tuple, e: int, m: tuple) -> tuple:
+    return _pow_mod(poly_ring(F), p, e, m)
 
 
-def gf2x_squarefree_decomposition(a: int) -> list[tuple[int, int]]:
-    """[(s_i, m_i)] with a = prod s_i^{m_i}, s_i squarefree and pairwise coprime.
-
-    Same Yun-in-characteristic-2 loop as poly_squarefree_decomposition, on
-    packed polynomials.
-    """
-    if gf2x_degree(a) < 1:
-        return []
-    d = gf2x_deriv(a)
-    if d == 0:
-        return [(f, 2 * m) for f, m in gf2x_squarefree_decomposition(gf2x_sqrt(a))]
-    out: list[tuple[int, int]] = []
-    c = gf2x_gcd(a, d)
-    w = gf2x_divmod(a, c)[0]
-    i = 1
-    while gf2x_degree(w) > 0:
-        y = gf2x_gcd(w, c)
-        z = gf2x_divmod(w, y)[0]
-        if gf2x_degree(z) > 0:
-            out.append((z, i))
-        c = gf2x_divmod(c, y)[0]
-        w = y
-        i += 1
-    if gf2x_degree(c) > 0:
-        # c is a perfect square at this point; the recursion doubles for us
-        out.extend(gf2x_squarefree_decomposition(c))
-    return out
+def poly_squarefree_decomposition(F, p: tuple) -> list[tuple[tuple, int]]:
+    """[(s_i, m_i)] with p = lc * prod s_i^{m_i}, s_i squarefree monic, coprime."""
+    return _squarefree_decomposition(poly_ring(F), p)
 
 
-def _gf2x_trace_map(h: int, d: int, f: int) -> int:
-    """h + h^2 + h^4 + ... + h^(2^(d-1)) reduced mod f."""
-    t = 0
-    cur = gf2x_mod(h, f)
-    for _ in range(d):
-        t ^= cur
-        cur = gf2x_mod(gf2x_mul(cur, cur), f)
-    return t
+def poly_factor(F, p: tuple) -> list[tuple[tuple, int]]:
+    """Monic irreducible factors of p with multiplicities (deterministic),
+    sorted by degree then by tuple; p must be nonzero."""
+    return factor(poly_ring(F), p)
 
 
-def _gf2x_equal_degree_split(f: int, d: int, out: list[int]) -> None:
-    """Split a squarefree product of degree-d irreducible factors, recursively.
-
-    Deterministic: sweep trace maps of x, x^2, x^3, ... until one separates
-    the factors (they are distinguished by the F_2-linear traces of powers of
-    the residue of x, since those generate the residue fields).
-    """
-    if gf2x_degree(f) == d:
-        out.append(f)
-        return
-    j = 1
-    while True:
-        t = _gf2x_trace_map(gf2x_pow_mod(2, j, f), d, f)
-        g = gf2x_gcd(f, t)
-        if 0 < gf2x_degree(g) < gf2x_degree(f):
-            _gf2x_equal_degree_split(g, d, out)
-            _gf2x_equal_degree_split(gf2x_divmod(f, g)[0], d, out)
-            return
-        g = gf2x_gcd(f, t ^ 1)
-        if 0 < gf2x_degree(g) < gf2x_degree(f):
-            _gf2x_equal_degree_split(g, d, out)
-            _gf2x_equal_degree_split(gf2x_divmod(f, g)[0], d, out)
-            return
-        j += 1
+def poly_roots(F, p: tuple) -> list:
+    """The distinct roots of p lying in F itself, sorted."""
+    # monic x + c has root c in characteristic 2
+    return sorted(lin[0] for lin in _linear_factors(poly_ring(F), p))
 
 
-def gf2x_factor(a: int) -> list[tuple[int, int]]:
-    """Factor a packed polynomial into irreducibles, as (factor, multiplicity)
-    pairs sorted by degree then by packed value.  a must be nonzero."""
-    if a == 0:
-        raise ValueError("cannot factor the zero polynomial")
-    out = []
-    for sf, mult in gf2x_squarefree_decomposition(a):
-        # distinct-degree stage on the squarefree part
-        rem = sf
-        xpow = gf2x_mod(2, rem)
-        d = 0
-        while gf2x_degree(rem) > 0:
-            d += 1
-            if 2 * d > gf2x_degree(rem):
-                out.append((rem, mult))
-                break
-            xpow = gf2x_mod(gf2x_mul(xpow, xpow), rem)
-            g = gf2x_gcd(rem, xpow ^ 2)
-            if gf2x_degree(g) > 0:
-                pieces: list[int] = []
-                _gf2x_equal_degree_split(g, d, pieces)
-                out.extend((p, mult) for p in pieces)
-                rem = gf2x_divmod(rem, g)[0]
-                xpow = gf2x_mod(xpow, rem)
-    out.sort(key=lambda fm: (gf2x_degree(fm[0]), fm[0]))
-    return out
+class PolyQuotientField(ResidueField):
+    """F[x]/(modulus) over a field-like F, elements as poly tuples over F;
+    used to reach beyond k = 16.  Only constructed with an irreducible
+    modulus."""
+
+    def __init__(self, base, modulus: tuple):
+        super().__init__(poly_ring(base), modulus)
+        self.base = base
+
+    def lift(self, c) -> tuple:
+        """The image of a base-field element."""
+        return poly_from_coeffs(self.base, [c])
 
 
 # ---------------------------------------------------------------------------
@@ -418,327 +710,3 @@ def embedding(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     if len(roots) != sub.k:
         raise AssertionError("minimal polynomial did not split in the big field")
     return Embedding(sub, sup, min(roots))
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over a field-like object
-# ---------------------------------------------------------------------------
-# A "field-like" object provides zero/one/order, add/mul/inv/pow/sqrt and
-# f2_basis(); FieldSpec does, and so does PolyQuotientField below.  Polynomials
-# are tuples of elements, constant term first, normalized (no trailing zeros);
-# the zero polynomial is the empty tuple.
-
-
-def poly_from_coeffs(F, coeffs: Sequence) -> tuple:
-    cs = list(coeffs)
-    while cs and cs[-1] == F.zero:
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_degree(p: tuple) -> int:
-    return len(p) - 1
-
-
-def poly_x(F) -> tuple:
-    return (F.zero, F.one)
-
-
-def poly_add(F, a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = F.add(out[i], c)
-    return poly_from_coeffs(F, out)
-
-
-def poly_scale(F, a: tuple, c) -> tuple:
-    if c == F.zero:
-        return ()
-    return poly_from_coeffs(F, [F.mul(x, c) for x in a])
-
-
-def poly_mul(F, a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == F.zero:
-            continue
-        for j, y in enumerate(b):
-            if y != F.zero:
-                out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return poly_from_coeffs(F, out)
-
-
-def poly_shift(F, a: tuple, n: int) -> tuple:
-    if not a:
-        return ()
-    return (F.zero,) * n + a
-
-
-def poly_divmod(F, a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if len(a) < len(b):
-        return (), a
-    inv_lc = F.inv(b[-1])
-    rem = list(a)
-    q = [F.zero] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1]
-        if c == F.zero:
-            continue
-        c = F.mul(c, inv_lc)
-        q[shift] = c
-        for i, bc in enumerate(b):
-            rem[shift + i] = F.add(rem[shift + i], F.mul(bc, c))
-    return poly_from_coeffs(F, q), poly_from_coeffs(F, rem)
-
-
-def poly_mod(F, a: tuple, b: tuple) -> tuple:
-    return poly_divmod(F, a, b)[1]
-
-
-def poly_monic(F, a: tuple) -> tuple:
-    if not a or a[-1] == F.one:
-        return a
-    return poly_scale(F, a, F.inv(a[-1]))
-
-
-def poly_gcd(F, a: tuple, b: tuple) -> tuple:
-    while b:
-        a, b = b, poly_mod(F, a, b)
-    return poly_monic(F, a)
-
-
-def poly_eval(F, p: tuple, x):
-    acc = F.zero
-    for c in reversed(p):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
-def poly_deriv(F, p: tuple) -> tuple:
-    """Formal derivative in characteristic 2: only odd-degree terms survive."""
-    return poly_from_coeffs(F, [p[i] if i % 2 == 1 else F.zero for i in range(1, len(p))])
-
-
-def poly_pow_mod(F, p: tuple, e: int, m: tuple) -> tuple:
-    r: tuple = (F.one,)
-    p = poly_mod(F, p, m)
-    while e:
-        if e & 1:
-            r = poly_mod(F, poly_mul(F, r, p), m)
-        p = poly_mod(F, poly_mul(F, p, p), m)
-        e >>= 1
-    return r
-
-
-def poly_resultant(F, a: tuple, b: tuple):
-    """Resultant of two polynomials over a field of characteristic 2.
-
-    Euclidean descent: Res(a, b) = lc(b)^(deg a - deg r) Res(b, r) where
-    r = a mod b; all signs vanish in characteristic 2.  Res of two nonzero
-    constants is 1; if exactly one input is the zero polynomial the result
-    is 0 by convention; two zero inputs have no sensible value.
-    """
-    if not a and not b:
-        raise ValueError("undefined resultant of two zero polynomials")
-    if not a or not b:
-        return F.zero
-    res = F.one
-    while poly_degree(b) > 0:
-        r = poly_mod(F, a, b)
-        if not r:
-            return F.zero
-        res = F.mul(res, F.pow(b[-1], poly_degree(a) - poly_degree(r)))
-        a, b = b, r
-    return F.mul(res, F.pow(b[0], poly_degree(a)))
-
-
-# -- factorization over F_{2^m}-like fields ---------------------------------
-
-
-def _poly_even_sqrt(F, p: tuple) -> tuple:
-    """For p with zero derivative (all exponents even), the s with s^2 = p."""
-    return poly_from_coeffs(F, [F.sqrt(p[i]) for i in range(0, len(p), 2)])
-
-
-def poly_squarefree_decomposition(F, p: tuple) -> list[tuple[tuple, int]]:
-    """[(s_i, m_i)] with p = lc * prod s_i^{m_i}, s_i squarefree monic, coprime."""
-    p = poly_monic(F, p)
-    if poly_degree(p) < 1:
-        return []
-    dp = poly_deriv(F, p)
-    if not dp:
-        return [(s, 2 * m) for s, m in poly_squarefree_decomposition(F, _poly_even_sqrt(F, p))]
-    out: list[tuple[tuple, int]] = []
-    c = poly_gcd(F, p, dp)
-    w = poly_divmod(F, p, c)[0]
-    i = 1
-    while poly_degree(w) > 0:
-        y = poly_gcd(F, w, c)
-        z = poly_divmod(F, w, y)[0]
-        if poly_degree(z) > 0:
-            out.append((z, i))
-        c = poly_divmod(F, c, y)[0]
-        w = y
-        i += 1
-    if poly_degree(c) > 0:
-        # c is now a perfect square, so the recursion doubles multiplicities
-        out.extend(poly_squarefree_decomposition(F, c))
-    return out
-
-
-def _ring_f2_basis(F, n: int) -> Iterator[tuple]:
-    """An F_2-basis of F[x]/(f) with deg f = n, as polynomials b * x^j."""
-    for j in range(n):
-        for b in F.f2_basis():
-            yield poly_shift(F, (b,), j)
-
-
-def _trace_poly(F, alpha: tuple, f: tuple, length: int) -> tuple:
-    """sum_{i < length} alpha^(2^i) mod f — the absolute-trace evaluator."""
-    t = poly_mod(F, alpha, f)
-    acc = t
-    for _ in range(length - 1):
-        t = poly_mod(F, poly_mul(F, t, t), f)
-        acc = poly_add(F, acc, t)
-    return acc
-
-
-def _equal_degree_split(F, f: tuple, d: int, out: list[tuple]) -> None:
-    """Split f (squarefree, all irreducible factors of degree d) completely."""
-    if poly_degree(f) == d:
-        out.append(f)
-        return
-    m = F.order.bit_length() - 1
-    for alpha in _ring_f2_basis(F, poly_degree(f)):
-        t = _trace_poly(F, alpha, f, m * d)
-        g = poly_gcd(F, f, t)
-        if 0 < poly_degree(g) < poly_degree(f):
-            _equal_degree_split(F, g, d, out)
-            _equal_degree_split(F, poly_divmod(F, f, g)[0], d, out)
-            return
-    raise AssertionError("trace family failed to split an equal-degree product")
-
-
-def poly_factor(F, p: tuple) -> list[tuple[tuple, int]]:
-    """Monic irreducible factors of p with multiplicities (deterministic)."""
-    out: list[tuple[tuple, int]] = []
-    for s, mult in poly_squarefree_decomposition(F, p):
-        # distinct-degree stage on the squarefree part s
-        rest = s
-        h = poly_x(F)
-        d = 0
-        while poly_degree(rest) > 0:
-            d += 1
-            if 2 * d > poly_degree(rest):
-                out.append((rest, mult))
-                break
-            h = poly_pow_mod(F, h, F.order, rest)
-            g = poly_gcd(F, rest, poly_add(F, h, poly_x(F)))
-            if poly_degree(g) > 0:
-                pieces: list[tuple] = []
-                _equal_degree_split(F, g, d, pieces)
-                out.extend((piece, mult) for piece in pieces)
-                rest = poly_divmod(F, rest, g)[0]
-                if poly_degree(rest) > 0:
-                    h = poly_mod(F, h, rest)
-    out.sort(key=lambda fm: (poly_degree(fm[0]), fm[0], fm[1]))
-    return out
-
-
-def poly_roots(F, p: tuple) -> list:
-    """The distinct roots of p lying in F itself, sorted."""
-    if not p:
-        raise ValueError("every element is a root of the zero polynomial")
-    # restrict to the product of (x - r) over in-field roots r
-    xq = poly_pow_mod(F, poly_x(F), F.order, p)
-    g = poly_gcd(F, p, poly_add(F, xq, poly_x(F)))
-    roots = []
-    pieces: list[tuple] = []
-    if poly_degree(g) > 0:
-        _equal_degree_split(F, g, 1, pieces)
-    for lin in pieces:
-        roots.append(lin[0])  # monic x + c has root c in characteristic 2
-    return sorted(roots)
-
-
-# ---------------------------------------------------------------------------
-# quotient fields F[x]/(m) for irreducible m — used to reach beyond k = 16
-# ---------------------------------------------------------------------------
-
-
-class PolyQuotientField:
-    """F[x]/(modulus) as a field-like object; elements are poly tuples over F.
-
-    Only constructed with an irreducible modulus.  Provides the same
-    protocol as FieldSpec (zero/one/order/add/mul/inv/pow/sqrt/f2_basis) so
-    polynomial code above works over it unchanged.
-    """
-
-    def __init__(self, base, modulus: tuple):
-        if poly_degree(modulus) < 1:
-            raise ValueError("quotient modulus must be nonconstant")
-        self.base = base
-        self.modulus = poly_monic(base, modulus)
-        self.degree = poly_degree(modulus)
-        self.order = base.order ** self.degree
-        self.zero: tuple = ()
-        self.one: tuple = (base.one,)
-
-    def lift(self, c) -> tuple:
-        """The image of a base-field element."""
-        return (c,) if c != self.base.zero else ()
-
-    def check(self, a: tuple) -> tuple:
-        return a
-
-    def add(self, a: tuple, b: tuple) -> tuple:
-        return poly_add(self.base, a, b)
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        return poly_mod(self.base, poly_mul(self.base, a, b), self.modulus)
-
-    def inv(self, a: tuple) -> tuple:
-        if not a:
-            raise ZeroDivisionError("inverse of zero in quotient field")
-        F = self.base
-        r0, r1 = self.modulus, a
-        s0: tuple = ()
-        s1: tuple = (F.one,)
-        while r1:
-            q, r = poly_divmod(F, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_add(F, s0, poly_mul(F, q, s1))
-        if poly_degree(r0) != 0:
-            raise ValueError("quotient modulus is not irreducible")
-        return poly_mod(F, poly_scale(F, s0, F.inv(r0[0])), self.modulus)
-
-    def pow(self, a: tuple, e: int) -> tuple:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def sqrt(self, a: tuple) -> tuple:
-        bits = self.order.bit_length() - 1
-        for _ in range(bits - 1):
-            a = self.mul(a, a)
-        return a
-
-    def f2_basis(self) -> list[tuple]:
-        out = []
-        for j in range(self.degree):
-            for b in self.base.f2_basis():
-                out.append(poly_shift(self.base, self.lift(b), j))
-        return out

@@ -7,6 +7,7 @@ import pytest
 from genus4census import census
 from genus4census.census import CensusRecord, write_records
 from genus4census.cli import _poly_str, main
+from genus4census.curves import is_smooth, parse_curve_id
 
 
 def run_cli(capsys, *argv):
@@ -98,10 +99,19 @@ def test_hasse_witt_example(capsys):
 
 
 def test_hasse_witt_positive_two_rank_leaves_type43_open(capsys):
-    rc, out, _ = run_cli(capsys, "hasse-witt", "--curve", "hyp;h=0x06;f=0x200")
+    rc, out, _ = run_cli(capsys, "hasse-witt", "--curve", "hyp;h=0x06;f=0x201")
     assert rc == 0
     rec = json.loads(out)
     assert rec["two_rank"] == 2 and rec["type43"] is None
+
+
+def test_hasse_witt_refuses_singular_models(capsys):
+    # a Cartier matrix of a singular model says nothing about a curve
+    for cid in ("ns;c=0x0000", "hyp;h=0x06;f=0x200"):
+        note = is_smooth(parse_curve_id(cid)).note
+        rc, out, err = run_cli(capsys, "hasse-witt", "--curve", cid)
+        assert rc == 2 and out == ""
+        assert cid in err and note in err
 
 
 def test_hasse_witt_cone_refused(capsys):

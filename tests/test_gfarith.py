@@ -1,6 +1,7 @@
 """Tests for field arithmetic and polynomials over binary fields."""
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -72,6 +73,12 @@ def test_gf2x_invmod_exhaustive_small():
         for a in range(1, 1 << gf.gf2x_degree(m)):
             inv = gf.gf2x_invmod(a, m)
             assert gf.gf2x_mod(gf.gf2x_mul(a, inv), m) == 1
+            # an unreduced input gives the same reduced answer, here and in pow_mod
+            big = a ^ (m << 3)
+            assert gf.gf2x_invmod(big, m) == inv
+            for e in (1, 2, 5):
+                power = gf.gf2x_pow_mod(a, e, m)
+                assert gf.gf2x_pow_mod(big, e, m) == power < 1 << gf.gf2x_degree(m)
     # composite modulus: x^2+x = x(x+1), x not invertible but x^2+x+1 is
     with pytest.raises(ZeroDivisionError):
         gf.gf2x_invmod(0b10, 0b110)
@@ -106,18 +113,14 @@ def test_gf2x_factor_reconstructs_and_is_irreducible():
 
 
 def test_gf2x_factor_matches_generic_engine():
-    # same answers as the tuple-based factorization over F_2
+    # same factors and multiplicities as the tuple encoding over F_2, each
+    # list in its own order: (degree, tuple) there, (degree, packed value) here
     F2 = gf.F2
-    rng = random.Random(106)
-    for _ in range(300):
-        a = rng.getrandbits(rng.randrange(2, 18))
-        if a == 0:
-            continue
-        want = sorted(
-            (sum(c << i for i, c in enumerate(f)), m)
-            for f, m in gf.poly_factor(F2, tuple((a >> i) & 1 for i in range(a.bit_length())))
-        )
-        assert sorted(gf.gf2x_factor(a)) == want, a
+    for a in range(1, 1 << 12):
+        tup = gf.poly_factor(F2, tuple((a >> i) & 1 for i in range(a.bit_length())))
+        assert tup == sorted(tup, key=lambda fm: (len(fm[0]), fm[0])), a
+        want = sorted((sum(c << i for i, c in enumerate(f)), m) for f, m in tup)
+        assert gf.gf2x_factor(a) == want, a
 
 
 def test_gf2x_factor_known_values():
@@ -436,6 +439,9 @@ def test_poly_factor_reconstructs_and_is_irreducible():
                 for _ in range(m):
                     prod = gf.poly_mul(F, prod, f)
             assert prod == gf.poly_monic(F, p)
+        # the zero polynomial is no unit: refused, as gf2x_factor(0) is
+        with pytest.raises(ValueError):
+            gf.poly_factor(F, ())
 
 
 def _is_irreducible_over(F, f):
@@ -459,21 +465,31 @@ def _is_prime(n):
 
 
 def test_poly_squarefree_decomposition_reconstructs():
+    # over F_4 and F_2 tuples and packed F_2[x]; p = a b^2 reaches the
+    # repeated factors and, through b, the square roots of even polynomials
     rng = random.Random(113)
-    F = gf.field(2)
-    for _ in range(200):
-        p = _rand_poly(rng, F, 10)
-        if gf.poly_degree(p) < 1:
-            continue
-        parts = gf.poly_squarefree_decomposition(F, p)
-        prod = (F.one,)
-        for s, m in parts:
-            # each part must be squarefree: gcd(s, s') constant
-            d = gf.poly_deriv(F, s)
-            assert d and gf.poly_degree(gf.poly_gcd(F, s, d)) == 0
-            for _ in range(m):
-                prod = gf.poly_mul(F, prod, s)
-        assert prod == gf.poly_monic(F, p)
+    rings = [(gf.poly_ring(F), functools.partial(gf.poly_squarefree_decomposition, F),
+              functools.partial(_rand_poly, rng, F)) for F in (gf.field(2), gf.F2)]
+    rings.append((gf.F2X, gf.gf2x_squarefree_decomposition,
+                  lambda maxdeg: rng.getrandbits(rng.randrange(maxdeg + 2))))
+    for R, decompose, rand in rings:
+        for _ in range(200):
+            b = rand(3)
+            p = R.mul(rand(6), R.mul(b, b))
+            if R.degree(p) < 1:
+                continue
+            parts = decompose(p)
+            prod = R.one
+            for i, (s, m) in enumerate(parts):
+                # each part monic and squarefree: gcd(s, s') = 1
+                assert R.gcd(s, R.zero) == s
+                d = R.deriv(s)
+                assert d and R.gcd(s, d) == R.one
+                for t, _ in parts[:i]:
+                    assert R.gcd(s, t) == R.one
+                for _ in range(m):
+                    prod = R.mul(prod, s)
+            assert prod == R.gcd(p, R.zero)  # the monic associate of p
 
 
 # ---------------------------------------------------------------------------
@@ -597,19 +613,24 @@ def test_quotient_field_is_a_field():
     F4 = gf.field(2)
     # x^3 + x + 1 stays irreducible over F_4 (degree 3 coprime to 2)
     m = gf.poly_from_coeffs(F4, [1, 1, 0, 1])
-    Q = gf.PolyQuotientField(F4, m)
-    assert Q.order == 64
-    els = [gf.poly_from_coeffs(F4, [rng.randrange(4) for _ in range(3)]) for _ in range(40)]
-    for a in els:
-        if a:
-            assert Q.mul(a, Q.inv(a)) == Q.one
-        s = Q.sqrt(a)
-        assert Q.mul(s, s) == a
-        for b in els[:10]:
-            assert Q.mul(a, b) == Q.mul(b, a)
-            for c in els[:5]:
-                assert Q.mul(a, Q.mul(b, c)) == Q.mul(Q.mul(a, b), c)
-                assert Q.mul(a, Q.add(b, c)) == Q.add(Q.mul(a, b), Q.mul(a, c))
+    Q4 = gf.PolyQuotientField(F4, m)
+    tuples = [gf.poly_from_coeffs(F4, [rng.randrange(4) for _ in range(3)]) for _ in range(40)]
+    # packed F_2[x]/(x^4 + x + 1), every element
+    Q2 = gf.ResidueField(gf.F2X, 0b10011)
+    for Q, order, els in ((Q4, 64, tuples), (Q2, 16, list(range(16)))):
+        assert Q.order == order
+        for a in els:
+            if a:
+                inv = Q.inv(a)
+                assert Q.mul(a, inv) == Q.one
+                assert Q.ring.degree(inv) < Q.degree  # reduced
+            s = Q.sqrt(a)
+            assert Q.mul(s, s) == a
+            for b in els[:10]:
+                assert Q.mul(a, b) == Q.mul(b, a)
+                for c in els[:5]:
+                    assert Q.mul(a, Q.mul(b, c)) == Q.mul(Q.mul(a, b), c)
+                    assert Q.mul(a, Q.add(b, c)) == Q.add(Q.mul(a, b), Q.mul(a, c))
 
 
 def test_quotient_field_roots_of_modulus():
