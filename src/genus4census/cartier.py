@@ -11,40 +11,43 @@ Cartier matrix in the dual basis; over F_2 the two coincide.  Both have the
 same rank, so the a-number is 4 - rank(C) and the 2-rank is the rank of the
 fourth semilinear power (the stable rank).
 
-Bases:
+One rule builds the matrix for every model (cartier_operator).  For p = 2,
+Stohr-Voloch (J. reine angew. Math. 377, 1987) gives, for a plane model
+F(v, u) = 0 and a regular differential m dv/F_u,
 
-* smooth-quadric curves: the bidegree-(3,3) model on P^1 x P^1 gives the
-  basis s^a v^b ds/F_v indexed by (a, b) in {0,1}^2, and the matrix entries
-  are coefficients of the affine grid (see hasse_witt_ns).
-* hyperelliptic curves y^2 + h y = f: the basis x^(i-1) dx/h, i = 1..4.
-  Writing x^(i-1) h = A^2 + B^2 x, the operator sends the i-th basis vector
-  to B(x) dx/h; only h enters, consistent with Deuring-Shafarevich (the
-  2-rank depends on the branch divisor only).
-* cone curves carry no grid model here; their a-number at 2-rank zero is
-  pinned to 2 by the rank-3 quadric geometry, and the census uses that rule
-  instead of a matrix.
+    C(m dv/F_u) = (d^2(F m)/du dv)^(1/2) dv/F_u,
+
+so the row of m reads the coefficients of F m at odd-odd exponents.  Each
+kind supplies a plane polynomial and the monomials m of its basis:
+
+* ns: the bidegree-(3,3) grid on the chart T = 1 of X*Y + Z*T,
+  (X : Y : Z : T) = (x : y : xy : 1) with v = x, u = y, and m in
+  {1, x, y, xy};
+* cone: the chart X = 1 of X*Y + T^2, (1 : u^2 : v : u), with m in
+  {1, u, u^2, v};
+* hyp: y^2 + h(x) y + f(x) with v = y, u = x, and m in {1, x, x^2, x^3}.  Only the h y terms
+  have odd y-degree, so row i is B with x^i h = A^2 + B^2 x; only h enters,
+  consistent with Deuring-Shafarevich (the 2-rank depends on the branch
+  divisor only).
 
 The [4,3]-candidate criterion (rank 2 and C^2 = 0 at 2-rank 0) is stated for
 curves on the smooth quadric; this module applies the same matrix test to
-hyperelliptic operators as well, which is a heuristic extension, not a
-theorem.  The census records it only where it is justified.
+cone and hyperelliptic operators as well, which is a heuristic extension,
+not a theorem.  The census's verify checks the criterion on ns models only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import HyperellipticCurve, QuadricCubicCurve, affine_model_ns
-from .gfarith import FieldSpec, poly_from_coeffs, poly_shift
+from .curves import HyperellipticCurve, QuadricCubicCurve, chart_polynomial
+from .elimination import biv_from_rows
+from .gfarith import FieldSpec
 
 __all__ = [
     "SemilinearOperator",
     "matrix_rank",
     "semilinear_power",
-    "even_odd_split",
-    "hasse_witt_ns",
-    "cartier_ns",
-    "cartier_hyperelliptic",
     "cartier_operator",
     "hasse_witt_rows",
     "a_number",
@@ -123,59 +126,42 @@ def semilinear_power(op: SemilinearOperator, n: int) -> SemilinearOperator:
 
 
 # ---------------------------------------------------------------------------
-# curve-specific constructions
+# the Stohr-Voloch rule
 # ---------------------------------------------------------------------------
 
-
-def hasse_witt_ns(grid) -> tuple[tuple[int, int, int, int], ...]:
-    """Hasse-Witt matrix of a curve on the smooth quadric, from its affine
-    bidegree grid a_ij (the output of affine_model_ns)."""
-    a = grid
-    return (
-        (a[1][1], a[3][1], a[1][3], a[3][3]),
-        (a[0][1], a[2][1], a[0][3], a[2][3]),
-        (a[1][0], a[3][0], a[1][2], a[3][2]),
-        (a[0][0], a[2][0], a[0][2], a[2][2]),
-    )
-
-
-def cartier_ns(curve: QuadricCubicCurve) -> SemilinearOperator:
-    """Cartier operator of a curve on the smooth quadric: the entrywise
-    square roots of the Hasse-Witt matrix (identical over F_2)."""
-    spec = curve.spec
-    hw = hasse_witt_ns(affine_model_ns(curve))
-    return SemilinearOperator(spec, tuple(tuple(spec.sqrt(c) for c in row) for row in hw))
-
-
-def even_odd_split(spec: FieldSpec, p) -> tuple[tuple, tuple]:
-    """A, B with p(x) = A(x)^2 + B(x)^2 x, unique in characteristic 2."""
-    a = [spec.sqrt(c) for c in p[0::2]]
-    b = [spec.sqrt(c) for c in p[1::2]]
-    return poly_from_coeffs(spec, a), poly_from_coeffs(spec, b)
-
-
-def cartier_hyperelliptic(curve: HyperellipticCurve) -> SemilinearOperator:
-    """Cartier matrix in the basis x^(i-1) dx/h: row i holds the
-    coefficients of B where x^(i-1) h = A^2 + B^2 x."""
-    spec = curve.spec
-    rows = []
-    for i in range(GENUS):
-        p = poly_shift(spec, curve.h, i)
-        _, b = even_odd_split(spec, p)
-        if len(b) > GENUS:
-            raise AssertionError("odd part exceeds the differential basis")
-        rows.append(tuple(b[j] if j < len(b) else 0 for j in range(GENUS)))
-    return SemilinearOperator(spec, tuple(rows))
+# the basis monomials v^i u^j of each plane model as cells (i, j), and on the
+# quadrics the chart of curves._CHARTS that is the model
+_QUADRIC_MODEL = {"ns": ("T", ((0, 0), (1, 0), (0, 1), (1, 1))),   # 1, x, y, xy
+                  "cone": ("X", ((0, 0), (0, 1), (0, 2), (1, 0)))}  # 1, u, u^2, v
+_HYP_BASIS = ((0, 0), (0, 1), (0, 2), (0, 3))                       # 1, x, x^2, x^3
 
 
 def cartier_operator(curve) -> SemilinearOperator:
+    """Cartier matrix of a smooth model by the Stohr-Voloch rule: the row
+    of basis monomial m holds the square roots of the coefficients of F m
+    at the odd-odd cells (2i+1, 2j+1), in the column of basis cell (i, j)."""
     if isinstance(curve, HyperellipticCurve):
-        return cartier_hyperelliptic(curve)
-    if isinstance(curve, QuadricCubicCurve):
-        if curve.kind == "cone":
-            raise ValueError("no grid model on the quadric cone; use the cone a-number rule")
-        return cartier_ns(curve)
-    raise TypeError(f"not a curve: {curve!r}")
+        f, basis = biv_from_rows(curve.spec, (curve.f, curve.h, (1,))), _HYP_BASIS
+    elif isinstance(curve, QuadricCubicCurve):
+        chart, basis = _QUADRIC_MODEL[curve.kind]
+        f = chart_polynomial(curve, chart)
+    else:
+        raise TypeError(f"not a curve: {curve!r}")
+    spec = curve.spec
+    column = {cell: j for j, cell in enumerate(basis)}
+    rows = []
+    for mv, mu in basis:
+        row = [spec.zero] * GENUS
+        for v, p in enumerate(f, mv):
+            if v & 1:
+                for u, c in enumerate(p, mu):
+                    if c and u & 1:
+                        j = column.get((v >> 1, u >> 1))
+                        if j is None:
+                            raise AssertionError("an odd-odd term lies outside the differential basis")
+                        row[j] = spec.sqrt(c)
+        rows.append(tuple(row))
+    return SemilinearOperator(spec, tuple(rows))
 
 
 def hasse_witt_rows(op: SemilinearOperator) -> tuple[tuple[int, int, int, int], ...]:

@@ -27,7 +27,7 @@ Fast paths, each validated against the generic engines in the test suite:
   products of each element's linear forms) give each mask its orbit's
   least mask.  That representative's scan flag is read from the kind's
   one scan of all 2^16 masks, and its smoothness (the chart-only symbolic
-  engine, _quadric_smooth_f2) and ns Cartier data are computed once per process
+  engine, _quadric_smooth_f2) and Cartier data are computed once per process
   and broadcast to the members; counts stay per mask, so each member's
   counts are checked against the broadcast 2-rank.  classify_model and
   is_smooth decide the model itself, a second route to the same records;
@@ -77,7 +77,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import cartier
-from .cartier import cartier_hyperelliptic, cartier_ns
+from .cartier import cartier_operator
 from .curves import (
     HyperellipticCurve,
     QuadricCubicCurve,
@@ -132,8 +132,7 @@ class CensusRecord(NamedTuple):
     """Everything the census knows about one curve model over F_2.
 
     Invariant fields are None when not computed: all of them for singular
-    models, the matrix-derived ones (a_number, type43) for cone models of
-    positive p-rank, and the EO fields outside p-rank 0.  aut and
+    models, type43 and the EO fields outside p-rank 0.  aut and
     jacobian_aut are optional fields of the file format that nothing in
     this package sets; stack counts report aut orders per isomorphism
     class in IsogenyClassReport instead.
@@ -437,7 +436,7 @@ def _hyp_cartier(hm: int):
     the branch points are the distinct roots of h plus infinity when
     deg h < 5, so the matrix-side 2-rank is checked against that count.
     """
-    a, s2, t43 = cartier.invariants(cartier_hyperelliptic(hyperelliptic_from_masks(hm, 1 << 10)))
+    a, s2, t43 = cartier.invariants(cartier_operator(hyperelliptic_from_masks(hm, 1 << 10)))
     branch = sum(gf2x_degree(p) for p, _ in gf2x_factor(hm))
     branch += 1 if gf2x_degree(hm) < 5 else 0
     if s2 != branch - 1:
@@ -452,8 +451,9 @@ def _hyp_cartier(hm: int):
 # ---------------------------------------------------------------------------
 
 
+# serves both quadric kinds, ns and cone; the name is the one the benchmark traces
 def _ns_cartier(curve: QuadricCubicCurve):
-    return cartier.invariants(cartier_ns(curve))
+    return cartier.invariants(cartier_operator(curve))
 
 
 @lru_cache(maxsize=None)
@@ -461,9 +461,7 @@ def _smooth_invariants(counts: tuple[int, ...], cart) -> tuple:
     """Every record field that the counts and the Cartier data determine,
     counts to eo_candidates in CensusRecord order.
 
-    cart is (a, 2-rank, type43) from the Cartier operator, or None for cone
-    models (which have no grid matrix: there the 2-rank is read off the
-    slopes, and 2-rank 0 forces a = 2 with the [4,3] layer unreachable).
+    cart is (a, 2-rank, type43) from the Cartier operator.
     A few hundred distinct keys cover the whole census, so the zeta layer
     and its cross-checks run once per key; a failed check raises, and
     lru_cache keeps no entry for it, so every model with a bad key aborts.
@@ -474,14 +472,9 @@ def _smooth_invariants(counts: tuple[int, ...], cart) -> tuple:
     poly = newton_polygon(w)
     stratum = classify_stratum(poly)
     pr = poly.p_rank
-    if cart is None:
-        a = 2 if pr == 0 else None
-        s2 = pr
-        t43 = False if pr == 0 else None
-    else:
-        a, s2, t43 = cart
-        if s2 != pr:
-            raise RuntimeError(f"2-rank {s2} from the Cartier operator, {pr} zero slopes")
+    a, s2, t43 = cart
+    if s2 != pr:
+        raise RuntimeError(f"2-rank {s2} from the Cartier operator, {pr} zero slopes")
     eo_mu = None
     eo_candidates = None
     if pr == 0:
@@ -510,7 +503,7 @@ def _quadric_orbit_decision(kind: str, rep: int):
     with the same smoothness and the same Cartier data."""
     curve = quadric_curve_from_mask(kind, rep)
     res = _quadric_smooth_f2(curve)
-    cart = _ns_cartier(curve) if res.smooth and kind == "ns" else None
+    cart = _ns_cartier(curve) if res.smooth else None
     return res, cart
 
 
@@ -582,12 +575,7 @@ def classify_model(curve) -> CensusRecord:
     if not res.smooth:
         return CensusRecord(id=cid, kind=kind, smooth=False, note=res.note)
     counts = tuple(count_points(curve, n, raw=True) for n in _DEGREES)
-    if kind == "ns":
-        cart = _ns_cartier(curve)
-    elif kind == "hyp":
-        cart = _hyp_cartier(curve.masks[0])
-    else:
-        cart = None
+    cart = _hyp_cartier(curve.masks[0]) if kind == "hyp" else _ns_cartier(curve)
     return _classified_record(kind, cid, counts, cart)
 
 

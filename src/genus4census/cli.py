@@ -13,7 +13,7 @@ Subcommands::
 
 All numeric output is exact (integers and fractions as strings).  Exit codes:
 0 success, 1 failed assertion or internal inconsistency, 2 usage error
-(including hasse-witt on a singular or cone model).
+(including hasse-witt on a singular model).
 """
 
 import argparse

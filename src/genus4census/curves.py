@@ -75,7 +75,7 @@ __all__ = [
     "eval_cubic",
     "cubic_partials",
     "quadric_gradient",
-    "affine_model_ns",
+    "chart_polynomial",
     "ProjectiveTransform",
     "apply_transform",
     "quadric_points",
@@ -334,7 +334,8 @@ def quadric_gradient(kind: str, spec, point) -> tuple:
 # X, Y, Z, T in the chart's two parameters ((v, u), or (x, y) on the grid),
 # so X^a Y^b Z^g T^d lands on cell a*X + b*Y + g*Z + d*T.  The charts Y = 1
 # and X = 1 of a kind, with its distinguished points X = Y = 0, cover the
-# quadric; the ns chart T = 1 is the bidegree grid of the Cartier matrix.
+# quadric.  The ns chart T = 1 (the bidegree grid) and the cone chart X = 1
+# are the plane models of cartier.cartier_operator.
 _CHARTS = {
     ("ns", "Y"): ((1, 1), (0, 0), (1, 0), (0, 1)),    # (u v, 1, v, u)
     ("ns", "X"): ((0, 0), (1, 1), (1, 0), (0, 1)),    # (1, u v, v, u)
@@ -347,19 +348,6 @@ _COVER = {"ns": ("Y", "X"), "cone": ("X", "Y")}
 _CELLS = {key: tuple(tuple(sum(e * xy[i] for e, xy in zip(mono, chart)) for i in (0, 1))
                      for mono in MONOMIALS3)
           for key, chart in _CHARTS.items()}
-# the kept ns monomials fill the 4x4 bidegree grid, one cell each
-_GRID_CELL = {i: _CELLS["ns", "T"][i] for i in _KEPT["ns"]}
-assert sorted(_GRID_CELL.values()) == sorted(itertools.product(range(4), repeat=2))
-
-
-def affine_model_ns(curve: QuadricCubicCurve) -> tuple[tuple[int, ...], ...]:
-    """The 4x4 coefficient grid a_{ij} of the bidegree model on P^1 x P^1."""
-    if curve.kind != "ns":
-        raise ValueError("the bidegree grid lives on the smooth quadric; wrong chart")
-    g = [[0] * 4 for _ in range(4)]
-    for idx, cell in _GRID_CELL.items():
-        g[cell[0]][cell[1]] = curve.coeffs[idx]
-    return tuple(tuple(row) for row in g)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +664,7 @@ class SmoothnessResult:
         return self.smooth
 
 
-def _chart_polys_generic(curve: QuadricCubicCurve, chart: str):
+def chart_polynomial(curve: QuadricCubicCurve, chart: str):
     """The cubic pulled back to one affine chart of its quadric (_CHARTS)."""
     spec = curve.spec
     rows = [[0] * 7 for _ in range(4)]
@@ -719,7 +707,7 @@ def _quadric_smooth_generic(curve: QuadricCubicCurve) -> SmoothnessResult:
         return res
     spec = curve.spec
     for chart in _COVER[curve.kind]:
-        f = _chart_polys_generic(curve, chart)
+        f = chart_polynomial(curve, chart)
         if el.exists_common_zero(spec, [f, el.biv_deriv_u(spec, f), el.biv_deriv_v(spec, f)]):
             return SmoothnessResult(False, None, "singular point inside the affine chart")
     return SmoothnessResult(True)

@@ -444,16 +444,6 @@ def gf2x_pow_mod(base: int, e: int, m: int) -> int:
     return _pow_mod(F2X, base, e, m)
 
 
-def gf2x_invmod(a: int, m: int) -> int:
-    """Inverse of a modulo m (packed polynomials); a must be coprime to m."""
-    return _inv_mod(F2X, a, m)
-
-
-def gf2x_squarefree_decomposition(a: int) -> list[tuple[int, int]]:
-    """[(s_i, m_i)] with a = prod s_i^{m_i}, s_i squarefree and pairwise coprime."""
-    return _squarefree_decomposition(F2X, a)
-
-
 def gf2x_factor(a: int) -> list[tuple[int, int]]:
     """Factor a packed polynomial into irreducibles, as (factor, multiplicity)
     pairs sorted by degree then by packed value.  a must be nonzero."""
@@ -492,39 +482,10 @@ def gf2x_is_irreducible(f: int) -> bool:
 # -- the tuple bindings -------------------------------------------------------
 
 
-def poly_pow_mod(F, p: tuple, e: int, m: tuple) -> tuple:
-    return _pow_mod(poly_ring(F), p, e, m)
-
-
-def poly_squarefree_decomposition(F, p: tuple) -> list[tuple[tuple, int]]:
-    """[(s_i, m_i)] with p = lc * prod s_i^{m_i}, s_i squarefree monic, coprime."""
-    return _squarefree_decomposition(poly_ring(F), p)
-
-
-def poly_factor(F, p: tuple) -> list[tuple[tuple, int]]:
-    """Monic irreducible factors of p with multiplicities (deterministic),
-    sorted by degree then by tuple; p must be nonzero."""
-    return factor(poly_ring(F), p)
-
-
 def poly_roots(F, p: tuple) -> list:
     """The distinct roots of p lying in F itself, sorted."""
     # monic x + c has root c in characteristic 2
     return sorted(lin[0] for lin in _linear_factors(poly_ring(F), p))
-
-
-class PolyQuotientField(ResidueField):
-    """F[x]/(modulus) over a field-like F, elements as poly tuples over F;
-    used to reach beyond k = 16.  Only constructed with an irreducible
-    modulus."""
-
-    def __init__(self, base, modulus: tuple):
-        super().__init__(poly_ring(base), modulus)
-        self.base = base
-
-    def lift(self, c) -> tuple:
-        """The image of a base-field element."""
-        return poly_from_coeffs(self.base, [c])
 
 
 # ---------------------------------------------------------------------------

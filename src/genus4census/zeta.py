@@ -99,9 +99,6 @@ class NewtonPolygon:
     def p_rank(self) -> int:
         return sum(1 for x in self.slopes if x == 0)
 
-    def slope_strs(self) -> list[str]:
-        return [str(x) for x in self.slopes]
-
 
 @dataclass(frozen=True)
 class StratumLabel:

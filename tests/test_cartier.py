@@ -2,7 +2,8 @@
 
 The smooth-quadric example matrix is a published value.  The hyperelliptic
 rows for y^2 + y = x^9 + x^5 follow from the even/odd split by hand:
-x^0, x^2 are squares (B = 0), x gives B = 1, x^3 gives B = x.  The 2-rank
+x^0, x^2 are squares (B = 0), x gives B = 1, x^3 gives B = x.  The cone
+example's a-number 2 at 2-rank 0 is what the rank-3 quadric forces.  The 2-rank
 cross-checks run against the Newton-polygon p-rank computed from point
 counts, which exercises a completely different code path (zeta).
 """
@@ -14,25 +15,22 @@ import pytest
 from genus4census.cartier import (
     SemilinearOperator,
     a_number,
-    cartier_hyperelliptic,
-    cartier_ns,
     cartier_operator,
-    even_odd_split,
-    hasse_witt_ns,
     hasse_witt_rows,
     is_type43_candidate,
     matrix_rank,
     semilinear_power,
     two_rank,
 )
+from genus4census import cartier
 from genus4census.curves import (
-    affine_model_ns,
+    HyperellipticCurve,
     count_points,
     hyperelliptic_from_masks,
     is_smooth,
     quadric_curve_from_mask,
 )
-from genus4census.gfarith import F2, field, gf2x_degree, gf2x_factor, poly_from_coeffs, poly_mul
+from genus4census.gfarith import F2, field, gf2x_degree, gf2x_factor, poly_from_coeffs, poly_mul, poly_shift
 from genus4census.zeta import newton_polygon, weil_from_counts
 
 SS_MASK = 0x1D0C  # X^2Z + Y^2Z + YZ^2 + X^2T + Y^2T + XT^2 on the ns quadric
@@ -63,9 +61,8 @@ def _fold(spec, items):
 
 def test_hasse_witt_of_example_curve():
     c = quadric_curve_from_mask("ns", SS_MASK)
-    hw = hasse_witt_ns(affine_model_ns(c))
-    assert hw == ((0, 1, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 1, 0))
-    op = cartier_ns(c)
+    op = cartier_operator(c)
+    hw = ((0, 1, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 1, 0))
     assert op.rows == hw  # F_2: Cartier equals Hasse-Witt
     assert hasse_witt_rows(op) == hw
     assert op.rank == 3
@@ -76,21 +73,21 @@ def test_hasse_witt_of_example_curve():
 
 def test_hyperelliptic_cartier_rows():
     c = hyperelliptic_from_masks(0x01, 0x220)  # y^2 + y = x^9 + x^5
-    op = cartier_hyperelliptic(c)
+    op = cartier_operator(c)
     assert op.rows == ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0))
     assert op.rank == 2
     assert not semilinear_power(op, 2).is_zero()  # C^2(w4) = w1
     assert two_rank(op) == 0
     assert is_type43_candidate(op) is False
     # rows depend only on h: the twist has the same operator
-    tw = cartier_hyperelliptic(hyperelliptic_from_masks(0x01, 0x221))
+    tw = cartier_operator(hyperelliptic_from_masks(0x01, 0x221))
     assert tw.rows == op.rows
 
 
 def test_h_with_two_finite_branch_points():
     # h = x^2 + x: rows e1, e2, e2, e3; 2-rank 2 (three branch points)
     c = hyperelliptic_from_masks(0x06, 0x200)
-    op = cartier_hyperelliptic(c)
+    op = cartier_operator(c)
     assert op.rows == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     assert op.rank == 3
     assert semilinear_power(op, 4).rank == 2
@@ -109,10 +106,19 @@ def test_type43_block_shape():
 def test_cartier_operator_dispatch():
     assert cartier_operator(hyperelliptic_from_masks(0x01, 0x220)).rank == 2
     assert cartier_operator(quadric_curve_from_mask("ns", SS_MASK)).rank == 3
-    with pytest.raises(ValueError, match="cone"):
-        cartier_operator(quadric_curve_from_mask("cone", 0x420C))
+    # the cone reads its chart X = 1, basis 1, u, u^2, v: C(u) = v, C(v) = 1
+    cone = cartier_operator(quadric_curve_from_mask("cone", 0x4208))
+    assert cone.rows == ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0), (1, 0, 0, 0))
+    assert cartier.invariants(cone) == (2, 0, False)
     with pytest.raises(TypeError):
         cartier_operator("ns;c=0x1d0c")
+
+
+def test_term_outside_the_basis_raises(monkeypatch):
+    # x^4 in place of x^3: with h = x^3 the row of x^4 reads x^7 y, the cell of x^3
+    monkeypatch.setattr(cartier, "_HYP_BASIS", ((0, 0), (0, 1), (0, 2), (0, 4)))
+    with pytest.raises(AssertionError, match="outside the differential basis"):
+        cartier_operator(hyperelliptic_from_masks(0x08, 0x200))
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +127,19 @@ def test_cartier_operator_dispatch():
 
 
 def test_even_odd_split_reconstructs():
+    # hyperelliptic row i is the B of x^i h = A^2 + B^2 x: x^i h + B^2 x is a square
     rng = random.Random(81)
     for spec in (F2, field(2), field(3)):
         for _ in range(60):
-            p = poly_from_coeffs(spec, [rng.randrange(spec.order) for _ in range(9)])
-            a, b = even_odd_split(spec, p)
-            back = poly_mul(spec, a, a)
-            bx = poly_mul(spec, b, b)
-            bx = (0,) + bx if bx else ()
-            acc = list(back) + [0] * (len(bx) + 2)
-            for i, c in enumerate(bx):
-                acc[i] = spec.add(acc[i], c)
-            while acc and not acc[-1]:
-                acc.pop()
-            assert tuple(acc) == p
+            h = poly_from_coeffs(spec, [rng.randrange(spec.order) for _ in range(5)] + [1])
+            f = poly_from_coeffs(spec, [rng.randrange(spec.order) for _ in range(11)])
+            op = cartier_operator(HyperellipticCurve(spec, h, f))
+            for i, row in enumerate(op.rows):
+                b = poly_from_coeffs(spec, row)
+                rest = list(poly_shift(spec, h, i)) + [0] * 12
+                for j, c in enumerate(poly_mul(spec, b, b)):
+                    rest[j + 1] = spec.add(rest[j + 1], c)
+                assert not any(rest[1::2]), (spec.k, h, i)
 
 
 def test_power_matches_matrix_products_over_f2():
@@ -198,18 +203,26 @@ def test_apply_is_semilinear():
 # ---------------------------------------------------------------------------
 
 
-def test_two_rank_matches_newton_polygon_ns():
-    rng = random.Random(86)
+def _quadric_two_ranks_match_slopes(kind, seed):
+    rng = random.Random(seed)
     checked = 0
     while checked < 15:
-        c = quadric_curve_from_mask("ns", rng.randrange(1 << 16))
+        c = quadric_curve_from_mask(kind, rng.randrange(1 << 16))
         if not is_smooth(c).smooth:
             continue
         counts = [count_points(c, n) for n in (1, 2, 3, 4)]
         w = weil_from_counts(counts, q=2)
         p_rank = newton_polygon(w).p_rank
-        assert two_rank(cartier_ns(c)) == p_rank, (c.curve_id, counts)
+        assert two_rank(cartier_operator(c)) == p_rank, (c.curve_id, counts)
         checked += 1
+
+
+def test_two_rank_matches_newton_polygon_ns():
+    _quadric_two_ranks_match_slopes("ns", 86)
+
+
+def test_two_rank_matches_newton_polygon_cone():
+    _quadric_two_ranks_match_slopes("cone", 88)
 
 
 def test_two_rank_matches_newton_polygon_hyp():
@@ -227,7 +240,7 @@ def test_two_rank_matches_newton_polygon_hyp():
         counts = [count_points(c, n) for n in (1, 2, 3, 4)]
         w = weil_from_counts(counts, q=2)
         p_rank = newton_polygon(w).p_rank
-        tr = two_rank(cartier_hyperelliptic(c))
+        tr = two_rank(cartier_operator(c))
         assert tr == p_rank, (c.curve_id, counts)
         # branch-point count: distinct roots of h, plus infinity if deg h < 5
         hm_mask, _ = c.masks

@@ -9,6 +9,7 @@ import functools
 import random
 import re
 import zlib
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -206,7 +207,7 @@ def test_classified_record_consistency_abort():
 def test_classified_record_bad_counts_abort():
     # counts violating the Weil bound cannot come from a smooth curve
     with pytest.raises(RuntimeError, match="ns;c=0xbeef"):
-        census._classified_record("ns", "ns;c=0xbeef", (40, 2, 2, 2), None)
+        census._classified_record("ns", "ns;c=0xbeef", (40, 2, 2, 2), (1, 0, False))
 
 
 NAMED_EXPECTATIONS = {
@@ -284,21 +285,22 @@ def fresh_orbit_decisions():
 
 
 def test_orbit_broadcast_checked_per_member(monkeypatch, fresh_orbit_decisions):
-    # a wrong 2-rank for one ns representative reaches its members through
-    # the broadcast, and the first member's own counts refuse it
-    row = census._quadric_images("ns", [0x1D0C])[0]
-    rep = int(row.min())
-    members = {f"ns;c=0x{int(m):04x}" for m in row if m != rep}
-    assert len(members) > 1
+    # a wrong 2-rank for one representative of each quadric kind reaches its
+    # members through the broadcast, and the first member's own counts refuse it
     real = census._ns_cartier
+    for kind, mask in (("ns", 0x1D0C), ("cone", 0x4208)):
+        row = census._quadric_images(kind, [mask])[0]
+        rep = int(row.min())
+        members = {f"{kind};c=0x{int(m):04x}" for m in row if m != rep}
+        assert len(members) > 1
 
-    def wrong(curve):
-        a, s2, t43 = real(curve)
-        return (a, s2 + 1, t43) if curve.mask == rep else (a, s2, t43)
+        def wrong(curve, rep=rep):
+            a, s2, t43 = real(curve)
+            return (a, s2 + 1, t43) if curve.mask == rep else (a, s2, t43)
 
-    monkeypatch.setattr(census, "_ns_cartier", wrong)
-    with pytest.raises(RuntimeError, match=f"inconsistent invariants for {min(members)}"):
-        run_census(kinds="ns", id_filter=members.__contains__)
+        monkeypatch.setattr(census, "_ns_cartier", wrong)
+        with pytest.raises(RuntimeError, match=f"inconsistent invariants for {min(members)}"):
+            run_census(kinds=kind, id_filter=members.__contains__)
 
 
 def test_orbit_representative_flagged_aborts(monkeypatch, fresh_orbit_decisions):
@@ -685,6 +687,22 @@ def test_census_totals(full_census):
     assert smooth == {"cone": 12288, "ns": 16020, "hyp": 49152}
     ids = [rec.id for rec in records]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
+
+
+def test_census_smooth_records_carry_matrix_invariants(full_census):
+    # every smooth model, cone included, gets its a-number and 2-rank from a matrix
+    records, _ = full_census
+    smooth = [rec for rec in records if rec.smooth]
+    assert all(rec.a_number is not None and rec.two_rank is not None for rec in smooth)
+    assert all(rec.two_rank == rec.p_rank for rec in smooth)
+
+
+def test_census_cone_cartier_table(full_census):
+    records, _ = full_census
+    table = Counter((rec.two_rank, rec.a_number) for rec in records if rec.smooth and rec.kind == "cone")
+    assert table == {(0, 2): 768, (1, 1): 768, (1, 2): 768, (2, 1): 768,
+                     (2, 2): 1536, (3, 1): 1536, (4, 0): 6144}
+    assert {rec.type43 for rec in records if rec.smooth and rec.kind == "cone" and rec.p_rank == 0} == {False}
 
 
 def test_census_spot_records_against_direct_computation(full_census):

@@ -114,9 +114,11 @@ def test_hasse_witt_refuses_singular_models(capsys):
         assert cid in err and note in err
 
 
-def test_hasse_witt_cone_refused(capsys):
-    rc, _, err = run_cli(capsys, "hasse-witt", "--curve", "cone;c=0x4208")
-    assert rc == 2 and "cone" in err
+def test_hasse_witt_cone_accepted(capsys):
+    rc, out, _ = run_cli(capsys, "hasse-witt", "--curve", "cone;c=0x4208")
+    assert rc == 0
+    rec = json.loads(out)
+    assert (rec["a_number"], rec["two_rank"], rec["type43"]) == (2, 0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from genus4census.curves import (
     ProjectiveTransform,
     QuadricCubicCurve,
     SmoothnessResult,
-    affine_model_ns,
     apply_transform,
     aut_order_f2,
+    chart_polynomial,
     count_points,
     cubic_partials,
     eval_cubic,
@@ -46,6 +46,7 @@ from genus4census.curves import (
     substitute_quadric,
 )
 from genus4census.curves import (
+    _CHARTS,
     _MINOR_PAIRS,
     _byte_table,
     _hyp_images,
@@ -55,6 +56,7 @@ from genus4census.curves import (
     _quadric_smooth_generic,
     _quadric_tables,
 )
+from genus4census.elimination import biv_eval
 from genus4census.gfarith import F2, field, poly_eval
 
 IDX = {e: i for i, e in enumerate(MONOMIALS3)}
@@ -254,13 +256,38 @@ def test_count_points_guards():
 
 
 # ---------------------------------------------------------------------------
-# the affine grid
+# the affine charts
 # ---------------------------------------------------------------------------
+
+
+def test_chart_polynomials_match_cubic():
+    # on every chart of _CHARTS (the smoothness cover and the Cartier plane
+    # models) the chart point (v^i u^j per coordinate) lies on the quadric and
+    # the chart polynomial at (v, u) is the cubic there
+    rng = random.Random(31)
+    K = field(3)
+    for (kind, chart), cells in _CHARTS.items():
+        for _ in range(10):
+            c = quadric_curve(kind, K, [rng.randrange(8) for _ in range(20)])
+            f = chart_polynomial(c, chart)
+            for _ in range(10):
+                v, u = rng.randrange(8), rng.randrange(8)
+                pt = tuple(K.mul(K.pow(v, i), K.pow(u, j)) for i, j in cells)
+                assert eval_quadric(kind, K, pt) == 0, (kind, chart, pt)
+                assert biv_eval(K, f, u, v) == eval_cubic(K, c.coeffs, pt), (kind, chart, c.coeffs, pt)
+
+
+def _ns_grid(c):
+    """The bidegree-(3,3) grid of an ns model: the chart T = 1 polynomial as
+    a 4x4 table, X^a Y^b Z^g T^d at cell (a+g, b+g)."""
+    f = chart_polynomial(c, "T")
+    return tuple(tuple(f[i][j] if i < len(f) and j < len(f[i]) else 0 for j in range(4))
+                 for i in range(4))
 
 
 def test_affine_grid_of_example():
     ss = curve_from_monomials("ns", SMOOTH_SS)
-    g = affine_model_ns(ss)
+    g = _ns_grid(ss)
     assert g == ((0, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 0))
     ones = {(i, j) for i in range(4) for j in range(4) if g[i][j]}
     assert ones == {(1, 0), (2, 0), (0, 2), (3, 1), (1, 3), (2, 3)}
@@ -269,15 +296,9 @@ def test_affine_grid_of_example():
 def test_affine_grid_single_monomials():
     # X^3 = (xz)^3 sits at (3, 0); X*Y*Z = x^2 y^2 z^2 t at (2, 2)
     c = curve_from_monomials("ns", [(3, 0, 0, 0)])
-    assert affine_model_ns(c)[3][0] == 1
+    assert _ns_grid(c)[3][0] == 1
     c = curve_from_monomials("ns", [(1, 1, 1, 0)])
-    assert affine_model_ns(c)[2][2] == 1
-
-
-def test_affine_grid_rejects_cone():
-    c = curve_from_monomials("cone", EO41_CONE)
-    with pytest.raises(ValueError, match="wrong chart"):
-        affine_model_ns(c)
+    assert _ns_grid(c)[2][2] == 1
 
 
 def test_grid_matches_affine_values():
@@ -286,7 +307,7 @@ def test_grid_matches_affine_values():
     K = field(3)
     for _ in range(25):
         c = quadric_curve("ns", K, [rng.randrange(8) for _ in range(20)])
-        g = affine_model_ns(c)
+        g = _ns_grid(c)
         for _ in range(10):
             s, v = rng.randrange(8), rng.randrange(8)
             # Segre: (x:y) = (s:1), (z:t) = (v:1): point (s v, 1, v, s);

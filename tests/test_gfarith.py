@@ -70,19 +70,21 @@ def test_modulus_table_is_smallest_irreducible_with_odd_constant():
 
 def test_gf2x_invmod_exhaustive_small():
     for m in (0x7, 0xB, 0x13, 0x25):  # irreducible moduli
+        Q = gf.ResidueField(gf.F2X, m)
         for a in range(1, 1 << gf.gf2x_degree(m)):
-            inv = gf.gf2x_invmod(a, m)
+            inv = Q.inv(a)
             assert gf.gf2x_mod(gf.gf2x_mul(a, inv), m) == 1
             # an unreduced input gives the same reduced answer, here and in pow_mod
             big = a ^ (m << 3)
-            assert gf.gf2x_invmod(big, m) == inv
+            assert Q.inv(big) == inv
             for e in (1, 2, 5):
                 power = gf.gf2x_pow_mod(a, e, m)
                 assert gf.gf2x_pow_mod(big, e, m) == power < 1 << gf.gf2x_degree(m)
     # composite modulus: x^2+x = x(x+1), x not invertible but x^2+x+1 is
+    Q = gf.ResidueField(gf.F2X, 0b110)
     with pytest.raises(ZeroDivisionError):
-        gf.gf2x_invmod(0b10, 0b110)
-    assert gf.gf2x_mod(gf.gf2x_mul(0b111, gf.gf2x_invmod(0b111, 0b110)), 0b110) == 1
+        Q.inv(0b10)
+    assert gf.gf2x_mod(gf.gf2x_mul(0b111, Q.inv(0b111)), 0b110) == 1
 
 
 def test_gf2x_sqrt_roundtrip():
@@ -117,7 +119,7 @@ def test_gf2x_factor_matches_generic_engine():
     # list in its own order: (degree, tuple) there, (degree, packed value) here
     F2 = gf.F2
     for a in range(1, 1 << 12):
-        tup = gf.poly_factor(F2, tuple((a >> i) & 1 for i in range(a.bit_length())))
+        tup = gf.factor(gf.poly_ring(F2), tuple((a >> i) & 1 for i in range(a.bit_length())))
         assert tup == sorted(tup, key=lambda fm: (len(fm[0]), fm[0])), a
         want = sorted((sum(c << i for i, c in enumerate(f)), m) for f, m in tup)
         assert gf.gf2x_factor(a) == want, a
@@ -431,7 +433,7 @@ def test_poly_factor_reconstructs_and_is_irreducible():
             p = _rand_poly(rng, F, 8)
             if gf.poly_degree(p) < 1:
                 continue
-            factors = gf.poly_factor(F, p)
+            factors = gf.factor(gf.poly_ring(F), p)
             prod = (F.one,)
             for f, m in factors:
                 assert f[-1] == F.one
@@ -441,7 +443,7 @@ def test_poly_factor_reconstructs_and_is_irreducible():
             assert prod == gf.poly_monic(F, p)
         # the zero polynomial is no unit: refused, as gf2x_factor(0) is
         with pytest.raises(ValueError):
-            gf.poly_factor(F, ())
+            gf.factor(gf.poly_ring(F), ())
 
 
 def _is_irreducible_over(F, f):
@@ -449,12 +451,12 @@ def _is_irreducible_over(F, f):
     n = gf.poly_degree(f)
     if n < 1:
         return False
+    Q = gf.ResidueField(gf.poly_ring(F), f)
     x = gf.poly_mod(F, gf.poly_x(F), f)
-    xq = gf.poly_pow_mod(F, gf.poly_x(F), F.order**n, f)
-    if xq != x:
+    if Q.pow(gf.poly_x(F), F.order**n) != x:
         return False
     for p in {p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)}:
-        h = gf.poly_pow_mod(F, gf.poly_x(F), F.order ** (n // p), f)
+        h = Q.pow(gf.poly_x(F), F.order ** (n // p))
         if gf.poly_degree(gf.poly_gcd(F, gf.poly_add(F, h, x), f)) != 0:
             return False
     return True
@@ -468,17 +470,15 @@ def test_poly_squarefree_decomposition_reconstructs():
     # over F_4 and F_2 tuples and packed F_2[x]; p = a b^2 reaches the
     # repeated factors and, through b, the square roots of even polynomials
     rng = random.Random(113)
-    rings = [(gf.poly_ring(F), functools.partial(gf.poly_squarefree_decomposition, F),
-              functools.partial(_rand_poly, rng, F)) for F in (gf.field(2), gf.F2)]
-    rings.append((gf.F2X, gf.gf2x_squarefree_decomposition,
-                  lambda maxdeg: rng.getrandbits(rng.randrange(maxdeg + 2))))
-    for R, decompose, rand in rings:
+    rings = [(gf.poly_ring(F), functools.partial(_rand_poly, rng, F)) for F in (gf.field(2), gf.F2)]
+    rings.append((gf.F2X, lambda maxdeg: rng.getrandbits(rng.randrange(maxdeg + 2))))
+    for R, rand in rings:
         for _ in range(200):
             b = rand(3)
             p = R.mul(rand(6), R.mul(b, b))
             if R.degree(p) < 1:
                 continue
-            parts = decompose(p)
+            parts = gf._squarefree_decomposition(R, p)
             prod = R.one
             for i, (s, m) in enumerate(parts):
                 # each part monic and squarefree: gcd(s, s') = 1
@@ -613,7 +613,7 @@ def test_quotient_field_is_a_field():
     F4 = gf.field(2)
     # x^3 + x + 1 stays irreducible over F_4 (degree 3 coprime to 2)
     m = gf.poly_from_coeffs(F4, [1, 1, 0, 1])
-    Q4 = gf.PolyQuotientField(F4, m)
+    Q4 = gf.ResidueField(gf.poly_ring(F4), m)
     tuples = [gf.poly_from_coeffs(F4, [rng.randrange(4) for _ in range(3)]) for _ in range(40)]
     # packed F_2[x]/(x^4 + x + 1), every element
     Q2 = gf.ResidueField(gf.F2X, 0b10011)
@@ -636,7 +636,7 @@ def test_quotient_field_is_a_field():
 def test_quotient_field_roots_of_modulus():
     F2 = gf.F2
     m = gf.poly_from_coeffs(F2, [1, 1, 0, 0, 1])  # x^4+x+1 irreducible
-    Q = gf.PolyQuotientField(F2, m)
-    lifted = gf.poly_from_coeffs(Q, [Q.lift(c) for c in m])
+    Q = gf.ResidueField(gf.poly_ring(F2), m)
+    lifted = gf.poly_from_coeffs(Q, [gf.poly_from_coeffs(F2, [c]) for c in m])
     roots = gf.poly_roots(Q, lifted)
     assert len(roots) == 4  # splits completely in its own quotient

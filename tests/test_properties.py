@@ -12,8 +12,7 @@ from fractions import Fraction
 from genus4census.cartier import (
     SemilinearOperator,
     a_number,
-    cartier_hyperelliptic,
-    cartier_ns,
+    cartier_operator,
     semilinear_power,
     two_rank,
 )
@@ -55,10 +54,6 @@ def _counts(curve, upto):
     return tuple(count_points(curve, n, raw=True) for n in range(1, upto + 1))
 
 
-def _hyp_op(curve):
-    return cartier_hyperelliptic(curve)
-
-
 # ---------------------------------------------------------------------------
 # suite 1: isomorphisms preserve counts, smoothness, and the a-number
 # ---------------------------------------------------------------------------
@@ -78,15 +73,15 @@ def suite_transform_invariance(seed=1201, cases=1000):
             smooth = is_smooth(curve).smooth
             assert smooth == is_smooth(other).smooth, (curve.curve_id, other.curve_id)
             assert _counts(curve, 2) == _counts(other, 2), (curve.curve_id, other.curve_id)
-            if smooth and kind == "ns":
-                assert a_number(cartier_ns(curve)) == a_number(cartier_ns(other))
+            if smooth:
+                assert a_number(cartier_operator(curve)) == a_number(cartier_operator(other))
         else:
             curve = _random_smooth_hyp(rng)
             shift = tuple(rng.randrange(2) for _ in range(6))
             other = hyperelliptic_transformed(curve, rng.choice(mats), shift)
             assert is_smooth(other).smooth, (curve.curve_id, other.curve_id)
             assert _counts(curve, 2) == _counts(other, 2), (curve.curve_id, other.curve_id)
-            assert a_number(_hyp_op(curve)) == a_number(_hyp_op(other))
+            assert a_number(cartier_operator(curve)) == a_number(cartier_operator(other))
         done += 1
     return done
 
@@ -140,11 +135,10 @@ def suite_prank_anumber_window(seed=1204, cases=1000):
     rng = random.Random(seed)
     for case in range(cases):
         if case % 10 == 0:
-            curve = _random_smooth_quadric(rng, "ns")
-            op = cartier_ns(curve)
+            curve = _random_smooth_quadric(rng, ("ns", "cone")[(case // 10) % 2])
         else:
             curve = _random_smooth_hyp(rng)
-            op = _hyp_op(curve)
+        op = cartier_operator(curve)
         pr = newton_polygon(weil_from_counts(_counts(curve, 4), 2)).p_rank
         a = a_number(op)
         assert 1 <= pr + a <= 4, (curve.curve_id, pr, a)
@@ -162,11 +156,10 @@ def suite_two_rank_matches_slopes(seed=1205, cases=1000):
     rng = random.Random(seed)
     for case in range(cases):
         if case % 10 == 0:
-            curve = _random_smooth_quadric(rng, "ns")
-            op = cartier_ns(curve)
+            curve = _random_smooth_quadric(rng, ("ns", "cone")[(case // 10) % 2])
         else:
             curve = _random_smooth_hyp(rng)
-            op = _hyp_op(curve)
+        op = cartier_operator(curve)
         poly = newton_polygon(weil_from_counts(_counts(curve, 4), 2))
         assert two_rank(op) == poly.p_rank, (curve.curve_id, two_rank(op), poly.p_rank)
     return cases
