@@ -242,7 +242,8 @@ def write_records(path, records) -> None:
     tuple by identity, since hashing its Fractions runs in Python; records
     of one key share that tuple, and the template holds it so that its id
     stays unique while the write runs.  An id that is not the curve_id of
-    a census model (_CURVE_ID) is refused, naming it.
+    a census model (_CURVE_ID) is refused, naming it, and so is an id that
+    does not strictly follow the one before it (read_records refuses both).
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     templates: dict[tuple, tuple[str, str, tuple | None]] = {}
@@ -250,10 +251,15 @@ def write_records(path, records) -> None:
         with open(tmp, "w", encoding="ascii") as fh:
             header = {"records": len(records), "schema": SCHEMA}
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            prev = ""
             for rec in records:
                 cid = rec.id
                 if not (isinstance(cid, str) and _IS_CURVE_ID(cid)):
                     raise ValueError(f"record id {cid!r} is not the curve_id of a census model")
+                if cid <= prev:
+                    raise ValueError(f"record id {cid!r} does not follow {prev!r} "
+                                     "(ids must be strictly ascending)")
+                prev = cid
                 key = (id(rec.slopes), rec[1:6], rec[7:])  # rec[6] is slopes
                 template = templates.get(key)
                 if template is None:

@@ -19,6 +19,7 @@ All numeric output is exact (integers and fractions as strings).  Exit codes:
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import cartier, census
 from .curves import is_smooth, parse_curve_id
@@ -60,10 +61,9 @@ def _cmd_census(args) -> int:
     kinds = census.KINDS if args.kind == "all" else (args.kind,)
     records = census.run_census(kinds=kinds, workers=args.workers)
     census.write_records(args.out, records)
+    tally = Counter((r.kind, r.smooth) for r in records)
     for kind in kinds:
-        total = sum(1 for r in records if r.kind == kind)
-        smooth = sum(1 for r in records if r.kind == kind and r.smooth)
-        print(f"{kind}: {total} models, {smooth} smooth")
+        print(f"{kind}: {tally[kind, False] + tally[kind, True]} models, {tally[kind, True]} smooth")
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 

@@ -533,6 +533,13 @@ def _byte_table(bits: np.ndarray) -> np.ndarray:
     return out
 
 
+def _array_mul(K: FieldSpec):
+    """Elementwise product in K of integer arrays, read from K's log/antilog
+    tables (the ones FieldSpec.mul reads)."""
+    log, exp = (np.asarray(t, np.intp) for t in K._tables[:2])
+    return lambda a, b: np.where((a != 0) & (b != 0), exp[log[a] + log[b]], 0)
+
+
 @lru_cache(maxsize=None)
 def _quadric_tables(kind: str):
     """(lo, hi, bounds, points): cubic value and Jacobian minors at every
@@ -549,27 +556,30 @@ def _quadric_tables(kind: str):
     Jacobian drops rank: a rational singular point, and conversely; a zero
     low nibble is a point on the curve.
     """
-    points = []
-    bounds = [0]
+    exps = np.array([MONOMIALS3[idx] for idx in _KEPT[kind]])  # (16, 4)
+    points, bounds, words = [], [0], []
     for d in (1, 2, 3, 4):
-        points += [(d, pt) for pt in quadric_points(kind, field(d))]
-        bounds.append(len(points))
-    exps = [MONOMIALS3[idx] for idx in _KEPT[kind]]
-    bits = np.zeros((16, len(points)), np.uint32)
-    for col, (d, pt) in enumerate(points):
         K = field(d)
-        mul = K.mul
-        pw = [_powers(K, c, 3) for c in pt]
-        qg = quadric_gradient(kind, K, pt)
-        for bit, e in enumerate(exps):
-            f = [pw[v][e[v]] for v in range(4)]
-            # partial in v: the odd exponent e[v] drops by one, the rest stay
-            cp = [mul(mul(pw[v][e[v] - 1], f[(v + 1) % 4]), mul(f[(v + 2) % 4], f[(v + 3) % 4]))
-                  if e[v] & 1 else 0 for v in range(4)]
-            word = mul(mul(f[0], f[1]), mul(f[2], f[3]))
-            for n, (i, j) in enumerate(_MINOR_PAIRS, start=1):
-                word |= (mul(cp[i], qg[j]) ^ mul(cp[j], qg[i])) << 4 * n
-            bits[bit, col] = word
+        pts = quadric_points(kind, K)
+        points += [(d, pt) for pt in pts]
+        bounds.append(len(points))
+        mul = _array_mul(K)
+        coords = np.array(pts, np.intp).T  # (4, n)
+        sq = mul(coords, coords)
+        pw = np.stack([np.ones_like(coords), coords, sq, mul(sq, coords)], axis=1)  # (4, exponent, n)
+        f = pw[np.arange(4), exps]  # (16 bits, 4 coordinates, n)
+        # partial in v: the odd exponent e[v] drops by one, the rest stay
+        # (an even e[v] reads column -1, which the where discards)
+        cp = [np.where((exps[:, v] & 1)[:, None],
+                       mul(mul(pw[v, exps[:, v] - 1], f[:, (v + 1) % 4]),
+                           mul(f[:, (v + 2) % 4], f[:, (v + 3) % 4])), 0)
+              for v in range(4)]
+        qg = quadric_gradient(kind, K, tuple(coords))
+        word = mul(mul(f[:, 0], f[:, 1]), mul(f[:, 2], f[:, 3]))
+        for n, (i, j) in enumerate(_MINOR_PAIRS, start=1):
+            word |= (mul(cp[i], qg[j]) ^ mul(cp[j], qg[i])) << 4 * n
+        words.append(word)
+    bits = np.concatenate(words, axis=1).astype(np.uint32)
     return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(bounds), tuple(points)
 
 

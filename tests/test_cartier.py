@@ -10,19 +10,19 @@ counts, which exercises a completely different code path (zeta).
 
 import random
 
+import numpy as np
 import pytest
 
 from genus4census.cartier import (
+    GENUS,
     SemilinearOperator,
     a_number,
     cartier_operator,
     hasse_witt_rows,
     is_type43_candidate,
-    matrix_rank,
-    semilinear_power,
     two_rank,
 )
-from genus4census import cartier
+from genus4census import cartier, census
 from genus4census.curves import (
     HyperellipticCurve,
     count_points,
@@ -34,6 +34,81 @@ from genus4census.gfarith import F2, field, gf2x_degree, gf2x_factor, poly_from_
 from genus4census.zeta import newton_polygon, weil_from_counts
 
 SS_MASK = 0x1D0C  # X^2Z + Y^2Z + YZ^2 + X^2T + Y^2T + XT^2 on the ns quadric
+
+
+# ---------------------------------------------------------------------------
+# the oracle: C^n by iterating the semilinear map on the standard basis, and
+# ranks by Gaussian elimination over F
+# ---------------------------------------------------------------------------
+
+
+def semilinear_apply(op, vec):
+    """C(v) = sum_i sqrt(v_i) rows[i]."""
+    spec = op.spec
+    out = [spec.zero] * GENUS
+    for c, row in zip(vec, op.rows):
+        if c:
+            s = spec.sqrt(c)
+            out = [spec.add(o, spec.mul(s, r)) for o, r in zip(out, row)]
+    return tuple(out)
+
+
+def semilinear_power(op, n):
+    """Basis images of the n-fold composite C^n (a 1/2^n-linear map; the
+    rows and their rank are exact for every n)."""
+    if n < 0:
+        raise ValueError("negative powers are not defined")
+    rows = []
+    for i in range(GENUS):
+        v = tuple(op.spec.one if j == i else op.spec.zero for j in range(GENUS))
+        for _ in range(n):
+            v = semilinear_apply(op, v)
+        rows.append(v)
+    return SemilinearOperator(op.spec, tuple(rows))
+
+
+def matrix_rank(spec, rows) -> int:
+    work = [list(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = spec.inv(work[rank][col])
+        work[rank] = [spec.mul(inv, c) for c in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col]
+                work[r] = [spec.add(a, spec.mul(factor, b)) for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def is_zero(op) -> bool:
+    return not any(c for r in op.rows for c in r)
+
+
+def oracle_invariants(op):
+    """(a-number, 2-rank, type43) from the powers C, C^2, C^4."""
+    rank = matrix_rank(op.spec, op.rows)
+    s2 = matrix_rank(op.spec, semilinear_power(op, 4).rows)
+    t43 = (rank == 2 and is_zero(semilinear_power(op, 2))) if s2 == 0 else None
+    return GENUS - rank, s2, t43
+
+
+def _assert_bit_route_matches_oracle(op):
+    want = oracle_invariants(op)
+    assert cartier.invariants(op) == want, (op.spec.k, op.rows)
+    assert op.rank == GENUS - want[0]
+    assert (a_number(op), two_rank(op)) == want[:2]
+    if want[2] is None:
+        with pytest.raises(ValueError, match="p-rank 0"):
+            is_type43_candidate(op)
+    else:
+        assert is_type43_candidate(op) is want[2]
+    return want
 
 
 def _matmul(spec, a, b):
@@ -76,7 +151,7 @@ def test_hyperelliptic_cartier_rows():
     op = cartier_operator(c)
     assert op.rows == ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0))
     assert op.rank == 2
-    assert not semilinear_power(op, 2).is_zero()  # C^2(w4) = w1
+    assert not is_zero(semilinear_power(op, 2))  # C^2(w4) = w1
     assert two_rank(op) == 0
     assert is_type43_candidate(op) is False
     # rows depend only on h: the twist has the same operator
@@ -90,7 +165,7 @@ def test_h_with_two_finite_branch_points():
     op = cartier_operator(c)
     assert op.rows == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     assert op.rank == 3
-    assert semilinear_power(op, 4).rank == 2
+    assert matrix_rank(F2, semilinear_power(op, 4).rows) == 2
     assert two_rank(op) == 2
     with pytest.raises(ValueError, match="p-rank 0"):
         is_type43_candidate(op)
@@ -101,6 +176,21 @@ def test_type43_block_shape():
     op = SemilinearOperator(F2, ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0)))
     assert two_rank(op) == 0
     assert is_type43_candidate(op) is True
+
+
+def test_bit_route_matches_oracle_on_hand_made_nilpotents():
+    # rank 2 with C^2 = 0, and rank 2 with C^2(w4) = w1, over F_2 and F_16
+    square_zero = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0))
+    square_nonzero = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0))
+    for spec in (F2, field(4)):
+        assert _assert_bit_route_matches_oracle(SemilinearOperator(spec, square_zero)) == (2, 0, True)
+        assert _assert_bit_route_matches_oracle(SemilinearOperator(spec, square_nonzero)) == (2, 0, False)
+    # the same shapes with coefficients that are not in F_2
+    K = field(4)
+    op = SemilinearOperator(K, ((0, 0, 0, 0), (7, 0, 0, 0), (0, 0, 0, 0), (0, 0, 11, 0)))
+    assert _assert_bit_route_matches_oracle(op) == (2, 0, True)
+    op = SemilinearOperator(K, ((0, 0, 0, 0), (7, 0, 0, 0), (0, 0, 0, 0), (0, 11, 0, 0)))
+    assert _assert_bit_route_matches_oracle(op) == (2, 0, False)
 
 
 def test_cartier_operator_dispatch():
@@ -142,6 +232,51 @@ def test_even_odd_split_reconstructs():
                 assert not any(rest[1::2]), (spec.k, h, i)
 
 
+def _random_operator(rng, spec, case):
+    """Dense, sparse or strictly lower triangular (so nilpotent) in turn."""
+    shape = case % 3
+    rows = []
+    for i in range(GENUS):
+        rows.append(tuple(
+            rng.randrange(spec.order) if (shape == 0 or (shape == 1 and rng.random() < 0.4)
+                                          or (shape == 2 and j < i and rng.random() < 0.5)) else 0
+            for j in range(GENUS)))
+    return SemilinearOperator(spec, tuple(rows))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_bit_route_matches_oracle_on_random_operators(k):
+    rng = random.Random(90 + k)
+    spec = field(k)
+    seen = set()
+    for case in range(300):
+        seen.add(_assert_bit_route_matches_oracle(_random_operator(rng, spec, case)))
+    assert {s2 for _, s2, _ in seen} == {0, 1, 2, 3, 4}
+    assert {t43 for _, _, t43 in seen} == {True, False, None}
+
+
+def test_bit_route_matches_oracle_on_every_hyp_h():
+    for hm in range(1, 64):
+        op = cartier_operator(hyperelliptic_from_masks(hm, 1 << 10))
+        assert census._hyp_cartier(hm) == _assert_bit_route_matches_oracle(op), hm
+
+
+def test_bit_route_matches_oracle_on_census_quadric_representatives():
+    # the orbit representatives _quadric_chunk decides: least image of each
+    # mask the scan leaves unflagged
+    for kind, smooth_orbits in (("ns", 252), ("cone", 274)):
+        _, flagged, _ = census._quadric_scan(kind, 0, 1 << 16)
+        open_masks = np.flatnonzero(~flagged)
+        smooth = 0
+        for rep in sorted(set(census._quadric_images(kind, open_masks).min(axis=1).tolist())):
+            res, cart = census._quadric_orbit_decision(kind, rep)
+            if res.smooth:
+                assert cart == _assert_bit_route_matches_oracle(
+                    cartier_operator(quadric_curve_from_mask(kind, rep))), (kind, rep)
+                smooth += 1
+        assert smooth == smooth_orbits
+
+
 def test_power_matches_matrix_products_over_f2():
     rng = random.Random(82)
     for _ in range(50):
@@ -165,7 +300,7 @@ def test_power_rank_matches_twisted_product_over_f4():
         for _ in range(3):
             twisted = tuple(tuple(K.mul(c, c) for c in r) for r in twisted)
             prod = _matmul(K, prod, twisted)
-        assert semilinear_power(op, 4).rank == matrix_rank(K, prod)
+        assert matrix_rank(K, semilinear_power(op, 4).rows) == matrix_rank(K, prod)
 
 
 def test_power_rank_monotone_and_stable():
@@ -174,7 +309,7 @@ def test_power_rank_monotone_and_stable():
         for _ in range(40):
             rows = tuple(tuple(rng.randrange(spec.order) for _ in range(4)) for _ in range(4))
             op = SemilinearOperator(spec, rows)
-            ranks = [semilinear_power(op, n).rank for n in range(7)]
+            ranks = [matrix_rank(spec, semilinear_power(op, n).rows) for n in range(7)]
             assert ranks[0] == 4
             for a, b in zip(ranks, ranks[1:]):
                 assert b <= a
@@ -190,11 +325,11 @@ def test_apply_is_semilinear():
         u = tuple(rng.randrange(8) for _ in range(4))
         v = tuple(rng.randrange(8) for _ in range(4))
         lam = rng.randrange(8)
-        left = op.apply(tuple(K.add(a, b) for a, b in zip(u, v)))
-        right = tuple(K.add(a, b) for a, b in zip(op.apply(u), op.apply(v)))
+        left = semilinear_apply(op, tuple(K.add(a, b) for a, b in zip(u, v)))
+        right = tuple(K.add(a, b) for a, b in zip(semilinear_apply(op, u), semilinear_apply(op, v)))
         assert left == right
-        scaled = op.apply(tuple(K.mul(K.mul(lam, lam), a) for a in u))
-        expect = tuple(K.mul(lam, a) for a in op.apply(u))
+        scaled = semilinear_apply(op, tuple(K.mul(K.mul(lam, lam), a) for a in u))
+        expect = tuple(K.mul(lam, a) for a in semilinear_apply(op, u))
         assert scaled == expect
 
 

@@ -501,6 +501,22 @@ def test_write_records_refuses_id_outside_the_rule(tmp_path, cid):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
 
+@pytest.mark.parametrize("order", [(0, 1, 2, 2), (1, 0, 2)], ids=["duplicate", "out-of-order"])
+def test_write_records_refuses_id_that_does_not_follow(tmp_path, order):
+    # the reader refuses such a file ("ids must be strictly ascending"), so
+    # the writer refuses to write it, naming both ids, and keeps the old file
+    path = tmp_path / "records.jsonl"
+    records = _h1_subset()[:3]
+    write_records(path, records)
+    before = path.read_bytes()
+    bad = [records[i] for i in order]
+    i = next(i for i in range(1, len(bad)) if bad[i].id <= bad[i - 1].id)
+    with pytest.raises(ValueError, match=re.escape(f"record id {bad[i].id!r} does not follow {bad[i - 1].id!r}")):
+        write_records(path, bad)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda line: line.replace('{', '{"id":"cone;c=0x4207",', 1), id="two-ids"),
     pytest.param(lambda line: line.replace('}', ',"id":""}', 1), id="two-ids-empty-last"),
