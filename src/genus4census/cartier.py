@@ -21,8 +21,10 @@ roots is onto F; an F-subspace of dimension r has F_2-dimension r k, so
 the F-rank is the F_2-rank divided by k, and C^2 = 0 holds in one picture
 exactly when it holds in the other.  One call gives the rank of C, the
 rank of C^4 and whether C^2 = 0, so invariants reads C^2 once for both the
-[4,3] test and the 2-rank.  On an F_2 operator it takes about 25 us,
-against about 170 us for the semilinear iteration it replaced.
+[4,3] test and the 2-rank.  Over the 63 hyp operators and 60 smooth
+quadric ones it takes 15 us per F_2 operator, against 108 us for the
+semilinear iteration it replaced (best of five, on a 2-vCPU VM with
+Python 3.11).
 
 One rule builds the matrix for every model (cartier_operator).  For p = 2,
 Stohr-Voloch (J. reine angew. Math. 377, 1987) gives, for a plane model

@@ -21,7 +21,10 @@ Fast paths, each validated against the generic engines in the test suite:
   the 2^16 masks is the XOR of two byte tables of packed words, one uint32
   per quadric point over F_2..F_16 holding the monomial value and the six
   Jacobian 2x2 minors as nibbles, in numpy blocks; a zero word is exactly
-  a rational singular point, and a zero low nibble a point on the curve;
+  a rational singular point, and a zero low nibble a point on the curve.
+  The tables are built by numpy for all points of a field at once (about
+  0.005 s per kind in a fresh process, against 0.03-0.05 s for the
+  per-point loop they replaced);
 * the masks without one are decided once per orbit of the quadric's
   stabilizer: image tables (_quadric_images, built from F_2 bitset
   products of each element's linear forms) give each mask its orbit's
@@ -31,6 +34,11 @@ Fast paths, each validated against the generic engines in the test suite:
   and broadcast to the members; counts stay per mask, so each member's
   counts are checked against the broadcast 2-rank.  classify_model and
   is_smooth decide the model itself, a second route to the same records;
+* the Cartier data of each orbit representative (_ns_cartier) and of each
+  h (_hyp_cartier) are ranks of the operator read as an F_2 bit matrix
+  (cartier.invariants): C, C^2 and C^4 as packed basis images and XOR
+  bases, C^2 computed once for the 2-rank and the [4,3] test; 15 us per
+  F_2 operator, against 108 us for the semilinear iteration it replaced;
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
   of all f at once: one gather of parity(f & l) over the functionals of
