@@ -31,9 +31,10 @@ Fast paths, each validated against the generic engines in the test suite:
   least mask.  That representative's scan flag is read from the kind's
   one scan of all 2^16 masks, and its smoothness (the chart-only symbolic
   engine, _quadric_smooth_f2) and Cartier data are computed once per process
-  and broadcast to the members; counts stay per mask, so each member's
-  counts are checked against the broadcast 2-rank.  classify_model and
-  is_smooth decide the model itself, a second route to the same records;
+  and broadcast to the members; counts stay per mask, so each distinct
+  count vector of an orbit is checked against the broadcast 2-rank.
+  classify_model and is_smooth decide the model itself, a second route to
+  the same records;
 * the Cartier data of each orbit representative (_ns_cartier) and of each
   h (_hyp_cartier) are ranks of the operator read as an F_2 bit matrix
   (cartier.invariants): C, C^2 and C^4 as packed basis images and XOR
@@ -59,20 +60,31 @@ Fast paths, each validated against the generic engines in the test suite:
 
 run_census plans its jobs by cost: each quadric kind is one job, so its
 tables and orbit decisions are paid once, and hyp is cut into h-ranges of
-about equal model count.
+about equal model count.  A job returns a row table, not records: the ids
+of its kept models, one uint16 row index per model, and its distinct
+id-free rows (the CensusRecord fields after id).  Each model gets an int64
+key that determines its row (a quadric mask's field of singularity, or its
+orbit representative and counts; a hyp model's Cartier data, note and
+counts), and the checks and the record build run once per distinct key,
+naming the key's first member when they fail.  The parent merges equal
+rows across jobs and expands the tables once into CensusRecords in kind
+order, which is id order; records of one row share its field objects.  A
+full census job pickles to 1.1-1.3 MB, mostly its ids, against 3.0-4.7 MB
+for its records.
 
 Persistence is JSON lines: one header object carrying the schema version
 and the record count, then one record per line, sorted by curve id, exact
 integers as strings.  Output is byte-identical for any worker count.  The
-whole census has only a few hundred distinct lines once the id is cut out,
-so write_records serializes each id-free record once and splices each id
-into its template, and read_records parses each id-free remainder once and
-shares the parsed field tuples between the records that carry it.  Both
+whole census has 679 distinct rows, so write_records serializes each
+id-free record once and splices each id into its template, and
+read_records parses each id-free remainder once and shares the parsed
+field tuples between the records that carry it.  Both
 directions hold ids to one rule: the curve_id of a census model, in its one
 spelling, which has no '"' or '\\' to escape; any other id is refused, so
 no model is written or read under two ids.
 """
 
+import gc
 import json
 import os
 import re
@@ -80,6 +92,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -95,6 +109,7 @@ from .curves import (
     _quadric_images,
     _quadric_scan,
     _quadric_smooth_f2,
+    _quadric_tables,
     _scan_singular,
     # unused here since the orbit walks read _quadric_images and _hyp_images;
     # kept bound because the benchmark's traced run wraps apply_transform,
@@ -521,32 +536,106 @@ def _quadric_orbit_decision(kind: str, rep: int):
     return res, cart
 
 
-def _quadric_chunk(kind: str, keep=None) -> list[CensusRecord]:
-    """Records of the masks of one quadric kind that keep accepts; one scan
-    covers all 2^16 masks, so every orbit representative lies in it."""
+# a job's model keys put N_1..N_4 in the low 24 bits, 6 bits each
+_COUNT_SHIFTS = (0, 6, 12, 18)
+
+
+def _packed_counts(counts: np.ndarray, ids, pos) -> np.ndarray:
+    """Each row of counts (N_1..N_4) packed into 24 bits; ids[pos[i]] names
+    row i.  A smooth model has every N_n <= 17 + 8 * 4 = 49, but the scan
+    leaves some singular models open too, so the 6-bit bound is checked."""
+    counts = counts.astype(np.int64)
+    wide = (counts >> 6).any(axis=1)
+    if wide.any():
+        i = int(wide.argmax())
+        raise RuntimeError(f"counts {tuple(counts[i].tolist())} of {ids[pos[i]]} "
+                           "exceed the 6 bits per count of the row key")
+    return (counts << _COUNT_SHIFTS).sum(axis=1)
+
+
+def _unpacked_counts(key: int) -> tuple[int, ...]:
+    return tuple((key >> s) & 63 for s in _COUNT_SHIFTS)
+
+
+def _singular_row(kind: str, note: str) -> tuple:
+    return CensusRecord("", kind, False, note)[1:]
+
+
+def _row_key(row: tuple) -> tuple:
+    """An id-free row without its slopes, which its Weil polynomial
+    determines; rows compare by this key, so that no Fraction is hashed
+    (Fraction.__hash__ runs in Python)."""
+    return row[:5] + row[6:]
+
+
+def _kept(ids: list[str], keep):
+    """Positions and ids of the ids that keep accepts, every id when keep is
+    None; keep is called once per id."""
+    if keep is None:
+        return np.arange(len(ids)), ids
+    pos = [i for i, cid in enumerate(ids) if keep(cid)]
+    return np.array(pos, np.intp), [ids[i] for i in pos]
+
+
+def _row_table(keys: np.ndarray, row_of) -> tuple[np.ndarray, tuple]:
+    """(row index per model as uint16, distinct id-free rows) for one job.
+
+    keys holds one int64 per model, and models of one key share a row.
+    row_of(key, i) builds that row from the key's first member i, once per
+    distinct key and in the order of first members, so a failed check
+    names the least id among the failing keys.  Keys whose rows coincide
+    share one row.
+    """
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    index: dict[tuple, int] = {}
+    rows: list[tuple] = []
+    key_row = [0] * len(uniq)
+    for k in np.argsort(first).tolist():
+        row = row_of(int(uniq[k]), int(first[k]))
+        r = key_row[k] = index.setdefault(_row_key(row), len(rows))
+        if r == len(rows):
+            rows.append(row)
+    return np.array(key_row, np.uint16)[inverse], tuple(rows)
+
+
+def _quadric_chunk(kind: str, keep=None) -> tuple[list[str], np.ndarray, tuple]:
+    """Row table (see _census_job) of the masks of one quadric kind that
+    keep accepts.  One scan covers all 2^16 masks, so every orbit
+    representative lies in it.
+
+    Each kept mask gets a key.  A flagged mask's key is the degree d of the
+    field of its witness column, 1..4: its note names only that field, so
+    it is built once per field.  An open mask's key is its orbit
+    representative (plus one, so that no key is a field degree) above its
+    packed counts.  The orbit decision and the record build run once per
+    distinct key; the members' counts are in the key, so the broadcast
+    2-rank is checked against every distinct count vector of the orbit.
+    """
     counts, flagged, witness = _quadric_scan(kind, 0, 1 << 16)
-    ids = {mask: f"{kind};c=0x{mask:04x}" for mask in range(1 << 16)}
-    if keep is not None:
-        ids = {mask: cid for mask, cid in ids.items() if keep(cid)}
-    flagged = flagged.tolist()
-    open_masks = [mask for mask in ids if not flagged[mask]]
-    reps = dict(zip(open_masks, _quadric_images(kind, open_masks).min(axis=1).tolist()))
-    recs = []
-    for mask, cid in ids.items():
-        if flagged[mask]:
-            recs.append(CensusRecord(id=cid, kind=kind, smooth=False,
-                                     note=_scan_singular(kind, witness[mask]).note))
-            continue
-        rep = reps[mask]
-        if flagged[rep]:
-            raise RuntimeError(f"the scan flags the orbit representative {kind};c=0x{rep:04x} "
-                               f"of {cid} but not {cid} itself")
-        res, cart = _quadric_orbit_decision(kind, rep)
+    bounds = _quadric_tables(kind)[2]
+    masks, ids = _kept([f"{kind};c=0x{mask:04x}" for mask in range(1 << 16)], keep)
+    keys = np.empty(len(masks), np.int64)
+    flag = flagged[masks]
+    keys[flag] = np.searchsorted(bounds, witness[masks[flag]], side="right")
+    open_pos = np.flatnonzero(~flag)
+    reps = _quadric_images(kind, masks[open_pos]).min(axis=1).astype(np.int64)
+    bad = flagged[reps]
+    if bad.any():
+        i = int(bad.argmax())
+        cid = ids[open_pos[i]]
+        raise RuntimeError(f"the scan flags the orbit representative {kind};c=0x{reps[i]:04x} "
+                           f"of {cid} but not {cid} itself")
+    keys[open_pos] = (reps + 1) << 24 | _packed_counts(counts[masks[open_pos]], ids, open_pos)
+
+    def row_of(key: int, i: int) -> tuple:
+        if key <= 4:
+            return _singular_row(kind, _scan_singular(kind, int(witness[masks[i]])).note)
+        res, cart = _quadric_orbit_decision(kind, (key >> 24) - 1)
         if not res.smooth:
-            recs.append(CensusRecord(id=cid, kind=kind, smooth=False, note=res.note))
-            continue
-        recs.append(_classified_record(kind, cid, tuple(counts[mask].tolist()), cart))
-    return recs
+            return _singular_row(kind, res.note)
+        return _classified_record(kind, ids[i], _unpacked_counts(key), cart)[1:]
+
+    return (ids, *_row_table(keys, row_of))
 
 
 def _hyp_f_min(hm: int) -> int:
@@ -556,24 +645,45 @@ def _hyp_f_min(hm: int) -> int:
 
 
 _F_SUFFIX = tuple(f";f=0x{fm:03x}" for fm in range(2048))
+_NOTE_CODE = {note: code for code, note in enumerate(_HYP_NOTES.tolist())}
 
 
-def _hyp_chunk(h0: int, h1: int, keep=None) -> list[CensusRecord]:
-    recs = []
+def _hyp_chunk(h0: int, h1: int, keep=None) -> tuple[list[str], np.ndarray, tuple]:
+    """Row table (see _census_job) of the hyp models with h0 <= h < h1 that
+    keep accepts.
+
+    Per h, one parity gather counts the kept smooth models.  A smooth
+    model's row depends on h only through its Cartier data, which takes 6
+    values over all 63 h, so each model's key is the index of its h's
+    Cartier data in the job, above its note code (0 when smooth, else its
+    index in _HYP_NOTES), above its packed counts (0 when singular).  The
+    keys of all the job's h go through one np.unique, and the record build
+    runs once per distinct key.
+    """
+    ids: list[str] = []
+    keys: list[np.ndarray] = []
+    carts: dict[tuple, int] = {}
     for hm in range(h0, h1):
         prefix = f"hyp;h=0x{hm:02x}"
-        ids = ((fm, prefix + _F_SUFFIX[fm]) for fm in range(_hyp_f_min(hm), 2048))
-        kept = [(fm, cid) for fm, cid in ids if keep is None or keep(cid)]
-        notes = _hyp_smooth_masks(hm)
-        cart = _hyp_cartier(hm)
-        cts = iter(_hyp_counts_vector(hm, [fm for fm, _ in kept if not notes[fm]]).tolist())
-        for fm, cid in kept:
-            note = notes[fm]
-            if note:
-                recs.append(CensusRecord(id=cid, kind="hyp", smooth=False, note=note))
-            else:
-                recs.append(_classified_record("hyp", cid, tuple(next(cts)), cart))
-    return recs
+        f0 = _hyp_f_min(hm)
+        pos, hids = _kept([prefix + suffix for suffix in _F_SUFFIX[f0:]], keep)
+        fms = pos + f0
+        codes = np.fromiter(map(_NOTE_CODE.__getitem__, _hyp_smooth_masks(hm)), np.int64, 2048)[fms]
+        smooth = np.flatnonzero(codes == 0)
+        packed = np.zeros(len(fms), np.int64)
+        packed[smooth] = _packed_counts(_hyp_counts_vector(hm, fms[smooth]), hids, smooth)
+        cart = carts.setdefault(_hyp_cartier(hm), len(carts))
+        keys.append(cart << 26 | codes << 24 | packed)
+        ids += hids
+    cart_of = list(carts)
+
+    def row_of(key: int, i: int) -> tuple:
+        code = (key >> 24) & 3
+        if code:
+            return _singular_row("hyp", _HYP_NOTES[code])
+        return _classified_record("hyp", ids[i], _unpacked_counts(key), cart_of[key >> 26])[1:]
+
+    return (ids, *_row_table(np.concatenate(keys), row_of))
 
 
 def classify_model(curve) -> CensusRecord:
@@ -593,10 +703,14 @@ def classify_model(curve) -> CensusRecord:
     return _classified_record(kind, cid, counts, cart)
 
 
-def _census_job(args) -> list[CensusRecord]:
-    kind, lo, hi, keep = args
+def _census_job(job) -> tuple[list[str], np.ndarray, tuple]:
+    """The row table of one job: the ids of its kept models in id order, a
+    uint16 array with one row index per model, and the tuple of the job's
+    distinct id-free rows (CensusRecord fields after id).  A job is
+    (kind, keep) for a quadric kind and ("hyp", h0, h1, keep)."""
+    kind, *h_range, keep = job
     if kind == "hyp":
-        return _hyp_chunk(lo, hi, keep)
+        return _hyp_chunk(*h_range, keep)
     return _quadric_chunk(kind, keep)
 
 
@@ -623,21 +737,23 @@ def _census_jobs(kinds, workers: int, keep) -> list[tuple]:
     """The job plan: one job per quadric kind, so its scan tables, image
     tables and orbit decisions are paid once, placed first as the largest;
     then hyp cut into `workers` h-ranges of about equal model count."""
-    jobs = [(kind, 0, 1 << 16, keep) for kind in kinds if kind != "hyp"]
+    jobs = [(kind, keep) for kind in kinds if kind != "hyp"]
     if "hyp" in kinds:
         jobs += [("hyp", h0, h1, keep) for h0, h1 in _hyp_ranges(workers)]
     return jobs
 
 
 def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> list[CensusRecord]:
-    """CensusRecords for every model of the requested kinds, sorted by id.
+    """CensusRecords for every model of the requested kinds, in id order.
 
     The jobs are those of _census_jobs: one per quadric kind, and hyp cut
     into `workers` contiguous h-ranges of about equal model count.  They run
     in a pool of min(workers, jobs) processes, or in this process when that
-    is one; the sorted result is identical for any worker count.  id_filter,
-    when given, keeps only ids it accepts (it must be picklable when a pool
-    runs).
+    is one, and each returns a row table (_census_job).  The parent merges
+    equal rows across jobs and expands the tables once, in kind order, which
+    is id order; the records of one row share its field objects, and the
+    result is identical for any worker count.  id_filter, when given, keeps
+    only ids it accepts (it must be picklable when a pool runs).
     """
     if isinstance(kinds, str):
         kinds = (kinds,)
@@ -650,12 +766,26 @@ def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> list[CensusReco
     jobs = _census_jobs(kinds, workers, id_filter)
     processes = min(workers, len(jobs))
     if processes <= 1:
-        parts = [_census_job(job) for job in jobs]
+        tables = [_census_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(_census_job, jobs))
-    records = [rec for part in parts for rec in part]
-    records.sort(key=lambda rec: rec.id)
+            tables = list(pool.map(_census_job, jobs))
+    shared: dict[tuple, tuple] = {}  # row key -> the row every job's equal rows become
+    records: list[CensusRecord] = []
+    # the records form no reference cycles, so a collection while they are
+    # built (one per 700 of them) would only walk them again and again
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        # a stable sort by kind keeps the hyp ranges in ascending h
+        for _, (ids, row, rows) in sorted(zip(jobs, tables), key=lambda part: part[0][0]):
+            rows = [shared.setdefault(_row_key(r), r) for r in rows]
+            # CensusRecord._make((cid, *rows[r])) per model, looped in C
+            records += map(tuple.__new__, repeat(CensusRecord),
+                           map(add, zip(ids), map(rows.__getitem__, row.tolist())))
+    finally:
+        if collecting:
+            gc.enable()
     return records
 
 

@@ -6,6 +6,7 @@ enumeration; the named example curves pin the classification columns.
 """
 
 import functools
+import gc
 import random
 import re
 import zlib
@@ -44,7 +45,7 @@ from genus4census.curves import (
     quadric_points,
     quadric_stabilizer_f2,
 )
-from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_tables
+from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_tables, _scan_singular
 from genus4census.gfarith import embedding, field, gf2x_degree, gf2x_gcd, gf2x_mul
 
 
@@ -311,6 +312,67 @@ def test_orbit_representative_flagged_aborts(monkeypatch, fresh_orbit_decisions)
         run_census(kinds="cone", id_filter={"cone;c=0x4208"}.__contains__)
 
 
+def test_hyp_cartier_checked_per_member_of_its_h(monkeypatch):
+    # the hyp twin of the broadcast test: a wrong 2-rank for one h reaches
+    # every smooth model of that h through its rows, and the census names
+    # the least smooth id of that h that the filter keeps
+    real = census._hyp_cartier
+    bad_h = 0x0B
+
+    def wrong(hm):
+        a, s2, t43 = real(hm)
+        return (a, s2 + 1, t43) if hm == bad_h else (a, s2, t43)
+
+    def keep(cid):
+        return cid.startswith(("hyp;h=0x0a;", "hyp;h=0x0b;", "hyp;h=0x0c;")) and zlib.crc32(cid.encode()) % 7 == 0
+
+    notes = census._hyp_smooth_masks(bad_h)
+    fms = [fm for fm in range(512, 2048) if not notes[fm] and keep(f"hyp;h=0x{bad_h:02x};f=0x{fm:03x}")]
+    smooth = [f"hyp;h=0x{bad_h:02x};f=0x{fm:03x}" for fm in fms]
+    # the least id's key is not the least key of its h, so the name comes
+    # from the order of first members, not from the order of keys
+    packed = census._packed_counts(census._hyp_counts_vector(bad_h, np.array(fms)), smooth, range(len(fms)))
+    assert len(smooth) > 1 and packed[0] != packed.min()
+    monkeypatch.setattr(census, "_hyp_cartier", wrong)
+    with pytest.raises(RuntimeError, match=f"inconsistent invariants for {smooth[0]}:"):
+        run_census(kinds="hyp", id_filter=keep)
+
+
+@pytest.mark.parametrize("kind", ["ns", "cone"])
+def test_flagged_notes_built_once_per_field(monkeypatch, kind):
+    # all 2^16 masks: the note a flagged mask gets from its row is the one
+    # _scan_singular gives the mask itself, and the job builds one note per
+    # field degree, not one per flagged mask
+    calls = []
+    monkeypatch.setattr(census, "_scan_singular", lambda *args: calls.append(args) or _scan_singular(*args))
+    ids, row, rows = census._quadric_chunk(kind)
+    assert ids == [f"{kind};c=0x{m:04x}" for m in range(1 << 16)]
+    _, flagged, witness = census._quadric_scan(kind, 0, 1 << 16)
+    notes = [rows[r][2] for r in row.tolist()]
+    flagged_masks = np.flatnonzero(flagged).tolist()
+    assert len(flagged_masks) > 40000
+    for m in flagged_masks:
+        assert notes[m] == _scan_singular(kind, int(witness[m])).note, hex(m)
+    assert 1 < len(calls) <= 4
+    assert len({notes[m] for m in flagged_masks}) == len(calls)
+
+
+def test_counts_wider_than_the_row_key_abort(monkeypatch):
+    # a model's key packs each count into 6 bits; a count that does not fit
+    # aborts the census, naming the model, instead of aliasing another key
+    real = census._quadric_scan
+
+    def wide(kind, m0, m1):
+        counts, flagged, witness = real(kind, m0, m1)
+        counts = counts.copy()
+        counts[0x4208 - m0, 3] = 64
+        return counts, flagged, witness
+
+    monkeypatch.setattr(census, "_quadric_scan", wide)
+    with pytest.raises(RuntimeError, match=r"counts \(3, 5, 9, 64\) of cone;c=0x4208 exceed"):
+        run_census(kinds="cone", id_filter={"cone;c=0x4208"}.__contains__)
+
+
 def test_orbit_table_matches_orbit_walk():
     # on a CRC-32 sample of smooth quadric models: the orbit that
     # _isomorphism_orbit reads from the image tables, its minimum and its
@@ -367,6 +429,65 @@ def test_workers_byte_identity(full_census):
     assert all(type(r) is CensusRecord for r in two)
 
 
+def _bench_sample_ids():
+    """The ids that the benchmark's sample keeps: CRC-32 of the id mod 16 == 0."""
+    ids = [f"{kind};c=0x{m:04x}" for kind in ("cone", "ns") for m in range(1 << 16)]
+    ids += [f"hyp;h=0x{hm:02x};f=0x{fm:03x}" for hm in range(1, 64) for fm in range(0 if hm >= 32 else 512, 2048)]
+    return frozenset(cid for cid in ids if zlib.crc32(cid.encode()) % 16 == 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampled_census_is_the_full_census_filtered(full_census, workers):
+    # the path the benchmark times: every job scans the whole space and
+    # keeps 1/16 of the ids; the filter pickles as a frozenset method
+    keep = _bench_sample_ids().__contains__
+    want = [rec for rec in full_census[0] if keep(rec.id)]
+    got = run_census(id_filter=keep, workers=workers)
+    assert len(want) > 15000
+    assert got == want
+    assert [record_to_json(r) for r in got] == [record_to_json(r) for r in want]
+    _assert_rows_share_fields(got)
+
+
+def test_job_row_tables():
+    # each job: one uint16 row index per kept model, every row referenced,
+    # rows pairwise distinct (as values and by the key the census compares)
+    for job in census._census_jobs(census.KINDS, 2, None):
+        ids, row, rows = census._census_job(job)
+        assert row.dtype == np.uint16 and row.shape == (len(ids),), job
+        assert ids == sorted(ids) and len(ids) == (_hyp_models(*job[1:3]) if job[0] == "hyp" else 1 << 16)
+        assert set(row.tolist()) == set(range(len(rows))), job
+        assert len(set(rows)) == len({census._row_key(r) for r in rows}) == len(rows), job
+        assert all(len(r) == len(CensusRecord._fields) - 1 for r in rows)
+
+
+def test_run_census_leaves_the_collector_as_it_found_it():
+    # the expansion pauses the cyclic garbage collector and restores it
+    keep = set(NAMED_EXPECTATIONS).__contains__
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert len(run_census(id_filter=keep)) == len(NAMED_EXPECTATIONS)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def _assert_rows_share_fields(records) -> int:
+    """Records of one row share their counts, weil and slopes objects, also
+    across jobs run in different processes; returns the number of rows."""
+    first = {}
+    for rec in records:
+        other = first.setdefault(census._row_key(rec[1:]), rec)
+        assert rec[1:] == other[1:]
+        assert rec.counts is other.counts and rec.weil is other.weil and rec.slopes is other.slopes, rec.id
+    return len(first)
+
+
+def test_records_of_one_row_share_field_objects(full_census):
+    assert _assert_rows_share_fields(full_census[0]) == 679
+
+
 def _hyp_models(h0, h1):
     return sum(2048 - (0 if hm >= 32 else 512) for hm in range(h0, h1))
 
@@ -375,9 +496,9 @@ def _hyp_models(h0, h1):
 def test_job_plan_one_job_per_quadric_kind_and_balanced_hyp(workers):
     jobs = census._census_jobs(census.KINDS, workers, None)
     quadric = [job for job in jobs if job[0] != "hyp"]
-    assert quadric == [("cone", 0, 1 << 16, None), ("ns", 0, 1 << 16, None)]
+    assert quadric == [("cone", None), ("ns", None)]
     assert jobs[:2] == quadric  # the largest jobs go first
-    ranges = [(h0, h1) for kind, h0, h1, _ in jobs if kind == "hyp"]
+    ranges = [job[1:3] for job in jobs if job[0] == "hyp"]
     assert len(ranges) == workers
     assert ranges[0][0] == 1 and ranges[-1][1] == 64
     assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(ranges, ranges[1:]))
@@ -388,7 +509,7 @@ def test_job_plan_one_job_per_quadric_kind_and_balanced_hyp(workers):
 
 def test_job_plan_cuts_hyp_at_most_once_per_h():
     assert census._hyp_ranges(100) == [(hm, hm + 1) for hm in range(1, 64)]
-    assert census._census_jobs(["ns"], 4, None) == [("ns", 0, 1 << 16, None)]
+    assert census._census_jobs(["ns"], 4, None) == [("ns", None)]
 
 
 class _RecordingExecutor:
