@@ -58,41 +58,47 @@ Fast paths, each validated against the generic engines in the test suite:
   log/antilog tables, and the Newton polygon is memoised on the valuation
   pattern of the Weil polynomial.
 
+A census result is a CensusTable: the models' ids in id order, one row
+index per model, and the distinct id-free rows (the CensusRecord fields
+after id); the whole census has 679 rows for 244,224 models.  The table is
+a read-only sequence of CensusRecords built on demand, and the queries
+(verify_propositions, group_isogeny_classes) read the rows instead: each
+predicate runs once per row, and rows turn into ids only for the models a
+query selects.
+
 run_census plans its jobs by cost: each quadric kind is one job, so its
 tables and orbit decisions are paid once, and hyp is cut into h-ranges of
-about equal model count.  A job returns a row table, not records: the ids
-of its kept models, one uint16 row index per model, and its distinct
-id-free rows (the CensusRecord fields after id).  Each model gets an int64
-key that determines its row (a quadric mask's field of singularity, or its
-orbit representative and counts; a hyp model's Cartier data, note and
-counts), and the checks and the record build run once per distinct key,
-naming the key's first member when they fail.  The parent merges equal
-rows across jobs and expands the tables once into CensusRecords in kind
-order, which is id order; records of one row share its field objects.  A
-full census job pickles to 1.1-1.3 MB, mostly its ids, against 3.0-4.7 MB
-for its records.
+about equal model count.  A job returns a row table: the ids of its kept
+models, one uint16 row index per model, and its distinct rows.  Each model
+gets an int64 key that determines its row (a quadric mask's field of
+singularity, or its orbit representative and counts; a hyp model's Cartier
+data, note and counts), and the checks and the record build run once per
+distinct key, naming the key's first member when they fail.  The parent
+merges equal rows across jobs and concatenates the tables in kind order,
+which is id order, into one CensusTable; no record is built.  A full census
+job pickles to 1.1-1.3 MB, mostly its ids, against 3.0-4.7 MB for its
+records.
 
 Persistence is JSON lines: one header object carrying the schema version
 and the record count, then one record per line, sorted by curve id, exact
-integers as strings.  Output is byte-identical for any worker count.  The
-whole census has 679 distinct rows, so write_records serializes each
-id-free record once and splices each id into its template, and
-read_records parses each id-free remainder once and shares the parsed
-field tuples between the records that carry it.  Both
-directions hold ids to one rule: the curve_id of a census model, in its one
-spelling, which has no '"' or '\\' to escape; any other id is refused, so
-no model is written or read under two ids.
+integers as strings.  Output is byte-identical for any worker count.
+write_records serializes each row once and splices each id into its
+template, and read_records parses each distinct id-free remainder once and
+returns a CensusTable, building no record per line.  Both directions hold
+ids to one rule: the curve_id of a census model, in its one spelling, which
+has no '"' or '\\' to escape; any other id is refused, so no model is
+written or read under two ids.
 """
 
-import gc
 import json
 import os
 import re
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -185,6 +191,82 @@ class CensusRecord(NamedTuple):
     jacobian_aut: int | None = None
 
 
+def _row_array(row, rows: int) -> np.ndarray:
+    """row as the least unsigned numpy integer type that holds an index
+    into `rows` rows."""
+    return np.asarray(row, np.min_scalar_type(rows))
+
+
+class CensusTable(Sequence):
+    """A census result, one row index per model.
+
+    ids lists the curve ids in order; row is a numpy integer array with
+    row[i] the index in rows of model i's id-free row, the CensusRecord
+    fields after id; rows holds the rows, each shared by the models that
+    carry it.  The table is a read-only Sequence of CensusRecords: len,
+    indexing and iteration build records on demand, and the records of one
+    row share its field objects.  Queries read the rows instead: they run a
+    predicate once per row (row_records) and turn rows into ids only for
+    the models it selects (member_ids).
+    """
+
+    __slots__ = ("ids", "row", "rows")
+
+    def __init__(self, ids: list[str], row: np.ndarray, rows: tuple[tuple, ...]):
+        self.ids = ids
+        self.row = row
+        self.rows = rows
+
+    @classmethod
+    def of(cls, records) -> "CensusTable":
+        """records itself when it is a table, else the table of an iterable
+        of CensusRecords, in their order, with one row per distinct id-free
+        record."""
+        if isinstance(records, cls):
+            return records
+        index: dict[tuple, int] = {}
+        ids, row = [], []
+        for rec in records:
+            ids.append(rec[0])
+            row.append(index.setdefault(rec[1:], len(index)))
+        return cls(ids, _row_array(row, len(index)), tuple(index))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return CensusRecord(self.ids[i], *self.rows[self.row[i]])
+
+    def __iter__(self):
+        # CensusRecord._make((cid, *rows[r])) per model, looped in C
+        return map(tuple.__new__, repeat(CensusRecord),
+                   map(add, zip(self.ids), map(self.rows.__getitem__, self.row.tolist())))
+
+    def row_records(self) -> list[CensusRecord]:
+        """Each row as a CensusRecord with an empty id."""
+        return [CensusRecord("", *row) for row in self.rows]
+
+    def row_sizes(self) -> list[int]:
+        """The number of models of each row."""
+        return np.bincount(self.row, minlength=len(self.rows)).tolist()
+
+    def member_ids(self, groups) -> list[list[str]]:
+        """For each set of row indices in groups (pairwise disjoint), the ids
+        of the models whose row is in the set, in order."""
+        if not any(groups):
+            return [[] for _ in groups]
+        label = np.full(len(self.rows), len(groups), np.min_scalar_type(len(groups)))
+        for k, rows in enumerate(groups):
+            label[list(rows)] = k
+        of_model = label[self.row]
+        order = np.argsort(of_model, kind="stable")
+        ends = np.bincount(of_model, minlength=len(groups)).cumsum().tolist()
+        return [[self.ids[i] for i in order[lo:hi].tolist()]
+                for lo, hi in zip([0] + ends, ends[:len(groups)])]
+
+
 def record_to_json(rec: CensusRecord) -> str:
     """One JSON line; exact integers as strings, None fields omitted."""
     d: dict = {"id": rec.id, "kind": rec.kind, "smooth": rec.smooth}
@@ -256,39 +338,52 @@ _IS_CURVE_ID = re.compile(_CURVE_ID).fullmatch
 _ID_FIELD = re.compile(r'"id":"(?:(' + _CURVE_ID + ')|(' + _ID.pattern + '))"')
 
 
-def write_records(path, records) -> None:
-    """Header and records, written to a temporary file beside path and then
-    renamed onto it, so a failed write leaves an existing file unchanged.
+def _check_ids(ids: list) -> None:
+    """Refuse the first id that is not the curve_id of a census model
+    (_CURVE_ID) or does not strictly follow the one before it, naming it."""
+    try:
+        # both rules over the whole list in C; the loop below names the culprit
+        if all(map(_IS_CURVE_ID, ids)) and all(map(str.__lt__, ids, islice(ids, 1, None))):
+            return
+    except TypeError:  # an id that is not a str
+        pass
+    prev = ""
+    for cid in ids:
+        if not (isinstance(cid, str) and _IS_CURVE_ID(cid)):
+            raise ValueError(f"record id {cid!r} is not the curve_id of a census model")
+        if cid <= prev:
+            raise ValueError(f"record id {cid!r} does not follow {prev!r} "
+                             "(ids must be strictly ascending)")
+        prev = cid
 
-    Each line is record_to_json's, built from a template per id-free record
-    (rec[1:]) with the id spliced in.  The template key takes the slopes
-    tuple by identity, since hashing its Fractions runs in Python; records
-    of one key share that tuple, and the template holds it so that its id
-    stays unique while the write runs.  An id that is not the curve_id of
-    a census model (_CURVE_ID) is refused, naming it, and so is an id that
-    does not strictly follow the one before it (read_records refuses both).
+
+def write_records(path, records) -> None:
+    """Header and records (a CensusTable or an iterable of CensusRecords),
+    written to a temporary file beside path and then renamed onto it, so a
+    failed write leaves an existing file unchanged.
+
+    Each line is record_to_json's, built from one template per row of the
+    records' table with the id spliced in.  An id that is not the curve_id
+    of a census model (_CURVE_ID) is refused, naming it, and so is an id
+    that does not strictly follow the one before it (read_records refuses
+    both); the ids are checked before the file is opened.
     """
+    table = CensusTable.of(records)
+    _check_ids(table.ids)
+    heads, tails = [], []
+    for rec in table.row_records():
+        head, _, tail = record_to_json(rec).partition('"id":""')
+        heads.append(head + '"id":"')
+        tails.append('"' + tail + "\n")
+    row = table.row.tolist()
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    templates: dict[tuple, tuple[str, str, tuple | None]] = {}
     try:
         with open(tmp, "w", encoding="ascii") as fh:
-            header = {"records": len(records), "schema": SCHEMA}
+            header = {"records": len(table), "schema": SCHEMA}
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-            prev = ""
-            for rec in records:
-                cid = rec.id
-                if not (isinstance(cid, str) and _IS_CURVE_ID(cid)):
-                    raise ValueError(f"record id {cid!r} is not the curve_id of a census model")
-                if cid <= prev:
-                    raise ValueError(f"record id {cid!r} does not follow {prev!r} "
-                                     "(ids must be strictly ascending)")
-                prev = cid
-                key = (id(rec.slopes), rec[1:6], rec[7:])  # rec[6] is slopes
-                template = templates.get(key)
-                if template is None:
-                    head, _, tail = record_to_json(rec._replace(id="")).partition('"id":""')
-                    template = templates[key] = (head + '"id":"', '"' + tail + "\n", rec.slopes)
-                fh.write(template[0] + cid + template[1])
+            # heads[r] + cid + tails[r] per model, looped in C
+            fh.writelines(map(add, map(heads.__getitem__, row),
+                              map(add, table.ids, map(tails.__getitem__, row))))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -303,8 +398,8 @@ def _non_ascii(path, lineno: int, line: str) -> ValueError:
     return ValueError(f"{path}: line {lineno}: non-ASCII byte 0x{raw[col]:02x} at column {col + 1}")
 
 
-def read_records(path) -> list[CensusRecord]:
-    """Records of a file written by write_records.
+def read_records(path) -> CensusTable:
+    """The CensusTable of a file written by write_records.
 
     Refuses a header that is not a JSON object (an empty file included) or
     whose records count is not a non-negative integer, a foreign schema, a
@@ -314,9 +409,9 @@ def read_records(path) -> list[CensusRecord]:
     is printable ASCII without '"' or '\\', when that id is not the
     curve_id of a census model in its one spelling (so no model is read
     under two ids), or when what remains with the id cut out is not a
-    record (a repeated key included).  Each distinct
-    remainder is parsed once, and its records share the parsed field tuples.
-    A line holding a byte outside ASCII is refused, naming the line.
+    record (a repeated key included).  Each distinct remainder is parsed
+    once into a row of the table; no record is built per line.  A line
+    holding a byte outside ASCII is refused, naming the line.
     """
     # a byte outside ASCII decodes to a lone surrogate, so str.isascii,
     # which costs nothing per line, finds it
@@ -336,8 +431,10 @@ def read_records(path) -> list[CensusRecord]:
         if type(promised) is not int or promised < 0:
             raise ValueError(f"{path}: line 1: header records count {promised!r} "
                              "is not a non-negative integer")
-        tails: dict[str, tuple] = {}
-        records = []
+        index: dict[str, int] = {}  # id-free remainder -> its row
+        rows: list[tuple] = []
+        ids: list[str] = []
+        row: list[int] = []
         prev = ""
         for lineno, line in enumerate(fh, start=2):
             if not line.isascii():
@@ -350,20 +447,22 @@ def read_records(path) -> list[CensusRecord]:
                 if cid is None:
                     raise ValueError(f"id {m[2]!r} is not the curve_id of a census model")
                 rest = line[:m.start(1)] + line[m.end(1):]
-                tail = tails.get(rest)
-                if tail is None:
-                    tail = tails[rest] = record_from_json(rest)[1:]
+                r = index.get(rest)
+                if r is None:
+                    rows.append(record_from_json(rest)[1:])
+                    r = index[rest] = len(rows) - 1
             except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
                 raise ValueError(f"{path}: line {lineno}: malformed record: {exc!r}") from None
             if cid <= prev:
                 raise ValueError(f"{path}: line {lineno}: id {cid!r} does not follow {prev!r} "
                                  "(ids must be strictly ascending)")
             prev = cid
-            records.append(CensusRecord(cid, *tail))
-    if len(records) != promised:
+            ids.append(cid)
+            row.append(r)
+    if len(ids) != promised:
         raise ValueError(f"{path}: header promises {promised} records, "
-                         f"the body has {len(records)}")
-    return records
+                         f"the body has {len(ids)}")
+    return CensusTable(ids, _row_array(row, len(rows)), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +686,23 @@ def _row_table(keys: np.ndarray, row_of) -> tuple[np.ndarray, tuple]:
     share one row.
     """
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    index: dict[tuple, int] = {}
+    order = np.argsort(first)
     rows: list[tuple] = []
-    key_row = [0] * len(uniq)
-    for k in np.argsort(first).tolist():
-        row = row_of(int(uniq[k]), int(first[k]))
-        r = key_row[k] = index.setdefault(_row_key(row), len(rows))
+    key_row = np.empty(len(uniq), np.uint16)
+    key_row[order] = _merge_rows({}, rows, [row_of(int(uniq[k]), int(first[k])) for k in order.tolist()])
+    return key_row[inverse], tuple(rows)
+
+
+def _merge_rows(index: dict, rows: list, new) -> list[int]:
+    """The index in rows of each row of new, appending to rows the rows
+    whose _row_key index has not seen."""
+    out = []
+    for row in new:
+        r = index.setdefault(_row_key(row), len(rows))
         if r == len(rows):
             rows.append(row)
-    return np.array(key_row, np.uint16)[inverse], tuple(rows)
+        out.append(r)
+    return out
 
 
 def _quadric_chunk(kind: str, keep=None) -> tuple[list[str], np.ndarray, tuple]:
@@ -743,17 +850,17 @@ def _census_jobs(kinds, workers: int, keep) -> list[tuple]:
     return jobs
 
 
-def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> list[CensusRecord]:
-    """CensusRecords for every model of the requested kinds, in id order.
+def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> CensusTable:
+    """The CensusTable of every model of the requested kinds, in id order.
 
     The jobs are those of _census_jobs: one per quadric kind, and hyp cut
     into `workers` contiguous h-ranges of about equal model count.  They run
     in a pool of min(workers, jobs) processes, or in this process when that
     is one, and each returns a row table (_census_job).  The parent merges
-    equal rows across jobs and expands the tables once, in kind order, which
-    is id order; the records of one row share its field objects, and the
-    result is identical for any worker count.  id_filter, when given, keeps
-    only ids it accepts (it must be picklable when a pool runs).
+    equal rows across jobs and concatenates the tables in kind order, which
+    is id order; the result is identical for any worker count.  id_filter,
+    when given, keeps only ids it accepts (it must be picklable when a pool
+    runs).
     """
     if isinstance(kinds, str):
         kinds = (kinds,)
@@ -770,23 +877,15 @@ def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> list[CensusReco
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             tables = list(pool.map(_census_job, jobs))
-    shared: dict[tuple, tuple] = {}  # row key -> the row every job's equal rows become
-    records: list[CensusRecord] = []
-    # the records form no reference cycles, so a collection while they are
-    # built (one per 700 of them) would only walk them again and again
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        # a stable sort by kind keeps the hyp ranges in ascending h
-        for _, (ids, row, rows) in sorted(zip(jobs, tables), key=lambda part: part[0][0]):
-            rows = [shared.setdefault(_row_key(r), r) for r in rows]
-            # CensusRecord._make((cid, *rows[r])) per model, looped in C
-            records += map(tuple.__new__, repeat(CensusRecord),
-                           map(add, zip(ids), map(rows.__getitem__, row.tolist())))
-    finally:
-        if collecting:
-            gc.enable()
-    return records
+    index: dict[tuple, int] = {}
+    rows: list[tuple] = []
+    ids: list[str] = []
+    parts = [np.zeros(0, np.intp)]
+    # a stable sort by kind keeps the hyp ranges in ascending h
+    for _, (job_ids, row, job_rows) in sorted(zip(jobs, tables), key=lambda part: part[0][0]):
+        ids += job_ids
+        parts.append(np.array(_merge_rows(index, rows, job_rows), np.intp)[row])
+    return CensusTable(ids, _row_array(np.concatenate(parts), len(rows)), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -851,17 +950,22 @@ def group_isogeny_classes(records, weil_keys) -> list[IsogenyClassReport]:
     """One report per requested Weil polynomial, in order, over the smooth
     records: members, isomorphism collapse, Jacobian aut orders and the
     exact stack count.  A key no smooth record attains yields an empty
-    report with stack count 0.  Each isomorphism orbit is walked once: its
-    minimum id represents it.
+    report with stack count 0.  records is a CensusTable or an iterable of
+    CensusRecords; the Weil polynomial is read once per row, and only the
+    members of the requested classes get their ids.  Each isomorphism orbit
+    is walked once: its minimum id represents it.
     """
-    groups: dict[tuple[int, ...], list[str]] = {}
-    for rec in records:
-        if rec.smooth:
-            groups.setdefault(rec.weil, []).append(rec.id)
+    table = CensusTable.of(records)
+    weil_keys = [tuple(int(c) for c in key) for key in weil_keys]
+    wanted = {key: k for k, key in enumerate(dict.fromkeys(weil_keys))}
+    groups = [set() for _ in wanted]
+    for r, rec in enumerate(table.row_records()):
+        if rec.smooth and rec.weil in wanted:
+            groups[wanted[rec.weil]].add(r)
+    members = dict(zip(wanted, table.member_ids(groups)))
     reports = []
     for key in weil_keys:
-        key = tuple(int(c) for c in key)
-        ids = groups.get(key, [])
+        ids = members[key]
         seen: set[str] = set()
         orbits = []
         for cid in ids:
@@ -924,25 +1028,29 @@ def verify_propositions(records) -> VerificationReport:
     2. every smooth 2-rank-0 hyperelliptic model has EO type [4,2];
     3. no smooth model has a-number 3 or more (where the a-number is known);
     4. at most 65 distinct supersingular Weil polynomials occur.
+
+    records is a CensusTable or an iterable of CensusRecords.  Each check
+    runs once per smooth row; a failing row counts, and names, every model
+    that carries it.
     """
-    smooth = [rec for rec in records if rec.smooth]
+    table = CensusTable.of(records)
+    smooth = [(r, rec) for r, rec in enumerate(table.row_records()) if rec.smooth]
+    checks = (
+        ("no smooth ns model meets the [4,3] criterion",
+         lambda rec: rec.kind == "ns" and rec.type43),
+        ("every smooth 2-rank-0 hyperelliptic model has EO type [4,2]",
+         lambda rec: rec.kind == "hyp" and rec.two_rank == 0 and rec.eo_mu != (4, 2)),
+        ("no smooth model has a-number >= 3",
+         lambda rec: rec.a_number is not None and rec.a_number >= 3),
+    )
     lines = []
     failures: list[str] = []
+    for claim, fails in checks:
+        (bad,) = table.member_ids([{r for r, rec in smooth if fails(rec)}])
+        lines.append(_check_line(claim, bad))
+        failures += bad
 
-    bad = [rec.id for rec in smooth if rec.kind == "ns" and rec.type43]
-    lines.append(_check_line("no smooth ns model meets the [4,3] criterion", bad))
-    failures += bad
-
-    bad = [rec.id for rec in smooth
-           if rec.kind == "hyp" and rec.two_rank == 0 and rec.eo_mu != (4, 2)]
-    lines.append(_check_line("every smooth 2-rank-0 hyperelliptic model has EO type [4,2]", bad))
-    failures += bad
-
-    bad = [rec.id for rec in smooth if rec.a_number is not None and rec.a_number >= 3]
-    lines.append(_check_line("no smooth model has a-number >= 3", bad))
-    failures += bad
-
-    ss = sorted({rec.weil for rec in smooth if rec.stratum == "S4"})
+    ss = sorted({rec.weil for _, rec in smooth if rec.stratum == "S4"})
     ok4 = len(ss) <= 65
     status = "PASS" if ok4 else "FAIL"
     lines.append(f"{status}: {len(ss)} distinct supersingular Weil polynomials observed (bound 65)")

@@ -61,7 +61,9 @@ def _cmd_census(args) -> int:
     kinds = census.KINDS if args.kind == "all" else (args.kind,)
     records = census.run_census(kinds=kinds, workers=args.workers)
     census.write_records(args.out, records)
-    tally = Counter((r.kind, r.smooth) for r in records)
+    tally = Counter()
+    for rec, models in zip(records.row_records(), records.row_sizes()):
+        tally[rec.kind, rec.smooth] += models
     for kind in kinds:
         print(f"{kind}: {tally[kind, False] + tally[kind, True]} models, {tally[kind, True]} smooth")
     print(f"wrote {len(records)} records to {args.out}")

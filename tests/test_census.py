@@ -425,7 +425,7 @@ def test_workers_byte_identity(full_census):
     one = [rec for rec in full_census[0] if rec.kind in ("cone", "ns")]
     two = run_census(kinds=("cone", "ns"), workers=2)
     assert [record_to_json(r) for r in one] == [record_to_json(r) for r in two]
-    assert two == one
+    assert list(two) == one
     assert all(type(r) is CensusRecord for r in two)
 
 
@@ -444,7 +444,7 @@ def test_sampled_census_is_the_full_census_filtered(full_census, workers):
     want = [rec for rec in full_census[0] if keep(rec.id)]
     got = run_census(id_filter=keep, workers=workers)
     assert len(want) > 15000
-    assert got == want
+    assert list(got) == want
     assert [record_to_json(r) for r in got] == [record_to_json(r) for r in want]
     _assert_rows_share_fields(got)
 
@@ -462,7 +462,7 @@ def test_job_row_tables():
 
 
 def test_run_census_leaves_the_collector_as_it_found_it():
-    # the expansion pauses the cyclic garbage collector and restores it
+    # run_census leaves the collector enabled or disabled, as it found it
     keep = set(NAMED_EXPECTATIONS).__contains__
     try:
         for enabled in (True, False):
@@ -569,7 +569,7 @@ def test_jsonl_round_trip(tmp_path):
     records = run_census(id_filter=set(NAMED_EXPECTATIONS).__contains__)
     path = tmp_path / "records.jsonl"
     write_records(path, records)
-    assert read_records(path) == records
+    assert list(read_records(path)) == list(records)
     for rec in records:
         assert record_from_json(record_to_json(rec)) == rec
 
@@ -587,7 +587,7 @@ def _mixed_records():
         ("cone;c=0x42", "hyp;h=0x01;f=0x2", "hyp;h=0x01;f=0x40", "ns;c=0x00")))
     smooth = next(r for r in records if r.smooth)
     singular = next(r for r in records if not r.smooth)
-    return records + [smooth._replace(id="ns;c=0xfffe", aut=6, jacobian_aut=12),
+    return list(records) + [smooth._replace(id="ns;c=0xfffe", aut=6, jacobian_aut=12),
                       singular._replace(id="ns;c=0xffff", note='a "quoted" \\ note,\twith\u00e9 escapes')]
 
 
@@ -602,7 +602,7 @@ def test_write_records_lines_are_record_to_json(tmp_path):
     assert '"jacobian_aut":12' in lines[-2] and '\\"quoted\\"' in lines[-1]
 
     back = read_records(path)
-    assert back == records
+    assert list(back) == records
     first_of_key = {}
     for rec in back:
         first = first_of_key.setdefault(rec[1:], rec)
@@ -915,6 +915,23 @@ def test_census_seven_orbit_class(full_census):
     assert rep.stack_count == Fraction(7, 2)
 
 
+def test_class_members_match_the_per_record_filter(full_census, tmp_path):
+    # every Weil class, on the census table and on the table read back from
+    # its file: member_ids equals [r.id for r in records if r.smooth and
+    # r.weil == key], computed here in one pass over the expanded records
+    records, _ = full_census
+    want: dict[tuple, list[str]] = {}
+    for rec in records:
+        if rec.smooth:
+            want.setdefault(rec.weil, []).append(rec.id)
+    assert len(want) == 507
+    path = tmp_path / "records.jsonl"
+    write_records(path, records)
+    for table in (records, read_records(path)):
+        reports = group_isogeny_classes(table, list(want))
+        assert [list(rep.member_ids) for rep in reports] == list(want.values())
+
+
 # ---------------------------------------------------------------------------
 # isogeny classes, stack counts, discrepancy
 # ---------------------------------------------------------------------------
@@ -1011,17 +1028,17 @@ def test_verify_propositions_negative_paths():
     assert verify_propositions(records).ok
 
     fake = _fake_smooth("ns;c=0xdead", "ns", type43=True, eo_mu=(4, 3), a_number=2)
-    rep = verify_propositions(records + [fake])
+    rep = verify_propositions(list(records) + [fake])
     assert not rep.ok and "ns;c=0xdead" in rep.failures
     assert any(line.startswith("FAIL") and "[4,3]" in line for line in rep.lines)
 
     fake = _fake_smooth("hyp;h=0x3f;f=0x7ff", "hyp", eo_mu=(4, 1), stratum="N14",
                         slopes=(Fraction(1, 4),) * 4 + (Fraction(3, 4),) * 4)
-    rep = verify_propositions(records + [fake])
+    rep = verify_propositions(list(records) + [fake])
     assert not rep.ok and "hyp;h=0x3f;f=0x7ff" in rep.failures
 
     fake = _fake_smooth("ns;c=0xfeed", "ns", a_number=3, eo_candidates=((4, 2, 1),), eo_mu=None)
-    rep = verify_propositions(records + [fake])
+    rep = verify_propositions(list(records) + [fake])
     assert not rep.ok and "ns;c=0xfeed" in rep.failures
 
     # 66 distinct fake supersingular Weil keys break the class bound

@@ -1,6 +1,7 @@
 """Command-line interface tests, driving cli.main in process."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -195,6 +196,31 @@ def test_verify_reports_failure_exit_code(capsys, tmp_path):
     assert rc == 1
     assert any(line.startswith("FAIL") and "ns;c=0xdead" in line
                for line in out.splitlines())
+
+
+def test_verify_counts_violations_per_model(capsys, tmp_path):
+    # one smooth ns row shared by many models, edited to meet the [4,3]
+    # criterion on every line that carries it: the FAIL line counts and
+    # names models, as a per-record reference over the file's lines does
+    path = tmp_path / "edited.jsonl"
+    write_records(path, census.run_census(kinds="ns"))
+    lines = path.read_text().splitlines(keepends=True)
+    carriers = Counter(census._ID_FIELD.sub('"id":""', line) for line in lines[1:]
+                       if '"smooth":true' in line and '"type43":false' in line)
+    row, models = carriers.most_common(1)[0]
+    assert models > 8
+    edited = [line.replace('"type43":false', '"type43":true')
+              if census._ID_FIELD.sub('"id":""', line) == row else line for line in lines[1:]]
+    path.write_text(lines[0] + "".join(edited))
+
+    records = [census.record_from_json(line) for line in edited]
+    bad = [rec.id for rec in records if rec.smooth and rec.kind == "ns" and rec.type43]
+    assert len(bad) == models
+    rc, out, _ = run_cli(capsys, "verify", "--records", str(path))
+    assert rc == 1
+    want = (f"FAIL: no smooth ns model meets the [4,3] criterion "
+            f"({len(bad)} violations: {', '.join(bad[:8])}, ...)")
+    assert out.splitlines()[0] == want
 
 
 def test_verify_refuses_truncated_file(capsys, tmp_path):
