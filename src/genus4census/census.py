@@ -26,12 +26,14 @@ Fast paths, each validated against the generic engines in the test suite:
   0.005 s per kind in a fresh process, against 0.03-0.05 s for the
   per-point loop they replaced);
 * the masks without one are decided once per orbit of the quadric's
-  stabilizer: image tables (_quadric_images, built from F_2 bitset
-  products of each element's linear forms) give each mask its orbit's
-  least mask.  That representative's scan flag is read from the kind's
-  one scan of all 2^16 masks, and its smoothness (the chart-only symbolic
-  engine, _quadric_smooth_f2) and Cartier data are computed once per process
-  and broadcast to the members; counts stay per mask, so each distinct
+  stabilizer: image tables (_quadric_images) give each mask its orbit's
+  least mask.  numpy builds them for all elements at once, each a 16-bit
+  matrix whose rows are linear forms, by gathering F_2 bitset products
+  from a form x form and a quadric monomial x form table.  That
+  representative's scan flag is read from the kind's one scan of all 2^16
+  masks, and its smoothness (the chart-only symbolic engine,
+  _quadric_smooth_f2) and Cartier data are computed once per process and
+  broadcast to the members; counts stay per mask, so each distinct
   count vector of an orbit is checked against the broadcast 2-rank.
   classify_model and is_smooth decide the model itself, a second route to
   the same records;
@@ -43,11 +45,16 @@ Fast paths, each validated against the generic engines in the test suite:
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
   of all f at once: one gather of parity(f & l) over the functionals of
-  all four degrees per h, for the kept f only;
+  all four degrees per h, for the kept f only.  The functionals of all h
+  are one numpy pass per field degree over the (h, x) array
+  (_hyp_count_tables);
 * hyperelliptic smoothness is decided once per residue: f'^2 + f h'^2 is
   F_2-linear in the bits of f, so its residue mod h is an XOR of 11 column
   residues, and gcd(h, residue) is computed once for each of the at most 32
-  residues of an h (_hyp_smooth_masks); the check at infinity is a bit test;
+  residues of an h; the check at infinity is a bit test.  The result is a
+  code per f (_hyp_smooth_masks), and a note is built only per singular row;
+* a quadric job's 2^16 ids join 256 high-byte prefixes with the 256
+  two-digit low bytes (_quadric_ids);
 * a stack count reads each isomorphism orbit from packed F_2-linear image
   tables: the quadric stabilizer's (_quadric_images), and the 384
   hyperelliptic substitutions' (curves._hyp_images), which act F_2-linearly
@@ -91,6 +98,7 @@ written or read under two ids.
 """
 
 import json
+import operator
 import os
 import re
 from collections.abc import Sequence
@@ -133,7 +141,7 @@ from .curves import (
 )
 from .dieudonne import EoLabel, eo_classify_curve
 from .gfarith import field, gf2x_degree, gf2x_factor, gf2x_gcd, gf2x_mod, gf2x_mul
-from .zeta import GENUS, classify_stratum, newton_polygon, predicted_counts, weil_from_counts
+from .zeta import GENUS, WeilPolynomial, classify_stratum, newton_polygon, predicted_counts, weil_from_counts
 
 SCHEMA = "g4c2-census/1"
 KINDS = ("cone", "hyp", "ns")
@@ -473,46 +481,55 @@ _PARITY = np.array([bin(i).count("1") & 1 for i in range(1 << 11)], np.uint8)
 
 
 @lru_cache(maxsize=None)
-def _hyp_count_data(hm: int):
-    """(bases, functionals, starts) with N_n(f) = bases[n-1] - 2 sum_l
-    parity(f & l), the sum over the functionals from starts[n-1] up to the
-    next degree's start.
+def _hyp_count_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bases, functionals, starts), read-only, for every h mask 0..63:
+    bases[h, n-1] and the row functionals[h] give
+    N_n(f) = bases[h, n-1] - 2 sum_l parity(f & l), the sum over the
+    functionals from starts[n-1] up to the next degree's start.
 
     Each x with h(x) != 0 contributes 2 points when Tr(f(x)/h(x)^2) = 0 and
     none otherwise; the trace is an XOR over the set bits i of f of the
     fixed values Tr(x^i/h(x)^2), which pack into an 11-bit functional l.
-    Roots of h contribute one point each, as does infinity when deg h < 5;
-    for deg h = 5 infinity behaves like an extra functional with only the
-    f10 bit (Tr(1) = n mod 2).  Each degree's functionals start with 0,
-    which adds nothing, so that no degree has an empty run.
+    Roots of h contribute one point each and get the functional 0, which
+    adds nothing to the sum.  Infinity contributes one point when
+    deg h < 5; for deg h = 5 it behaves like an extra functional with only
+    the f10 bit (Tr(1) = n mod 2), and the slot after the x's of each
+    degree holds it (0 when deg h < 5).  Each degree is one numpy pass over
+    the (h, x) array, from its field's multiplication table.
     """
+    hs = np.arange(64)[:, None]
+    h5 = hs >> 5
     bases, lms, starts = [], [], []
     for n in _DEGREES:
         K = field(n)
-        starts.append(len(lms))
-        lms.append(0)
-        h_roots = 0
-        for x in K.elements():
-            hx = 0
-            xp = K.one
-            for i in range(6):
-                if (hm >> i) & 1:
-                    hx ^= xp
-                xp = K.mul(xp, x)
-            if hx == 0:
-                h_roots += 1
-                continue
-            w = K.inv(K.mul(hx, hx))
-            lm = 0
-            xp = K.one
-            for i in range(11):
-                lm |= K.trace(K.mul(xp, w)) << i
-                xp = K.mul(xp, x)
-            lms.append(lm)
-        if (hm >> 5) & 1:
-            lms.append((n & 1) << 10)
-        bases.append(h_roots + (0 if (hm >> 5) & 1 else 1) + 2 * (len(lms) - 1 - starts[-1]))
-    return np.array(bases, np.int16), np.array(lms, np.int16), np.array(starts)
+        q = K.order
+        mul = np.array([[K.mul(a, b) for b in range(q)] for a in range(q)], np.intp)
+        inv = np.array([0] + [K.inv(a) for a in range(1, q)], np.intp)
+        trace = np.array([K.trace(a) for a in range(q)], np.int16)
+        x = np.arange(q)
+        xp = [np.ones(q, np.intp), x]  # x^0 .. x^10
+        for _ in range(9):
+            xp.append(mul[xp[-1], x])
+        hx = np.bitwise_xor.reduce([((hs >> i) & 1) * xp[i] for i in range(6)], axis=0)  # (h, x)
+        w = inv[mul[hx, hx]]  # 0 at a root of h
+        lm = sum(trace[mul[xp[i], w]] << i for i in range(11))
+        starts.append(sum(col.shape[1] for col in lms))
+        lms += [lm, (h5 * (n & 1)) << 10]
+        # 2 per x, 1 less per root of h; infinity 2 when deg h = 5, else 1
+        bases.append(2 * q - (hx == 0).sum(axis=1) + 1 + h5[:, 0])
+    tables = (np.stack(bases, axis=1).astype(np.int16),
+              np.concatenate(lms, axis=1).astype(np.int16), np.array(starts))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _hyp_count_data(hm: int):
+    """(bases, functionals, starts) of one h: N_n(f) = bases[n-1] - 2 sum_l
+    parity(f & l) over the functionals from starts[n-1] up to the next
+    degree's start; the row hm of _hyp_count_tables."""
+    bases, lms, starts = _hyp_count_tables()
+    return bases[hm], lms[hm], starts
 
 
 def _hyp_counts_vector(hm: int, farr: np.ndarray) -> np.ndarray:
@@ -523,13 +540,15 @@ def _hyp_counts_vector(hm: int, farr: np.ndarray) -> np.ndarray:
     return bases - 2 * np.add.reduceat(odd, starts, axis=1, dtype=np.int16)
 
 
-_HYP_NOTES = np.array(["", _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE], dtype=object)
+# the note of each _hyp_smooth_masks code
+_HYP_NOTES = ("", _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE)
 
 
 @lru_cache(maxsize=None)
-def _hyp_smooth_masks(hm: int) -> tuple[str, ...]:
-    """Singular note of every f mask 0..2047 with this h, indexed by the
-    mask; "" when the model is smooth.
+def _hyp_smooth_masks(hm: int) -> np.ndarray:
+    """Singularity code of every f mask 0..2047 with this h, indexed by the
+    mask, as a read-only uint8 array: 0 when the model is smooth, else the
+    index of its note in _HYP_NOTES.
 
     An affine point is singular exactly when h and crit = f'^2 + f h'^2
     have a common root.  crit is F_2-linear in the bits of f (squaring is),
@@ -548,11 +567,12 @@ def _hyp_smooth_masks(hm: int) -> tuple[str, ...]:
         residue ^= ((farr >> i) & 1) * col
     common_root = np.array([gf2x_degree(gf2x_gcd(hm, r)) >= 1
                             for r in range(1 << gf2x_degree(hm))])
-    codes = np.where(common_root[residue], 1, 0)
+    codes = common_root[residue].astype(np.uint8)
     if not (hm >> 5) & 1:
         at_infinity = (((farr >> 9) ^ (farr >> 10) & (hm >> 4)) & 1) == 0
         codes[(codes == 0) & at_infinity] = 2
-    return tuple(_HYP_NOTES[codes].tolist())
+    codes.flags.writeable = False
+    return codes
 
 
 @lru_cache(maxsize=None)
@@ -705,6 +725,15 @@ def _merge_rows(index: dict, rows: list, new) -> list[int]:
     return out
 
 
+_HEX2 = tuple(f"{b:02x}" for b in range(256))
+
+
+def _quadric_ids(kind: str) -> list[str]:
+    """The curve ids of all 2^16 masks of a quadric kind, in mask order: 256
+    high-byte prefixes, each joined with the 256 two-digit low bytes."""
+    return [prefix + low for prefix in [f"{kind};c=0x{b:02x}" for b in range(256)] for low in _HEX2]
+
+
 def _quadric_chunk(kind: str, keep=None) -> tuple[list[str], np.ndarray, tuple]:
     """Row table (see _census_job) of the masks of one quadric kind that
     keep accepts.  One scan covers all 2^16 masks, so every orbit
@@ -720,7 +749,7 @@ def _quadric_chunk(kind: str, keep=None) -> tuple[list[str], np.ndarray, tuple]:
     """
     counts, flagged, witness = _quadric_scan(kind, 0, 1 << 16)
     bounds = _quadric_tables(kind)[2]
-    masks, ids = _kept([f"{kind};c=0x{mask:04x}" for mask in range(1 << 16)], keep)
+    masks, ids = _kept(_quadric_ids(kind), keep)
     keys = np.empty(len(masks), np.int64)
     flag = flagged[masks]
     keys[flag] = np.searchsorted(bounds, witness[masks[flag]], side="right")
@@ -752,7 +781,6 @@ def _hyp_f_min(hm: int) -> int:
 
 
 _F_SUFFIX = tuple(f";f=0x{fm:03x}" for fm in range(2048))
-_NOTE_CODE = {note: code for code, note in enumerate(_HYP_NOTES.tolist())}
 
 
 def _hyp_chunk(h0: int, h1: int, keep=None) -> tuple[list[str], np.ndarray, tuple]:
@@ -775,7 +803,7 @@ def _hyp_chunk(h0: int, h1: int, keep=None) -> tuple[list[str], np.ndarray, tupl
         f0 = _hyp_f_min(hm)
         pos, hids = _kept([prefix + suffix for suffix in _F_SUFFIX[f0:]], keep)
         fms = pos + f0
-        codes = np.fromiter(map(_NOTE_CODE.__getitem__, _hyp_smooth_masks(hm)), np.int64, 2048)[fms]
+        codes = _hyp_smooth_masks(hm)[fms].astype(np.int64)
         smooth = np.flatnonzero(codes == 0)
         packed = np.zeros(len(fms), np.int64)
         packed[smooth] = _packed_counts(_hyp_counts_vector(hm, fms[smooth]), hids, smooth)
@@ -946,17 +974,32 @@ def isomorphism_canonical_id(curve) -> str:
     return min(_isomorphism_orbit(curve)[0])
 
 
+def _weil_key(key) -> tuple[int, ...]:
+    """key as a tuple of ints, refused with a ValueError naming it unless it
+    is the 9 coefficients of a genus-4 Weil polynomial over F_2."""
+    try:
+        coeffs = tuple(map(operator.index, key))
+        if len(coeffs) != 2 * GENUS + 1:
+            raise ValueError(f"{len(coeffs)} coefficients, not {2 * GENUS + 1}")
+        WeilPolynomial(coeffs, 2)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"Weil key {key!r} is not a genus-4 Weil polynomial over F_2: {exc}") from None
+    return coeffs
+
+
 def group_isogeny_classes(records, weil_keys) -> list[IsogenyClassReport]:
     """One report per requested Weil polynomial, in order, over the smooth
     records: members, isomorphism collapse, Jacobian aut orders and the
-    exact stack count.  A key no smooth record attains yields an empty
-    report with stack count 0.  records is a CensusTable or an iterable of
-    CensusRecords; the Weil polynomial is read once per row, and only the
-    members of the requested classes get their ids.  Each isomorphism orbit
-    is walked once: its minimum id represents it.
+    exact stack count.  A key that is not the 9 integer coefficients of a
+    genus-4 Weil polynomial over F_2 (zeta.WeilPolynomial) is refused with
+    a ValueError naming it; a valid key no smooth record attains yields an
+    empty report with stack count 0.  records is a CensusTable or an
+    iterable of CensusRecords; the Weil polynomial is read once per row,
+    and only the members of the requested classes get their ids.  Each
+    isomorphism orbit is walked once: its minimum id represents it.
     """
+    weil_keys = [_weil_key(key) for key in weil_keys]
     table = CensusTable.of(records)
-    weil_keys = [tuple(int(c) for c in key) for key in weil_keys]
     wanted = {key: k for k, key in enumerate(dict.fromkeys(weil_keys))}
     groups = [set() for _ in wanted]
     for r, rec in enumerate(table.row_records()):

@@ -61,8 +61,6 @@ __all__ = [
     "MONOMIALS3",
     "MONOMIALS2",
     "QUADRIC_KINDS",
-    "kept_monomials",
-    "reduction_table",
     "quadric_coeffs",
     "reduce_cubic",
     "QuadricCubicCurve",
@@ -139,14 +137,6 @@ _KEPT = {
 # replacement targets are never themselves reducible, so one pass suffices
 assert all(dst not in _REDUCTION[k] for k in QUADRIC_KINDS for dst in _REDUCTION[k].values())
 assert all(len(_KEPT[k]) == 16 for k in QUADRIC_KINDS)
-
-
-def reduction_table(kind: str) -> dict[int, int]:
-    return dict(_REDUCTION[kind])
-
-
-def kept_monomials(kind: str) -> tuple[int, ...]:
-    return _KEPT[kind]
 
 
 def reduce_cubic(kind: str, spec: FieldSpec, coeffs) -> tuple[int, ...]:
@@ -802,12 +792,13 @@ def is_smooth(curve) -> SmoothnessResult:
 
 
 @lru_cache(maxsize=None)
-def quadric_stabilizer_f2(kind: str) -> tuple[ProjectiveTransform, ...]:
-    """All of GL_4(F_2) preserving the quadric form (as a function on F_2^4,
-    which pins the form itself), in ascending order of the 16-bit matrix m
-    whose row i is bits 4i..4i+3.  Computed once from the images of the 16
-    vectors under all 2^16 matrices: a matrix is kept when it preserves the
-    quadric's values and maps no nonzero vector to 0."""
+def _stabilizer_matrices(kind: str) -> np.ndarray:
+    """The elements of GL_4(F_2) preserving the quadric form (as a function
+    on F_2^4, which pins the form itself), as ascending 16-bit matrices m
+    whose row i is bits 4i..4i+3; a read-only uint16 array.  Computed once
+    from the images of the 16 vectors under all 2^16 matrices: a matrix is
+    kept when it preserves the quadric's values and maps no nonzero vector
+    to 0."""
     ms = np.arange(1 << 16, dtype=np.uint16)
     # column j of every matrix as a 4-bit vector; the image of v XORs the
     # columns at the set bits of v
@@ -821,56 +812,64 @@ def quadric_stabilizer_f2(kind: str) -> tuple[ProjectiveTransform, ...]:
             if (v >> j) & 1:
                 image ^= cols[j]
         keep &= (image != 0) & (((qset >> image) & 1) == values[v])
+    mats = np.flatnonzero(keep).astype(np.uint16)
+    mats.flags.writeable = False
+    return mats
+
+
+@lru_cache(maxsize=None)
+def quadric_stabilizer_f2(kind: str) -> tuple[ProjectiveTransform, ...]:
+    """All of GL_4(F_2) preserving the quadric form, as substitutions, in
+    the order of _stabilizer_matrices(kind): element g is its matrix g."""
     return tuple(
-        ProjectiveTransform(F2, tuple(tuple((int(m) >> (4 * i + j)) & 1 for j in range(4)) for i in range(4)))
-        for m in np.flatnonzero(keep)
+        ProjectiveTransform(F2, tuple(tuple((m >> (4 * i + j)) & 1 for j in range(4)) for i in range(4)))
+        for m in _stabilizer_matrices(kind).tolist()
     )
 
 
-def _bits(x: int):
-    return (i for i in range(x.bit_length()) if (x >> i) & 1)
+# bit v of a 4-bit linear form is its coefficient of variable v; built
+# from lists because a first numpy ufunc call at import would add about
+# 0.25 MB to the peak memory of every process that imports the package
+_FORM_BITS = np.array([[(w >> v) & 1 for v in range(4)] for w in range(16)], np.uint32)  # (form, variable)
+
+
+def _form_products(index: dict, monomials) -> np.ndarray:
+    """Monomial times linear form as F_2 bitsets, shape (len(monomials), 16):
+    entry (m, w) has bit index[e] set for each monomial e of monomials[m]
+    times the form w."""
+    bit = np.array([[index[tuple(a + (i == v) for i, a in enumerate(e))] for v in range(4)]
+                    for e in monomials], np.uint32)
+    return np.bitwise_xor.reduce(_FORM_BITS << bit[:, None, :], axis=2)
 
 
 @lru_cache(maxsize=None)
 def _quadric_image_tables(kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi), each of shape (256, |G|) for G = quadric_stabilizer_f2(kind):
-    the mask of apply_transform(curve of mask m, G[i]) is
-    lo[m & 255, i] ^ hi[m >> 8, i].  Substitution and reduction are
-    F_2-linear in the cubic, so the columns XOR the images of the 16 mask
-    bits, like the scan's byte tables.
+    """(lo, hi), each of shape (256, |G|) for the stabilizer G of the quadric,
+    element g being matrix g of _stabilizer_matrices(kind) and so
+    quadric_stabilizer_f2(kind)[g]: the mask of apply_transform(curve of
+    mask m, G[g]) is lo[m & 255, g] ^ hi[m >> 8, g].  Substitution and
+    reduction are F_2-linear in the cubic, so the columns XOR the images of
+    the 16 mask bits, like the scan's byte tables.
 
-    A bit's image is a product of three of the transform's linear forms,
-    multiplied out as F_2 bitsets: 4-bit forms (bit v: variable v) to a
-    10-bit quadratic (MONOMIALS2 order) to a 20-bit cubic (MONOMIALS3
-    order), which the quadric's reduction folds onto the 16 kept bits.
+    A bit's image is a product of three of the element's linear forms (its
+    matrix rows), multiplied out as F_2 bitsets by two tables, gathered by
+    numpy for all elements and bits at once: form x form (16 x 16) gives a
+    10-bit quadratic in MONOMIALS2 order, and quadric monomial x form
+    (10 x 16) gives the 16 kept bits, the quadric's reduction folded in.
     """
-    unit = [tuple(int(w == v) for w in range(4)) for v in range(4)]
-    lin_lin = [[0] * 16 for _ in range(16)]
-    for u in range(16):
-        for w in range(16):
-            for i in _bits(u):
-                for j in _bits(w):
-                    lin_lin[u][w] ^= 1 << _INDEX2[tuple(a + b for a, b in zip(unit[i], unit[j]))]
-    quad_lin = [[0] * 16 for _ in MONOMIALS2]
-    for m, e in enumerate(MONOMIALS2):
-        for w in range(16):
-            for j in _bits(w):
-                quad_lin[m][w] ^= 1 << _INDEX3[tuple(a + b for a, b in zip(e, unit[j]))]
-    pos = {idx: bit for bit, idx in enumerate(_KEPT[kind])}
-    fold = [1 << pos[_REDUCTION[kind].get(i, i)] for i in range(len(MONOMIALS3))]
-    group = quadric_stabilizer_f2(kind)
-    bits = np.zeros((16, len(group)), np.uint16)
-    for g, t in enumerate(group):
-        forms = [sum(c << j for j, c in enumerate(row)) for row in t.rows]
-        for bit, idx in enumerate(_KEPT[kind]):
-            f1, f2, f3 = (forms[v] for v in range(4) for _ in range(MONOMIALS3[idx][v]))
-            cubic = 0
-            for m in _bits(lin_lin[f1][f2]):
-                cubic ^= quad_lin[m][f3]
-            image = 0
-            for i in _bits(cubic):
-                image ^= fold[i]
-            bits[bit, g] = image
+    kept = {idx: bit for bit, idx in enumerate(_KEPT[kind])}
+    fold = {e: kept[_REDUCTION[kind].get(i, i)] for i, e in enumerate(MONOMIALS3)}
+    units = [tuple(int(i == v) for i in range(4)) for v in range(4)]
+    var_lin = _form_products(_INDEX2, units)  # (variable, form)
+    lin_lin = np.bitwise_xor.reduce(_FORM_BITS[:, :, None] * var_lin, axis=1).astype(np.uint16)
+    quad_lin = _form_products(fold, MONOMIALS2).astype(np.uint16)
+    forms = (_stabilizer_matrices(kind)[:, None] >> np.arange(0, 16, 4, dtype=np.uint16)) & 15
+    # the three variables of each kept monomial, with multiplicity
+    var = np.array([[v for v in range(4) for _ in range(MONOMIALS3[idx][v])] for idx in _KEPT[kind]])
+    quad = lin_lin[forms[:, var[:, 0]], forms[:, var[:, 1]]]  # (G, bit)
+    terms = quad_lin[np.arange(10), forms[:, var[:, 2], None]]  # (G, bit, quadric monomial)
+    terms *= (quad[..., None] >> np.arange(10, dtype=np.uint16)) & 1
+    bits = np.bitwise_xor.reduce(terms, axis=2).T  # (bit, G)
     return _byte_table(bits[:8]), _byte_table(bits[8:])
 
 

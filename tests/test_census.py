@@ -137,13 +137,61 @@ def test_hyp_counts_match_engine():
         assert got == tuple(count_points(curve, n, raw=True) for n in (1, 2, 3, 4))
 
 
+def _hyp_count_data_oracle(hm: int):
+    """The count functionals of one h built one field element at a time:
+    (bases, functionals, starts) with N_n(f) = bases[n-1] - 2 sum_l
+    parity(f & l) over the functionals from starts[n-1] up to the next
+    degree's start.  Each degree's run starts with the functional 0 and
+    holds one functional per x with h(x) != 0, Tr(x^i/h(x)^2) in bit i,
+    then the f10 functional of infinity when deg h = 5."""
+    bases, lms, starts = [], [], []
+    for n in (1, 2, 3, 4):
+        K = field(n)
+        starts.append(len(lms))
+        lms.append(0)
+        h_roots = 0
+        for x in K.elements():
+            hx = 0
+            xp = K.one
+            for i in range(6):
+                if (hm >> i) & 1:
+                    hx ^= xp
+                xp = K.mul(xp, x)
+            if hx == 0:
+                h_roots += 1
+                continue
+            w = K.inv(K.mul(hx, hx))
+            lm = 0
+            xp = K.one
+            for i in range(11):
+                lm |= K.trace(K.mul(xp, w)) << i
+                xp = K.mul(xp, x)
+            lms.append(lm)
+        if (hm >> 5) & 1:
+            lms.append((n & 1) << 10)
+        bases.append(h_roots + (0 if (hm >> 5) & 1 else 1) + 2 * (len(lms) - 1 - starts[-1]))
+    return np.array(bases), np.array(lms), np.array(starts)
+
+
+def test_hyp_count_tables_match_per_element_oracle():
+    # every h and every f of the genus-4 shape: the counts from the
+    # functionals built for all h at once against the per-element build
+    parity = np.array([bin(v).count("1") & 1 for v in range(2048)])
+    for hm in range(1, 64):
+        farr = np.arange(0 if hm >= 32 else 512, 2048)
+        bases, lms, starts = _hyp_count_data_oracle(hm)
+        want = bases - 2 * np.add.reduceat(parity[farr[:, None] & lms], starts, axis=1)
+        got = census._hyp_counts_vector(hm, farr)
+        assert np.array_equal(got, want), hex(hm)
+
+
 def test_hyp_smoothness_matches_engine():
     rng = random.Random(2112)
     seen_smooth = seen_singular = 0
     for _ in range(150):
         hm = rng.randrange(1, 64)
         fm = rng.randrange(0 if hm >= 32 else 512, 2048)
-        note = census._hyp_smooth_masks(hm)[fm]
+        note = census._HYP_NOTES[census._hyp_smooth_masks(hm)[fm]]
         ok = not note
         res = is_smooth(hyperelliptic_from_masks(hm, fm))
         assert ok == res.smooth, (hm, fm, note, res.note)
@@ -170,11 +218,11 @@ def test_hyp_smoothness_table_matches_per_model_oracle():
     # per-model gcd, note for note
     seen = set()
     for hm in range(1, 64):
-        notes = census._hyp_smooth_masks(hm)
-        assert len(notes) == 2048
+        codes = census._hyp_smooth_masks(hm)
+        assert len(codes) == 2048
         for fm in range(0 if hm >= 32 else 512, 2048):
             want = _hyp_smooth_oracle(hm, fm)
-            assert notes[fm] == want, (hex(hm), hex(fm))
+            assert census._HYP_NOTES[codes[fm]] == want, (hex(hm), hex(fm))
             seen.add(want)
     assert seen == {"", _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE}
 
@@ -326,8 +374,9 @@ def test_hyp_cartier_checked_per_member_of_its_h(monkeypatch):
     def keep(cid):
         return cid.startswith(("hyp;h=0x0a;", "hyp;h=0x0b;", "hyp;h=0x0c;")) and zlib.crc32(cid.encode()) % 7 == 0
 
-    notes = census._hyp_smooth_masks(bad_h)
-    fms = [fm for fm in range(512, 2048) if not notes[fm] and keep(f"hyp;h=0x{bad_h:02x};f=0x{fm:03x}")]
+    codes = census._hyp_smooth_masks(bad_h)
+    fms = [fm for fm in range(512, 2048)
+           if not census._HYP_NOTES[codes[fm]] and keep(f"hyp;h=0x{bad_h:02x};f=0x{fm:03x}")]
     smooth = [f"hyp;h=0x{bad_h:02x};f=0x{fm:03x}" for fm in fms]
     # the least id's key is not the least key of its h, so the name comes
     # from the order of first members, not from the order of keys
@@ -336,6 +385,14 @@ def test_hyp_cartier_checked_per_member_of_its_h(monkeypatch):
     monkeypatch.setattr(census, "_hyp_cartier", wrong)
     with pytest.raises(RuntimeError, match=f"inconsistent invariants for {smooth[0]}:"):
         run_census(kinds="hyp", id_filter=keep)
+
+
+@pytest.mark.parametrize("kind", ["ns", "cone"])
+def test_quadric_chunk_ids_are_curve_ids(kind):
+    # all 2^16 masks: the ids joined from byte halves against each model's
+    # own curve_id
+    ids = census._quadric_chunk(kind)[0]
+    assert ids == [quadric_curve_from_mask(kind, m).curve_id for m in range(1 << 16)]
 
 
 @pytest.mark.parametrize("kind", ["ns", "cone"])

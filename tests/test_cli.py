@@ -272,11 +272,43 @@ def test_missing_records_file(capsys, tmp_path):
     assert rc == 2 and "error:" in err
 
 
-def test_discrepancy_without_published_value(capsys, tmp_path):
+def _mini_records(tmp_path) -> str:
     out_path = str(tmp_path / "mini.jsonl")
     records = census.run_census(kinds="hyp",
                                 id_filter=lambda cid: cid.startswith("hyp;h=0x01;f=0x2"))
     write_records(out_path, records)
+    return out_path
+
+
+def test_stack_count_refuses_weil_key_of_wrong_shape(capsys, tmp_path):
+    # 8 coefficients (class h's key with its constant term cut) once gave an
+    # empty report and exit 0; a valid key no model attains still does
+    out_path = _mini_records(tmp_path)
+    rc, out, err = run_cli(capsys, "stack-count", "--records", out_path,
+                           "--weil", "16,16,8,4,4,2,2,2")
+    assert rc == 2 and out == ""
+    assert "Weil key (16, 16, 8, 4, 4, 2, 2, 2) is not a genus-4 Weil polynomial" in err
+    # a Weil polynomial of genus 3, which zeta.WeilPolynomial accepts
+    rc, out, err = run_cli(capsys, "stack-count", "--records", out_path,
+                           "--weil", "8,0,0,0,0,0,1")
+    assert rc == 2 and out == ""
+    assert "Weil key (8, 0, 0, 0, 0, 0, 1) is not a genus-4 Weil polynomial" in err
+    rc, out, _ = run_cli(capsys, "stack-count", "--records", out_path,
+                         "--weil", "16,16,16,12,9,6,4,2,1")
+    assert rc == 0 and json.loads(out)["members"] == 0
+
+
+def test_discrepancy_refuses_weil_key_failing_functional_equation(capsys, tmp_path):
+    out_path = _mini_records(tmp_path)
+    rc, out, err = run_cli(capsys, "discrepancy", "--records", out_path,
+                           "--weil", "16,16,8,0,-4,0,2,3,1")
+    assert rc == 2 and out == ""
+    assert "Weil key (16, 16, 8, 0, -4, 0, 2, 3, 1) is not a genus-4 Weil polynomial" in err
+    assert "functional equation" in err
+
+
+def test_discrepancy_without_published_value(capsys, tmp_path):
+    out_path = _mini_records(tmp_path)
     rc, _, err = run_cli(capsys, "discrepancy", "--records", out_path,
                          "--weil", "16,16,16,12,9,6,4,2,1")
     assert rc == 2 and "no published abelian-side count" in err

@@ -32,7 +32,6 @@ from genus4census.curves import (
     hyperelliptic_transformed,
     is_smooth,
     jacobian_aut_order,
-    kept_monomials,
     parse_curve_id,
     quadric_coeffs,
     quadric_curve,
@@ -41,13 +40,14 @@ from genus4census.curves import (
     quadric_points,
     quadric_stabilizer_f2,
     reduce_cubic,
-    reduction_table,
     substitute_cubic,
     substitute_quadric,
 )
 from genus4census.curves import (
     _CHARTS,
+    _KEPT,
     _MINOR_PAIRS,
+    _REDUCTION,
     _byte_table,
     _hyp_images,
     _quadric_image_tables,
@@ -86,10 +86,10 @@ def test_monomial_tables_frozen():
     assert MONOMIALS3[1] == (2, 1, 0, 0)
     assert MONOMIALS3[10] == (0, 3, 0, 0)
     assert MONOMIALS3[19] == (0, 0, 0, 3)
-    assert reduction_table("ns") == {8: 1, 14: 4, 17: 5, 18: 6}
-    assert reduction_table("cone") == {9: 1, 15: 4, 18: 5, 19: 6}
-    assert kept_monomials("ns") == (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 16, 19)
-    assert kept_monomials("cone") == (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 16, 17)
+    assert _REDUCTION["ns"] == {8: 1, 14: 4, 17: 5, 18: 6}
+    assert _REDUCTION["cone"] == {9: 1, 15: 4, 18: 5, 19: 6}
+    assert _KEPT["ns"] == (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 16, 19)
+    assert _KEPT["cone"] == (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 16, 17)
 
 
 def test_reduce_cubic_folds_partners():
@@ -463,7 +463,7 @@ def test_scan_flags_every_off_chart_pattern(kind):
     # already be flagged by the quadric scan
     masks = np.arange(1 << 16)
     flagged = _quadric_scan(kind, 0, 1 << 16)[1]
-    bit = {idx: b for b, idx in enumerate(kept_monomials(kind))}
+    bit = {idx: b for b, idx in enumerate(_KEPT[kind])}
 
     def vanish(monomials):
         return (masks & sum(1 << bit[IDX[e]] for e in monomials)) == 0
@@ -480,7 +480,7 @@ def _quadric_tables_onehot(kind):
     one-pass build."""
     points = [(d, pt) for d in (1, 2, 3, 4) for pt in quadric_points(kind, field(d))]
     bits = np.zeros((16, len(points)), np.uint32)
-    for bit, idx in enumerate(kept_monomials(kind)):
+    for bit, idx in enumerate(_KEPT[kind]):
         onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
         for col, (d, pt) in enumerate(points):
             K = field(d)
@@ -507,7 +507,7 @@ def test_quadric_image_tables_match_substitution(kind):
     # every stabilizer element and every mask bit: the bitset products of
     # the image tables against substitute_cubic followed by reduce_cubic
     lo, hi = _quadric_image_tables(kind)
-    kept = kept_monomials(kind)
+    kept = _KEPT[kind]
     group = quadric_stabilizer_f2(kind)
     assert lo.shape == hi.shape == (256, len(group))
     for g, t in enumerate(group):
