@@ -22,9 +22,7 @@ Fast paths, each validated against the generic engines in the test suite:
   per quadric point over F_2..F_16 holding the monomial value and the six
   Jacobian 2x2 minors as nibbles, in numpy blocks; a zero word is exactly
   a rational singular point, and a zero low nibble a point on the curve.
-  The tables are built by numpy for all points of a field at once (about
-  0.005 s per kind in a fresh process, against 0.03-0.05 s for the
-  per-point loop they replaced);
+  The tables are built by numpy for all points of a field at once;
 * the masks without one are decided once per orbit of the quadric's
   stabilizer: image tables (_quadric_images) give each mask its orbit's
   least mask.  numpy builds them for all elements at once, each a 16-bit
@@ -40,8 +38,7 @@ Fast paths, each validated against the generic engines in the test suite:
 * the Cartier data of each orbit representative (_ns_cartier) and of each
   h (_hyp_cartier) are ranks of the operator read as an F_2 bit matrix
   (cartier.invariants): C, C^2 and C^4 as packed basis images and XOR
-  bases, C^2 computed once for the 2-rank and the [4,3] test; 15 us per
-  F_2 operator, against 108 us for the semilinear iteration it replaced;
+  bases, C^2 computed once for the 2-rank and the [4,3] test;
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
   of all f at once: one gather of parity(f & l) over the functionals of
@@ -76,15 +73,16 @@ query selects.
 run_census plans its jobs by cost: each quadric kind is one job, so its
 tables and orbit decisions are paid once, and hyp is cut into h-ranges of
 about equal model count.  A job returns a row table: the ids of its kept
-models, one uint16 row index per model, and its distinct rows.  Each model
-gets an int64 key that determines its row (a quadric mask's field of
-singularity, or its orbit representative and counts; a hyp model's Cartier
-data, note and counts), and the checks and the record build run once per
-distinct key, naming the key's first member when they fail.  The parent
-merges equal rows across jobs and concatenates the tables in kind order,
-which is id order, into one CensusTable; no record is built.  A full census
-job pickles to 1.1-1.3 MB, mostly its ids, against 3.0-4.7 MB for its
-records.
+models, one uint16 row index per model, and its distinct rows.  Both job
+kinds reduce a model to a head above its counts (_row_table).  The head is
+a singular model's note or a smooth model's Cartier data, one of a few
+per job: a quadric job has one note per witness field and one decision
+per orbit representative, a hyp job three heads per h.  The counts are
+read only for a smooth model.  The checks and the record build run once
+per distinct (head, counts), which is once per row, naming the first
+member when they fail.  The parent merges equal rows across jobs and
+concatenates the tables in kind order, which is id order, into one
+CensusTable; no record is built.
 
 Persistence is JSON lines: one header object carrying the schema version
 and the record count, then one record per line, sorted by curve id, exact
@@ -524,20 +522,13 @@ def _hyp_count_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _hyp_count_data(hm: int):
-    """(bases, functionals, starts) of one h: N_n(f) = bases[n-1] - 2 sum_l
-    parity(f & l) over the functionals from starts[n-1] up to the next
-    degree's start; the row hm of _hyp_count_tables."""
-    bases, lms, starts = _hyp_count_tables()
-    return bases[hm], lms[hm], starts
-
-
 def _hyp_counts_vector(hm: int, farr: np.ndarray) -> np.ndarray:
     """N_1..N_4 for every f mask in farr at once; shape (len(farr), 4), from
-    one gather of parity(f & l) over the functionals of all four degrees."""
-    bases, lms, starts = _hyp_count_data(hm)
-    odd = _PARITY.take(np.asarray(farr, np.int16)[:, None] & lms)
-    return bases - 2 * np.add.reduceat(odd, starts, axis=1, dtype=np.int16)
+    one gather of parity(f & l) over the functionals of all four degrees
+    (row hm of _hyp_count_tables)."""
+    bases, lms, starts = _hyp_count_tables()
+    odd = _PARITY.take(np.asarray(farr, np.int16)[:, None] & lms[hm])
+    return bases[hm] - 2 * np.add.reduceat(odd, starts, axis=1, dtype=np.int16)
 
 
 # the note of each _hyp_smooth_masks code
@@ -661,8 +652,9 @@ _COUNT_SHIFTS = (0, 6, 12, 18)
 
 def _packed_counts(counts: np.ndarray, ids, pos) -> np.ndarray:
     """Each row of counts (N_1..N_4) packed into 24 bits; ids[pos[i]] names
-    row i.  A smooth model has every N_n <= 17 + 8 * 4 = 49, but the scan
-    leaves some singular models open too, so the 6-bit bound is checked."""
+    row i.  A smooth model has every N_n <= 17 + 8 * 4 = 49; the 6-bit bound
+    is checked all the same, so that a wider count aborts instead of
+    aliasing another key."""
     counts = counts.astype(np.int64)
     wide = (counts >> 6).any(axis=1)
     if wide.any():
@@ -674,10 +666,6 @@ def _packed_counts(counts: np.ndarray, ids, pos) -> np.ndarray:
 
 def _unpacked_counts(key: int) -> tuple[int, ...]:
     return tuple((key >> s) & 63 for s in _COUNT_SHIFTS)
-
-
-def _singular_row(kind: str, note: str) -> tuple:
-    return CensusRecord("", kind, False, note)[1:]
 
 
 def _row_key(row: tuple) -> tuple:
@@ -696,33 +684,38 @@ def _kept(ids: list[str], keep):
     return np.array(pos, np.intp), [ids[i] for i in pos]
 
 
-def _row_table(keys: np.ndarray, row_of) -> tuple[np.ndarray, tuple]:
+def _head_index(heads: dict, values) -> np.ndarray:
+    """The index in heads of each value, adding to heads the values it has
+    not seen."""
+    return np.array([heads.setdefault(v, len(heads)) for v in values], np.intp)
+
+
+def _row_table(kind: str, ids: list[str], head: np.ndarray, heads: list,
+               counts: np.ndarray) -> tuple[np.ndarray, tuple]:
     """(row index per model as uint16, distinct id-free rows) for one job.
 
-    keys holds one int64 per model, and models of one key share a row.
-    row_of(key, i) builds that row from the key's first member i, once per
-    distinct key and in the order of first members, so a failed check
-    names the least id among the failing keys.  Keys whose rows coincide
-    share one row.
+    Model i is its head heads[head[i]], a singular model's note (a str) or
+    a smooth model's Cartier data (a, 2-rank, type43), above its counts[i]
+    (N_1..N_4), which are read only when the model is smooth.  Its key is
+    head << 24 | packed counts, and each distinct key is one row, built
+    once from its first member and in the order of first members, so a
+    failed check names the least id among the failing keys.
     """
+    smooth = np.flatnonzero(np.array([not isinstance(h, str) for h in heads], bool)[head])
+    keys = head.astype(np.int64) << 24
+    keys[smooth] |= _packed_counts(counts[smooth], ids, smooth)
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    rows: list[tuple] = []
     key_row = np.empty(len(uniq), np.uint16)
-    key_row[order] = _merge_rows({}, rows, [row_of(int(uniq[k]), int(first[k])) for k in order.tolist()])
+    key_row[order] = np.arange(len(uniq))
+    rows = []
+    for key, i in zip(uniq[order].tolist(), first[order].tolist()):
+        h = heads[key >> 24]
+        if isinstance(h, str):
+            rows.append(CensusRecord("", kind, False, h)[1:])
+        else:
+            rows.append(_classified_record(kind, ids[i], _unpacked_counts(key), h)[1:])
     return key_row[inverse], tuple(rows)
-
-
-def _merge_rows(index: dict, rows: list, new) -> list[int]:
-    """The index in rows of each row of new, appending to rows the rows
-    whose _row_key index has not seen."""
-    out = []
-    for row in new:
-        r = index.setdefault(_row_key(row), len(rows))
-        if r == len(rows):
-            rows.append(row)
-        out.append(r)
-    return out
 
 
 _HEX2 = tuple(f"{b:02x}" for b in range(256))
@@ -739,39 +732,34 @@ def _quadric_chunk(kind: str, keep=None) -> tuple[list[str], np.ndarray, tuple]:
     keep accepts.  One scan covers all 2^16 masks, so every orbit
     representative lies in it.
 
-    Each kept mask gets a key.  A flagged mask's key is the degree d of the
-    field of its witness column, 1..4: its note names only that field, so
-    it is built once per field.  An open mask's key is its orbit
-    representative (plus one, so that no key is a field degree) above its
-    packed counts.  The orbit decision and the record build run once per
-    distinct key; the members' counts are in the key, so the broadcast
-    2-rank is checked against every distinct count vector of the orbit.
+    A flagged mask's head is its note, which names only the field of its
+    witness column, so it is built once per field.  An open mask's head is
+    its orbit representative's decision, made once per distinct
+    representative: the note when it is singular, else its Cartier data,
+    which is broadcast to every member's counts, so the 2-rank is checked
+    against every distinct count vector of the orbit.
     """
     counts, flagged, witness = _quadric_scan(kind, 0, 1 << 16)
-    bounds = _quadric_tables(kind)[2]
     masks, ids = _kept(_quadric_ids(kind), keep)
-    keys = np.empty(len(masks), np.int64)
-    flag = flagged[masks]
-    keys[flag] = np.searchsorted(bounds, witness[masks[flag]], side="right")
-    open_pos = np.flatnonzero(~flag)
-    reps = _quadric_images(kind, masks[open_pos]).min(axis=1).astype(np.int64)
+    heads: dict = {}
+    head = np.empty(len(masks), np.intp)
+    flag_pos = np.flatnonzero(flagged[masks])
+    degree = np.searchsorted(_quadric_tables(kind)[2], witness[masks[flag_pos]], side="right")
+    _, first, of_field = np.unique(degree, return_index=True, return_inverse=True)
+    notes = [_scan_singular(kind, int(witness[masks[flag_pos[i]]])).note for i in first.tolist()]
+    head[flag_pos] = _head_index(heads, notes)[of_field]
+    open_pos = np.flatnonzero(~flagged[masks])
+    reps = _quadric_images(kind, masks[open_pos]).min(axis=1)
     bad = flagged[reps]
     if bad.any():
         i = int(bad.argmax())
         cid = ids[open_pos[i]]
         raise RuntimeError(f"the scan flags the orbit representative {kind};c=0x{reps[i]:04x} "
                            f"of {cid} but not {cid} itself")
-    keys[open_pos] = (reps + 1) << 24 | _packed_counts(counts[masks[open_pos]], ids, open_pos)
-
-    def row_of(key: int, i: int) -> tuple:
-        if key <= 4:
-            return _singular_row(kind, _scan_singular(kind, int(witness[masks[i]])).note)
-        res, cart = _quadric_orbit_decision(kind, (key >> 24) - 1)
-        if not res.smooth:
-            return _singular_row(kind, res.note)
-        return _classified_record(kind, ids[i], _unpacked_counts(key), cart)[1:]
-
-    return (ids, *_row_table(keys, row_of))
+    distinct, of_rep = np.unique(reps, return_inverse=True)
+    decisions = [_quadric_orbit_decision(kind, rep) for rep in distinct.tolist()]
+    head[open_pos] = _head_index(heads, [cart if res.smooth else res.note for res, cart in decisions])[of_rep]
+    return (ids, *_row_table(kind, ids, head, list(heads), counts[masks]))
 
 
 def _hyp_f_min(hm: int) -> int:
@@ -787,38 +775,27 @@ def _hyp_chunk(h0: int, h1: int, keep=None) -> tuple[list[str], np.ndarray, tupl
     """Row table (see _census_job) of the hyp models with h0 <= h < h1 that
     keep accepts.
 
-    Per h, one parity gather counts the kept smooth models.  A smooth
-    model's row depends on h only through its Cartier data, which takes 6
-    values over all 63 h, so each model's key is the index of its h's
-    Cartier data in the job, above its note code (0 when smooth, else its
-    index in _HYP_NOTES), above its packed counts (0 when singular).  The
-    keys of all the job's h go through one np.unique, and the record build
-    runs once per distinct key.
+    Each h has three heads, indexed by the _hyp_smooth_masks code of f: its
+    Cartier data, which depends on h alone, and the two notes of
+    _HYP_NOTES.  Per h, one parity gather counts the kept smooth models.
     """
     ids: list[str] = []
-    keys: list[np.ndarray] = []
-    carts: dict[tuple, int] = {}
+    head: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    heads: dict = {}
     for hm in range(h0, h1):
         prefix = f"hyp;h=0x{hm:02x}"
         f0 = _hyp_f_min(hm)
         pos, hids = _kept([prefix + suffix for suffix in _F_SUFFIX[f0:]], keep)
         fms = pos + f0
-        codes = _hyp_smooth_masks(hm)[fms].astype(np.int64)
-        smooth = np.flatnonzero(codes == 0)
-        packed = np.zeros(len(fms), np.int64)
-        packed[smooth] = _packed_counts(_hyp_counts_vector(hm, fms[smooth]), hids, smooth)
-        cart = carts.setdefault(_hyp_cartier(hm), len(carts))
-        keys.append(cart << 26 | codes << 24 | packed)
+        codes = _hyp_smooth_masks(hm)[fms]
+        smooth = codes == 0
+        h_counts = np.zeros((len(fms), len(_DEGREES)), np.int16)
+        h_counts[smooth] = _hyp_counts_vector(hm, fms[smooth])
+        head.append(_head_index(heads, (_hyp_cartier(hm), *_HYP_NOTES[1:]))[codes])
+        counts.append(h_counts)
         ids += hids
-    cart_of = list(carts)
-
-    def row_of(key: int, i: int) -> tuple:
-        code = (key >> 24) & 3
-        if code:
-            return _singular_row("hyp", _HYP_NOTES[code])
-        return _classified_record("hyp", ids[i], _unpacked_counts(key), cart_of[key >> 26])[1:]
-
-    return (ids, *_row_table(np.concatenate(keys), row_of))
+    return (ids, *_row_table("hyp", ids, np.concatenate(head), list(heads), np.concatenate(counts)))
 
 
 def classify_model(curve) -> CensusRecord:
@@ -905,14 +882,20 @@ def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> CensusTable:
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             tables = list(pool.map(_census_job, jobs))
-    index: dict[tuple, int] = {}
+    index: dict[tuple, int] = {}  # _row_key -> index in rows
     rows: list[tuple] = []
     ids: list[str] = []
     parts = [np.zeros(0, np.intp)]
     # a stable sort by kind keeps the hyp ranges in ascending h
     for _, (job_ids, row, job_rows) in sorted(zip(jobs, tables), key=lambda part: part[0][0]):
         ids += job_ids
-        parts.append(np.array(_merge_rows(index, rows, job_rows), np.intp)[row])
+        merged = []
+        for r in job_rows:
+            m = index.setdefault(_row_key(r), len(rows))
+            if m == len(rows):
+                rows.append(r)
+            merged.append(m)
+        parts.append(np.array(merged, np.intp)[row])
     return CensusTable(ids, _row_array(np.concatenate(parts), len(rows)), tuple(rows))
 
 

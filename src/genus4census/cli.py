@@ -121,8 +121,8 @@ def _cmd_dieudonne(args) -> int:
 
 
 def _cmd_stack_count(args) -> int:
-    records = census.read_records(args.records)
-    report = census.group_isogeny_classes(records, [args.weil])[0]
+    weil = census._weil_key(args.weil)
+    report = census.group_isogeny_classes(census.read_records(args.records), [weil])[0]
     _emit({
         "weil": [str(c) for c in report.weil],
         "members": len(report.member_ids),
@@ -142,8 +142,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_discrepancy(args) -> int:
-    records = census.read_records(args.records)
-    report = census.group_isogeny_classes(records, [args.weil])[0]
+    weil = census._weil_key(args.weil)
+    report = census.group_isogeny_classes(census.read_records(args.records), [weil])[0]
     print(census.discrepancy_report(report))
     return 0
 

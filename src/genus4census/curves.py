@@ -993,11 +993,9 @@ def aut_order_f2(curve) -> int:
     raise TypeError(f"not a curve: {curve!r}")
 
 
-def jacobian_aut_order(curve, aut: int | None = None) -> int:
-    """|Aut(Jacobian, principal polarization)| = |Aut(C)| for hyperelliptic C
-    and 2 |Aut(C)| otherwise, by the Torelli theorem."""
-    if aut is None:
-        aut = aut_order_f2(curve)
+def jacobian_aut_order(curve, aut: int) -> int:
+    """|Aut(Jacobian, principal polarization)| from aut = |Aut(C)|: aut for
+    hyperelliptic C and 2 aut otherwise, by the Torelli theorem."""
     if isinstance(curve, HyperellipticCurve):
         return aut
     return 2 * aut

@@ -518,6 +518,18 @@ def test_job_row_tables():
         assert all(len(r) == len(CensusRecord._fields) - 1 for r in rows)
 
 
+def test_one_record_build_per_smooth_row(monkeypatch):
+    # each job builds one record per distinct smooth row: orbits and h's
+    # that share their counts and Cartier data share the build
+    builds = []
+    real = census._classified_record
+    monkeypatch.setattr(census, "_classified_record", lambda *args: builds.append(args) or real(*args))
+    for job in census._census_jobs(census.KINDS, 2, None):
+        builds.clear()
+        rows = census._census_job(job)[2]
+        assert len(builds) == sum(row[1] for row in rows) > 0, job
+
+
 def test_run_census_leaves_the_collector_as_it_found_it():
     # run_census leaves the collector enabled or disabled, as it found it
     keep = set(NAMED_EXPECTATIONS).__contains__

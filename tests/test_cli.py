@@ -307,6 +307,17 @@ def test_discrepancy_refuses_weil_key_failing_functional_equation(capsys, tmp_pa
     assert "functional equation" in err
 
 
+@pytest.mark.parametrize("command", ["stack-count", "discrepancy"])
+def test_bad_weil_key_refused_before_the_records_file_is_read(capsys, tmp_path, command):
+    # the key is checked first, so a bad key with a missing file fails
+    # naming the key, not the file
+    rc, out, err = run_cli(capsys, command, "--records", str(tmp_path / "missing.jsonl"),
+                           "--weil", "16,16,8,4,4,2,2,2")
+    assert rc == 2 and out == ""
+    assert "Weil key (16, 16, 8, 4, 4, 2, 2, 2) is not a genus-4 Weil polynomial" in err
+    assert "missing.jsonl" not in err
+
+
 def test_discrepancy_without_published_value(capsys, tmp_path):
     out_path = _mini_records(tmp_path)
     rc, _, err = run_cli(capsys, "discrepancy", "--records", out_path,

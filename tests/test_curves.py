@@ -634,12 +634,12 @@ def test_aut_of_named_curves():
     twist = hyperelliptic_from_masks(0x01, 0x221)
     assert aut_order_f2(hyp) == 4
     assert aut_order_f2(twist) == 4
-    assert jacobian_aut_order(hyp) == 4
+    assert jacobian_aut_order(hyp, aut_order_f2(hyp)) == 4
     ss = curve_from_monomials("ns", SMOOTH_SS)
     a = aut_order_f2(ss)
     orbit = {apply_transform(ss, t).coeffs for t in quadric_stabilizer_f2("ns")}
     assert a * len(orbit) == 72
-    assert jacobian_aut_order(ss) == 2 * a
+    assert jacobian_aut_order(ss, aut_order_f2(ss)) == 2 * a
 
 
 def test_aut_hyperelliptic_orbit_stabilizer():
