@@ -19,22 +19,24 @@ Fast paths, each validated against the generic engines in the test suite:
 
 * quadric counting runs the quadric scan of curves (_quadric_scan): each of
   the 2^16 masks is the XOR of two byte tables of packed words, one uint32
-  per quadric point over F_2..F_16 holding the monomial value and the six
-  Jacobian 2x2 minors as nibbles, in numpy blocks; a zero word is exactly
-  a rational singular point, and a zero low nibble a point on the curve.
-  The tables are built by numpy for all points of a field at once;
+  per Frobenius orbit of quadric points over F_2..F_16 holding the
+  monomial value and the six Jacobian 2x2 minors as nibbles, in numpy
+  blocks; a zero word is exactly a rational singular point, a zero low
+  nibble an orbit on the curve, and N_n adds d times the on-curve orbits
+  of each degree d | n.  The tables are built by numpy for the orbits'
+  first points of a field at once;
 * the masks without one are decided once per orbit of the quadric's
   stabilizer: image tables (_quadric_images) give each mask its orbit's
   least mask.  numpy builds them for all elements at once, each a 16-bit
   matrix whose rows are linear forms, by gathering F_2 bitset products
   from a form x form and a quadric monomial x form table.  That
   representative's scan flag is read from the kind's one scan of all 2^16
-  masks, and its smoothness (the chart-only symbolic engine,
-  _quadric_smooth_f2) and Cartier data are computed once per process and
-  broadcast to the members; counts stay per mask, so each distinct
-  count vector of an orbit is checked against the broadcast 2-rank.
-  classify_model and is_smooth decide the model itself, a second route to
-  the same records;
+  masks, and its smoothness (_quadric_smooth_f2: gcds of packed
+  u-polynomials on one chart, no factorization) and Cartier data are
+  computed once per process and broadcast to the members; counts stay
+  per mask, so each distinct count vector of an orbit is checked against
+  the broadcast 2-rank.  classify_model and is_smooth decide the model
+  itself, a second route to the same records;
 * the Cartier data of each orbit representative (_ns_cartier) and of each
   h (_hyp_cartier) are ranks of the operator read as an F_2 bit matrix
   (cartier.invariants): C, C^2 and C^4 as packed basis images and XOR
@@ -372,7 +374,8 @@ def write_records(path, records) -> None:
     records' table with the id spliced in.  An id that is not the curve_id
     of a census model (_CURVE_ID) is refused, naming it, and so is an id
     that does not strictly follow the one before it (read_records refuses
-    both); the ids are checked before the file is opened.
+    both); the ids are checked before the file is opened.  A failed open
+    names path, not the temporary file.
     """
     table = CensusTable.of(records)
     _check_ids(table.ids)
@@ -384,7 +387,11 @@ def write_records(path, records) -> None:
     row = table.row.tolist()
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="ascii") as fh:
+        fh = open(tmp, "w", encoding="ascii")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
             header = {"records": len(table), "schema": SCHEMA}
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
             # heads[r] + cid + tails[r] per model, looped in C

@@ -17,7 +17,9 @@ All numeric output is exact (integers and fractions as strings).  Exit codes:
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 from collections import Counter
 
@@ -58,6 +60,9 @@ def _emit(obj) -> None:
 
 
 def _cmd_census(args) -> int:
+    # refused before the census runs, as write_records would refuse it after
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     kinds = census.KINDS if args.kind == "all" else (args.kind,)
     records = census.run_census(kinds=kinds, workers=args.workers)
     census.write_records(args.out, records)

@@ -17,8 +17,9 @@ Two families of models:
   Smoothness is decided on two affine charts, X = 1 and Y = 1, which cover
   the quadric up to its distinguished points X = Y = 0 ((0:0:1:0) and
   (0:0:0:1) on ns, the vertex on the cone); those are checked by their
-  coefficient patterns.  Over F_2 a scan of the points over F_2..F_16
-  settles most masks first, and one chart is left to eliminate.
+  coefficient patterns.  Over F_2 a scan of the points over F_2..F_16,
+  one per Frobenius orbit, settles most masks first, and one chart is
+  left, decided by gcds of packed u-polynomials.
 
 * hyperelliptic: y^2 + h(x) y = f(x) with deg h <= 5, deg f <= 10,
   max(2 deg h, deg f) in {9, 10}, h != 0.  The smooth model lives in the
@@ -45,6 +46,9 @@ from .gfarith import (
     FieldSpec,
     embedding,
     field,
+    gf2x_deriv,
+    gf2x_divmod,
+    gf2x_gcd,
     gf2x_mul,
     poly_add,
     poly_degree,
@@ -532,30 +536,46 @@ def _array_mul(K: FieldSpec):
 
 @lru_cache(maxsize=None)
 def _quadric_tables(kind: str):
-    """(lo, hi, bounds, points): cubic value and Jacobian minors at every
-    point of the quadric, for every cubic mask.
+    """(lo, hi, bounds, points): cubic value and Jacobian minors at one
+    point of each Frobenius orbit on the quadric over F_2..F_16, for every
+    cubic mask.
 
-    Columns are quadric_points over F_2, F_4, F_8, F_16 in turn; bounds[d-1]
-    to bounds[d] are the F_{2^d} columns, and points[col] is (d, point).
-    For one cubic monomial, a column holds one uint32 word of seven
-    nibbles: its value (bits 0-3) and the six 2x2 minors of (grad monomial;
-    grad quadric) in _MINOR_PAIRS order (bits 4-27).  All seven are
-    F_2-linear in the cubic coefficients, so the words of mask m are
-    lo[m & 255] ^ hi[m >> 8], where lo and hi XOR the words of the low and
-    high eight mask bits.  A zero word is a point on the curve where the
-    Jacobian drops rank: a rational singular point, and conversely; a zero
-    low nibble is a point on the curve.
+    A model is defined over F_2, so a point lies on it, or is singular on
+    it, exactly when its conjugates do, and squaring the coordinates maps
+    each point of quadric_points to another.  So a column is the first
+    member, in quadric_points order, of each orbit of exact degree d:
+    bounds[d-1] to bounds[d] are the degree-d columns in that order, and
+    points[col] is (d, point).  For one cubic monomial, a column holds one
+    uint32 word of seven nibbles: its value (bits 0-3) and the six 2x2
+    minors of (grad monomial; grad quadric) in _MINOR_PAIRS order (bits
+    4-27).  All seven are F_2-linear in the cubic coefficients, so the
+    words of mask m are lo[m & 255] ^ hi[m >> 8], where lo and hi XOR the
+    words of the low and high eight mask bits.  A zero word is a point on
+    the curve where the Jacobian drops rank: a singular point, and
+    conversely; a zero low nibble is a point on the curve.
     """
     exps = np.array([MONOMIALS3[idx] for idx in _KEPT[kind]])  # (16, 4)
+    shifts = np.array([[12], [8], [4], [0]])  # a point's coordinates as one 16-bit key
     points, bounds, words = [], [0], []
     for d in (1, 2, 3, 4):
         K = field(d)
         pts = quadric_points(kind, K)
-        points += [(d, pt) for pt in pts]
-        bounds.append(len(points))
         mul = _array_mul(K)
         coords = np.array(pts, np.intp).T  # (4, n)
         sq = mul(coords, coords)
+        # Frobenius permutes the points (found by their 16-bit keys); keep
+        # each point that precedes its d - 1 other conjugates
+        where = np.zeros(1 << 16, np.intp)
+        where[(coords << shifts).sum(axis=0)] = np.arange(len(pts))
+        frob = image = where[(sq << shifts).sum(axis=0)]
+        keep = np.ones(len(pts), bool)
+        for _ in range(d - 1):
+            keep &= image > np.arange(len(pts))
+            image = frob[image]
+        keep = np.flatnonzero(keep)
+        points += [(d, pts[i]) for i in keep.tolist()]
+        bounds.append(len(points))
+        coords, sq = coords[:, keep], sq[:, keep]
         pw = np.stack([np.ones_like(coords), coords, sq, mul(sq, coords)], axis=1)  # (4, exponent, n)
         f = pw[np.arange(4), exps]  # (16 bits, 4 coordinates, n)
         # partial in v: the odd exponent e[v] drops by one, the rest stay
@@ -573,27 +593,38 @@ def _quadric_tables(kind: str):
     return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(bounds), tuple(points)
 
 
+# N_n = sum over d | n of d times the on-curve orbits of degree d (row d, column n)
+_ORBIT_WEIGHTS = np.array([[1, 1, 1, 1], [0, 2, 0, 2], [0, 0, 3, 0], [0, 0, 0, 4]], np.float32)
+
+
 def _quadric_scan(kind: str, m0: int, m1: int):
     """Counts and rational-singularity data for the masks m0 <= m < m1.
 
-    The masks sharing a high byte are evaluated as one numpy block of
-    packed words.  Returns (counts, flagged, witness_col), indexed by
-    mask - m0; witness_col is the first zero word of a flagged mask.
+    The masks of a few high bytes are evaluated as one numpy block of
+    packed words, one per Frobenius orbit, and a mask's counts are its
+    on-curve columns times their _ORBIT_WEIGHTS rows (a float32 product,
+    exact on these small integers).  Returns (counts, flagged,
+    witness_col), indexed by mask - m0; witness_col is the first zero word
+    of a flagged mask, which is the first singular point of quadric_points
+    over the least field that has one (its conjugates come after it).
     """
     lo, hi, bounds, _ = _quadric_tables(kind)
+    weights = _ORBIT_WEIGHTS[np.repeat(np.arange(4), np.diff(bounds))]  # (columns, n)
     n = m1 - m0
     counts = np.zeros((n, 4), np.int16)
     flagged = np.zeros(n, np.bool_)
     witness = np.zeros(n, np.int32)
+    step = 256 * 404 // lo.size  # high bytes per block: at most 256 masks x 404 points of words
     a = m0
     while a < m1:
-        b = min((a | 255) + 1, m1)
-        cur = lo[a & 255:((b - 1) & 255) + 1] ^ hi[a >> 8]
+        h = a >> 8
+        b = min((h + step) << 8, m1)
+        cur = (hi[h:((b - 1) >> 8) + 1, None] ^ lo).reshape(-1, lo.shape[1])[a - (h << 8):b - (h << 8)]
         dead = cur == 0
         rows = slice(a - m0, b - m0)
-        flagged[rows] = dead.any(axis=1)
-        witness[rows] = dead.argmax(axis=1)
-        counts[rows] = np.add.reduceat((cur & 15) == 0, bounds[:-1], axis=1, dtype=np.int16)
+        witness[rows] = first = dead.argmax(axis=1)
+        flagged[rows] = dead[np.arange(b - a), first]
+        counts[rows] = ((cur & 15) == 0).astype(np.float32) @ weights
         a = b
     return counts, flagged, witness
 
@@ -717,26 +748,83 @@ def _quadric_smooth_generic(curve: QuadricCubicCurve) -> SmoothnessResult:
 _F2_CELLS = {kind: tuple(_CELLS[kind, _COVER[kind][0]][i] for i in _KEPT[kind]) for kind in QUADRIC_KINDS}
 
 
+def _packed_chart(kind: str, mask: int) -> list[int]:
+    """The chart polynomial of an F_2 mask on the first chart of _COVER, as
+    packed u-polynomials f0..f3, the coefficients of v^0..v^3."""
+    f = [0] * 4
+    for bit, (v_e, u_e) in enumerate(_F2_CELLS[kind]):
+        if (mask >> bit) & 1:
+            f[v_e] ^= 1 << u_e
+    return f
+
+
+def _root_outside(p: int, q: int) -> bool:
+    """Does the packed p vanish somewhere over the closure of F_2 where q
+    does not?  The zero polynomial vanishes everywhere.  gcd(p, q) is
+    divided out of p until the two are coprime."""
+    if not p or not q:
+        return bool(q)
+    g = gf2x_gcd(p, q)
+    while g != 1:
+        p = gf2x_divmod(p, g)[0]
+        g = gf2x_gcd(p, g)
+    return p != 1
+
+
+def _cubic_form(s, a: int, b: int) -> int:
+    """s[0] b^3 + s[1] a b^2 + s[2] a^2 b + s[3] a^3, packed."""
+    acc, bj = s[3], 1
+    for sj in s[2::-1]:
+        bj = gf2x_mul(bj, b)
+        acc = gf2x_mul(acc, a) ^ gf2x_mul(sj, bj)
+    return acc
+
+
+def _chart_singular_fibre(f) -> str | None:
+    """The kind of fibre u = u0 (over the closure of F_2) on which the
+    packed chart polynomial f0 + f1 v + f2 v^2 + f3 v^3 is singular: "A"
+    where f3(u0) != 0, "B" where f3(u0) = 0 != f2(u0), "C" at a root of
+    the content; None when f = f_u = f_v = 0 has no solution.
+
+    In characteristic 2, f_v = f1 + f3 w with w = v^2, where v -> v^2 is
+    a bijection; on f_v = 0, f = f0 + f2 w, and f_u^2 = sum g_j^2 w^j with
+    g_j = f_j'.  So A is a root of gcd(f0 f3 + f1 f2, sum g_j^2 f1^j
+    f3^(3-j)) off f3, with w = f1 / f3; B a root of gcd(f1, f3, sum g_j^2
+    f0^j f2^(3-j)) off f2, with w = f0 / f2; and C a root of the content
+    where sum g_j v^j is not a nonzero constant in v.  Only gcds and
+    products of packed polynomials: no factorization, no residue field.
+    """
+    f0, f1, f2, f3 = f
+    g = [gf2x_deriv(p) for p in f]
+    s = [gf2x_mul(p, p) for p in g]
+    if _root_outside(gf2x_gcd(gf2x_mul(f0, f3) ^ gf2x_mul(f1, f2), _cubic_form(s, f1, f3)), f3):
+        return "A"
+    h = gf2x_gcd(f1, f3)  # B and C lie over its roots
+    if h == 1:
+        return None
+    if _root_outside(gf2x_gcd(h, _cubic_form(s, f0, f2)), f2):
+        return "B"
+    c = gf2x_gcd(h, gf2x_gcd(f0, f2))
+    if gf2x_gcd(c, g[0]) != 1 or _root_outside(c, gf2x_gcd(gf2x_gcd(g[1], g[2]), g[3])):
+        return "C"
+    return None
+
+
 def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
     """Smoothness of an F_2 model whose mask the quadric scan did not flag:
     the one model in is_smooth, and in the census the least mask of each
     stabilizer orbit, whose result holds for the whole orbit.
 
     The quadric is covered as in _quadric_smooth_generic, and this route
-    eliminates, over packed F_2[u], on the first chart of _COVER only.
-    Every other point is a scan column: the distinguished points lie over
-    F_2, and what the second chart adds are lines (Y = Z = 0 and Y = T = 0
-    on ns, X = T = 0 on the cone), which a cubic not containing them meets
-    over F_2, F_4 or F_8 (no unflagged cubic contains a whole line).
+    decides the first chart of _COVER only, by the gcds of
+    _chart_singular_fibre, whose oracle is packed elimination
+    (elimination.exists_common_zero_f2).  Every other point is a scan
+    column: the distinguished points lie over F_2, and what the second
+    chart adds are lines (Y = Z = 0 and Y = T = 0 on ns, X = T = 0 on the
+    cone), which a cubic not containing them meets over F_2, F_4 or F_8
+    (no unflagged cubic contains a whole line).
     """
-    mask = curve.mask
-    grid = [0] * 4
-    for bit, (v_e, u_e) in enumerate(_F2_CELLS[curve.kind]):
-        if (mask >> bit) & 1:
-            grid[v_e] ^= 1 << u_e
-    f = tuple(grid)
-    system = [f, el.f2_biv_deriv_u(f), el.f2_biv_deriv_v(f)]
-    if el.exists_common_zero_f2(system):
+    if _chart_singular_fibre(_packed_chart(curve.kind, curve.mask)):
         return SmoothnessResult(False, None, "singular point inside the affine chart")
     return SmoothnessResult(True)
 

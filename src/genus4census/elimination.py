@@ -27,7 +27,8 @@ instances:
 * F[u] for any field F of gfarith, u-polynomials as gfarith tuples
   (poly_ring(F));
 * F_2[u] with u-polynomials as packed ints (gfarith.F2X, bound here as
-  _F2_PACKED), which keeps the census's chart decision cheap.
+  _F2_PACKED), the oracle of the census's gcd-only chart decision
+  (curves._chart_singular_fibre).
 
 The public functions bind one ring each, picked by the input format: the
 functions taking a field F work on tuples, the f2_ names on packed

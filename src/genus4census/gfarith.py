@@ -13,9 +13,10 @@ Both are instances of one ring interface (``Ring``: ``F2X`` and
 once over it: powers and inverses modulo a polynomial, the squarefree
 decomposition, Cantor-Zassenhaus factorization, roots and the residue
 field F[x]/(pi) (``ResidueField``).  The ``gf2x_*`` and ``poly_*`` names
-bind those algorithms to one encoding each.  Both encodings stay: with
-its F_2 factorizations on tuples, the census's quadric smoothness decisions
-take about twice as long.
+bind those algorithms to one encoding each.  Both encodings stay: the
+packed one carries the F_2 work (the moduli's irreducibility tests, the
+hyperelliptic branch points and smoothness gcds, the quadric chart
+decision's gcds), and the tuples carry the generic routes over any field.
 
 On top sit the fields F_{2^k} for k <= 16: elements are ints < 2^k holding
 their polynomial-basis coordinates with respect to a fixed irreducible

@@ -272,6 +272,23 @@ def test_missing_records_file(capsys, tmp_path):
     assert rc == 2 and "error:" in err
 
 
+def test_census_out_into_missing_directory(capsys, tmp_path, monkeypatch):
+    # refused before the census runs, naming the path given rather than a
+    # temporary file beside it
+    monkeypatch.setattr(census, "run_census", lambda *args, **kw: pytest.fail("the census ran"))
+    path = str(tmp_path / "missing" / "x.jsonl")
+    rc, out, err = run_cli(capsys, "census", "--kind", "ns", "--out", path)
+    assert rc == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+
+def test_write_records_failed_open_names_the_path(tmp_path):
+    path = str(tmp_path / "missing" / "x.jsonl")
+    with pytest.raises(FileNotFoundError) as exc:
+        write_records(path, [])
+    assert str(exc.value) == f"[Errno 2] No such file or directory: {path!r}"
+
+
 def _mini_records(tmp_path) -> str:
     out_path = str(tmp_path / "mini.jsonl")
     records = census.run_census(kinds="hyp",

@@ -8,6 +8,7 @@ parametrizations used by count_points.  The four fixed count vectors for the
 named example curves are published values.
 """
 
+import collections
 import itertools
 import random
 
@@ -49,15 +50,18 @@ from genus4census.curves import (
     _MINOR_PAIRS,
     _REDUCTION,
     _byte_table,
+    _chart_singular_fibre,
     _hyp_images,
+    _packed_chart,
     _quadric_image_tables,
     _quadric_images,
     _quadric_scan,
     _quadric_smooth_generic,
     _quadric_tables,
 )
+from genus4census import elimination as el
 from genus4census.elimination import biv_eval
-from genus4census.gfarith import F2, field, poly_eval
+from genus4census.gfarith import F2, field, gf2x_gcd, gf2x_mul, poly_eval
 
 IDX = {e: i for i, e in enumerate(MONOMIALS3)}
 
@@ -417,6 +421,48 @@ def test_smoothness_engines_agree():
     assert smooth_seen > 150 and singular_seen > 150
 
 
+def _chart_system_f2(f):
+    """Packed elimination's answer for the chart polynomial f (packed
+    f0..f3): do f, f_u and f_v vanish together over the closure of F_2?"""
+    f = tuple(f)
+    return el.exists_common_zero_f2([f, el.f2_biv_deriv_u(f), el.f2_biv_deriv_v(f)])
+
+
+def test_chart_decision_matches_elimination():
+    # the gcd-only chart decision against packed elimination on every
+    # orbit representative the census decides, on every unflagged mask
+    # whose gcd(f1, f3) or content is nontrivial, and on seeded random
+    # systems of v-degree <= 3 and u-degree <= 6 (generic, f3 = 0,
+    # f1 = f3 = 0, and a common u-factor of all four rows)
+    systems = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0b10, 0, 0, 0]]
+    for kind, orbits in (("ns", 257), ("cone", 275)):
+        open_masks = np.flatnonzero(~_quadric_scan(kind, 0, 1 << 16)[1])
+        reps = np.unique(_quadric_images(kind, open_masks).min(axis=1))
+        assert len(reps) == orbits
+        systems += [_packed_chart(kind, m) for m in reps.tolist()]
+        for m in open_masks.tolist():
+            f0, f1, f2, f3 = f = _packed_chart(kind, m)
+            if gf2x_gcd(f1, f3) != 1 or gf2x_gcd(gf2x_gcd(f0, f1), gf2x_gcd(f2, f3)) != 1:
+                systems.append(f)
+    rng = random.Random(1979)
+    for i in range(800):
+        f = [rng.getrandbits(7) for _ in range(4)]
+        if i % 4 == 1:
+            f[3] = 0
+        elif i % 4 == 2:
+            f[1] = f[3] = 0
+        elif i % 4 == 3:
+            common = rng.choice([0b10, 0b11, 0b111, 0b1011])
+            f = [gf2x_mul(common, rng.getrandbits(8 - common.bit_length())) for _ in range(4)]
+        systems.append(f)
+    reached = collections.Counter()
+    for f in systems:
+        fibre = _chart_singular_fibre(f)
+        assert (fibre is not None) == _chart_system_f2(f), f
+        reached[fibre] += 1
+    assert set(reached) == {"A", "B", "C", None}, reached
+
+
 @pytest.mark.parametrize("kind", ["ns", "cone"])
 def test_smoothness_survives_base_extension(kind):
     # an F_2 model read over F_4 and F_8 goes the generic route (the
@@ -472,13 +518,31 @@ def test_scan_flags_every_off_chart_pattern(kind):
         assert hit.any() and flagged[hit].all()
 
 
+def _frobenius_representatives(kind):
+    """(d, point) for the first member, in quadric_points order, of each
+    Frobenius orbit of exact degree d over F_2..F_16, found by squaring
+    the coordinates of one point at a time."""
+    reps = []
+    for d in (1, 2, 3, 4):
+        K = field(d)
+        pts = quadric_points(kind, K)
+        pos = {pt: i for i, pt in enumerate(pts)}
+        for i, pt in enumerate(pts):
+            orbit = [pt]
+            while (image := tuple(K.mul(c, c) for c in orbit[-1])) != pt:
+                orbit.append(image)
+            if len(orbit) == d and min(pos[q] for q in orbit) == i:
+                reps.append((d, pt))
+    return reps
+
+
 def _quadric_tables_onehot(kind):
     """The scan tables built one monomial at a time: eval_cubic and
-    cubic_partials on the one-hot cubic of each kept monomial, at every
-    quadric point over F_2..F_16, packed as the scan packs them (the value
-    in bits 0-3, the six minors in the nibbles above).  Oracle of the
-    one-pass build."""
-    points = [(d, pt) for d in (1, 2, 3, 4) for pt in quadric_points(kind, field(d))]
+    cubic_partials on the one-hot cubic of each kept monomial, at the
+    representative of each Frobenius orbit, packed as the scan packs them
+    (the value in bits 0-3, the six minors in the nibbles above).  Oracle
+    of the one-pass build."""
+    points = _frobenius_representatives(kind)
     bits = np.zeros((16, len(points)), np.uint32)
     for bit, idx in enumerate(_KEPT[kind]):
         onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
@@ -500,6 +564,15 @@ def test_quadric_tables_match_onehot_build(kind):
     assert [points[b][0] for b in bounds[:-1]] == [1, 2, 3, 4] and bounds[-1] == len(points)
     assert lo.dtype == hi.dtype == np.uint32
     assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+@pytest.mark.parametrize("kind, sizes", [("ns", (9, 25, 81, 289)), ("cone", (7, 21, 73, 273))])
+def test_frobenius_orbits_partition_the_quadric(kind, sizes):
+    # the points over F_{2^n} are the orbits of degree d | n, d points each
+    bounds = _quadric_tables(kind)[2]
+    orbits = [bounds[d] - bounds[d - 1] for d in (1, 2, 3, 4)]
+    assert [sum(d * orbits[d - 1] for d in (1, 2, 3, 4) if n % d == 0) for n in (1, 2, 3, 4)] == list(sizes)
+    assert [len(quadric_points(kind, field(n))) for n in (1, 2, 3, 4)] == list(sizes)
 
 
 @pytest.mark.parametrize("kind", ["ns", "cone"])
