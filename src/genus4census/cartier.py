@@ -21,10 +21,7 @@ roots is onto F; an F-subspace of dimension r has F_2-dimension r k, so
 the F-rank is the F_2-rank divided by k, and C^2 = 0 holds in one picture
 exactly when it holds in the other.  One call gives the rank of C, the
 rank of C^4 and whether C^2 = 0, so invariants reads C^2 once for both the
-[4,3] test and the 2-rank.  Over the 63 hyp operators and 60 smooth
-quadric ones it takes 15 us per F_2 operator, against 108 us for the
-semilinear iteration it replaced (best of five, on a 2-vCPU VM with
-Python 3.11).
+[4,3] test and the 2-rank.
 
 One rule builds the matrix for every model (cartier_operator).  For p = 2,
 Stohr-Voloch (J. reine angew. Math. 377, 1987) gives, for a plane model
@@ -45,6 +42,16 @@ kind supplies a plane polynomial and the monomials m of its basis:
   consistent with Deuring-Shafarevich (the 2-rank depends on the branch
   divisor only).
 
+On a quadric kind the chart polynomial's coefficients are F_2-linear in
+the 16 bits of the cubic's mask, and over F_2 the square root is the
+identity, so the Cartier matrix of a mask is F_2-linear in its bits too:
+the XOR of the matrices of its set bits.  A matrix over F_2 packs into a
+16-bit word, bit 4 i + j holding row i, column j (cartier_word), so the
+word of any mask is the XOR of 16 basis words, one per single-bit mask,
+built from cartier_operator once per kind on first use
+(quadric_cartier_word).  Nibble i of a word is C(e_i), so the ranks read
+the word directly (word_invariants), once per distinct word.
+
 The [4,3]-candidate criterion (rank 2 and C^2 = 0 at 2-rank 0) is stated for
 curves on the smooth quadric; this module applies the same matrix test to
 cone and hyperelliptic operators as well, which is a heuristic extension,
@@ -54,14 +61,18 @@ not a theorem.  The census's verify checks the criterion on ns models only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .curves import HyperellipticCurve, QuadricCubicCurve, chart_polynomial
+from .curves import HyperellipticCurve, QuadricCubicCurve, chart_polynomial, quadric_curve_from_mask
 from .elimination import biv_from_rows
 from .gfarith import FieldSpec
 
 __all__ = [
     "SemilinearOperator",
     "cartier_operator",
+    "cartier_word",
+    "quadric_cartier_word",
+    "word_invariants",
     "hasse_witt_rows",
     "a_number",
     "two_rank",
@@ -130,6 +141,29 @@ def cartier_operator(curve) -> SemilinearOperator:
     return SemilinearOperator(spec, tuple(rows))
 
 
+def cartier_word(op: SemilinearOperator) -> int:
+    """An operator over F_2 as a 16-bit word: bit 4 i + j is rows[i][j]."""
+    if op.spec.k != 1:
+        raise ValueError("a Cartier word packs an operator over F_2")
+    return sum(c << (4 * i + j) for i, row in enumerate(op.rows) for j, c in enumerate(row))
+
+
+@lru_cache(maxsize=None)
+def _quadric_basis_words(kind: str) -> tuple[int, ...]:
+    """The Cartier words of the 16 single-bit masks of a quadric kind."""
+    return tuple(cartier_word(cartier_operator(quadric_curve_from_mask(kind, 1 << bit))) for bit in range(16))
+
+
+def quadric_cartier_word(kind: str, mask: int) -> int:
+    """cartier_word(cartier_operator(quadric_curve_from_mask(kind, mask))),
+    as the XOR of the basis words of the mask's set bits."""
+    word = 0
+    for bit, basis in enumerate(_quadric_basis_words(kind)):
+        if mask >> bit & 1:
+            word ^= basis
+    return word
+
+
 def hasse_witt_rows(op: SemilinearOperator) -> tuple[tuple[int, int, int, int], ...]:
     spec = op.spec
     return tuple(tuple(spec.mul(c, c) for c in row) for row in op.rows)
@@ -176,8 +210,11 @@ def _f2_rank(vectors: list[int]) -> int:
 
 def _bit_ranks(op: SemilinearOperator) -> tuple[int, int, bool]:
     """(rank C, rank C^4, C^2 = 0) over F, from the F_2-linear picture."""
-    k = op.spec.k
-    c1 = _bit_images(op)
+    return _image_ranks(_bit_images(op), op.spec.k)
+
+
+def _image_ranks(c1: list[int], k: int) -> tuple[int, int, bool]:
+    """_bit_ranks of the operator whose packed basis images are c1."""
     c2 = _compose(c1, c1)
     c4 = _compose(c2, c2)
     return _f2_rank(c1) // k, _f2_rank(c4) // k, not any(c2)
@@ -203,5 +240,14 @@ def is_type43_candidate(op: SemilinearOperator) -> bool:
 
 def invariants(op: SemilinearOperator) -> tuple[int, int, bool | None]:
     """(a-number, 2-rank, type43), with type43 None unless the 2-rank is 0."""
-    rank, s2, square_zero = _bit_ranks(op)
+    return _invariants(*_bit_ranks(op))
+
+
+@lru_cache(maxsize=None)
+def word_invariants(word: int) -> tuple[int, int, bool | None]:
+    """invariants of the operator over F_2 whose cartier_word is word."""
+    return _invariants(*_image_ranks([(word >> (4 * i)) & 15 for i in range(GENUS)], 1))
+
+
+def _invariants(rank: int, s2: int, square_zero: bool) -> tuple[int, int, bool | None]:
     return GENUS - rank, s2, (rank == 2 and square_zero) if s2 == 0 else None

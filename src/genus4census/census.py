@@ -36,22 +36,28 @@ Fast paths, each validated against the generic engines in the test suite:
   computed once per process and broadcast to the members; counts stay
   per mask, so each distinct count vector of an orbit is checked against
   the broadcast 2-rank.  classify_model and is_smooth decide the model
-  itself, a second route to the same records;
-* the Cartier data of each orbit representative (_ns_cartier) and of each
-  h (_hyp_cartier) are ranks of the operator read as an F_2 bit matrix
-  (cartier.invariants): C, C^2 and C^4 as packed basis images and XOR
-  bases, C^2 computed once for the 2-rank and the [4,3] test;
+  itself, and classify_model builds the model's own Cartier operator, a
+  second route to the same records;
+* the Cartier matrix of a quadric mask is F_2-linear in its bits, so an
+  orbit representative's Cartier data (_ns_cartier) is read from its
+  Cartier word, the XOR of 16 basis words, one per single-bit mask
+  (cartier.quadric_cartier_word), and ranked once per distinct word
+  (cartier.word_invariants); an h's (_hyp_cartier) from its operator
+  (cartier.invariants).  Both rank the matrix as F_2 bit images: C, C^2
+  and C^4 as packed basis images and XOR bases, C^2 computed once for the
+  2-rank and the [4,3] test;
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
   of all f at once: one gather of parity(f & l) over the functionals of
   all four degrees per h, for the kept f only.  The functionals of all h
   are one numpy pass per field degree over the (h, x) array
   (_hyp_count_tables);
-* hyperelliptic smoothness is decided once per residue: f'^2 + f h'^2 is
-  F_2-linear in the bits of f, so its residue mod h is an XOR of 11 column
-  residues, and gcd(h, residue) is computed once for each of the at most 32
-  residues of an h; the check at infinity is a bit test.  The result is a
-  code per f (_hyp_smooth_masks), and a note is built only per singular row;
+* hyperelliptic smoothness is decided for all (h, f) in one numpy pass:
+  f'^2 + f h'^2 is F_2-linear in the bits of f, so its residue mod h is an
+  XOR of 11 column residues, read from tables over the low and the high
+  bits of f, and a common-root table of every h against every residue
+  decides it; the check at infinity is a bit test.  The result is a code
+  per (h, f) (_hyp_smooth_table), and a note is built only per singular row;
 * a quadric job's 2^16 ids join 256 high-byte prefixes with the 256
   two-digit low bytes (_quadric_ids);
 * a stack count reads each isomorphism orbit from packed F_2-linear image
@@ -60,9 +66,13 @@ Fast paths, each validated against the generic engines in the test suite:
   on the bits of h and of f, plus a shift t^2 + h' t linear in t.  The
   generic transports apply_transform and hyperelliptic_transformed are
   their test oracles;
+* the zeta fields of a job's smooth rows come from one array pass
+  (_smooth_rows): zeta.weil_rows_f2 runs the Newton identities and every
+  check of weil_from_counts and the count round trip on int64 columns of
+  all rows, and the Newton polygon and stratum are built once per
+  valuation pattern of the Weil polynomials, memoised on it;
 * the field arithmetic under all of these (gfarith.FieldSpec) reads
-  log/antilog tables, and the Newton polygon is memoised on the valuation
-  pattern of the Weil polynomial.
+  log/antilog tables.
 
 A census result is a CensusTable: the models' ids in id order, one row
 index per model, and the distinct id-free rows (the CensusRecord fields
@@ -81,10 +91,10 @@ a singular model's note or a smooth model's Cartier data, one of a few
 per job: a quadric job has one note per witness field and one decision
 per orbit representative, a hyp job three heads per h.  The counts are
 read only for a smooth model.  The checks and the record build run once
-per distinct (head, counts), which is once per row, naming the first
-member when they fail.  The parent merges equal rows across jobs and
-concatenates the tables in kind order, which is id order, into one
-CensusTable; no record is built.
+per distinct (head, counts), which is once per row, in one array pass per
+job, naming the first member of the first failing row when they fail.
+The parent merges equal rows across jobs and concatenates the tables in
+kind order, which is id order, into one CensusTable; no record is built.
 
 Persistence is JSON lines: one header object carrying the schema version
 and the record count, then one record per line, sorted by curve id, exact
@@ -140,8 +150,12 @@ from .curves import (
     quadric_stabilizer_f2,  # noqa: F401
 )
 from .dieudonne import EoLabel, eo_classify_curve
-from .gfarith import field, gf2x_degree, gf2x_factor, gf2x_gcd, gf2x_mod, gf2x_mul
-from .zeta import GENUS, WeilPolynomial, classify_stratum, newton_polygon, predicted_counts, weil_from_counts
+from .gfarith import field, gf2x_degree, gf2x_factor
+from .zeta import GENUS, WEIL_ROW_FAILURES, WeilPolynomial, _newton_polygon, classify_stratum, weil_rows_f2
+# unused here since _smooth_rows checks all rows of a job in one array pass;
+# kept bound because the benchmark's traced run wraps them in this module by
+# name, which tests/test_surface.py checks
+from .zeta import newton_polygon, predicted_counts, weil_from_counts  # noqa: F401
 
 SCHEMA = "g4c2-census/1"
 KINDS = ("cone", "hyp", "ns")
@@ -542,33 +556,61 @@ def _hyp_counts_vector(hm: int, farr: np.ndarray) -> np.ndarray:
 _HYP_NOTES = ("", _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE)
 
 
-@lru_cache(maxsize=None)
 def _hyp_smooth_masks(hm: int) -> np.ndarray:
     """Singularity code of every f mask 0..2047 with this h, indexed by the
     mask, as a read-only uint8 array: 0 when the model is smooth, else the
-    index of its note in _HYP_NOTES.
+    index of its note in _HYP_NOTES.  It is row hm of _hyp_smooth_table."""
+    return _hyp_smooth_table()[hm]
+
+
+@lru_cache(maxsize=None)
+def _hyp_smooth_table() -> np.ndarray:
+    """_hyp_smooth_masks of every h mask 0..63 at once, as a read-only
+    (64, 2048) uint8 array built by numpy passes over all h (row 0 means
+    nothing).
 
     An affine point is singular exactly when h and crit = f'^2 + f h'^2
     have a common root.  crit is F_2-linear in the bits of f (squaring is),
-    so crit mod h is the XOR of one residue per set bit, and
-    gcd(h, crit) = gcd(h, crit mod h) is decided once for each of the
-    2^deg h residues.  When deg h < 5 the point at infinity is singular
-    exactly when f9 + f10 h4 = 0.
+    so crit mod h is the XOR of one residue per set bit of f; the residues
+    come from the x^j mod h of all h, each x^j one shift and at most one
+    XOR of h from x^(j-1).  When deg h < 5 the point at infinity is
+    singular exactly when f9 + f10 h4 = 0, a flag kept as bit 5 beside the
+    residue.  Tables of the XORs over the low six and over the high five
+    bits of f give every (h, f) its residue and flag in one broadcast XOR,
+    and one gather reads its code.  h and a residue have a common root
+    exactly when some divisor of degree >= 1 divides both; a carry-less
+    product table gives every divisor of every mask below 64, so that is
+    one boolean matrix product.
     """
-    hd = (hm >> 1) & 0x15  # d/dx keeps odd-exponent bits
-    hd2 = gf2x_mul(hd, hd)
-    farr = np.arange(2048)
-    residue = np.zeros(2048, np.int64)
-    for i in range(11):
-        fd = (1 << i >> 1) & 0x155
-        col = gf2x_mod(gf2x_mul(fd, fd) ^ gf2x_mul(1 << i, hd2), hm)
-        residue ^= ((farr >> i) & 1) * col
-    common_root = np.array([gf2x_degree(gf2x_gcd(hm, r)) >= 1
-                            for r in range(1 << gf2x_degree(hm))])
-    codes = common_root[residue].astype(np.uint8)
-    if not (hm >> 5) & 1:
-        at_infinity = (((farr >> 9) ^ (farr >> 10) & (hm >> 4)) & 1) == 0
-        codes[(codes == 0) & at_infinity] = 2
+    hs = np.arange(64)
+    deg = np.array([max(hm.bit_length() - 1, 0) for hm in range(64)])
+    bits = 1 << np.arange(19)
+    xpow = [np.where(deg > 0, 1, 0)]  # x^j mod h, j = 0..18
+    for _ in range(18):
+        t = xpow[-1] << 1
+        xpow.append(t ^ ((t >> deg) & 1) * hs)
+    xpow = np.stack(xpow, axis=1)
+    # crit of f = x^i: x^(2i-2) for odd i, plus x^i h'^2, with h' of the odd bits
+    hd2 = sum(((hs >> (2 * b + 1)) & 1) << (4 * b) for b in range(3))
+    crit = (hd2[:, None] << np.arange(11)) ^ np.array([1 << (2 * i - 2) if i & 1 else 0 for i in range(11)])
+    column = np.bitwise_xor.reduce((crit[:, :, None] & bits != 0) * xpow[:, None, :], axis=2)
+    high_f = np.arange(32)  # f >> 6
+    at_infinity = (hs[:, None] < 32) & ((((high_f >> 3) ^ (high_f >> 4) & (hs[:, None] >> 4)) & 1) == 0)
+    low, high = np.zeros((64, 1), np.uint8), np.zeros((64, 1), np.uint8)
+    for i in range(6):
+        low = np.concatenate([low, low ^ column[:, i:i + 1]], axis=1)
+    for i in range(6, 11):
+        high = np.concatenate([high, high ^ column[:, i:i + 1]], axis=1)
+    high |= at_infinity.astype(np.uint8) << 5
+    residue = (high[:, :, None] ^ low[:, None, :]).reshape(64, 2048)  # f = 64 (f >> 6) + (f & 63)
+    product = np.bitwise_xor.reduce((hs[None, :, None] & bits[:6] != 0) * (hs[:, None, None] << np.arange(6)),
+                                    axis=2)  # product[d, m], carry-less
+    divides = np.zeros((64, 64), np.int16)  # divides[d, x]: d times some m is x
+    d, m = np.nonzero(product < 64)
+    divides[d, product[d, m]] = 1
+    common_root = (divides[2:].T @ divides[2:, :32]) > 0
+    code = np.concatenate([common_root, np.where(common_root, 1, 2)], axis=1).astype(np.uint8)
+    codes = code.ravel().take((hs[:, None].astype(np.uint16) << 6) | residue)
     codes.flags.writeable = False
     return codes
 
@@ -599,45 +641,65 @@ def _hyp_cartier(hm: int):
 
 # serves both quadric kinds, ns and cone; the name is the one the benchmark traces
 def _ns_cartier(curve: QuadricCubicCurve):
-    return cartier.invariants(cartier_operator(curve))
+    """The Cartier data of a quadric model from its mask's Cartier word,
+    ranked once per distinct word."""
+    return cartier.word_invariants(cartier.quadric_cartier_word(curve.kind, curve.mask))
 
 
-@lru_cache(maxsize=None)
-def _smooth_invariants(counts: tuple[int, ...], cart) -> tuple:
+def _smooth_rows(counts, carts: list, ids: list[str]) -> list[tuple]:
     """Every record field that the counts and the Cartier data determine,
-    counts to eo_candidates in CensusRecord order.
+    counts to eo_candidates in CensusRecord order, for each row i of the
+    (m, 4) array counts (N_1..N_4) with the Cartier data carts[i],
+    (a, 2-rank, type43).
 
-    cart is (a, 2-rank, type43) from the Cartier operator.
-    A few hundred distinct keys cover the whole census, so the zeta layer
-    and its cross-checks run once per key; a failed check raises, and
-    lru_cache keeps no entry for it, so every model with a bad key aborts.
+    One array pass (zeta.weil_rows_f2) derives every row's Weil polynomial
+    and runs the checks of weil_from_counts and the count round trip.  The
+    Newton polygon and stratum are built once per valuation pattern of the
+    L-coefficients (zeta._newton_polygon), and each row's 2-rank is
+    checked against its zero slopes.  The first failing row i raises
+    RuntimeError naming ids[i], with the first check it fails in the order
+    of the scalar route (weil_from_counts, predicted_counts,
+    newton_polygon, the 2-rank, eo_classify_curve).
     """
-    w = weil_from_counts(counts, 2)
-    if predicted_counts(w)[:GENUS] != counts:
-        raise RuntimeError("count/Weil round trip failed")
-    poly = newton_polygon(w)
-    stratum = classify_stratum(poly)
-    pr = poly.p_rank
-    a, s2, t43 = cart
-    if s2 != pr:
-        raise RuntimeError(f"2-rank {s2} from the Cartier operator, {pr} zero slopes")
-    eo_mu = None
-    eo_candidates = None
-    if pr == 0:
-        label = eo_classify_curve(stratum, a, t43)
-        if isinstance(label, EoLabel):
-            eo_mu = label.mu
-        else:
-            eo_candidates = label.options
-    return counts, w.coeffs, poly.slopes, stratum.name, pr, a, s2, t43, eo_mu, eo_candidates
+    a, fail = weil_rows_f2(counts)
+    sound = np.flatnonzero(fail == 0)
+    coeffs = a[sound]
+    # val_2 of each coefficient, from its lowest set bit; -1 for a zero one
+    vals = np.where(coeffs == 0, -1, np.searchsorted(1 << np.arange(62), coeffs & -coeffs))
+    patterns, of_pattern = np.unique(vals, axis=0, return_inverse=True)
+    pattern = np.zeros(len(fail), np.intp)
+    pattern[sound] = of_pattern.reshape(-1)
+    strata: dict = {}  # pattern -> (Newton polygon, stratum)
+    rows = []
+    rows_in = zip(counts.tolist(), a.tolist(), pattern.tolist(), fail.tolist())
+    for i, (n, l_coeffs, k, code) in enumerate(rows_in):
+        try:
+            if code:
+                raise ValueError(WEIL_ROW_FAILURES[code - 1])
+            if k not in strata:
+                poly = _newton_polygon(tuple(None if v < 0 else v for v in patterns[k].tolist()), 1)
+                strata[k] = poly, classify_stratum(poly)
+            poly, stratum = strata[k]
+            an, s2, t43 = carts[i]
+            if s2 != poly.p_rank:
+                raise ValueError(f"2-rank {s2} from the Cartier operator, {poly.p_rank} zero slopes")
+            eo_mu = eo_candidates = None
+            if poly.p_rank == 0:
+                label = eo_classify_curve(stratum, an, t43)
+                if isinstance(label, EoLabel):
+                    eo_mu = label.mu
+                else:
+                    eo_candidates = label.options
+        except ValueError as exc:
+            raise RuntimeError(f"inconsistent invariants for {ids[i]}: {exc}") from None
+        rows.append((tuple(n), tuple(reversed(l_coeffs)), poly.slopes, stratum.name, poly.p_rank,
+                     an, s2, t43, eo_mu, eo_candidates))
+    return rows
 
 
 def _classified_record(kind: str, cid: str, counts: tuple[int, ...], cart) -> CensusRecord:
-    """Full record of a smooth model; see _smooth_invariants for cart."""
-    try:
-        fields = _smooth_invariants(counts, cart)
-    except (ValueError, RuntimeError) as exc:
-        raise RuntimeError(f"inconsistent invariants for {cid}: {exc}") from None
+    """Full record of one smooth model: _smooth_rows on its one key."""
+    (fields,) = _smooth_rows(np.array([counts], np.int64), [cart], [cid])
     return CensusRecord(cid, kind, True, "", *fields)
 
 
@@ -671,10 +733,6 @@ def _packed_counts(counts: np.ndarray, ids, pos) -> np.ndarray:
     return (counts << _COUNT_SHIFTS).sum(axis=1)
 
 
-def _unpacked_counts(key: int) -> tuple[int, ...]:
-    return tuple((key >> s) & 63 for s in _COUNT_SHIFTS)
-
-
 def _row_key(row: tuple) -> tuple:
     """An id-free row without its slopes, which its Weil polynomial
     determines; rows compare by this key, so that no Fraction is hashed
@@ -704,25 +762,28 @@ def _row_table(kind: str, ids: list[str], head: np.ndarray, heads: list,
     Model i is its head heads[head[i]], a singular model's note (a str) or
     a smooth model's Cartier data (a, 2-rank, type43), above its counts[i]
     (N_1..N_4), which are read only when the model is smooth.  Its key is
-    head << 24 | packed counts, and each distinct key is one row, built
-    once from its first member and in the order of first members, so a
-    failed check names the least id among the failing keys.
+    head << 24 | packed counts, and each distinct key is one row, in the
+    order of first members.  The smooth keys are checked and built by one
+    _smooth_rows call, each named by its first member, so a failed check
+    names the least id among the failing keys.
     """
-    smooth = np.flatnonzero(np.array([not isinstance(h, str) for h in heads], bool)[head])
+    is_smooth = np.array([not isinstance(h, str) for h in heads], bool)
+    smooth = np.flatnonzero(is_smooth[head])
     keys = head.astype(np.int64) << 24
     keys[smooth] |= _packed_counts(counts[smooth], ids, smooth)
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     key_row = np.empty(len(uniq), np.uint16)
     key_row[order] = np.arange(len(uniq))
-    rows = []
-    for key, i in zip(uniq[order].tolist(), first[order].tolist()):
-        h = heads[key >> 24]
-        if isinstance(h, str):
-            rows.append(CensusRecord("", kind, False, h)[1:])
-        else:
-            rows.append(_classified_record(kind, ids[i], _unpacked_counts(key), h)[1:])
-    return key_row[inverse], tuple(rows)
+    keys, first = uniq[order], first[order]
+    key_head = (keys >> 24).tolist()
+    smooth_keys = np.flatnonzero(is_smooth[key_head])
+    fields = iter(_smooth_rows((keys[smooth_keys, None] >> _COUNT_SHIFTS) & 63,
+                               [heads[key_head[r]] for r in smooth_keys.tolist()],
+                               [ids[i] for i in first[smooth_keys].tolist()]))
+    rows = tuple(CensusRecord("", kind, True, "", *next(fields))[1:] if is_smooth[h]
+                 else CensusRecord("", kind, False, heads[h])[1:] for h in key_head)
+    return key_row[inverse], rows
 
 
 _HEX2 = tuple(f"{b:02x}" for b in range(256))
@@ -818,7 +879,8 @@ def classify_model(curve) -> CensusRecord:
     if not res.smooth:
         return CensusRecord(id=cid, kind=kind, smooth=False, note=res.note)
     counts = tuple(count_points(curve, n, raw=True) for n in _DEGREES)
-    cart = _hyp_cartier(curve.masks[0]) if kind == "hyp" else _ns_cartier(curve)
+    # the model's own operator, not the census's Cartier word of its mask
+    cart = _hyp_cartier(curve.masks[0]) if kind == "hyp" else cartier.invariants(cartier_operator(curve))
     return _classified_record(kind, cid, counts, cart)
 
 

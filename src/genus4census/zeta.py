@@ -8,13 +8,19 @@ s_n = sum alpha_i^n = q^n + 1 - N_n, and Newton's identities convert between
 power sums and the a_i exactly over the integers.  The Newton polygon is the
 lower convex hull of {(i, val_2(a_i)/r)}; its slopes are exact rationals.
 
-Everything in this module is exact; no floats anywhere.
+Everything in this module is exact; no floats anywhere.  weil_from_counts
+takes any q with Python ints; weil_rows_f2, the census's array form of it
+over F_2, runs the same identities and checks on int64 columns, which are
+exact for every count vector that passes the Weil bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt, lcm
+
+import numpy as np
 
 GENUS = 4
 
@@ -89,10 +95,15 @@ class NewtonPolygon:
     slopes: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        s = self.slopes
-        if any(not (0 <= x <= 1) for x in s) or list(s) != sorted(s):
+        # in integers: slope n/d with d > 0, compared by cross-multiplying
+        s = [(x.numerator, x.denominator) for x in self.slopes]
+        if (any(not 0 <= n <= d for n, d in s)
+                or any(n0 * d1 > n1 * d0 for (n0, d0), (n1, d1) in zip(s, s[1:]))):
             raise ValueError("Newton polygon slopes must ascend within [0, 1]")
-        if sorted(1 - x for x in s) != list(s) or sum(s) * 2 != len(s):
+        # ascending, so symmetric means s_i + s_{2g-1-i} = 1; the slopes then sum to g
+        den = lcm(*(d for _, d in s))
+        if (any(n0 * d1 + n1 * d0 != d0 * d1 for (n0, d0), (n1, d1) in zip(s, reversed(s)))
+                or 2 * sum(n * (den // d) for n, d in s) != len(s) * den):
             raise ValueError("asymmetric Newton polygon (invalid Weil polynomial)")
 
     @property
@@ -148,6 +159,65 @@ def weil_from_counts(counts, q: int | None = None) -> WeilPolynomial:
         if q**n + 1 - s[n] < 0:
             raise bad(f"negative predicted point count at n={n}")
     return WeilPolynomial(tuple(reversed(a)), q)
+
+
+# why weil_rows_f2 refuses a row, indexed by its failure code less one: the
+# checks of weil_from_counts in its order, then predicted_counts' round trip
+WEIL_ROW_FAILURES = (
+    *(f"not a genus-4 curve count sequence: Weil bound violated at n={n}" for n in range(1, GENUS + 1)),
+    *(f"not a genus-4 curve count sequence: Newton identity gives a non-integer coefficient at k={k}"
+      for k in range(1, GENUS + 1)),
+    *(f"not a genus-4 curve count sequence: {why} at n={n}" for n in range(GENUS + 1, 2 * GENUS + 1)
+      for why in ("Weil bound violated", "negative predicted point count")),
+    "count/Weil round trip failed",
+)
+
+
+def weil_rows_f2(counts) -> tuple[np.ndarray, np.ndarray]:
+    """weil_from_counts over F_2, and the round trip of predicted_counts,
+    for many count vectors at once.
+
+    counts is an (m, 4) integer array of N_1..N_4 rows, each below 2^62.
+    Returns (a, fail): a is the (m, 9) int64 array of the L-coefficients
+    a_0..a_8 of each row (WeilPolynomial.l_coeffs), and fail an int64 array
+    that is 0 for a row both functions accept and otherwise the failure
+    code of the first check the row fails, an index into WEIL_ROW_FAILURES
+    plus one; a failed row's coefficients mean nothing.  The checks run on
+    columns of int64, exact for every row that passes the Weil bounds at
+    n = 1..4, which bound all later values by a few thousand.
+    """
+    q, g = 2, GENUS
+    n_rows = np.asarray(counts, np.int64).T
+    fails = []
+
+    def out_of_bound(s, n):  # s^2 > 4 g^2 q^n, without squaring s
+        return np.abs(s) > isqrt(4 * g * g * q**n)
+
+    s = [None] + [q**n + 1 - n_rows[n - 1] for n in range(1, g + 1)]
+    fails += [out_of_bound(s[n], n) for n in range(1, g + 1)]
+    a = [np.ones_like(s[1])]
+    for k in range(1, g + 1):
+        total = s[k] + sum(a[i] * s[k - i] for i in range(1, k))
+        fails.append(total % k != 0)
+        a.append(-total // k)
+    a += [q ** (k - g) * a[2 * g - k] for k in range(g + 1, 2 * g + 1)]
+    for n in range(g + 1, 2 * g + 1):
+        s.append(-(n * a[n] + sum(a[i] * s[n - i] for i in range(1, n))))
+        fails += [out_of_bound(s[n], n), q**n + 1 - s[n] < 0]
+    fails.append(np.any(_predicted_columns(a, q, g) != n_rows, axis=0))
+    fail = np.zeros(len(a[0]), np.int64)
+    for code in range(len(fails), 0, -1):  # the first failing check wins
+        fail[fails[code - 1]] = code
+    return np.stack(a, axis=1), fail
+
+
+def _predicted_columns(a: list, q: int, upto: int) -> np.ndarray:
+    """predicted_counts(w, upto) as an (upto, m) array, for the columns a[i]
+    of the L-coefficients of m Weil polynomials of degree >= upto."""
+    s = [None]
+    for n in range(1, upto + 1):
+        s.append(-(n * a[n] + sum(a[i] * s[n - i] for i in range(1, n))))
+    return np.stack([q**n + 1 - s[n] for n in range(1, upto + 1)])
 
 
 def _power_sums(w: WeilPolynomial, upto: int) -> list[int]:

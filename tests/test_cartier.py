@@ -277,6 +277,37 @@ def test_bit_route_matches_oracle_on_census_quadric_representatives():
         assert smooth == smooth_orbits
 
 
+def _assert_word_matches_operator(kind: str, mask: int) -> None:
+    op = cartier_operator(quadric_curve_from_mask(kind, mask))
+    word = cartier.quadric_cartier_word(kind, mask)
+    assert word == cartier.cartier_word(op), (kind, hex(mask))
+    assert [[(word >> (4 * i + j)) & 1 for j in range(GENUS)] for i in range(GENUS)] == [list(r) for r in op.rows]
+    assert cartier.word_invariants(word) == cartier.invariants(op), (kind, hex(mask))
+
+
+def test_quadric_cartier_words_match_operator():
+    # the XOR of basis words against cartier_operator: on every smooth orbit
+    # representative the census decides, and on 2,000 seeded masks per kind
+    # (the CI step covers all 2^16 masks of both kinds)
+    rng = random.Random(2121)
+    for kind, smooth_orbits in (("ns", 252), ("cone", 274)):
+        _, flagged, _ = census._quadric_scan(kind, 0, 1 << 16)
+        reps = set(census._quadric_images(kind, np.flatnonzero(~flagged)).min(axis=1).tolist())
+        smooth = [rep for rep in sorted(reps) if census._quadric_orbit_decision(kind, rep)[0].smooth]
+        assert len(smooth) == smooth_orbits
+        for mask in smooth + rng.sample(range(1 << 16), 2000):
+            _assert_word_matches_operator(kind, mask)
+
+
+def test_cartier_word_packs_f2_operators_only():
+    op = cartier_operator(quadric_curve_from_mask("ns", SS_MASK))
+    word = cartier.cartier_word(op)
+    assert word == sum(c << (4 * i + j) for i, row in enumerate(op.rows) for j, c in enumerate(row))
+    assert cartier.word_invariants(word) == cartier.invariants(op) == (1, 0, False)
+    with pytest.raises(ValueError, match="over F_2"):
+        cartier.cartier_word(SemilinearOperator(field(2), op.rows))
+
+
 def test_power_matches_matrix_products_over_f2():
     rng = random.Random(82)
     for _ in range(50):

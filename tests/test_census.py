@@ -246,8 +246,8 @@ def test_classified_record_consistency_abort():
     # Cartier result claiming 2-rank 4 must abort, naming the curve id
     with pytest.raises(RuntimeError, match="hyp;h=0x01;f=0x220"):
         census._classified_record("hyp", "hyp;h=0x01;f=0x220", (5, 5, 5, 9), (0, 4, None))
-    # the invariants are cached per (counts, Cartier) key; a bad key is not,
-    # so a second model with the same key aborts too, under its own id
+    # nothing is cached per (counts, Cartier) key, so a second model with
+    # the same key aborts too, under its own id
     with pytest.raises(RuntimeError) as exc:
         census._classified_record("hyp", "hyp;h=0x01;f=0x221", (5, 5, 5, 9), (0, 4, None))
     assert "hyp;h=0x01;f=0x221" in str(exc.value) and "f=0x220" not in str(exc.value)
@@ -257,6 +257,81 @@ def test_classified_record_bad_counts_abort():
     # counts violating the Weil bound cannot come from a smooth curve
     with pytest.raises(RuntimeError, match="ns;c=0xbeef"):
         census._classified_record("ns", "ns;c=0xbeef", (40, 2, 2, 2), (1, 0, False))
+
+
+def test_smooth_rows_match_scalar_zeta_route(full_census):
+    # every distinct (counts, Cartier) key of the full census through one
+    # array pass, against the scalar zeta functions per count vector and
+    # against the census's own rows
+    keys = {}
+    for row in full_census[0].rows:
+        if row[1]:
+            keys.setdefault((row[3], row[8:11]), row)
+    assert len({counts for counts, _ in keys}) == 507
+    got = census._smooth_rows(np.array([counts for counts, _ in keys]), [cart for _, cart in keys],
+                              [f"key {k}" for k in range(len(keys))])
+    assert len(got) == len(keys)
+    for ((counts, cart), row), fields in zip(keys.items(), got):
+        w = zeta.weil_from_counts(counts, 2)
+        assert zeta.predicted_counts(w)[:4] == counts
+        poly = zeta.newton_polygon(w)
+        stratum = zeta.classify_stratum(poly)
+        assert fields[:5] == (counts, w.coeffs, poly.slopes, stratum.name, poly.p_rank), counts
+        assert fields[5:8] == cart and fields == row[3:13], counts
+        assert all(type(c) is int for c in fields[0] + fields[1]) and type(fields[4]) is int
+
+
+# a sound supersingular count vector with its Cartier data, and a second
+# sound one; the failing rows below break one check each
+_SOUND = ((7, 9, 13, 9), (1, 0, False))
+_SOUND_TOO = ((5, 9, 11, 17), (1, 0, False))
+_ROW_FAILURES = {
+    "weil-bound": (((40, 2, 2, 2), (1, 0, False)), "Weil bound violated at n=1"),
+    "non-integer": (((0, 1, 0, 0), (1, 0, False)), "non-integer coefficient at k=2"),
+    "negative-count": (((0, 2, 3, 6), (1, 0, False)), "negative predicted point count at n=5"),
+    "two-rank": (((7, 9, 13, 9), (0, 4, None)), "2-rank 4 from the Cartier operator, 0 zero slopes"),
+}
+
+
+def _row_table_of(models):
+    """census._row_table over models, each (counts, Cartier data), named m0, m1, ..."""
+    heads = list(dict.fromkeys(cart for _, cart in models))
+    head = np.array([heads.index(cart) for _, cart in models], np.intp)
+    counts = np.array([counts for counts, _ in models], np.int16)
+    return census._row_table("ns", [f"m{i}" for i in range(len(models))], head, heads, counts)
+
+
+@pytest.mark.parametrize("check", sorted(_ROW_FAILURES))
+def test_smooth_rows_failure_names_first_member(check):
+    bad, why = _ROW_FAILURES[check]
+    # the failing key's first member is m1; a later key (m3) that fails the
+    # Weil bound has a smaller packed key and an earlier check, and m4
+    # repeats the failing key
+    earlier_check = ((40, 0, 0, 0), (1, 0, False))
+    models = [_SOUND, bad, _SOUND_TOO, earlier_check, bad]
+    with pytest.raises(RuntimeError, match=rf"^inconsistent invariants for m1: .*{re.escape(why)}$"):
+        _row_table_of(models)
+    # alone, the failing row is named by its own first member
+    with pytest.raises(RuntimeError, match=rf"^inconsistent invariants for m2: .*{re.escape(why)}$"):
+        _row_table_of([_SOUND, _SOUND, bad, _SOUND_TOO])
+    # and the sound rows build
+    row, rows = _row_table_of([_SOUND, _SOUND_TOO, _SOUND])
+    assert row.tolist() == [0, 1, 0] and [r[3] for r in rows] == [_SOUND[0], _SOUND_TOO[0]]
+
+
+def test_smooth_rows_round_trip_failure_names_first_member(monkeypatch):
+    # the round trip cannot fail on counts alone: predicted counts that are
+    # off for one Weil polynomial stand in for a broken inverse
+    real = zeta._predicted_columns
+
+    def off(a, q, upto):
+        out = real(a, q, upto)
+        out[0, a[1] == 2] += 1  # a_1 = N_1 - 3 is 2 only for (5, 9, 11, 17) here
+        return out
+
+    monkeypatch.setattr(zeta, "_predicted_columns", off)
+    with pytest.raises(RuntimeError, match=r"^inconsistent invariants for m1: count/Weil round trip failed$"):
+        _row_table_of([_SOUND, _SOUND_TOO, ((40, 0, 0, 0), (1, 0, False)), _SOUND_TOO])
 
 
 NAMED_EXPECTATIONS = {
@@ -520,14 +595,23 @@ def test_job_row_tables():
 
 def test_one_record_build_per_smooth_row(monkeypatch):
     # each job builds one record per distinct smooth row: orbits and h's
-    # that share their counts and Cartier data share the build
-    builds = []
-    real = census._classified_record
-    monkeypatch.setattr(census, "_classified_record", lambda *args: builds.append(args) or real(*args))
+    # that share their counts and Cartier data share the build, and one
+    # _smooth_rows call checks and builds all of a job's smooth rows
+    builds, calls = [], []
+    real = census._smooth_rows
+
+    def spy(counts, carts, ids):
+        calls.append(len(ids))
+        builds.extend(ids)
+        return real(counts, carts, ids)
+
+    monkeypatch.setattr(census, "_smooth_rows", spy)
     for job in census._census_jobs(census.KINDS, 2, None):
         builds.clear()
+        calls.clear()
         rows = census._census_job(job)[2]
         assert len(builds) == sum(row[1] for row in rows) > 0, job
+        assert len(calls) == 1, job
 
 
 def test_run_census_leaves_the_collector_as_it_found_it():

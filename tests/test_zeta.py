@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from genus4census import zeta
@@ -126,6 +127,21 @@ def test_newton_polygon_validation():
         NewtonPolygon((Fraction(1), Fraction(0)))  # not ascending
     with pytest.raises(ValueError):
         NewtonPolygon((Fraction(0), Fraction(1, 2)))  # asymmetric
+    # ascending and symmetric, but a slope lies outside [0, 1]
+    with pytest.raises(ValueError, match="within"):
+        NewtonPolygon((Fraction(-1, 2), Fraction(3, 2)))
+    with pytest.raises(ValueError, match="within"):
+        NewtonPolygon((Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(4, 3)))
+    # ascending within [0, 1], summing to 3/2 instead of g = 1 (symmetry
+    # implies the sum, so this input also fails the symmetry test)
+    with pytest.raises(ValueError, match="asymmetric"):
+        NewtonPolygon((Fraction(1, 2), Fraction(1)))
+    # ascending within [0, 1] and summing to g = 2, but not symmetric
+    with pytest.raises(ValueError, match="asymmetric"):
+        NewtonPolygon((Fraction(1, 4), Fraction(1, 4), HALF, Fraction(1)))
+    # the accepted shapes, with mixed denominators
+    NewtonPolygon((Fraction(1, 3),) * 3 + (HALF,) * 2 + (Fraction(2, 3),) * 3)
+    NewtonPolygon(())
 
 
 def test_stratum_label_table():
@@ -260,3 +276,56 @@ def _sample_weil_polynomials(rng, how_many):
 def test_ordinary_with_odd_a1_is_not_supersingular():
     w = WeilPolynomial((2, 1, 1), 2)
     assert newton_polygon(w).slopes == (Fraction(0), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# the array form: weil_rows_f2 against weil_from_counts and predicted_counts
+# ---------------------------------------------------------------------------
+
+
+def _scalar_weil_route(counts):
+    """(L-coefficients or None, the reason weil_from_counts or the round
+    trip of predicted_counts refuses counts, or None)."""
+    try:
+        w = weil_from_counts(counts, 2)
+    except ValueError as exc:
+        return None, str(exc)
+    if predicted_counts(w)[:4] != tuple(counts):
+        return None, "count/Weil round trip failed"
+    return w.l_coeffs, None
+
+
+def test_weil_rows_match_scalar_route_on_a_grid():
+    # every N_1..N_4 grid point with N_1 <= 16, N_2 <= 21, N_3 <= 33 and
+    # N_4 <= 49 (the 6-bit census keys cover this) by its failure code, and
+    # the scalar route on up to 200 seeded points of each code
+    grid = np.stack(np.meshgrid(*(np.arange(n) for n in (17, 22, 34, 50)), indexing="ij"), -1).reshape(-1, 4)
+    a, fail = zeta.weil_rows_f2(grid)
+    assert a.shape == (len(grid), 9) and a.dtype == np.int64 and fail.shape == (len(grid),)
+    rng = np.random.default_rng(2121)
+    codes = np.unique(fail).tolist()
+    # sound rows, both kinds of Weil-bound failure, non-integer coefficients
+    # and negative predicted counts all occur
+    assert {0, 1, 6, 9, 10} <= set(codes)
+    for code in codes:
+        rows = np.flatnonzero(fail == code)
+        for i in rng.choice(rows, min(200, len(rows)), replace=False).tolist():
+            l_coeffs, why = _scalar_weil_route(tuple(grid[i].tolist()))
+            assert why == (zeta.WEIL_ROW_FAILURES[code - 1] if code else None), grid[i]
+            if code == 0:
+                assert tuple(a[i].tolist()) == l_coeffs, grid[i]
+
+
+def test_weil_rows_round_trip_is_checked(monkeypatch):
+    # the round trip never fails on sound rows, so break predicted counts
+    real = zeta._predicted_columns
+
+    def off_by_one(a, q, upto):
+        out = real(a, q, upto)
+        out[2, 1] += 1  # N_3 of row 1
+        return out
+
+    monkeypatch.setattr(zeta, "_predicted_columns", off_by_one)
+    _, fail = zeta.weil_rows_f2([(7, 9, 13, 9), (5, 9, 11, 17), (3, 5, 9, 9)])
+    assert fail.tolist() == [0, len(zeta.WEIL_ROW_FAILURES), 0]
+    assert zeta.WEIL_ROW_FAILURES[-1] == "count/Weil round trip failed"
