@@ -7,6 +7,7 @@ Submodules:
 * ``zeta``      — Weil polynomials from point counts, Newton polygons
 * ``dieudonne`` — mod-2 Dieudonne modules and Ekedahl-Oort final types
 * ``curves``    — curve models (quadric/cubic intersections, hyperelliptic)
+* ``elimination`` — bivariate common zeros, the reference for smoothness
 * ``cartier``   — Cartier/Hasse-Witt semilinear operators and their ranks
 * ``census``    — the exhaustive F_2 census, isogeny classes, stack counts
 * ``cli``       — command-line entry point (``genus4census``)

@@ -63,8 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curves import HyperellipticCurve, QuadricCubicCurve, chart_polynomial, quadric_curve_from_mask
-from .elimination import biv_from_rows
+from .curves import (HyperellipticCurve, QuadricCubicCurve, biv_from_rows, chart_polynomial,
+                     quadric_curve_from_mask)
 from .gfarith import FieldSpec
 
 __all__ = [

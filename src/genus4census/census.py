@@ -388,8 +388,8 @@ def write_records(path, records) -> None:
     records' table with the id spliced in.  An id that is not the curve_id
     of a census model (_CURVE_ID) is refused, naming it, and so is an id
     that does not strictly follow the one before it (read_records refuses
-    both); the ids are checked before the file is opened.  A failed open
-    names path, not the temporary file.
+    both); the ids are checked before the file is opened.  A failed open,
+    write or rename names path, not the temporary file.
     """
     table = CensusTable.of(records)
     _check_ids(table.ids)
@@ -401,17 +401,15 @@ def write_records(path, records) -> None:
     row = table.row.tolist()
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp, "w", encoding="ascii")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with fh:
+        with open(tmp, "w", encoding="ascii") as fh:
             header = {"records": len(table), "schema": SCHEMA}
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
             # heads[r] + cid + tails[r] per model, looped in C
             fh.writelines(map(add, map(heads.__getitem__, row),
                               map(add, table.ids, map(tails.__getitem__, row))))
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -63,6 +63,8 @@ def _cmd_census(args) -> int:
     # refused before the census runs, as write_records would refuse it after
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     kinds = census.KINDS if args.kind == "all" else (args.kind,)
     records = census.run_census(kinds=kinds, workers=args.workers)
     census.write_records(args.out, records)

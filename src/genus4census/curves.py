@@ -17,9 +17,10 @@ Two families of models:
   Smoothness is decided on two affine charts, X = 1 and Y = 1, which cover
   the quadric up to its distinguished points X = Y = 0 ((0:0:1:0) and
   (0:0:0:1) on ns, the vertex on the cone); those are checked by their
-  coefficient patterns.  Over F_2 a scan of the points over F_2..F_16,
-  one per Frobenius orbit, settles most masks first, and one chart is
-  left, decided by gcds of packed u-polynomials.
+  coefficient patterns, and a chart by gcds of its u-polynomials
+  (_chart_singular_fibre), written once over a gfarith Ring.  Over F_2 a
+  scan of the points over F_2..F_16, one per Frobenius orbit, settles
+  most masks first, and one chart is left, decided on packed polynomials.
 
 * hyperelliptic: y^2 + h(x) y = f(x) with deg h <= 5, deg f <= 10,
   max(2 deg h, deg f) in {9, 10}, h != 0.  The smooth model lives in the
@@ -40,15 +41,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import elimination as el
 from .gfarith import (
     F2,
+    F2X,
     FieldSpec,
+    Ring,
     embedding,
     field,
-    gf2x_deriv,
-    gf2x_divmod,
-    gf2x_gcd,
     gf2x_mul,
     poly_add,
     poly_degree,
@@ -57,6 +56,7 @@ from .gfarith import (
     poly_from_coeffs,
     poly_gcd,
     poly_mul,
+    poly_ring,
     poly_roots,
     poly_scale,
 )
@@ -77,6 +77,7 @@ __all__ = [
     "eval_cubic",
     "cubic_partials",
     "quadric_gradient",
+    "biv_from_rows",
     "chart_polynomial",
     "ProjectiveTransform",
     "apply_transform",
@@ -695,6 +696,16 @@ class SmoothnessResult:
         return self.smooth
 
 
+def biv_from_rows(F, rows) -> tuple:
+    """A bivariate polynomial in F[u][v] from per-v-degree coefficient
+    sequences: a tuple of u-polynomials (gfarith tuples), the coefficients
+    of v^0, v^1, ..., with no trailing zero entries."""
+    f = [poly_from_coeffs(F, r) for r in rows]
+    while f and not f[-1]:
+        f.pop()
+    return tuple(f)
+
+
 def chart_polynomial(curve: QuadricCubicCurve, chart: str):
     """The cubic pulled back to one affine chart of its quadric (_CHARTS)."""
     spec = curve.spec
@@ -703,7 +714,7 @@ def chart_polynomial(curve: QuadricCubicCurve, chart: str):
         if c:
             v_e, u_e = _CELLS[curve.kind, chart][idx]
             rows[v_e][u_e] = spec.add(rows[v_e][u_e], c)
-    return el.biv_from_rows(spec, rows)
+    return biv_from_rows(spec, rows)
 
 
 def _distinguished_checks(curve: QuadricCubicCurve) -> SmoothnessResult | None:
@@ -725,21 +736,21 @@ def _distinguished_checks(curve: QuadricCubicCurve) -> SmoothnessResult | None:
 
 
 def _quadric_smooth_generic(curve: QuadricCubicCurve) -> SmoothnessResult:
-    """Smoothness over any base field.  Every point of the quadric lies in
-    one of the two affine charts of _COVER or is a distinguished point
-    (X = Y = 0: (0:0:1:0) and (0:0:0:1) on ns, the vertex on the cone).
-    The distinguished points are checked by their coefficient patterns,
-    and each chart by elimination: the curve is singular there exactly
-    when the chart polynomial and its two partials have a common zero over
-    the algebraic closure.
+    """Smoothness over any base field F_{2^k}.  Every point of the quadric
+    lies in one of the two affine charts of _COVER or is a distinguished
+    point (X = Y = 0: (0:0:1:0) and (0:0:0:1) on ns, the vertex on the
+    cone).  The distinguished points are checked by their coefficient
+    patterns, and each chart by the gcds of _chart_singular_fibre over
+    F_{2^k}[u], the decision the F_2 route makes on packed polynomials.
+    Its reference is elimination.exists_common_zero on the chart
+    polynomial and its two partials, which the tests compare it against.
     """
     res = _distinguished_checks(curve)
     if res is not None:
         return res
-    spec = curve.spec
+    R = poly_ring(curve.spec)
     for chart in _COVER[curve.kind]:
-        f = chart_polynomial(curve, chart)
-        if el.exists_common_zero(spec, [f, el.biv_deriv_u(spec, f), el.biv_deriv_v(spec, f)]):
+        if _chart_singular_fibre(R, chart_polynomial(curve, chart)):
             return SmoothnessResult(False, None, "singular point inside the affine chart")
     return SmoothnessResult(True)
 
@@ -758,33 +769,35 @@ def _packed_chart(kind: str, mask: int) -> list[int]:
     return f
 
 
-def _root_outside(p: int, q: int) -> bool:
-    """Does the packed p vanish somewhere over the closure of F_2 where q
+def _root_outside(R: Ring, p, q) -> bool:
+    """Does p vanish somewhere over the closure of the base field where q
     does not?  The zero polynomial vanishes everywhere.  gcd(p, q) is
     divided out of p until the two are coprime."""
     if not p or not q:
         return bool(q)
-    g = gf2x_gcd(p, q)
-    while g != 1:
-        p = gf2x_divmod(p, g)[0]
-        g = gf2x_gcd(p, g)
-    return p != 1
+    g = R.gcd(p, q)
+    while R.degree(g) > 0:
+        p = R.divmod(p, g)[0]
+        g = R.gcd(p, g)
+    return R.degree(p) > 0
 
 
-def _cubic_form(s, a: int, b: int) -> int:
-    """s[0] b^3 + s[1] a b^2 + s[2] a^2 b + s[3] a^3, packed."""
-    acc, bj = s[3], 1
+def _cubic_form(R: Ring, s, a, b):
+    """s[0] b^3 + s[1] a b^2 + s[2] a^2 b + s[3] a^3."""
+    acc, bj = s[3], R.one
     for sj in s[2::-1]:
-        bj = gf2x_mul(bj, b)
-        acc = gf2x_mul(acc, a) ^ gf2x_mul(sj, bj)
+        bj = R.mul(bj, b)
+        acc = R.add(R.mul(acc, a), R.mul(sj, bj))
     return acc
 
 
-def _chart_singular_fibre(f) -> str | None:
-    """The kind of fibre u = u0 (over the closure of F_2) on which the
-    packed chart polynomial f0 + f1 v + f2 v^2 + f3 v^3 is singular: "A"
-    where f3(u0) != 0, "B" where f3(u0) = 0 != f2(u0), "C" at a root of
-    the content; None when f = f_u = f_v = 0 has no solution.
+def _chart_singular_fibre(R: Ring, f) -> str | None:
+    """The kind of fibre u = u0 (over the closure of the base field of R)
+    on which the chart polynomial f0 + f1 v + f2 v^2 + f3 v^3, rows of
+    R = F[u], is singular: "A" where f3(u0) != 0, "B" where f3(u0) = 0 !=
+    f2(u0), "C" at a root of the content; None when f = f_u = f_v = 0 has
+    no solution.  Missing top rows are zero, so a chart_polynomial tuple
+    serves as it is.
 
     In characteristic 2, f_v = f1 + f3 w with w = v^2, where v -> v^2 is
     a bijection; on f_v = 0, f = f0 + f2 w, and f_u^2 = sum g_j^2 w^j with
@@ -792,20 +805,22 @@ def _chart_singular_fibre(f) -> str | None:
     f3^(3-j)) off f3, with w = f1 / f3; B a root of gcd(f1, f3, sum g_j^2
     f0^j f2^(3-j)) off f2, with w = f0 / f2; and C a root of the content
     where sum g_j v^j is not a nonzero constant in v.  Only gcds and
-    products of packed polynomials: no factorization, no residue field.
+    products in R, which needs nothing but characteristic 2: no
+    factorization, no residue field.  A zero gcd is a zero content, so the
+    C test is degree != 0, not degree > 0.
     """
-    f0, f1, f2, f3 = f
-    g = [gf2x_deriv(p) for p in f]
-    s = [gf2x_mul(p, p) for p in g]
-    if _root_outside(gf2x_gcd(gf2x_mul(f0, f3) ^ gf2x_mul(f1, f2), _cubic_form(s, f1, f3)), f3):
+    f0, f1, f2, f3 = f = tuple(f) + (R.zero,) * (4 - len(f))
+    g = [R.deriv(p) for p in f]
+    s = [R.mul(p, p) for p in g]
+    if _root_outside(R, R.gcd(R.add(R.mul(f0, f3), R.mul(f1, f2)), _cubic_form(R, s, f1, f3)), f3):
         return "A"
-    h = gf2x_gcd(f1, f3)  # B and C lie over its roots
-    if h == 1:
+    h = R.gcd(f1, f3)  # B and C lie over its roots
+    if R.degree(h) == 0:
         return None
-    if _root_outside(gf2x_gcd(h, _cubic_form(s, f0, f2)), f2):
+    if _root_outside(R, R.gcd(h, _cubic_form(R, s, f0, f2)), f2):
         return "B"
-    c = gf2x_gcd(h, gf2x_gcd(f0, f2))
-    if gf2x_gcd(c, g[0]) != 1 or _root_outside(c, gf2x_gcd(gf2x_gcd(g[1], g[2]), g[3])):
+    c = R.gcd(h, R.gcd(f0, f2))
+    if R.degree(R.gcd(c, g[0])) != 0 or _root_outside(R, c, R.gcd(R.gcd(g[1], g[2]), g[3])):
         return "C"
     return None
 
@@ -817,14 +832,14 @@ def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
 
     The quadric is covered as in _quadric_smooth_generic, and this route
     decides the first chart of _COVER only, by the gcds of
-    _chart_singular_fibre, whose oracle is packed elimination
-    (elimination.exists_common_zero_f2).  Every other point is a scan
+    _chart_singular_fibre over F2X, the packed F_2[u]: the same decision
+    the generic route makes over F_{2^k}[u].  Every other point is a scan
     column: the distinguished points lie over F_2, and what the second
     chart adds are lines (Y = Z = 0 and Y = T = 0 on ns, X = T = 0 on the
     cone), which a cubic not containing them meets over F_2, F_4 or F_8
     (no unflagged cubic contains a whole line).
     """
-    if _chart_singular_fibre(_packed_chart(curve.kind, curve.mask)):
+    if _chart_singular_fibre(F2X, _packed_chart(curve.kind, curve.mask)):
         return SmoothnessResult(False, None, "singular point inside the affine chart")
     return SmoothnessResult(True)
 

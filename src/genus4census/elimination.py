@@ -1,4 +1,5 @@
-"""Deciding whether bivariate polynomial systems have a common zero.
+"""Deciding whether bivariate polynomial systems have a common zero: the
+reference for the package's smoothness decision, which no route calls.
 
 Polynomials live in F[u, v] with F a binary field.  The question answered is
 geometric: do all the polynomials vanish at some point (u0, v0) with
@@ -25,14 +26,21 @@ factorization and the residue fields F[u]/(pi) it uses.  R has two
 instances:
 
 * F[u] for any field F of gfarith, u-polynomials as gfarith tuples
-  (poly_ring(F));
+  (poly_ring(F), input built by curves.biv_from_rows);
 * F_2[u] with u-polynomials as packed ints (gfarith.F2X, bound here as
-  _F2_PACKED), the oracle of the census's gcd-only chart decision
-  (curves._chart_singular_fibre).
+  _F2_PACKED).
 
 The public functions bind one ring each, picked by the input format: the
 functions taking a field F work on tuples, the f2_ names on packed
 rows.  Everything is exact and deterministic.
+
+Smoothness itself is decided by gcds alone (curves._chart_singular_fibre,
+one version over any gfarith Ring), which needs no resultant,
+factorization or residue field.  This engine is the independent route
+that decision is checked against, by the tests and CI, over F_2 and its
+extensions.  It stays in the package rather than beside the tests because
+the benchmark harness imports it and traces exists_common_zero_f2 in
+every step; moving it out is a change to the benchmark.
 """
 
 from __future__ import annotations
@@ -53,7 +61,6 @@ from .gfarith import (
 )
 
 __all__ = [
-    "biv_from_rows",
     "biv_eval",
     "biv_deriv_u",
     "biv_deriv_v",
@@ -77,11 +84,6 @@ def _strip(rows) -> tuple:
     while rows and not rows[-1]:
         rows.pop()
     return tuple(rows)
-
-
-def biv_from_rows(F, rows) -> tuple:
-    """Build a bivariate polynomial from per-v-degree coefficient sequences."""
-    return _strip(poly_from_coeffs(F, r) for r in rows)
 
 
 def biv_eval(F, f: tuple, u0, v0):

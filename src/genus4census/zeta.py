@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
@@ -101,9 +101,7 @@ class NewtonPolygon:
                 or any(n0 * d1 > n1 * d0 for (n0, d0), (n1, d1) in zip(s, s[1:]))):
             raise ValueError("Newton polygon slopes must ascend within [0, 1]")
         # ascending, so symmetric means s_i + s_{2g-1-i} = 1; the slopes then sum to g
-        den = lcm(*(d for _, d in s))
-        if (any(n0 * d1 + n1 * d0 != d0 * d1 for (n0, d0), (n1, d1) in zip(s, reversed(s)))
-                or 2 * sum(n * (den // d) for n, d in s) != len(s) * den):
+        if any(n0 * d1 + n1 * d0 != d0 * d1 for (n0, d0), (n1, d1) in zip(s, reversed(s))):
             raise ValueError("asymmetric Newton polygon (invalid Weil polynomial)")
 
     @property

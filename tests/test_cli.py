@@ -1,6 +1,8 @@
 """Command-line interface tests, driving cli.main in process."""
 
+import errno
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -287,6 +289,23 @@ def test_write_records_failed_open_names_the_path(tmp_path):
     with pytest.raises(FileNotFoundError) as exc:
         write_records(path, [])
     assert str(exc.value) == f"[Errno 2] No such file or directory: {path!r}"
+
+
+def test_census_out_naming_an_existing_directory(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(census, "run_census", lambda *args, **kw: pytest.fail("the census ran"))
+    path = str(tmp_path)
+    rc, out, err = run_cli(capsys, "census", "--kind", "ns", "--out", path)
+    assert rc == 2 and out == ""
+    assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}\n"
+
+
+def test_write_records_failed_rename_names_the_path(tmp_path):
+    path = tmp_path / "dir"
+    path.mkdir()
+    with pytest.raises(OSError) as exc:
+        write_records(str(path), [])
+    assert exc.value.filename == str(path) and exc.value.filename2 is None
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]  # no temporary file left
 
 
 def _mini_records(tmp_path) -> str:

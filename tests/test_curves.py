@@ -23,6 +23,7 @@ from genus4census.curves import (
     SmoothnessResult,
     apply_transform,
     aut_order_f2,
+    biv_from_rows,
     chart_polynomial,
     count_points,
     cubic_partials,
@@ -46,11 +47,13 @@ from genus4census.curves import (
 )
 from genus4census.curves import (
     _CHARTS,
+    _COVER,
     _KEPT,
     _MINOR_PAIRS,
     _REDUCTION,
     _byte_table,
     _chart_singular_fibre,
+    _distinguished_checks,
     _hyp_images,
     _packed_chart,
     _quadric_image_tables,
@@ -61,7 +64,8 @@ from genus4census.curves import (
 )
 from genus4census import elimination as el
 from genus4census.elimination import biv_eval
-from genus4census.gfarith import F2, field, gf2x_gcd, gf2x_mul, poly_eval
+from genus4census.gfarith import (F2, F2X, field, gf2x_gcd, gf2x_mul, poly_eval, poly_from_coeffs,
+                                  poly_mul, poly_ring)
 
 IDX = {e: i for i, e in enumerate(MONOMIALS3)}
 
@@ -377,7 +381,7 @@ def test_transform_rejects_wrong_quadric():
 def test_known_singularity_witnesses():
     # over F_2 the quadric scan names the first singular point of
     # quadric_points, over the smallest field that has one; the generic
-    # engine checks the distinguished points, then eliminates on two charts
+    # route checks the distinguished points, then decides two charts by gcds
     f2_note = "rational singular point over F_2"
     # X^3 alone: both distinguished points satisfy their vanishing pattern
     c = quadric_curve_from_mask("ns", 0x0001)
@@ -407,15 +411,31 @@ def test_known_singularity_witnesses():
         assert is_smooth(c).smooth
 
 
+def _chart_singular_by_elimination(F, f):
+    """Elimination's answer for a chart polynomial f over F: do f, f_u and
+    f_v vanish together over the closure of F?"""
+    return el.exists_common_zero(F, [f, el.biv_deriv_u(F, f), el.biv_deriv_v(F, f)])
+
+
+def _smooth_by_elimination(curve):
+    """The reference decision: the distinguished points by their
+    coefficient patterns, then both charts of _COVER by elimination."""
+    return _distinguished_checks(curve) is None and not any(
+        _chart_singular_by_elimination(curve.spec, chart_polynomial(curve, chart))
+        for chart in _COVER[curve.kind])
+
+
 def test_smoothness_engines_agree():
+    # the F_2 route (scan, then gcds on one packed chart) and the generic
+    # route (gcds on both charts) against the elimination reference
     rng = random.Random(61)
     smooth_seen = singular_seen = 0
     for i in range(1200):
         kind = "ns" if i % 2 == 0 else "cone"
         c = quadric_curve_from_mask(kind, rng.randrange(1 << 16))
         fast = is_smooth(c)
-        slow = _quadric_smooth_generic(c)
-        assert fast.smooth == slow.smooth, (c.curve_id, fast, slow)
+        slow = _smooth_by_elimination(c)
+        assert fast.smooth == slow == _quadric_smooth_generic(c).smooth, (c.curve_id, fast, slow)
         smooth_seen += fast.smooth
         singular_seen += not fast.smooth
     assert smooth_seen > 150 and singular_seen > 150
@@ -457,10 +477,59 @@ def test_chart_decision_matches_elimination():
         systems.append(f)
     reached = collections.Counter()
     for f in systems:
-        fibre = _chart_singular_fibre(f)
+        fibre = _chart_singular_fibre(F2X, f)
         assert (fibre is not None) == _chart_system_f2(f), f
         reached[fibre] += 1
     assert set(reached) == {"A", "B", "C", None}, reached
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_chart_decision_matches_elimination_over_extensions(k):
+    # the same gcd decision over F_{2^k}[u] against elimination, on both
+    # charts of seeded random curves over F_{2^k} (and the curve's own
+    # decision by the generic route), then on the zero system, whose
+    # content is zero, and on seeded random systems of v-degree <= 3:
+    # generic, f3 = 0, f1 = f3 = 0, and a common factor u + a of all four
+    # rows, squared half the time so that dividing it out once is not enough
+    F = field(k)
+    R = poly_ring(F)
+    rng = random.Random(2203 + k)
+    reached = collections.Counter()
+
+    def chart_singular(f):
+        fibre = _chart_singular_fibre(R, f)
+        want = _chart_singular_by_elimination(F, f)
+        assert (fibre is not None) == want, (k, f)
+        reached[fibre] += 1
+        return want
+
+    def random_poly(degree):
+        return poly_from_coeffs(F, [rng.randrange(F.order) for _ in range(degree + 1)])
+
+    smooth_seen = collections.Counter()
+    for i in range(300):
+        kind, density = ("ns", "cone")[i % 2], (0.5, 0.7, 0.9)[i % 3]
+        c = quadric_curve(kind, F, [rng.randrange(F.order) if rng.random() < density else 0
+                                    for _ in range(20)])
+        singular = [chart_singular(chart_polynomial(c, chart)) for chart in _COVER[kind]]
+        want = _distinguished_checks(c) is None and not any(singular)
+        assert _quadric_smooth_generic(c).smooth == want, (k, c.coeffs)
+        smooth_seen[want] += 1
+    chart_singular(())
+    for i in range(200):
+        f = [random_poly(rng.randrange(4)) for _ in range(4)]
+        if i % 4 == 1:
+            f[3] = ()
+        elif i % 4 == 2:
+            f[1] = f[3] = ()
+        elif i % 4 == 3:
+            common = (rng.randrange(F.order), 1)
+            if i % 8 == 7:
+                common = poly_mul(F, common, common)
+            f = [poly_mul(F, common, random_poly(2)) for _ in range(4)]
+        chart_singular(biv_from_rows(F, f))
+    assert set(reached) == {"A", "B", "C", None}, reached
+    assert smooth_seen[True] > 50 and smooth_seen[False] > 50, smooth_seen
 
 
 @pytest.mark.parametrize("kind", ["ns", "cone"])

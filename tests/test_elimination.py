@@ -27,13 +27,14 @@ import pytest
 
 import genus4census.gfarith as gf
 from genus4census import elimination as el
+from genus4census.curves import biv_from_rows
 
 F2 = gf.F2
 F4 = gf.field(2)
 
 
 def P(F, rows):
-    return el.biv_from_rows(F, rows)
+    return biv_from_rows(F, rows)
 
 
 def from_packed(p):
