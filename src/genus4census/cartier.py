@@ -60,9 +60,9 @@ not a theorem.  The census's verify checks the criterion on ns models only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import Value, setfield
 from .curves import (HyperellipticCurve, QuadricCubicCurve, biv_from_rows, chart_polynomial,
                      quadric_curve_from_mask)
 from .gfarith import FieldSpec
@@ -76,26 +76,25 @@ __all__ = [
     "hasse_witt_rows",
     "a_number",
     "two_rank",
-    "is_type43_candidate",
     "invariants",
 ]
 
 GENUS = 4
 
 
-@dataclass(frozen=True)
-class SemilinearOperator:
+class SemilinearOperator(Value):
     """A 1/2-linear operator on a 4-dimensional space, by basis images."""
 
-    spec: FieldSpec
-    rows: tuple[tuple[int, int, int, int], ...]
+    __slots__ = _fields = ("spec", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != GENUS or any(len(r) != GENUS for r in self.rows):
+    def __init__(self, spec: FieldSpec, rows: tuple[tuple[int, int, int, int], ...]):
+        setfield(self, "spec", spec)
+        setfield(self, "rows", rows)
+        if len(rows) != GENUS or any(len(r) != GENUS for r in rows):
             raise ValueError("expected a 4x4 matrix of basis images")
-        for r in self.rows:
+        for r in rows:
             for c in r:
-                self.spec.check(c)
+                spec.check(c)
 
     @property
     def rank(self) -> int:
@@ -227,15 +226,6 @@ def a_number(op: SemilinearOperator) -> int:
 def two_rank(op: SemilinearOperator) -> int:
     """The p-rank: stable rank of the semilinear iterates (reached by g)."""
     return _bit_ranks(op)[1]
-
-
-def is_type43_candidate(op: SemilinearOperator) -> bool:
-    """rank C = 2 and C^2 = 0, the matrix shape singling out [4, 3] among
-    the a-number-2 strata; only meaningful at 2-rank zero."""
-    t43 = invariants(op)[2]
-    if t43 is None:
-        raise ValueError("criterion only valid at p-rank 0")
-    return t43
 
 
 def invariants(op: SemilinearOperator) -> tuple[int, int, bool | None]:

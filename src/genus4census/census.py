@@ -113,7 +113,6 @@ import os
 import re
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
@@ -123,6 +122,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import cartier
+from ._value import Value, setfield
 from .cartier import cartier_operator
 from .curves import (
     HyperellipticCurve,
@@ -319,6 +319,9 @@ def _unique_keys(pairs) -> dict:
     return d
 
 
+# one decoder for every line: json.loads with a hook builds a new one per call
+_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
 # the whole census has seven slope strings; Fractions are immutable, so the
 # records share one parsed Fraction per string (a failed parse is not cached)
 _slope = lru_cache(maxsize=None)(Fraction)
@@ -326,7 +329,7 @@ _slope = lru_cache(maxsize=None)(Fraction)
 
 def record_from_json(line: str) -> CensusRecord:
     """The record of one JSON line; a line that repeats a key is refused."""
-    d = json.loads(line, object_pairs_hook=_unique_keys)
+    d = _decode(line)
     return CensusRecord(
         id=d["id"],
         kind=d["kind"],
@@ -494,7 +497,11 @@ def read_records(path) -> CensusTable:
 # hyperelliptic fast path: counts linear in the coefficient bits of f
 # ---------------------------------------------------------------------------
 
-_PARITY = np.array([bin(i).count("1") & 1 for i in range(1 << 11)], np.uint8)
+# the parity of every 11-bit word, doubled up bit by bit (as curves._byte_table)
+_PARITY = np.zeros(1 << 11, np.uint8)
+for _b in range(11):
+    _PARITY[1 << _b:2 << _b] = _PARITY[:1 << _b] ^ 1
+del _b
 
 
 @lru_cache(maxsize=None)
@@ -834,7 +841,8 @@ def _hyp_f_min(hm: int) -> int:
     return 0 if hm >= 32 else 512
 
 
-_F_SUFFIX = tuple(f";f=0x{fm:03x}" for fm in range(2048))
+# ";f=0x..." for every f mask in 0..0x7ff: eight high digits, each joined with _HEX2
+_F_SUFFIX = tuple([prefix + low for prefix in [f";f=0x{hi:x}" for hi in range(8)] for low in _HEX2])
 
 
 def _hyp_chunk(h0: int, h1: int, keep=None) -> tuple[list[str], np.ndarray, tuple]:
@@ -971,8 +979,7 @@ def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> CensusTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsogenyClassReport:
+class IsogenyClassReport(Value):
     """One F_2-isogeny class drawn from the census.
 
     member_ids lists every smooth record with the class's Weil polynomial;
@@ -981,13 +988,19 @@ class IsogenyClassReport:
     the sum of 1/|Aut(Jacobian)| over those classes.
     """
 
-    weil: tuple[int, ...]
-    q: int
-    member_ids: tuple[str, ...]
-    iso_rep_ids: tuple[str, ...]
-    jacobian_auts: tuple[int, ...]
-    stack_count: Fraction
-    abelian_side: Fraction | None = None
+    __slots__ = _fields = ("weil", "q", "member_ids", "iso_rep_ids", "jacobian_auts", "stack_count",
+                           "abelian_side")
+
+    def __init__(self, weil: tuple[int, ...], q: int, member_ids: tuple[str, ...],
+                 iso_rep_ids: tuple[str, ...], jacobian_auts: tuple[int, ...], stack_count: Fraction,
+                 abelian_side: Fraction | None = None) -> None:
+        setfield(self, "weil", weil)
+        setfield(self, "q", q)
+        setfield(self, "member_ids", member_ids)
+        setfield(self, "iso_rep_ids", iso_rep_ids)
+        setfield(self, "jacobian_auts", jacobian_auts)
+        setfield(self, "stack_count", stack_count)
+        setfield(self, "abelian_side", abelian_side)
 
 
 def _isomorphism_orbit(curve) -> tuple[set[str], int]:
@@ -1107,11 +1120,13 @@ def discrepancy_report(report: IsogenyClassReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    lines: tuple[str, ...]
-    failures: tuple[str, ...]  # offending curve ids
+class VerificationReport(Value):
+    __slots__ = _fields = ("ok", "lines", "failures")
+
+    def __init__(self, ok: bool, lines: tuple[str, ...], failures: tuple[str, ...]) -> None:
+        setfield(self, "ok", ok)
+        setfield(self, "lines", lines)
+        setfield(self, "failures", failures)  # offending curve ids
 
 
 def verify_propositions(records) -> VerificationReport:

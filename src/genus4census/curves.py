@@ -36,11 +36,11 @@ analysis works with residue fields symbolically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._value import Value, setfield
 from .gfarith import (
     F2,
     F2X,
@@ -75,7 +75,6 @@ __all__ = [
     "parse_curve_id",
     "eval_quadric",
     "eval_cubic",
-    "cubic_partials",
     "quadric_gradient",
     "biv_from_rows",
     "chart_polynomial",
@@ -159,8 +158,7 @@ def reduce_cubic(kind: str, spec: FieldSpec, coeffs) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadricCubicCurve:
+class QuadricCubicCurve(Value):
     """A cubic section of one of the two quadric normal forms.
 
     coeffs has one entry per MONOMIALS3 slot and is stored reduced: the
@@ -168,19 +166,20 @@ class QuadricCubicCurve:
     from an arbitrary coefficient vector.
     """
 
-    kind: str
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("kind", "spec", "coeffs")
 
-    def __post_init__(self):
-        if self.kind not in QUADRIC_KINDS:
-            raise ValueError(f"unknown quadric kind {self.kind!r}")
-        if len(self.coeffs) != len(MONOMIALS3):
+    def __init__(self, kind: str, spec: FieldSpec, coeffs: tuple[int, ...]):
+        setfield(self, "kind", kind)
+        setfield(self, "spec", spec)
+        setfield(self, "coeffs", coeffs)
+        if kind not in QUADRIC_KINDS:
+            raise ValueError(f"unknown quadric kind {kind!r}")
+        if len(coeffs) != len(MONOMIALS3):
             raise ValueError("a cubic needs one coefficient per degree-3 monomial")
-        for c in self.coeffs:
-            self.spec.check(c)
-        for src in _REDUCTION[self.kind]:
-            if self.coeffs[src]:
+        for c in coeffs:
+            spec.check(c)
+        for src in _REDUCTION[kind]:
+            if coeffs[src]:
                 raise ValueError("coefficients are not reduced modulo the quadric")
 
     @property
@@ -211,22 +210,22 @@ def quadric_curve_from_mask(kind: str, mask: int) -> QuadricCubicCurve:
     return QuadricCubicCurve(kind, F2, tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class HyperellipticCurve:
+class HyperellipticCurve(Value):
     """y^2 + h(x) y = f(x), the standard genus-4 hyperelliptic shape."""
 
-    spec: FieldSpec
-    h: tuple[int, ...]
-    f: tuple[int, ...]
+    __slots__ = _fields = ("spec", "h", "f")
 
-    def __post_init__(self):
-        for c in self.h + self.f:
-            self.spec.check(c)
-        if (self.h and not self.h[-1]) or (self.f and not self.f[-1]):
+    def __init__(self, spec: FieldSpec, h: tuple[int, ...], f: tuple[int, ...]):
+        setfield(self, "spec", spec)
+        setfield(self, "h", h)
+        setfield(self, "f", f)
+        for c in h + f:
+            spec.check(c)
+        if (h and not h[-1]) or (f and not f[-1]):
             raise ValueError("polynomials must be normalized (no trailing zeros)")
-        if not self.h:
+        if not h:
             raise ValueError("h must be nonzero: y^2 = f(x) is inseparable in char 2")
-        dh, df = poly_degree(self.h), poly_degree(self.f)
+        dh, df = poly_degree(h), poly_degree(f)
         if dh > 5 or df > 10:
             raise ValueError("degree bounds: deg h <= 5, deg f <= 10")
         if max(2 * dh, df) not in (9, 10):
@@ -300,24 +299,6 @@ def eval_quadric(kind: str, spec, point):
     return spec.add(spec.mul(x, y), spec.mul(t, t))
 
 
-def cubic_partials(spec, coeffs, point) -> tuple:
-    """The four partial derivatives at a point; char 2 keeps odd exponents."""
-    pw = [_powers(spec, c, 3) for c in point]
-    out = []
-    for v in range(4):
-        acc = spec.zero
-        for c, e in zip(coeffs, MONOMIALS3):
-            if not c or e[v] % 2 == 0:
-                continue
-            m = pw[v][e[v] - 1]
-            for w in range(4):
-                if w != v:
-                    m = spec.mul(m, pw[w][e[w]])
-            acc = spec.add(acc, spec.mul(c, m))
-        out.append(acc)
-    return tuple(out)
-
-
 def quadric_gradient(kind: str, spec, point) -> tuple:
     x, y, z, t = point
     if kind == "ns":
@@ -367,21 +348,21 @@ def _mat_inverse(spec: FieldSpec, rows):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-@dataclass(frozen=True)
-class ProjectiveTransform:
+class ProjectiveTransform(Value):
     """An invertible linear substitution: row i is the form replacing
     variable i, so applying s then t composes as the matrix product s*t."""
 
-    spec: FieldSpec
-    rows: tuple[tuple[int, int, int, int], ...]
+    __slots__ = _fields = ("spec", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
+    def __init__(self, spec: FieldSpec, rows: tuple[tuple[int, int, int, int], ...]):
+        setfield(self, "spec", spec)
+        setfield(self, "rows", rows)
+        if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("a projective substitution needs a 4x4 matrix")
-        for r in self.rows:
+        for r in rows:
             for c in r:
-                self.spec.check(c)
-        if _mat_inverse(self.spec, self.rows) is None:
+                spec.check(c)
+        if _mat_inverse(spec, rows) is None:
             raise ValueError("substitution matrix is singular")
 
     def compose(self, other: "ProjectiveTransform") -> "ProjectiveTransform":
@@ -686,11 +667,13 @@ def count_points(curve, n: int = 1, raw: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmoothnessResult:
-    smooth: bool
-    witness: tuple | None = None  # (field degree over F_2, coordinates)
-    note: str = ""
+class SmoothnessResult(Value):
+    __slots__ = _fields = ("smooth", "witness", "note")
+
+    def __init__(self, smooth: bool, witness: tuple | None = None, note: str = ""):
+        setfield(self, "smooth", smooth)
+        setfield(self, "witness", witness)  # (field degree over F_2, coordinates)
+        setfield(self, "note", note)
 
     def __bool__(self) -> bool:
         return self.smooth

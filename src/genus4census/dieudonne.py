@@ -20,8 +20,9 @@ the tuple of images of the basis vectors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+from ._value import Value, setfield
 
 GENUS = 4
 
@@ -144,15 +145,15 @@ def final_to_young(nu: Sequence[int]) -> tuple[int, ...]:
     return tuple(mu)
 
 
-@dataclass(frozen=True)
-class EoLabel:
+class EoLabel(Value):
     """An Ekedahl-Oort class [mu_1, ..., mu_n] of a genus-4 Jacobian."""
 
-    mu: tuple[int, ...]
-    smooth_impossible: bool = False
+    __slots__ = _fields = ("mu", "smooth_impossible")
 
-    def __post_init__(self) -> None:
-        validate_young_type(self.mu, GENUS)
+    def __init__(self, mu: tuple[int, ...], smooth_impossible: bool = False) -> None:
+        setfield(self, "mu", mu)
+        setfield(self, "smooth_impossible", smooth_impossible)
+        validate_young_type(mu, GENUS)
 
     @property
     def p_rank(self) -> int:
@@ -167,12 +168,14 @@ class EoLabel:
         return sum(self.mu)
 
 
-@dataclass(frozen=True)
-class EoCandidateSet:
+class EoCandidateSet(Value):
     """Several EO classes that the available invariants cannot separate."""
 
-    options: tuple[tuple[int, ...], ...]
-    smooth_impossible: bool = False
+    __slots__ = _fields = ("options", "smooth_impossible")
+
+    def __init__(self, options: tuple[tuple[int, ...], ...], smooth_impossible: bool = False) -> None:
+        setfield(self, "options", options)
+        setfield(self, "smooth_impossible", smooth_impossible)
 
 
 # ---------------------------------------------------------------------------
@@ -180,30 +183,31 @@ class EoCandidateSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bt1Module:
+class Bt1Module(Value):
     """F and V on a 2g-dimensional F_2 space; row i is the image of Z_{i+1}."""
 
-    g: int
-    f_rows: tuple[int, ...]
-    v_rows: tuple[int, ...]
-    pairing: tuple[int, ...] | None = None
-    labels: tuple[str, ...] | None = None
+    __slots__ = _fields = ("g", "f_rows", "v_rows", "pairing", "labels")
 
-    def __post_init__(self) -> None:
-        n = 2 * self.g
-        for rows in (self.f_rows, self.v_rows):
+    def __init__(self, g: int, f_rows: tuple[int, ...], v_rows: tuple[int, ...],
+                 pairing: tuple[int, ...] | None = None, labels: tuple[str, ...] | None = None) -> None:
+        setfield(self, "g", g)
+        setfield(self, "f_rows", f_rows)
+        setfield(self, "v_rows", v_rows)
+        setfield(self, "pairing", pairing)
+        setfield(self, "labels", labels)
+        n = 2 * g
+        for rows in (f_rows, v_rows):
             if len(rows) != n or any(not 0 <= r < (1 << n) for r in rows):
                 raise ValueError("F/V matrices must be 2g rows of 2g bits")
-        ker_f = _kernel(self.f_rows, n)
-        if len(ker_f) != self.g:
-            raise ValueError(f"not a BT1 module: dim ker F = {len(ker_f)} != g = {self.g}")
-        if ker_f != _image(self.v_rows, _full_space(n)):
+        ker_f = _kernel(f_rows, n)
+        if len(ker_f) != g:
+            raise ValueError(f"not a BT1 module: dim ker F = {len(ker_f)} != g = {g}")
+        if ker_f != _image(v_rows, _full_space(n)):
             raise ValueError("not a BT1 module: ker F != im V")
-        if _kernel(self.v_rows, n) != _image(self.f_rows, _full_space(n)):
+        if _kernel(v_rows, n) != _image(f_rows, _full_space(n)):
             raise ValueError("not a BT1 module: ker V != im F")
-        if self.pairing is not None:
-            p = self.pairing
+        if pairing is not None:
+            p = pairing
             if len(p) != n or len(_rref(p)) != n:
                 raise ValueError("pairing must be a nondegenerate 2g x 2g matrix")
             for i in range(n):
@@ -212,7 +216,7 @@ class Bt1Module:
                 for j in range(i):
                     if ((p[i] >> j) ^ (p[j] >> i)) & 1:
                         raise ValueError("pairing must be symmetric")
-        if self.labels is not None and len(self.labels) != n:
+        if labels is not None and len(labels) != n:
             raise ValueError("need one label per basis vector")
 
 

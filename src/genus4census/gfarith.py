@@ -30,8 +30,9 @@ from __future__ import annotations
 import functools
 import operator
 from array import array
-from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
+
+from ._value import Value, setfield
 
 # ---------------------------------------------------------------------------
 # packed polynomials over F_2 (ints as bit vectors)
@@ -203,28 +204,6 @@ def poly_eval(F, p: tuple, x):
 def poly_deriv(F, p: tuple) -> tuple:
     """Formal derivative in characteristic 2: only odd-degree terms survive."""
     return poly_from_coeffs(F, [p[i] if i % 2 == 1 else F.zero for i in range(1, len(p))])
-
-
-def poly_resultant(F, a: tuple, b: tuple):
-    """Resultant of two polynomials over a field of characteristic 2.
-
-    Euclidean descent: Res(a, b) = lc(b)^(deg a - deg r) Res(b, r) where
-    r = a mod b; all signs vanish in characteristic 2.  Res of two nonzero
-    constants is 1; if exactly one input is the zero polynomial the result
-    is 0 by convention; two zero inputs have no sensible value.
-    """
-    if not a and not b:
-        raise ValueError("undefined resultant of two zero polynomials")
-    if not a or not b:
-        return F.zero
-    res = F.one
-    while poly_degree(b) > 0:
-        r = poly_mod(F, a, b)
-        if not r:
-            return F.zero
-        res = F.mul(res, F.pow(b[-1], poly_degree(a) - poly_degree(r)))
-        a, b = b, r
-    return F.mul(res, F.pow(b[0], poly_degree(a)))
 
 
 def _poly_even_sqrt(F, p: tuple) -> tuple:
@@ -494,7 +473,7 @@ def poly_roots(F, p: tuple) -> list:
 # ---------------------------------------------------------------------------
 
 #: Smallest irreducible modulus of each degree with nonzero constant term,
-#: as packed polynomials.  Re-verified at import below.
+#: as packed polynomials.  FieldSpec checks each one that field() builds.
 SMALLEST_IRREDUCIBLE = {
     1: 0x3, 2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11B,
     9: 0x203, 10: 0x409, 11: 0x805, 12: 0x1009, 13: 0x201B, 14: 0x4021,
@@ -504,8 +483,7 @@ SMALLEST_IRREDUCIBLE = {
 MAX_FIELD_BITS = 16
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Value):
     """The field F_{2^k} presented as F_2[x]/(modulus).
 
     Elements are ints < 2^k; bit i is the coefficient of x^i.  The spec is
@@ -513,16 +491,18 @@ class FieldSpec:
     element.  Instances are hashable and interned via :func:`field`.
     """
 
-    k: int
-    modulus: int
+    _fields = ("k", "modulus")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached _tables
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_FIELD_BITS:
-            raise ValueError(f"field degree {self.k} outside supported range 1..{MAX_FIELD_BITS}")
-        if gf2x_degree(self.modulus) != self.k:
+    def __init__(self, k: int, modulus: int) -> None:
+        setfield(self, "k", k)
+        setfield(self, "modulus", modulus)
+        if not 1 <= k <= MAX_FIELD_BITS:
+            raise ValueError(f"field degree {k} outside supported range 1..{MAX_FIELD_BITS}")
+        if gf2x_degree(modulus) != k:
             raise ValueError("modulus degree does not match field degree")
-        if not gf2x_is_irreducible(self.modulus):
-            raise ValueError(f"modulus {self.modulus:#x} is reducible")
+        if not gf2x_is_irreducible(modulus):
+            raise ValueError(f"modulus {modulus:#x} is reducible")
 
     # -- scalars --------------------------------------------------------
     zero = 0
@@ -613,12 +593,6 @@ class FieldSpec:
         return (a & self._tables[2]).bit_count() & 1
 
 
-for _k, _m in SMALLEST_IRREDUCIBLE.items():
-    if gf2x_degree(_m) != _k or not gf2x_is_irreducible(_m):
-        raise AssertionError(f"bad hard-coded modulus for degree {_k}")
-del _k, _m
-
-
 @functools.lru_cache(maxsize=None)
 def field(k: int) -> FieldSpec:
     """The canonical F_{2^k} with the smallest irreducible modulus."""
@@ -635,17 +609,19 @@ F2 = field(1)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Value):
     """A ring embedding F_{2^a} -> F_{2^b} for a | b.
 
     Determined by sending the canonical generator of the small field to the
     smallest root (as an int) of its minimal polynomial in the big field.
     """
 
-    sub: FieldSpec
-    sup: FieldSpec
-    generator_image: int
+    __slots__ = _fields = ("sub", "sup", "generator_image")
+
+    def __init__(self, sub: FieldSpec, sup: FieldSpec, generator_image: int) -> None:
+        setfield(self, "sub", sub)
+        setfield(self, "sup", sup)
+        setfield(self, "generator_image", generator_image)
 
     def __call__(self, a: int) -> int:
         self.sub.check(a)

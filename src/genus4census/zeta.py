@@ -15,12 +15,13 @@ exact for every count vector that passes the Weil bounds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 import numpy as np
+
+from ._value import Value, setfield
 
 GENUS = 4
 
@@ -29,24 +30,23 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 2 and n & (n - 1) == 0
 
 
-@dataclass(frozen=True)
-class PointCounts:
+class PointCounts(Value):
     """N_1..N_4 for a genus-4 curve over F_q, q a power of 2."""
 
-    counts: tuple[int, int, int, int]
-    q: int
+    __slots__ = _fields = ("counts", "q")
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != GENUS:
+    def __init__(self, counts: tuple[int, int, int, int], q: int) -> None:
+        setfield(self, "counts", counts)
+        setfield(self, "q", q)
+        if len(counts) != GENUS:
             raise ValueError("expected exactly 4 point counts (N_1..N_4)")
-        if any(n < 0 or n != int(n) for n in self.counts):
+        if any(n < 0 or n != int(n) for n in counts):
             raise ValueError("point counts must be nonnegative integers")
-        if not _is_power_of_two(self.q):
-            raise ValueError(f"base field size {self.q} is not a power of 2 (>= 2)")
+        if not _is_power_of_two(q):
+            raise ValueError(f"base field size {q} is not a power of 2 (>= 2)")
 
 
-@dataclass(frozen=True)
-class WeilPolynomial:
+class WeilPolynomial(Value):
     """P(t) = prod (t - alpha_i), coefficients constant term first, monic.
 
     Degree 2g for g in 1..4; the genus-4 case is the primary one, smaller
@@ -56,21 +56,22 @@ class WeilPolynomial:
     not re-verified here.
     """
 
-    coeffs: tuple[int, ...]
-    q: int
+    __slots__ = _fields = ("coeffs", "q")
 
-    def __post_init__(self) -> None:
-        deg = len(self.coeffs) - 1
+    def __init__(self, coeffs: tuple[int, ...], q: int) -> None:
+        setfield(self, "coeffs", coeffs)
+        setfield(self, "q", q)
+        deg = len(coeffs) - 1
         if deg not in (2, 4, 6, 8):
             raise ValueError(f"Weil polynomial degree {deg} not an even number in 2..8")
-        if self.coeffs[-1] != 1:
+        if coeffs[-1] != 1:
             raise ValueError("Weil polynomial must be monic")
-        if not _is_power_of_two(self.q):
-            raise ValueError(f"base field size {self.q} is not a power of 2 (>= 2)")
+        if not _is_power_of_two(q):
+            raise ValueError(f"base field size {q} is not a power of 2 (>= 2)")
         g = deg // 2
         a = self.l_coeffs
         for i in range(g + 1):
-            if a[deg - i] != self.q ** (g - i) * a[i]:
+            if a[deg - i] != q ** (g - i) * a[i]:
                 raise ValueError("functional equation fails: not a Weil polynomial")
 
     @property
@@ -88,15 +89,15 @@ class WeilPolynomial:
         return self.q.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Value):
     """2g slopes, ascending, exact rationals in [0, 1]."""
 
-    slopes: tuple[Fraction, ...]
+    __slots__ = _fields = ("slopes",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, slopes: tuple[Fraction, ...]) -> None:
+        setfield(self, "slopes", slopes)
         # in integers: slope n/d with d > 0, compared by cross-multiplying
-        s = [(x.numerator, x.denominator) for x in self.slopes]
+        s = [(x.numerator, x.denominator) for x in slopes]
         if (any(not 0 <= n <= d for n, d in s)
                 or any(n0 * d1 > n1 * d0 for (n0, d0), (n1, d1) in zip(s, s[1:]))):
             raise ValueError("Newton polygon slopes must ascend within [0, 1]")
@@ -109,12 +110,14 @@ class NewtonPolygon:
         return sum(1 for x in self.slopes if x == 0)
 
 
-@dataclass(frozen=True)
-class StratumLabel:
+class StratumLabel(Value):
     """One of Ordinary-or-other / V0-only / N14 / N13 / S4, with the p-rank."""
 
-    name: str
-    p_rank: int
+    __slots__ = _fields = ("name", "p_rank")
+
+    def __init__(self, name: str, p_rank: int) -> None:
+        setfield(self, "name", name)
+        setfield(self, "p_rank", p_rank)
 
 
 def weil_from_counts(counts, q: int | None = None) -> WeilPolynomial:
@@ -289,21 +292,3 @@ def classify_stratum(np_: NewtonPolygon) -> StratumLabel:
     if p_rank == 0:
         return StratumLabel("V0-only", 0)
     return StratumLabel("Ordinary-or-other", p_rank)
-
-
-def base_extend(w: WeilPolynomial, n: int) -> WeilPolynomial:
-    """prod (t - alpha_i^n), exactly; q becomes q^n.
-
-    The roots alpha_i^n have power sums s_{nk}, so Newton's identities read
-    off the coefficients b_k over the integers.
-    """
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
-    if n == 1:
-        return w
-    deg = len(w.coeffs) - 1
-    s = _power_sums(w, n * deg)
-    b = [1]
-    for k in range(1, deg + 1):
-        b.append(-(s[n * k] + sum(b[i] * s[n * (k - i)] for i in range(1, k))) // k)
-    return WeilPolynomial(tuple(reversed(b)), w.q**n)

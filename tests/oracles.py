@@ -1,0 +1,74 @@
+"""Reference routes that no census, CLI or verify path takes: the tests'
+independent oracles for what the package computes another way."""
+
+from genus4census.cartier import SemilinearOperator, invariants
+from genus4census.curves import MONOMIALS3, _powers
+from genus4census.gfarith import poly_degree, poly_mod
+from genus4census.zeta import WeilPolynomial, _power_sums
+
+
+def poly_resultant(F, a: tuple, b: tuple):
+    """Resultant of two polynomials over a field of characteristic 2.
+
+    Euclidean descent: Res(a, b) = lc(b)^(deg a - deg r) Res(b, r) where
+    r = a mod b; all signs vanish in characteristic 2.  Res of two nonzero
+    constants is 1; if exactly one input is the zero polynomial the result
+    is 0 by convention; two zero inputs have no sensible value.
+    """
+    if not a and not b:
+        raise ValueError("undefined resultant of two zero polynomials")
+    if not a or not b:
+        return F.zero
+    res = F.one
+    while poly_degree(b) > 0:
+        r = poly_mod(F, a, b)
+        if not r:
+            return F.zero
+        res = F.mul(res, F.pow(b[-1], poly_degree(a) - poly_degree(r)))
+        a, b = b, r
+    return F.mul(res, F.pow(b[0], poly_degree(a)))
+
+
+def cubic_partials(spec, coeffs, point) -> tuple:
+    """The four partial derivatives at a point; char 2 keeps odd exponents."""
+    pw = [_powers(spec, c, 3) for c in point]
+    out = []
+    for v in range(4):
+        acc = spec.zero
+        for c, e in zip(coeffs, MONOMIALS3):
+            if not c or e[v] % 2 == 0:
+                continue
+            m = pw[v][e[v] - 1]
+            for w in range(4):
+                if w != v:
+                    m = spec.mul(m, pw[w][e[w]])
+            acc = spec.add(acc, spec.mul(c, m))
+        out.append(acc)
+    return tuple(out)
+
+
+def is_type43_candidate(op: SemilinearOperator) -> bool:
+    """rank C = 2 and C^2 = 0, the matrix shape singling out [4, 3] among
+    the a-number-2 strata; only meaningful at 2-rank zero."""
+    t43 = invariants(op)[2]
+    if t43 is None:
+        raise ValueError("criterion only valid at p-rank 0")
+    return t43
+
+
+def base_extend(w: WeilPolynomial, n: int) -> WeilPolynomial:
+    """prod (t - alpha_i^n), exactly; q becomes q^n.
+
+    The roots alpha_i^n have power sums s_{nk}, so Newton's identities read
+    off the coefficients b_k over the integers.
+    """
+    if n < 1:
+        raise ValueError("extension degree must be >= 1")
+    if n == 1:
+        return w
+    deg = len(w.coeffs) - 1
+    s = _power_sums(w, n * deg)
+    b = [1]
+    for k in range(1, deg + 1):
+        b.append(-(s[n * k] + sum(b[i] * s[n * (k - i)] for i in range(1, k))) // k)
+    return WeilPolynomial(tuple(reversed(b)), w.q**n)

@@ -27,8 +27,9 @@ from genus4census.dieudonne import (
     standard_module,
     young_to_final,
 )
-from genus4census.zeta import WeilPolynomial, base_extend, classify_stratum, newton_polygon, weil_from_counts
+from genus4census.zeta import WeilPolynomial, classify_stratum, newton_polygon, weil_from_counts
 
+from oracles import base_extend
 from test_properties import SUITES
 
 HALF = Fraction(1, 2)

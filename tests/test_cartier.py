@@ -19,7 +19,6 @@ from genus4census.cartier import (
     a_number,
     cartier_operator,
     hasse_witt_rows,
-    is_type43_candidate,
     two_rank,
 )
 from genus4census import cartier, census
@@ -32,6 +31,8 @@ from genus4census.curves import (
 )
 from genus4census.gfarith import F2, field, gf2x_degree, gf2x_factor, poly_from_coeffs, poly_mul, poly_shift
 from genus4census.zeta import newton_polygon, weil_from_counts
+
+from oracles import is_type43_candidate
 
 SS_MASK = 0x1D0C  # X^2Z + Y^2Z + YZ^2 + X^2T + Y^2T + XT^2 on the ns quadric
 

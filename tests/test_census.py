@@ -33,7 +33,6 @@ from genus4census.curves import (
     apply_transform,
     aut_order_f2,
     count_points,
-    cubic_partials,
     eval_cubic,
     gl2_f2,
     hyperelliptic_from_masks,
@@ -47,6 +46,8 @@ from genus4census.curves import (
 )
 from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_tables, _scan_singular
 from genus4census.gfarith import embedding, field, gf2x_degree, gf2x_gcd, gf2x_mul
+
+from oracles import cubic_partials
 
 
 # ---------------------------------------------------------------------------

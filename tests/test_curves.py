@@ -26,7 +26,6 @@ from genus4census.curves import (
     biv_from_rows,
     chart_polynomial,
     count_points,
-    cubic_partials,
     eval_cubic,
     eval_quadric,
     gl2_f2,
@@ -66,6 +65,8 @@ from genus4census import elimination as el
 from genus4census.elimination import biv_eval
 from genus4census.gfarith import (F2, F2X, field, gf2x_gcd, gf2x_mul, poly_eval, poly_from_coeffs,
                                   poly_mul, poly_ring)
+
+from oracles import cubic_partials
 
 IDX = {e: i for i, e in enumerate(MONOMIALS3)}
 
@@ -690,7 +691,7 @@ def test_smoothness_generic_engine_over_f4():
             # a smooth curve has no rational singular point in particular
             for p in _projective_points(K):
                 if eval_quadric("ns", K, p) == 0 and eval_cubic(K, c.coeffs, p) == 0:
-                    from genus4census.curves import cubic_partials, quadric_gradient
+                    from genus4census.curves import quadric_gradient
 
                     gc = cubic_partials(K, c.coeffs, p)
                     gq = quadric_gradient("ns", K, p)

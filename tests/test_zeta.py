@@ -12,12 +12,13 @@ from genus4census.zeta import (
     NewtonPolygon,
     PointCounts,
     WeilPolynomial,
-    base_extend,
     classify_stratum,
     newton_polygon,
     predicted_counts,
     weil_from_counts,
 )
+
+from oracles import base_extend
 
 HALF = Fraction(1, 2)
 SUPERSINGULAR = (HALF,) * 8
