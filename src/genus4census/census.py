@@ -68,8 +68,8 @@ Fast paths, each validated against the generic engines in the test suite:
   their test oracles;
 * the zeta fields of a job's smooth rows come from one array pass
   (_smooth_rows): zeta.weil_rows_f2 runs the Newton identities and every
-  check of weil_from_counts and the count round trip on int64 columns of
-  all rows, and the Newton polygon and stratum are built once per
+  check of weil_from_counts, the count round trip included, on int64
+  columns of all rows, and the Newton polygon and stratum are built once per
   valuation pattern of the Weil polynomials, memoised on it;
 * the field arithmetic under all of these (gfarith.FieldSpec) reads
   log/antilog tables.
@@ -111,6 +111,7 @@ import json
 import operator
 import os
 import re
+from bisect import bisect_left
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -322,29 +323,80 @@ def _unique_keys(pairs) -> dict:
 # one decoder for every line: json.loads with a hook builds a new one per call
 _decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
-# the whole census has seven slope strings; Fractions are immutable, so the
-# records share one parsed Fraction per string (a failed parse is not cached)
-_slope = lru_cache(maxsize=None)(Fraction)
+# the JSON type record_to_json writes for each scalar field
+_SCALAR_TYPES = {"id": str, "kind": str, "smooth": bool, "note": str, "stratum": str, "type43": bool,
+                 **dict.fromkeys(("p_rank", "a_number", "two_rank", "aut", "jacobian_aut"), int)}
+_DECIMAL = r"0|-?[1-9][0-9]*"
+_IS_DECIMAL = re.compile(_DECIMAL).fullmatch
+_IS_FRACTION = re.compile(f"(?:{_DECIMAL})(?:/[1-9][0-9]*)?").fullmatch
+
+
+# the whole census has a few dozen count and coefficient strings and seven
+# slope strings, so each is checked and parsed once (a refused one is not
+# cached); Fractions are immutable, so the records share one per string
+@lru_cache(maxsize=None)
+def _integer(s: str) -> int:
+    if type(s) is not str or not _IS_DECIMAL(s):
+        raise ValueError
+    return int(s)
+
+
+@lru_cache(maxsize=None)
+def _slope(s: str) -> Fraction:
+    if type(s) is not str or not _IS_FRACTION(s):
+        raise ValueError
+    return Fraction(s)
+
+
+def _json_int(x) -> int:
+    if type(x) is not int:
+        raise ValueError
+    return x
+
+
+def _ints(v) -> tuple[int, ...]:
+    if type(v) is not list:
+        raise ValueError
+    return tuple(map(_json_int, v))
+
+
+def _list_field(d: dict, key: str, parse, what: str):
+    """The tuple of parse over the list field key of d, None when d has no
+    such field; a value that is not a list of what is refused, naming it."""
+    if key not in d:
+        return None
+    v = d[key]
+    try:
+        if type(v) is list:
+            return tuple(map(parse, v))
+    except (ValueError, TypeError):  # TypeError: an unhashable value for a cached parse
+        pass
+    raise ValueError(f"field {key!r} is {v!r}, not a list of {what}")
 
 
 def record_from_json(line: str) -> CensusRecord:
-    """The record of one JSON line; a line that repeats a key is refused."""
+    """The record of one JSON line.  A line that repeats a key is refused,
+    and so is a field of another JSON type than record_to_json writes for
+    it (1 for true, "1234" for a list of counts)."""
     d = _decode(line)
+    for key in d.keys() & _SCALAR_TYPES.keys():
+        if type(d[key]) is not _SCALAR_TYPES[key]:
+            raise ValueError(f"field {key!r} is {d[key]!r}, not of type {_SCALAR_TYPES[key].__name__}")
     return CensusRecord(
         id=d["id"],
         kind=d["kind"],
         smooth=d["smooth"],
         note=d.get("note", ""),
-        counts=tuple(int(n) for n in d["counts"]) if "counts" in d else None,
-        weil=tuple(int(c) for c in d["weil"]) if "weil" in d else None,
-        slopes=tuple(_slope(s) for s in d["slopes"]) if "slopes" in d else None,
+        counts=_list_field(d, "counts", _integer, "decimal strings"),
+        weil=_list_field(d, "weil", _integer, "decimal strings"),
+        slopes=_list_field(d, "slopes", _slope, "fraction strings"),
         stratum=d.get("stratum"),
         p_rank=d.get("p_rank"),
         a_number=d.get("a_number"),
         two_rank=d.get("two_rank"),
         type43=d.get("type43"),
-        eo_mu=tuple(d["eo_mu"]) if "eo_mu" in d else None,
-        eo_candidates=tuple(tuple(mu) for mu in d["eo_candidates"]) if "eo_candidates" in d else None,
+        eo_mu=_list_field(d, "eo_mu", _json_int, "integers"),
+        eo_candidates=_list_field(d, "eo_candidates", _ints, "lists of integers"),
         aut=d.get("aut"),
         jacobian_aut=d.get("jacobian_aut"),
     )
@@ -437,9 +489,11 @@ def read_records(path) -> CensusTable:
     is printable ASCII without '"' or '\\', when that id is not the
     curve_id of a census model in its one spelling (so no model is read
     under two ids), or when what remains with the id cut out is not a
-    record (a repeated key included).  Each distinct remainder is parsed
+    record (a repeated key, or a field of another JSON type than
+    record_to_json writes, included).  Each distinct remainder is parsed
     once into a row of the table; no record is built per line.  A line
-    holding a byte outside ASCII is refused, naming the line.
+    holding a byte outside ASCII is refused, naming the line, and so is a
+    line whose kind is not the one its id names (_check_kinds).
     """
     # a byte outside ASCII decodes to a lone surrogate, so str.isascii,
     # which costs nothing per line, finds it
@@ -490,7 +544,25 @@ def read_records(path) -> CensusTable:
     if len(ids) != promised:
         raise ValueError(f"{path}: header promises {promised} records, "
                          f"the body has {len(ids)}")
-    return CensusTable(ids, _row_array(row, len(rows)), tuple(rows))
+    table = CensusTable(ids, _row_array(row, len(rows)), tuple(rows))
+    _check_kinds(path, table)
+    return table
+
+
+def _check_kinds(path, table: CensusTable) -> None:
+    """Refuse the first line whose kind is not the one its id names.
+
+    The ids ascend, so the ids of each kind are one block of the table, and
+    the kind is checked once per distinct row of a block; only a failing
+    block is searched for its first line."""
+    ids, row, rows = table.ids, table.row, table.rows
+    for kind in KINDS:
+        lo, hi = bisect_left(ids, kind + ";"), bisect_left(ids, kind + "<")  # "<" follows ";"
+        # the block's rows by np.bincount: a plain np.unique imports numpy.ma (13 ms) on its first call
+        block_rows = np.flatnonzero(np.bincount(row[lo:hi], minlength=len(rows)))
+        if any(rows[r][0] != kind for r in block_rows.tolist()):
+            i = next(i for i in range(lo, hi) if rows[row[i]][0] != kind)
+            raise ValueError(f"{path}: line {i + 2}: kind {rows[row[i]][0]!r} contradicts id {ids[i]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +730,13 @@ def _smooth_rows(counts, carts: list, ids: list[str]) -> list[tuple]:
     (a, 2-rank, type43).
 
     One array pass (zeta.weil_rows_f2) derives every row's Weil polynomial
-    and runs the checks of weil_from_counts and the count round trip.  The
+    and runs the checks of weil_from_counts, the round trip included.  The
     Newton polygon and stratum are built once per valuation pattern of the
     L-coefficients (zeta._newton_polygon), and each row's 2-rank is
     checked against its zero slopes.  The first failing row i raises
     RuntimeError naming ids[i], with the first check it fails in the order
-    of the scalar route (weil_from_counts, predicted_counts,
-    newton_polygon, the 2-rank, eo_classify_curve).
+    of the scalar route (weil_from_counts, newton_polygon, the 2-rank,
+    eo_classify_curve).
     """
     a, fail = weil_rows_f2(counts)
     sound = np.flatnonzero(fail == 0)

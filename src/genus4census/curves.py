@@ -30,7 +30,8 @@ Two families of models:
 All coefficient arithmetic is exact, through gfarith.FieldSpec.  Points over
 extension fields of composite degree beyond F_{2^16} are out of range for
 concrete coordinates, but smoothness decisions never need them: the chart
-analysis works with residue fields symbolically.
+analysis takes only gcds and products of polynomials in u, so it names no
+singular point and builds no residue field.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ decomposition, Cantor-Zassenhaus factorization, roots and the residue
 field F[x]/(pi) (``ResidueField``).  The ``gf2x_*`` and ``poly_*`` names
 bind those algorithms to one encoding each.  Both encodings stay: the
 packed one carries the F_2 work (the moduli's irreducibility tests, the
-hyperelliptic branch points and smoothness gcds, the quadric chart
-decision's gcds), and the tuples carry the generic routes over any field.
+hyperelliptic branch points, the quadric chart decision's gcds), and the
+tuples carry the generic routes over any field.  The census decides
+hyperelliptic smoothness from a numpy table, not from either encoding.
 
 On top sit the fields F_{2^k} for k <= 16: elements are ints < 2^k holding
 their polynomial-basis coordinates with respect to a fixed irreducible

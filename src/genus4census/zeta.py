@@ -8,10 +8,11 @@ s_n = sum alpha_i^n = q^n + 1 - N_n, and Newton's identities convert between
 power sums and the a_i exactly over the integers.  The Newton polygon is the
 lower convex hull of {(i, val_2(a_i)/r)}; its slopes are exact rationals.
 
-Everything in this module is exact; no floats anywhere.  weil_from_counts
-takes any q with Python ints; weil_rows_f2, the census's array form of it
-over F_2, runs the same identities and checks on int64 columns, which are
-exact for every count vector that passes the Weil bounds.
+Everything in this module is exact; no floats anywhere.  One pass,
+_weil_columns, runs Newton's identities and their checks on columns that
+are either Python ints (weil_from_counts, any q) or int64 arrays
+(weil_rows_f2, the census's rows over F_2), which are exact for every count
+vector that passes the Weil bounds; predicted_counts runs its recurrence.
 """
 from __future__ import annotations
 
@@ -28,22 +29,6 @@ GENUS = 4
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and n & (n - 1) == 0
-
-
-class PointCounts(Value):
-    """N_1..N_4 for a genus-4 curve over F_q, q a power of 2."""
-
-    __slots__ = _fields = ("counts", "q")
-
-    def __init__(self, counts: tuple[int, int, int, int], q: int) -> None:
-        setfield(self, "counts", counts)
-        setfield(self, "q", q)
-        if len(counts) != GENUS:
-            raise ValueError("expected exactly 4 point counts (N_1..N_4)")
-        if any(n < 0 or n != int(n) for n in counts):
-            raise ValueError("point counts must be nonnegative integers")
-        if not _is_power_of_two(q):
-            raise ValueError(f"base field size {q} is not a power of 2 (>= 2)")
 
 
 class WeilPolynomial(Value):
@@ -120,50 +105,9 @@ class StratumLabel(Value):
         setfield(self, "p_rank", p_rank)
 
 
-def weil_from_counts(counts, q: int | None = None) -> WeilPolynomial:
-    """Weil polynomial of a genus-4 curve from its counts over F_q..F_{q^4}.
-
-    Accepts a PointCounts or a 4-sequence plus q.  Newton's identities give
-    a_1..a_4 over exact integers; a_5..a_8 come from the functional equation.
-    Rejects inputs that cannot come from a genus-4 curve (Weil-bound or
-    integrality violations, or negative predicted counts N_5..N_8).
-    """
-    if not isinstance(counts, PointCounts):
-        if q is None:
-            raise TypeError("q is required when counts is a plain sequence")
-        counts = PointCounts(tuple(counts), q)
-    q = counts.q
-    g = GENUS
-
-    def bad(why: str) -> ValueError:
-        return ValueError(f"not a genus-4 curve count sequence: {why}")
-
-    s = [0] * (2 * g + 1)  # power sums, s[n] for n >= 1
-    for n in range(1, g + 1):
-        s[n] = q**n + 1 - counts.counts[n - 1]
-        if s[n] * s[n] > 4 * g * g * q**n:
-            raise bad(f"Weil bound violated at n={n}")
-    a = [0] * (2 * g + 1)
-    a[0] = 1
-    for k in range(1, g + 1):
-        total = s[k] + sum(a[i] * s[k - i] for i in range(1, k))
-        if total % k:
-            raise bad(f"Newton identity gives a non-integer coefficient at k={k}")
-        a[k] = -total // k
-    for k in range(g + 1, 2 * g + 1):
-        a[k] = q ** (k - g) * a[2 * g - k]
-    # extend the power sums and re-check plausibility out to n = 2g
-    for n in range(g + 1, 2 * g + 1):
-        s[n] = -(n * a[n] + sum(a[i] * s[n - i] for i in range(1, n)))
-        if s[n] * s[n] > 4 * g * g * q**n:
-            raise bad(f"Weil bound violated at n={n}")
-        if q**n + 1 - s[n] < 0:
-            raise bad(f"negative predicted point count at n={n}")
-    return WeilPolynomial(tuple(reversed(a)), q)
-
-
-# why weil_rows_f2 refuses a row, indexed by its failure code less one: the
-# checks of weil_from_counts in its order, then predicted_counts' round trip
+# why a count vector is refused, indexed by its flag in _weil_columns: the
+# Weil bounds at n = 1..4, integrality of a_1..a_4, the Weil bound and the
+# sign of the predicted N_n at n = 5..8, then the count round trip
 WEIL_ROW_FAILURES = (
     *(f"not a genus-4 curve count sequence: Weil bound violated at n={n}" for n in range(1, GENUS + 1)),
     *(f"not a genus-4 curve count sequence: Newton identity gives a non-integer coefficient at k={k}"
@@ -174,70 +118,89 @@ WEIL_ROW_FAILURES = (
 )
 
 
+def _weil_columns(counts, q: int) -> tuple[list, list]:
+    """Newton's identities and every check on them, over columns.
+
+    counts holds N_1..N_4, each a column: a Python int, or an int64 array
+    with one entry per count vector.  Returns (a, flags): a the
+    L-coefficients a_0..a_8 as columns, and flags one column per entry of
+    WEIL_ROW_FAILURES, true where that check fails; where any flag is set
+    the coefficients mean nothing.  Only + - * // % abs and comparisons
+    touch the columns, so int64 columns give the exact integers for every
+    vector that passes the Weil bounds at n = 1..4, which bound all later
+    values by a few thousand.
+    """
+    g = GENUS
+    # |s_n| > bound[n] is the Weil bound s_n^2 > 4 g^2 q^n broken, without squaring s_n
+    bound = [None] + [isqrt(4 * g * g * q**n) for n in range(1, 2 * g + 1)]
+    s = [None] + [q**n + 1 - counts[n - 1] for n in range(1, g + 1)]
+    flags = [abs(s[n]) > bound[n] for n in range(1, g + 1)]
+    a = [s[1] * 0 + 1]  # a_0 = 1, in the columns' type
+    for k in range(1, g + 1):
+        total = s[k] + sum(a[i] * s[k - i] for i in range(1, k))
+        flags.append(total % k != 0)
+        a.append(-total // k)
+    a += [q ** (k - g) * a[2 * g - k] for k in range(g + 1, 2 * g + 1)]
+    predicted = _predicted_columns(a, q, 2 * g)
+    for n in range(g + 1, 2 * g + 1):
+        flags += [abs(q**n + 1 - predicted[n - 1]) > bound[n], predicted[n - 1] < 0]
+    flags.append(sum(predicted[n] != counts[n] for n in range(g)) > 0)
+    return a, flags
+
+
+def _predicted_columns(a: list, q: int, upto: int) -> list:
+    """N_1..N_upto from the L-coefficient columns a_0..a_deg, by the
+    power-sum recurrence s_n = q^n + 1 - N_n of Newton's identities."""
+    deg = len(a) - 1
+    s = [None]
+    for n in range(1, upto + 1):
+        terms = (a[i] * s[n - i] for i in range(1, min(n - 1, deg) + 1))
+        s.append(-sum(terms, n * a[n] if n <= deg else 0))
+    return [q**n + 1 - s[n] for n in range(1, upto + 1)]
+
+
+def weil_from_counts(counts, q: int) -> WeilPolynomial:
+    """Weil polynomial of a genus-4 curve from its counts N_1..N_4 over
+    F_q..F_{q^4}, exactly, for any q a power of 2.
+
+    Rejects, with the first message of WEIL_ROW_FAILURES that applies,
+    counts that cannot come from a genus-4 curve: Weil-bound or
+    integrality violations, negative predicted counts N_5..N_8, or a
+    failed round trip.
+    """
+    if len(counts) != GENUS:
+        raise ValueError("expected exactly 4 point counts (N_1..N_4)")
+    if any(n < 0 or n != int(n) for n in counts):
+        raise ValueError("point counts must be nonnegative integers")
+    if not _is_power_of_two(q):
+        raise ValueError(f"base field size {q} is not a power of 2 (>= 2)")
+    a, flags = _weil_columns([int(n) for n in counts], q)
+    for flag, why in zip(flags, WEIL_ROW_FAILURES):
+        if flag:
+            raise ValueError(why)
+    return WeilPolynomial(tuple(reversed(a)), q)
+
+
 def weil_rows_f2(counts) -> tuple[np.ndarray, np.ndarray]:
-    """weil_from_counts over F_2, and the round trip of predicted_counts,
-    for many count vectors at once.
+    """weil_from_counts over F_2 for many count vectors at once.
 
     counts is an (m, 4) integer array of N_1..N_4 rows, each below 2^62.
     Returns (a, fail): a is the (m, 9) int64 array of the L-coefficients
     a_0..a_8 of each row (WeilPolynomial.l_coeffs), and fail an int64 array
-    that is 0 for a row both functions accept and otherwise the failure
+    that is 0 for a row weil_from_counts accepts and otherwise the failure
     code of the first check the row fails, an index into WEIL_ROW_FAILURES
-    plus one; a failed row's coefficients mean nothing.  The checks run on
-    columns of int64, exact for every row that passes the Weil bounds at
-    n = 1..4, which bound all later values by a few thousand.
+    plus one; a failed row's coefficients mean nothing.
     """
-    q, g = 2, GENUS
-    n_rows = np.asarray(counts, np.int64).T
-    fails = []
-
-    def out_of_bound(s, n):  # s^2 > 4 g^2 q^n, without squaring s
-        return np.abs(s) > isqrt(4 * g * g * q**n)
-
-    s = [None] + [q**n + 1 - n_rows[n - 1] for n in range(1, g + 1)]
-    fails += [out_of_bound(s[n], n) for n in range(1, g + 1)]
-    a = [np.ones_like(s[1])]
-    for k in range(1, g + 1):
-        total = s[k] + sum(a[i] * s[k - i] for i in range(1, k))
-        fails.append(total % k != 0)
-        a.append(-total // k)
-    a += [q ** (k - g) * a[2 * g - k] for k in range(g + 1, 2 * g + 1)]
-    for n in range(g + 1, 2 * g + 1):
-        s.append(-(n * a[n] + sum(a[i] * s[n - i] for i in range(1, n))))
-        fails += [out_of_bound(s[n], n), q**n + 1 - s[n] < 0]
-    fails.append(np.any(_predicted_columns(a, q, g) != n_rows, axis=0))
+    a, flags = _weil_columns(np.asarray(counts, np.int64).T, 2)
     fail = np.zeros(len(a[0]), np.int64)
-    for code in range(len(fails), 0, -1):  # the first failing check wins
-        fail[fails[code - 1]] = code
+    for code in range(len(flags), 0, -1):  # the first failing check wins
+        fail[flags[code - 1]] = code
     return np.stack(a, axis=1), fail
-
-
-def _predicted_columns(a: list, q: int, upto: int) -> np.ndarray:
-    """predicted_counts(w, upto) as an (upto, m) array, for the columns a[i]
-    of the L-coefficients of m Weil polynomials of degree >= upto."""
-    s = [None]
-    for n in range(1, upto + 1):
-        s.append(-(n * a[n] + sum(a[i] * s[n - i] for i in range(1, n))))
-    return np.stack([q**n + 1 - s[n] for n in range(1, upto + 1)])
-
-
-def _power_sums(w: WeilPolynomial, upto: int) -> list[int]:
-    """s_0..s_upto of the roots of w by Newton's identities (s_0 unused)."""
-    deg = len(w.coeffs) - 1
-    a = w.l_coeffs
-    s = [0] * (upto + 1)
-    for n in range(1, upto + 1):
-        acc = sum(a[i] * s[n - i] for i in range(1, min(n, deg) + 1))
-        if n <= deg:
-            acc += n * a[n]
-        s[n] = -acc
-    return s
 
 
 def predicted_counts(w: WeilPolynomial, upto: int = 8) -> tuple[int, ...]:
     """N_1..N_upto implied by w, via the power-sum recurrence."""
-    s = _power_sums(w, upto)
-    return tuple(w.q**n + 1 - s[n] for n in range(1, upto + 1))
+    return tuple(_predicted_columns(w.l_coeffs, w.q, upto))
 
 
 def _val2(n: int) -> int:

@@ -1,10 +1,12 @@
 """Reference routes that no census, CLI or verify path takes: the tests'
 independent oracles for what the package computes another way."""
 
+from fractions import Fraction
+
 from genus4census.cartier import SemilinearOperator, invariants
 from genus4census.curves import MONOMIALS3, _powers
 from genus4census.gfarith import poly_degree, poly_mod
-from genus4census.zeta import WeilPolynomial, _power_sums
+from genus4census.zeta import WeilPolynomial, predicted_counts
 
 
 def poly_resultant(F, a: tuple, b: tuple):
@@ -67,8 +69,26 @@ def base_extend(w: WeilPolynomial, n: int) -> WeilPolynomial:
     if n == 1:
         return w
     deg = len(w.coeffs) - 1
-    s = _power_sums(w, n * deg)
+    s = [None] + [w.q**m + 1 - count for m, count in enumerate(predicted_counts(w, n * deg), 1)]
     b = [1]
     for k in range(1, deg + 1):
         b.append(-(s[n * k] + sum(b[i] * s[n * (k - i)] for i in range(1, k))) // k)
     return WeilPolynomial(tuple(reversed(b)), w.q**n)
+
+
+def l_series(counts, q: int) -> tuple[Fraction, ...]:
+    """a_0..a_m of L(t) = (1 - t)(1 - qt) Z(t) from the counts N_1..N_m
+    over F_q..F_{q^m}, where Z(t) = exp(sum N_n t^n / n) is the zeta
+    function's definition, as a power series over the rationals.
+
+    No Newton identity: exp comes from E' = F' E, k e_k = sum_j j f_j e_{k-j}.
+    A coefficient with a denominator other than 1 means no curve has
+    these counts.
+    """
+    f = [Fraction(0)] + [Fraction(count, n) for n, count in enumerate(counts, 1)]
+    e = [Fraction(1)]
+    for k in range(1, len(counts) + 1):
+        e.append(sum(j * f[j] * e[k - j] for j in range(1, k + 1)) / k)
+    # times (1 - t)(1 - qt) = 1 - (1 + q) t + q t^2
+    pad = [Fraction(0)] * 2 + e
+    return tuple(pad[k + 2] - (1 + q) * pad[k + 1] + q * pad[k] for k in range(len(e)))

@@ -327,7 +327,7 @@ def test_smooth_rows_round_trip_failure_names_first_member(monkeypatch):
 
     def off(a, q, upto):
         out = real(a, q, upto)
-        out[0, a[1] == 2] += 1  # a_1 = N_1 - 3 is 2 only for (5, 9, 11, 17) here
+        out[0][a[1] == 2] += 1  # a_1 = N_1 - 3 is 2 only for (5, 9, 11, 17) here
         return out
 
     monkeypatch.setattr(zeta, "_predicted_columns", off)
@@ -736,19 +736,20 @@ def test_jsonl_round_trip(tmp_path):
 def _mixed_records():
     """Singular records of every kind, smooth records sharing keys, one
     record with aut and jacobian_aut set and one note that JSON escapes
-    (the last two under the last two ns ids, which read_records accepts)."""
+    (the last two under the last two ns ids and kind ns, which read_records
+    accepts)."""
     records = run_census(id_filter=lambda cid: cid.startswith(
         ("cone;c=0x42", "hyp;h=0x01;f=0x2", "hyp;h=0x01;f=0x40", "ns;c=0x00")))
     smooth = next(r for r in records if r.smooth)
     singular = next(r for r in records if not r.smooth)
-    return list(records) + [smooth._replace(id="ns;c=0xfffe", aut=6, jacobian_aut=12),
-                      singular._replace(id="ns;c=0xffff", note='a "quoted" \\ note,\twith\u00e9 escapes')]
+    return list(records) + [smooth._replace(id="ns;c=0xfffe", kind="ns", aut=6, jacobian_aut=12),
+                      singular._replace(id="ns;c=0xffff", kind="ns", note='a "quoted" \\ note,\twith\u00e9 escapes')]
 
 
 def test_write_records_lines_are_record_to_json(tmp_path):
     records = _mixed_records()
     assert {(r.kind, r.smooth) for r in records} == {
-        (kind, smooth) for kind in census.KINDS for smooth in (False, True)} - {("ns", True)}
+        (kind, smooth) for kind in census.KINDS for smooth in (False, True)}
     path = tmp_path / "records.jsonl"
     write_records(path, records)
     lines = path.read_text(encoding="ascii").splitlines()[1:]
@@ -807,6 +808,41 @@ def test_read_records_refuses_malformed_line(tmp_path, edit):
     assert '"id":"cone;c=0x4208"' in lines[1]
     path.write_text("".join(lines[:1] + [edit(lines[1])] + lines[2:]))
     with pytest.raises(ValueError, match=r"records\.jsonl: line 2: malformed record"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("old, new, why", [
+    ('"smooth":true', '"smooth":1', "field 'smooth' is 1, not of type bool"),
+    ('"type43":false', '"type43":0', "field 'type43' is 0, not of type bool"),
+    ('"p_rank":0', '"p_rank":false', "field 'p_rank' is False, not of type int"),
+    ('"kind":"cone"', '"kind":["cone"]', "field 'kind' is ['cone'], not of type str"),
+    ('"counts":["3","5","9","9"]', '"counts":"3599"', "field 'counts' is '3599', not a list of decimal strings"),
+    ('"weil":["16"', '"weil":[16', "field 'weil' is [16, '0', '0', '0', '-2', '0', '0', '0', '1'], not a list of "
+                                   "decimal strings"),
+    ('"counts":["3"', '"counts":["03"', "field 'counts' is ['03', '5', '9', '9'], not a list of decimal strings"),
+    ('"1/4"', '"0.25"', "field 'slopes' is ['0.25', '1/4', '1/4', '1/4', '3/4', '3/4', '3/4', '3/4'], not a list "
+                        "of fraction strings"),
+    ('"eo_mu":[4,1]', '"eo_mu":[4,true]', "field 'eo_mu' is [4, True], not a list of integers"),
+], ids=["smooth-1", "type43-0", "p-rank-false", "kind-list", "counts-string", "weil-number", "count-leading-zero",
+        "slope-decimal-point", "eo-mu-true"])
+def test_read_records_refuses_field_of_another_json_type(tmp_path, old, new, why):
+    # each of these reads as a record the writer never writes: a smooth
+    # flag of 1, counts (3, 5, 9, 9) from the string "3599", ...
+    path, lines = _written_lines(tmp_path)
+    assert old in lines[1]
+    path.write_text("".join(lines[:1] + [lines[1].replace(old, new, 1)] + lines[2:]))
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 2: malformed record: .*" + re.escape(why)):
+        read_records(path)
+
+
+@pytest.mark.parametrize("lineno, kind", [(2, "hyp"), (4, "ns"), (6, "cone"), (2, "quartic")])
+def test_read_records_refuses_kind_that_contradicts_its_id(tmp_path, lineno, kind):
+    path, lines = _written_lines(tmp_path)
+    cid = re.search('"id":"([^"]*)"', lines[lineno - 1])[1]
+    lines[lineno - 1] = re.sub('"kind":"[a-z]+"', f'"kind":"{kind}"', lines[lineno - 1])
+    path.write_text("".join(lines))
+    why = f"records.jsonl: line {lineno}: kind {kind!r} contradicts id {cid!r}"
+    with pytest.raises(ValueError, match=re.escape(why)):
         read_records(path)
 
 

@@ -245,6 +245,22 @@ def test_verify_refuses_header_that_is_not_an_object(capsys, tmp_path):
     assert "list.jsonl: line 1: header is not a JSON object" in err
 
 
+@pytest.mark.parametrize("old, new, why", [
+    ('"kind":"cone"', '"kind":"hyp"', "edited.jsonl: line 2: kind 'hyp' contradicts id 'cone;c=0x4208'"),
+    ('"smooth":true', '"smooth":1', "edited.jsonl: line 2: malformed record"),
+    ('"counts":["3","5","9","9"]', '"counts":"3599"', "edited.jsonl: line 2: malformed record"),
+], ids=["kind-hyp", "smooth-1", "counts-string"])
+def test_verify_refuses_field_the_writer_never_writes(capsys, tmp_path, old, new, why):
+    path = tmp_path / "edited.jsonl"
+    write_records(path, [census.classify_model(census.parse_curve_id("cone;c=0x4208"))])
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    rc, out, err = run_cli(capsys, "verify", "--records", str(path))
+    assert rc == 2 and "PASS" not in out
+    assert why in err
+
+
 def test_stack_count_refuses_second_spelling_of_an_id(capsys, tmp_path):
     # one model under its own id and under a second spelling int() accepts:
     # counted as two orbits, it would halve the class's stack count

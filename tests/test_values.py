@@ -23,7 +23,7 @@ from genus4census.curves import (HyperellipticCurve, ProjectiveTransform, Quadri
                                  hyperelliptic_from_masks, quadric_curve_from_mask)
 from genus4census.dieudonne import Bt1Module, EoCandidateSet, EoLabel, standard_module
 from genus4census.gfarith import F2, Embedding, FieldSpec, embedding, field
-from genus4census.zeta import NewtonPolygon, PointCounts, StratumLabel, WeilPolynomial
+from genus4census.zeta import NewtonPolygon, StratumLabel, WeilPolynomial, weil_from_counts
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -41,7 +41,6 @@ SAMPLES = [
     (HyperellipticCurve, {"spec": F2, "h": _HYP.h, "f": _HYP.f}),
     (ProjectiveTransform, {"spec": F2, "rows": _ID4}),
     (SmoothnessResult, {"smooth": False, "witness": (1, (0, 0, 0, 1)), "note": "singular at (0:0:0:1)"}),
-    (PointCounts, {"counts": (3, 5, 9, 17), "q": 2}),
     (WeilPolynomial, {"coeffs": (16, 0, 8, 0, 3, 0, 2, 0, 1), "q": 2}),
     (NewtonPolygon, {"slopes": (_HALF,) * 8}),
     (StratumLabel, {"name": "S4", "p_rank": 0}),
@@ -107,9 +106,10 @@ REFUSED = [
     (HyperellipticCurve, (F2, (1,), (1,) * 9), "genus-4 shape needs max(2 deg h, deg f) in {9, 10}"),
     (ProjectiveTransform, (F2, _ID4[:3]), "a projective substitution needs a 4x4 matrix"),
     (ProjectiveTransform, (F2, (_ID4[0],) * 4), "substitution matrix is singular"),
-    (PointCounts, ((3, 5, 9), 2), "expected exactly 4 point counts (N_1..N_4)"),
-    (PointCounts, ((3, 5, 9, -1), 2), "point counts must be nonnegative integers"),
-    (PointCounts, ((3, 5, 9, 17), 3), "base field size 3 is not a power of 2 (>= 2)"),
+    # not a class: weil_from_counts checks its counts and q before any arithmetic
+    (weil_from_counts, ((3, 5, 9), 2), "expected exactly 4 point counts (N_1..N_4)"),
+    (weil_from_counts, ((3, 5, 9, -1), 2), "point counts must be nonnegative integers"),
+    (weil_from_counts, ((3, 5, 9, 17), 3), "base field size 3 is not a power of 2 (>= 2)"),
     (WeilPolynomial, ((2, 0, 1, 0), 2), "Weil polynomial degree 3 not an even number in 2..8"),
     (WeilPolynomial, ((2, 0, 2), 2), "Weil polynomial must be monic"),
     (WeilPolynomial, ((6, 0, 1), 6), "base field size 6 is not a power of 2 (>= 2)"),

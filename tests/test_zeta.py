@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from genus4census import zeta
 from genus4census.zeta import (
     NewtonPolygon,
-    PointCounts,
     WeilPolynomial,
     classify_stratum,
     newton_polygon,
@@ -18,7 +18,7 @@ from genus4census.zeta import (
     weil_from_counts,
 )
 
-from oracles import base_extend
+from oracles import base_extend, l_series
 
 HALF = Fraction(1, 2)
 SUPERSINGULAR = (HALF,) * 8
@@ -77,13 +77,13 @@ def test_round_trip_counts():
 
 def test_arity_and_validation_errors():
     with pytest.raises(ValueError):
-        PointCounts((3, 5, 9), 2)
+        weil_from_counts((3, 5, 9), 2)
     with pytest.raises(ValueError):
-        PointCounts((3, 5, 9, 17, 33), 2)
+        weil_from_counts((3, 5, 9, 17, 33), 2)
     with pytest.raises(ValueError):
-        PointCounts((3, -1, 9, 17), 2)
+        weil_from_counts((3, -1, 9, 17), 2)
     with pytest.raises(ValueError):
-        PointCounts((3, 5, 9, 17), 3)
+        weil_from_counts((3, 5, 9, 17), 3)
     with pytest.raises(TypeError):
         weil_from_counts((3, 5, 9, 17))
 
@@ -285,21 +285,20 @@ def test_ordinary_with_odd_a1_is_not_supersingular():
 
 
 def _scalar_weil_route(counts):
-    """(L-coefficients or None, the reason weil_from_counts or the round
-    trip of predicted_counts refuses counts, or None)."""
+    """(L-coefficients or None, the reason weil_from_counts refuses counts,
+    or None)."""
     try:
-        w = weil_from_counts(counts, 2)
+        return weil_from_counts(counts, 2).l_coeffs, None
     except ValueError as exc:
         return None, str(exc)
-    if predicted_counts(w)[:4] != tuple(counts):
-        return None, "count/Weil round trip failed"
-    return w.l_coeffs, None
 
 
-def test_weil_rows_match_scalar_route_on_a_grid():
-    # every N_1..N_4 grid point with N_1 <= 16, N_2 <= 21, N_3 <= 33 and
-    # N_4 <= 49 (the 6-bit census keys cover this) by its failure code, and
-    # the scalar route on up to 200 seeded points of each code
+@lru_cache(maxsize=None)
+def _sampled_grid_rows():
+    """Every N_1..N_4 grid point with N_1 <= 16, N_2 <= 21, N_3 <= 33 and
+    N_4 <= 49 (the 6-bit census keys cover this) through weil_rows_f2, and
+    up to 200 seeded points of each failure code, as (counts, L-coefficients,
+    code) triples."""
     grid = np.stack(np.meshgrid(*(np.arange(n) for n in (17, 22, 34, 50)), indexing="ij"), -1).reshape(-1, 4)
     a, fail = zeta.weil_rows_f2(grid)
     assert a.shape == (len(grid), 9) and a.dtype == np.int64 and fail.shape == (len(grid),)
@@ -308,13 +307,40 @@ def test_weil_rows_match_scalar_route_on_a_grid():
     # sound rows, both kinds of Weil-bound failure, non-integer coefficients
     # and negative predicted counts all occur
     assert {0, 1, 6, 9, 10} <= set(codes)
+    sample = []
     for code in codes:
         rows = np.flatnonzero(fail == code)
-        for i in rng.choice(rows, min(200, len(rows)), replace=False).tolist():
-            l_coeffs, why = _scalar_weil_route(tuple(grid[i].tolist()))
-            assert why == (zeta.WEIL_ROW_FAILURES[code - 1] if code else None), grid[i]
-            if code == 0:
-                assert tuple(a[i].tolist()) == l_coeffs, grid[i]
+        sample += [(tuple(grid[i].tolist()), tuple(a[i].tolist()), code)
+                   for i in rng.choice(rows, min(200, len(rows)), replace=False).tolist()]
+    return sample
+
+
+def test_weil_rows_match_scalar_route_on_a_grid():
+    # the int64 columns against the exact Python ints of the scalar route
+    for counts, l_coeffs, code in _sampled_grid_rows():
+        want, why = _scalar_weil_route(counts)
+        assert why == (zeta.WEIL_ROW_FAILURES[code - 1] if code else None), counts
+        if code == 0:
+            assert l_coeffs == want, counts
+
+
+def _first_non_integer(series) -> int:
+    """The least k >= 1 whose series coefficient is not an integer, else len(series)."""
+    return next((k for k, c in enumerate(series) if c.denominator != 1), len(series))
+
+
+def test_weil_rows_match_the_zeta_series_oracle():
+    # a second algorithm: L(t) = (1 - t)(1 - 2t) exp(sum N_n t^n / n) agrees
+    # with Newton's identities up to its first non-integer coefficient, which
+    # is where the route flags one once the Weil bounds at n = 1..4 pass
+    for counts, l_coeffs, code in _sampled_grid_rows():
+        series = l_series(counts, 2)
+        k = _first_non_integer(series)
+        assert l_coeffs[:k] == series[:k], counts
+        if code == 0 or code > 2 * zeta.GENUS:
+            assert k == zeta.GENUS + 1, counts
+        elif code > zeta.GENUS:
+            assert k == code - zeta.GENUS, counts
 
 
 def test_weil_rows_round_trip_is_checked(monkeypatch):
@@ -323,10 +349,39 @@ def test_weil_rows_round_trip_is_checked(monkeypatch):
 
     def off_by_one(a, q, upto):
         out = real(a, q, upto)
-        out[2, 1] += 1  # N_3 of row 1
+        out[2][1] += 1  # N_3 of row 1
         return out
 
     monkeypatch.setattr(zeta, "_predicted_columns", off_by_one)
     _, fail = zeta.weil_rows_f2([(7, 9, 13, 9), (5, 9, 11, 17), (3, 5, 9, 9)])
     assert fail.tolist() == [0, len(zeta.WEIL_ROW_FAILURES), 0]
     assert zeta.WEIL_ROW_FAILURES[-1] == "count/Weil round trip failed"
+
+
+# ---------------------------------------------------------------------------
+# q > 2: the counts of an F_2 curve over F_{2^n}, F_{2^2n}, ...
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("counts", [(7, 9, 13, 9), (5, 9, 11, 17), (5, 9, 11, 25), (5, 5, 5, 9)])
+def test_weil_from_counts_over_extension_fields(counts, n):
+    w = weil_from_counts(counts, 2)
+    ext_counts = predicted_counts(w, zeta.GENUS * n)[n - 1::n]  # N_n, N_2n, N_3n, N_4n
+    ext = weil_from_counts(ext_counts, 2**n)
+    assert ext == base_extend(w, n)
+    assert newton_polygon(ext).slopes == newton_polygon(w).slopes
+    assert ext.l_coeffs[:zeta.GENUS + 1] == l_series(ext_counts, 2**n)
+    # one more point over F_{q^k} makes a_k, and no earlier coefficient, non-integral
+    for k in range(2, zeta.GENUS + 1):
+        bumped = ext_counts[:k - 1] + (ext_counts[k - 1] + 1,) + ext_counts[k:]
+        assert _first_non_integer(l_series(bumped, 2**n)) == k, bumped
+        with pytest.raises(ValueError, match=f"non-integer coefficient at k={k}$"):
+            weil_from_counts(bumped, 2**n)
+
+
+def test_weil_from_counts_at_q4_example():
+    w = weil_from_counts((9, 9, 81, 225), 4)
+    assert w.coeffs == (256, 256, 64, 0, 0, 0, 4, 4, 1)
+    assert w == base_extend(weil_from_counts((7, 9, 13, 9), 2), 2)
+    assert newton_polygon(w).slopes == SUPERSINGULAR
