@@ -14,8 +14,9 @@ fourth semilinear power (the stable rank).
 The ranks are taken in the F_2-linear picture.  Over F = F_{2^k}, C is
 F_2-linear on F^4 = F_2^{4k}: sqrt is additive in characteristic 2.  The
 images of the 4k basis vectors x^b e_i are packed as 4k-bit ints (bit
-j k + b is the coefficient of x^b in coordinate j), so C^2 and C^4 are XOR
-compositions and each rank is the size of an XOR basis.  The image of C^n
+j k + b is the coefficient of x^b in coordinate j), so C^2 and C^4 are
+compositions by gfarith.xor_apply and each rank is the length of the
+reduced basis from gfarith.f2_rref.  The image of C^n
 is an F-subspace, because C^n(l v) = l^(1/2^n) C^n(v) and taking 2^n-th
 roots is onto F; an F-subspace of dimension r has F_2-dimension r k, so
 the F-rank is the F_2-rank divided by k, and C^2 = 0 holds in one picture
@@ -49,7 +50,7 @@ the XOR of the matrices of its set bits.  A matrix over F_2 packs into a
 16-bit word, bit 4 i + j holding row i, column j (cartier_word), so the
 word of any mask is the XOR of 16 basis words, one per single-bit mask,
 built from cartier_operator once per kind on first use
-(quadric_cartier_word).  Nibble i of a word is C(e_i), so the ranks read
+(quadric_cartier_word, by xor_apply).  Nibble i of a word is C(e_i), so the ranks read
 the word directly (word_invariants), once per distinct word.
 
 The [4,3]-candidate criterion (rank 2 and C^2 = 0 at 2-rank 0) is stated for
@@ -65,7 +66,7 @@ from functools import lru_cache
 from ._value import Value, setfield
 from .curves import (HyperellipticCurve, QuadricCubicCurve, biv_from_rows, chart_polynomial,
                      quadric_curve_from_mask)
-from .gfarith import FieldSpec
+from .gfarith import FieldSpec, f2_rref, xor_apply
 
 __all__ = [
     "SemilinearOperator",
@@ -156,11 +157,7 @@ def _quadric_basis_words(kind: str) -> tuple[int, ...]:
 def quadric_cartier_word(kind: str, mask: int) -> int:
     """cartier_word(cartier_operator(quadric_curve_from_mask(kind, mask))),
     as the XOR of the basis words of the mask's set bits."""
-    word = 0
-    for bit, basis in enumerate(_quadric_basis_words(kind)):
-        if mask >> bit & 1:
-            word ^= basis
-    return word
+    return xor_apply(_quadric_basis_words(kind), mask)
 
 
 def hasse_witt_rows(op: SemilinearOperator) -> tuple[tuple[int, int, int, int], ...]:
@@ -181,32 +178,6 @@ def _bit_images(op: SemilinearOperator) -> list[int]:
     return [sum(spec.mul(s, c) << (k * j) for j, c in enumerate(row)) for row in op.rows for s in roots]
 
 
-def _compose(images: list[int], vectors: list[int]) -> list[int]:
-    """The F_2-linear map given by images, applied to each packed vector."""
-    out = []
-    for v in vectors:
-        acc = 0
-        while v:
-            low = v & -v
-            acc ^= images[low.bit_length() - 1]
-            v ^= low
-        out.append(acc)
-    return out
-
-
-def _f2_rank(vectors: list[int]) -> int:
-    """Size of an XOR basis of the vectors (kept in descending order, so
-    each reduction clears the basis element's leading bit)."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 def _bit_ranks(op: SemilinearOperator) -> tuple[int, int, bool]:
     """(rank C, rank C^4, C^2 = 0) over F, from the F_2-linear picture."""
     return _image_ranks(_bit_images(op), op.spec.k)
@@ -214,9 +185,9 @@ def _bit_ranks(op: SemilinearOperator) -> tuple[int, int, bool]:
 
 def _image_ranks(c1: list[int], k: int) -> tuple[int, int, bool]:
     """_bit_ranks of the operator whose packed basis images are c1."""
-    c2 = _compose(c1, c1)
-    c4 = _compose(c2, c2)
-    return _f2_rank(c1) // k, _f2_rank(c4) // k, not any(c2)
+    c2 = [xor_apply(c1, v) for v in c1]
+    c4 = [xor_apply(c2, v) for v in c2]
+    return len(f2_rref(c1)) // k, len(f2_rref(c4)) // k, not any(c2)
 
 
 def a_number(op: SemilinearOperator) -> int:

@@ -18,13 +18,13 @@ the run with the offending curve id rather than emit a bad record.
 Fast paths, each validated against the generic engines in the test suite:
 
 * quadric counting runs the quadric scan of curves (_quadric_scan): each of
-  the 2^16 masks is the XOR of two byte tables of packed words, one uint32
-  per Frobenius orbit of quadric points over F_2..F_16 holding the
-  monomial value and the six Jacobian 2x2 minors as nibbles, in numpy
-  blocks; a zero word is exactly a rational singular point, a zero low
-  nibble an orbit on the curve, and N_n adds d times the on-curve orbits
-  of each degree d | n.  The tables are built by numpy for the orbits'
-  first points of a field at once;
+  the 2^16 masks is the XOR of two byte tables (gfarith.xor_table) of
+  packed words, one uint32 per Frobenius orbit of quadric points over
+  F_2..F_16 holding the monomial value and the six Jacobian 2x2 minors as
+  nibbles, in numpy blocks; a zero word is exactly a rational singular
+  point, a zero low nibble an orbit on the curve, and N_n adds d times the
+  on-curve orbits of each degree d | n.  The tables are built by numpy for
+  the orbits' first points of a field at once;
 * the masks without one are decided once per orbit of the quadric's
   stabilizer: image tables (_quadric_images) give each mask its orbit's
   least mask.  numpy builds them for all elements at once, each a 16-bit
@@ -43,20 +43,20 @@ Fast paths, each validated against the generic engines in the test suite:
   Cartier word, the XOR of 16 basis words, one per single-bit mask
   (cartier.quadric_cartier_word), and ranked once per distinct word
   (cartier.word_invariants); an h's (_hyp_cartier) from its operator
-  (cartier.invariants).  Both rank the matrix as F_2 bit images: C, C^2
-  and C^4 as packed basis images and XOR bases, C^2 computed once for the
-  2-rank and the [4,3] test;
+  (cartier.invariants).  Both rank the matrix as F_2 bit images: C^2 and
+  C^4 composed by gfarith.xor_apply and ranked by gfarith.f2_rref, C^2
+  computed once for the 2-rank and the [4,3] test;
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
   of all f at once: one gather of parity(f & l) over the functionals of
   all four degrees per h, for the kept f only.  The functionals of all h
-  are one numpy pass per field degree over the (h, x) array
-  (_hyp_count_tables);
+  are one numpy pass per field degree over the (h, x) array, whose h(x)
+  is one gfarith.xor_table of the powers of x (_hyp_count_tables);
 * hyperelliptic smoothness is decided for all (h, f) in one numpy pass:
   f'^2 + f h'^2 is F_2-linear in the bits of f, so its residue mod h is an
-  XOR of 11 column residues, read from tables over the low and the high
-  bits of f, and a common-root table of every h against every residue
-  decides it; the check at infinity is a bit test.  The result is a code
+  XOR of 11 column residues, read from xor_table tables over the low and
+  the high bits of f, and a common-root table of every h against every
+  residue decides it; the check at infinity is a bit test.  The result is a code
   per (h, f) (_hyp_smooth_table), and a note is built only per singular row;
 * a quadric job's 2^16 ids join 256 high-byte prefixes with the 256
   two-digit low bytes (_quadric_ids);
@@ -151,7 +151,7 @@ from .curves import (
     quadric_stabilizer_f2,  # noqa: F401
 )
 from .dieudonne import EoLabel, eo_classify_curve
-from .gfarith import field, gf2x_degree, gf2x_factor
+from .gfarith import F2X, _squarefree_decomposition, field, gf2x_degree, xor_table
 from .zeta import GENUS, WEIL_ROW_FAILURES, WeilPolynomial, _newton_polygon, classify_stratum, weil_rows_f2
 # unused here since _smooth_rows checks all rows of a job in one array pass;
 # kept bound because the benchmark's traced run wraps them in this module by
@@ -442,12 +442,14 @@ def write_records(path, records) -> None:
     Each line is record_to_json's, built from one template per row of the
     records' table with the id spliced in.  An id that is not the curve_id
     of a census model (_CURVE_ID) is refused, naming it, and so is an id
-    that does not strictly follow the one before it (read_records refuses
-    both); the ids are checked before the file is opened.  A failed open,
-    write or rename names path, not the temporary file.
+    that does not strictly follow the one before it, and a record whose
+    kind is not its id's (_check_kinds, naming the line); read_records
+    refuses all three, and they are checked before the file is opened.  A
+    failed open, write or rename names path, not the temporary file.
     """
     table = CensusTable.of(records)
     _check_ids(table.ids)
+    _check_kinds(path, table)
     heads, tails = [], []
     for rec in table.row_records():
         head, _, tail = record_to_json(rec).partition('"id":""')
@@ -569,11 +571,8 @@ def _check_kinds(path, table: CensusTable) -> None:
 # hyperelliptic fast path: counts linear in the coefficient bits of f
 # ---------------------------------------------------------------------------
 
-# the parity of every 11-bit word, doubled up bit by bit (as curves._byte_table)
-_PARITY = np.zeros(1 << 11, np.uint8)
-for _b in range(11):
-    _PARITY[1 << _b:2 << _b] = _PARITY[:1 << _b] ^ 1
-del _b
+# the parity of every 11-bit word
+_PARITY = xor_table(np.ones(11, np.uint8))
 
 
 @lru_cache(maxsize=None)
@@ -606,7 +605,7 @@ def _hyp_count_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xp = [np.ones(q, np.intp), x]  # x^0 .. x^10
         for _ in range(9):
             xp.append(mul[xp[-1], x])
-        hx = np.bitwise_xor.reduce([((hs >> i) & 1) * xp[i] for i in range(6)], axis=0)  # (h, x)
+        hx = xor_table(xp[:6])  # (h, x)
         w = inv[mul[hx, hx]]  # 0 at a root of h
         lm = sum(trace[mul[xp[i], w]] << i for i in range(11))
         starts.append(sum(col.shape[1] for col in lms))
@@ -673,18 +672,14 @@ def _hyp_smooth_table() -> np.ndarray:
     column = np.bitwise_xor.reduce((crit[:, :, None] & bits != 0) * xpow[:, None, :], axis=2)
     high_f = np.arange(32)  # f >> 6
     at_infinity = (hs[:, None] < 32) & ((((high_f >> 3) ^ (high_f >> 4) & (hs[:, None] >> 4)) & 1) == 0)
-    low, high = np.zeros((64, 1), np.uint8), np.zeros((64, 1), np.uint8)
-    for i in range(6):
-        low = np.concatenate([low, low ^ column[:, i:i + 1]], axis=1)
-    for i in range(6, 11):
-        high = np.concatenate([high, high ^ column[:, i:i + 1]], axis=1)
+    # (h, bits of f); C order keeps the gather below fast
+    low, high = xor_table(column[:, :6].T).T.copy(), xor_table(column[:, 6:].T).T.copy()
     high |= at_infinity.astype(np.uint8) << 5
     residue = (high[:, :, None] ^ low[:, None, :]).reshape(64, 2048)  # f = 64 (f >> 6) + (f & 63)
-    product = np.bitwise_xor.reduce((hs[None, :, None] & bits[:6] != 0) * (hs[:, None, None] << np.arange(6)),
-                                    axis=2)  # product[d, m], carry-less
+    product = xor_table(hs << np.arange(6)[:, None])  # product[m, d], carry-less
     divides = np.zeros((64, 64), np.int16)  # divides[d, x]: d times some m is x
-    d, m = np.nonzero(product < 64)
-    divides[d, product[d, m]] = 1
+    m, d = np.nonzero(product < 64)
+    divides[d, product[m, d]] = 1
     common_root = (divides[2:].T @ divides[2:, :32]) > 0
     code = np.concatenate([common_root, np.where(common_root, 1, 2)], axis=1).astype(np.uint8)
     codes = code.ravel().take((hs[:, None].astype(np.uint16) << 6) | residue)
@@ -698,11 +693,12 @@ def _hyp_cartier(hm: int):
 
     The Cartier matrix in the basis x^(i-1) dx/h depends on h alone.  An
     Artin-Schreier double cover has 2-rank = (number of branch points) - 1;
-    the branch points are the distinct roots of h plus infinity when
+    the branch points are the distinct roots of h, as many as the degree
+    of its radical (no factorization needed), plus infinity when
     deg h < 5, so the matrix-side 2-rank is checked against that count.
     """
     a, s2, t43 = cartier.invariants(cartier_operator(hyperelliptic_from_masks(hm, 1 << 10)))
-    branch = sum(gf2x_degree(p) for p, _ in gf2x_factor(hm))
+    branch = sum(gf2x_degree(s) for s, _ in _squarefree_decomposition(F2X, hm))
     branch += 1 if gf2x_degree(hm) < 5 else 0
     if s2 != branch - 1:
         raise RuntimeError(

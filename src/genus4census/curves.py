@@ -60,6 +60,8 @@ from .gfarith import (
     poly_ring,
     poly_roots,
     poly_scale,
+    xor_apply,
+    xor_table,
 )
 
 __all__ = [
@@ -502,14 +504,6 @@ def _count_quadric_points(curve: QuadricCubicCurve, n: int) -> int:
 _MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _byte_table(bits: np.ndarray) -> np.ndarray:
-    """XOR of the rows of bits selected by each byte value; shape (256, ...)."""
-    out = np.zeros((256,) + bits.shape[1:], bits.dtype)
-    for b in range(8):
-        out[1 << b:2 << b] = out[:1 << b] ^ bits[b]
-    return out
-
-
 def _array_mul(K: FieldSpec):
     """Elementwise product in K of integer arrays, read from K's log/antilog
     tables (the ones FieldSpec.mul reads)."""
@@ -573,7 +567,7 @@ def _quadric_tables(kind: str):
             word |= (mul(cp[i], qg[j]) ^ mul(cp[j], qg[i])) << 4 * n
         words.append(word)
     bits = np.concatenate(words, axis=1).astype(np.uint32)
-    return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(bounds), tuple(points)
+    return xor_table(bits[:8]), xor_table(bits[8:]), tuple(bounds), tuple(points)
 
 
 # N_n = sum over d | n of d times the on-curve orbits of degree d (row d, column n)
@@ -894,10 +888,7 @@ def _stabilizer_matrices(kind: str) -> np.ndarray:
     qset = np.uint16(sum(val << v for v, val in enumerate(values)))  # bit v is the value at v
     keep = np.ones(1 << 16, np.bool_)
     for v in range(1, 16):
-        image = np.zeros(1 << 16, np.uint8)
-        for j in range(4):
-            if (v >> j) & 1:
-                image ^= cols[j]
+        image = xor_apply(cols, v)
         keep &= (image != 0) & (((qset >> image) & 1) == values[v])
     mats = np.flatnonzero(keep).astype(np.uint16)
     mats.flags.writeable = False
@@ -957,7 +948,7 @@ def _quadric_image_tables(kind: str) -> tuple[np.ndarray, np.ndarray]:
     terms = quad_lin[np.arange(10), forms[:, var[:, 2], None]]  # (G, bit, quadric monomial)
     terms *= (quad[..., None] >> np.arange(10, dtype=np.uint16)) & 1
     bits = np.bitwise_xor.reduce(terms, axis=2).T  # (bit, G)
-    return _byte_table(bits[:8]), _byte_table(bits[8:])
+    return xor_table(bits[:8]), xor_table(bits[8:])
 
 
 def _quadric_images(kind: str, masks) -> np.ndarray:
@@ -1042,14 +1033,9 @@ def _hyp_images(hm: int, fm: int) -> list[tuple[int, int]]:
     """
     out = []
     for hb, fb in _hyp_image_table():
-        h = f = 0
-        for i in range(6):
-            if (hm >> i) & 1:
-                h ^= hb[i]
-        for i in range(11):
-            if (fm >> i) & 1:
-                f ^= fb[i]
-        fs = [f]
+        h = xor_apply(hb, hm)
+        fs = [xor_apply(fb, fm)]
+        # the 64 shifts doubled over ints: a gfarith.xor_table is slower at this size
         for j in range(6):
             step = (1 << 2 * j) ^ (h << j)
             fs += [g ^ step for g in fs]

@@ -16,37 +16,21 @@ basis Z_1..Z_{2g} (with X_i = Z_{m_i}, Y_i = Z_{n_i}):
 with the pairing <X_i, Y_j> = delta_ij.  Everything is plain linear algebra
 over F_2 (the semilinear twists act trivially on the prime field), done on
 int bitmasks: bit j of a vector is the Z_{j+1} coordinate, and a matrix is
-the tuple of images of the basis vectors.
+the tuple of images of the basis vectors, applied and row-reduced by the
+gfarith kit (xor_apply, f2_rref).
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from ._value import Value, setfield
+from .gfarith import f2_rref, xor_apply
 
 GENUS = 4
 
 # ---------------------------------------------------------------------------
 # F_2 linear algebra on int bitmasks
 # ---------------------------------------------------------------------------
-
-
-def _rref(rows: Sequence[int]) -> tuple[int, ...]:
-    """Canonical reduced-row-echelon basis of the span, pivots descending."""
-    basis: dict[int, int] = {}
-    for r in rows:
-        while r:
-            p = r.bit_length() - 1
-            if p in basis:
-                r ^= basis[p]
-            else:
-                basis[p] = r
-                break
-    for p in sorted(basis):
-        for q in basis:
-            if q > p and (basis[q] >> p) & 1:
-                basis[q] ^= basis[p]
-    return tuple(basis[p] for p in sorted(basis, reverse=True))
 
 
 def _reduce_mod(space_rref: Sequence[int], v: int) -> int:
@@ -56,38 +40,15 @@ def _reduce_mod(space_rref: Sequence[int], v: int) -> int:
     return v
 
 
-def _apply(map_rows: Sequence[int], v: int) -> int:
-    out = 0
-    i = 0
-    while v >> i:
-        if (v >> i) & 1:
-            out ^= map_rows[i]
-        i += 1
-    return out
-
-
 def _image(map_rows: Sequence[int], space_rref: Sequence[int]) -> tuple[int, ...]:
-    return _rref([_apply(map_rows, r) for r in space_rref])
+    return f2_rref([xor_apply(map_rows, r) for r in space_rref])
 
 
 def _kernel(map_rows: Sequence[int], n: int) -> tuple[int, ...]:
-    basis: dict[int, tuple[int, int]] = {}
-    out = []
-    for i in range(n):
-        img, trk = map_rows[i], 1 << i
-        while img:
-            p = img.bit_length() - 1
-            if p in basis:
-                bi, bt = basis[p]
-                img ^= bi
-                trk ^= bt
-            else:
-                basis[p] = (img, trk)
-                trk = 0
-                break
-        if trk:
-            out.append(trk)
-    return _rref(out)
+    """Canonical basis of the kernel: the reduced rows of the graph
+    {(map(v), v)} whose map part is zero."""
+    graph = f2_rref([(map_rows[i] << n) | (1 << i) for i in range(n)])
+    return tuple(r for r in graph if r >> n == 0)
 
 
 def _preimage(map_rows: Sequence[int], space_rref: Sequence[int], n: int) -> tuple[int, ...]:
@@ -208,7 +169,7 @@ class Bt1Module(Value):
             raise ValueError("not a BT1 module: ker V != im F")
         if pairing is not None:
             p = pairing
-            if len(p) != n or len(_rref(p)) != n:
+            if len(p) != n or len(f2_rref(p)) != n:
                 raise ValueError("pairing must be a nondegenerate 2g x 2g matrix")
             for i in range(n):
                 if (p[i] >> i) & 1:

@@ -19,6 +19,10 @@ hyperelliptic branch points, the quadric chart decision's gcds), and the
 tuples carry the generic routes over any field.  The census decides
 hyperelliptic smoothness from a numpy table, not from either encoding.
 
+The section "F_2-linear maps on bitmasks" is the F_2 linear algebra the
+other modules share: apply a map given by its bit images (xor_apply),
+tabulate it over every mask (xor_table), and row-reduce (f2_rref).
+
 On top sit the fields F_{2^k} for k <= 16: elements are ints < 2^k holding
 their polynomial-basis coordinates with respect to a fixed irreducible
 modulus (``FieldSpec``), plus compatible subfield embeddings.  A
@@ -32,6 +36,8 @@ import functools
 import operator
 from array import array
 from typing import Any, Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from ._value import Value, setfield
 
@@ -100,6 +106,54 @@ def gf2x_sqrt(a: int) -> int:
         a >>= 2
         i += 1
     return r
+
+
+# ---------------------------------------------------------------------------
+# F_2-linear maps on bitmasks
+# ---------------------------------------------------------------------------
+# A map is given by its bit images: images[b] is the image of the vector
+# 1 << b.  An image is an int bitmask, or a numpy array that holds the
+# images of many maps side by side.
+
+
+def xor_apply(images: Sequence, v: int):
+    """The image of the bitmask v: the XOR of images[b] over the set bits b of v."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= images[low.bit_length() - 1]
+        v ^= low
+    return acc
+
+
+def xor_table(images) -> np.ndarray:
+    """xor_apply(images, m) for every mask m < 2^len(images), as a numpy
+    array indexed by m (shape (2^len(images),) + the shape of one image),
+    doubled up bit by bit."""
+    images = np.asarray(images)
+    out = np.zeros((1 << len(images),) + images.shape[1:], images.dtype)
+    for b in range(len(images)):
+        out[1 << b:2 << b] = out[:1 << b] ^ images[b]
+    return out
+
+
+def f2_rref(rows: Sequence[int]) -> tuple[int, ...]:
+    """Canonical reduced-row-echelon basis of the span, pivots descending;
+    its length is the rank."""
+    basis: dict[int, int] = {}
+    for r in map(int, rows):
+        while r:
+            p = r.bit_length() - 1
+            if p in basis:
+                r ^= basis[p]
+            else:
+                basis[p] = r
+                break
+    for p in sorted(basis):
+        for q in basis:
+            if q > p and (basis[q] >> p) & 1:
+                basis[q] ^= basis[p]
+    return tuple(basis[p] for p in sorted(basis, reverse=True))
 
 
 # ---------------------------------------------------------------------------

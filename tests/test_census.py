@@ -45,7 +45,8 @@ from genus4census.curves import (
     quadric_stabilizer_f2,
 )
 from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_tables, _scan_singular
-from genus4census.gfarith import embedding, field, gf2x_degree, gf2x_gcd, gf2x_mul
+from genus4census.gfarith import (F2X, _squarefree_decomposition, embedding, field, gf2x_degree, gf2x_factor,
+                                  gf2x_gcd, gf2x_mul)
 
 from oracles import cubic_partials
 
@@ -235,6 +236,16 @@ def test_hyp_cartier_shared_by_h():
     assert s2 == 2 and t43 is None
     a, s2, t43 = census._hyp_cartier(0x20)  # h = x^5: root 0 plus nothing at infinity
     assert s2 == 0
+
+
+def test_hyp_branch_points_from_the_radical():
+    """For every h, the degree of the radical counts the distinct roots, as
+    the distinct irreducible factors do, and _hyp_cartier's 2-rank is that
+    count plus the point at infinity (a branch point when deg h < 5), less 1."""
+    for hm in range(1, 64):
+        radical = sum(gf2x_degree(s) for s, _ in _squarefree_decomposition(F2X, hm))
+        assert radical == sum(gf2x_degree(p) for p, _ in gf2x_factor(hm)), hex(hm)
+        assert radical == census._hyp_cartier(hm)[1] + 1 - (gf2x_degree(hm) < 5), hex(hm)
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +788,26 @@ def test_write_records_refuses_id_outside_the_rule(tmp_path, cid):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
 
+def test_write_records_refuses_kind_that_contradicts_id(tmp_path):
+    """A cone record moved under an ns id is refused before the file is
+    opened, naming the line read_records would name."""
+    records = _mixed_records()
+    i = len(records) - 2
+    cone = next(r for r in records if r.kind == "cone")
+    moved = records[:i] + [cone._replace(id=records[i].id)] + records[i + 1:]
+    message = rf"line {i + 2}: kind 'cone' contradicts id 'ns;c=0xfffe'"
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(ValueError, match=message):
+        write_records(path, moved)
+    assert list(tmp_path.iterdir()) == []
+    write_records(path, records)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=message):
+        write_records(path, moved)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+
 @pytest.mark.parametrize("order", [(0, 1, 2, 2), (1, 0, 2)], ids=["duplicate", "out-of-order"])
 def test_write_records_refuses_id_that_does_not_follow(tmp_path, order):
     # the reader refuses such a file ("ids must be strictly ascending"), so
@@ -906,7 +937,7 @@ def test_write_records_template_outlives_its_slopes(tmp_path):
 
         def __iter__(self):
             for i in range(40):
-                yield base._replace(id=f"ns;c=0x{i:04x}", slopes=(values[i % 3], values[i % 2]))
+                yield base._replace(id=f"ns;c=0x{i:04x}", kind="ns", slopes=(values[i % 3], values[i % 2]))
 
     path = tmp_path / "records.jsonl"
     write_records(path, OnTheFly())

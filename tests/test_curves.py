@@ -50,7 +50,6 @@ from genus4census.curves import (
     _KEPT,
     _MINOR_PAIRS,
     _REDUCTION,
-    _byte_table,
     _chart_singular_fibre,
     _distinguished_checks,
     _hyp_images,
@@ -64,7 +63,7 @@ from genus4census.curves import (
 from genus4census import elimination as el
 from genus4census.elimination import biv_eval
 from genus4census.gfarith import (F2, F2X, field, gf2x_gcd, gf2x_mul, poly_eval, poly_from_coeffs,
-                                  poly_mul, poly_ring)
+                                  poly_mul, poly_ring, xor_table)
 
 from oracles import cubic_partials
 
@@ -623,7 +622,7 @@ def _quadric_tables_onehot(kind):
             nibbles = [eval_cubic(K, onehot, pt)] + [
                 K.add(K.mul(cp[i], qg[j]), K.mul(cp[j], qg[i])) for i, j in _MINOR_PAIRS]
             bits[bit, col] = sum(v << 4 * n for n, v in enumerate(nibbles))
-    return _byte_table(bits[:8]), _byte_table(bits[8:]), tuple(points)
+    return xor_table(bits[:8]), xor_table(bits[8:]), tuple(points)
 
 
 @pytest.mark.parametrize("kind", ["ns", "cone"])

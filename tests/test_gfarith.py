@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import functools
+import operator
 import random
 
+import numpy as np
 import pytest
 
 from genus4census import gfarith as gf
@@ -134,6 +136,48 @@ def test_gf2x_factor_known_values():
     assert gf.gf2x_factor(0b10101) == [(0b111, 2)]
     # x^6+x^3 = x^3 (x^3+1) = x^3 (x+1) (x^2+x+1)
     assert gf.gf2x_factor(0b1001000) == [(0b10, 3), (0b11, 1), (0b111, 1)]
+
+
+# ---------------------------------------------------------------------------
+# F_2-linear maps on bitmasks
+# ---------------------------------------------------------------------------
+
+
+def _brute_span(rows):
+    span = {0}
+    for r in rows:
+        span |= {v ^ r for v in span}
+    return span
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_xor_kit_against_brute_force(n):
+    rng = random.Random(n)
+    images = [rng.getrandbits(rng.randint(1, 16)) for _ in range(n)]
+    if n > 2:
+        images[-1] = images[0] ^ images[1]  # a dependent image, so the rank falls below n
+    want = [functools.reduce(operator.xor, (images[b] for b in range(n) if m >> b & 1), 0) for m in range(1 << n)]
+    for rows in (images, np.array(images, np.int64)):
+        table = gf.xor_table(rows)
+        assert table.shape == (1 << n,) and table.tolist() == want
+        assert all(table[m] == gf.xor_apply(rows, m) for m in range(1 << n))
+        basis = gf.f2_rref(rows)
+        assert len(set(table.tolist())) == 1 << len(basis)
+        assert _brute_span(basis) == set(want)
+        # reduced echelon form: descending pivots, each pivot bit in its own row only
+        pivots = [b.bit_length() - 1 for b in basis]
+        assert pivots == sorted(set(pivots), reverse=True)
+        assert all((c >> p) & 1 == (c == b) for p, b in zip(pivots, basis) for c in basis)
+    for _ in range(5):
+        assert gf.f2_rref(rng.sample(images, n)) == gf.f2_rref(images)
+    # images that are numpy rows: each mask's row is the XOR of the chosen rows
+    wide = np.array([[rng.getrandbits(8) for _ in range(3)] for _ in range(n)], np.uint8)
+    table = gf.xor_table(wide)
+    assert table.shape == (1 << n, 3) and table.dtype == np.uint8
+    assert all((table[m] == gf.xor_apply(wide, m)).all() for m in range(1 << n))
+    # all-ones images give the parity table, in the images' dtype
+    parity = gf.xor_table(np.ones(n, np.uint8))
+    assert parity.dtype == np.uint8 and parity.tolist() == [bin(m).count("1") & 1 for m in range(1 << n)]
 
 
 # ---------------------------------------------------------------------------
