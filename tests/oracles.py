@@ -1,6 +1,9 @@
 """Reference routes that no census, CLI or verify path takes: the tests'
-independent oracles for what the package computes another way."""
+independent oracles for what the package computes another way, and the
+hand edits of a records file that the reader's refusal tests make."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 from genus4census.cartier import SemilinearOperator, invariants
@@ -92,3 +95,33 @@ def l_series(counts, q: int) -> tuple[Fraction, ...]:
     # times (1 - t)(1 - qt) = 1 - (1 + q) t + q t^2
     pad = [Fraction(0)] * 2 + e
     return tuple(pad[k + 2] - (1 + q) * pad[k + 1] + q * pad[k] for k in range(len(e)))
+
+
+# ---------------------------------------------------------------------------
+# records files edited by hand
+# ---------------------------------------------------------------------------
+
+
+def reseal(path) -> None:
+    """Write the SHA-256 of a records file's body into its header, so that a
+    hand edit reaches the checks behind the reader's hash check."""
+    header, _, body = path.read_bytes().partition(b"\n")
+    fields = json.loads(header)
+    fields["body_sha256"] = hashlib.sha256(body).hexdigest()
+    path.write_bytes(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
+
+
+def index_entries(line: str) -> list[int]:
+    """The row index of each model of an index line's kind, 0xffff for a
+    dropped model, read with int() per entry instead of numpy."""
+    hexrows = json.loads(line)["rows"]
+    return [int(hexrows[i:i + 4], 16) for i in range(0, len(hexrows), 4)]
+
+
+def with_index_entry(line: str, i: int, row: int) -> str:
+    """An index line (with or without its newline) with the entry of its
+    kind's i-th model set to row."""
+    fields = json.loads(line)
+    hexrows = fields["rows"]
+    fields["rows"] = hexrows[:4 * i] + f"{row:04x}" + hexrows[4 * i + 4:]
+    return json.dumps(fields, separators=(",", ":")) + line[len(line.rstrip("\n")):]

@@ -7,6 +7,7 @@ enumeration; the named example curves pin the classification columns.
 
 import functools
 import gc
+import json
 import random
 import re
 import zlib
@@ -48,7 +49,7 @@ from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_t
 from genus4census.gfarith import (F2X, _squarefree_decomposition, embedding, field, gf2x_degree, gf2x_factor,
                                   gf2x_gcd, gf2x_mul)
 
-from oracles import cubic_partials
+from oracles import cubic_partials, index_entries, with_index_entry
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def _row_table_of(models):
     heads = list(dict.fromkeys(cart for _, cart in models))
     head = np.array([heads.index(cart) for _, cart in models], np.intp)
     counts = np.array([counts for counts, _ in models], np.int16)
-    return census._row_table("ns", [f"m{i}" for i in range(len(models))], head, heads, counts)
+    return census._row_table("ns", lambda i: [f"m{j}" for j in i], head, heads, counts)
 
 
 @pytest.mark.parametrize("check", sorted(_ROW_FAILURES))
@@ -467,7 +468,7 @@ def test_hyp_cartier_checked_per_member_of_its_h(monkeypatch):
     smooth = [f"hyp;h=0x{bad_h:02x};f=0x{fm:03x}" for fm in fms]
     # the least id's key is not the least key of its h, so the name comes
     # from the order of first members, not from the order of keys
-    packed = census._packed_counts(census._hyp_counts_vector(bad_h, np.array(fms)), smooth, range(len(fms)))
+    packed = census._packed_counts(census._hyp_counts_vector(bad_h, np.array(fms)), lambda i: [smooth[j] for j in i])
     assert len(smooth) > 1 and packed[0] != packed.min()
     monkeypatch.setattr(census, "_hyp_cartier", wrong)
     with pytest.raises(RuntimeError, match=f"inconsistent invariants for {smooth[0]}:"):
@@ -476,9 +477,9 @@ def test_hyp_cartier_checked_per_member_of_its_h(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["ns", "cone"])
 def test_quadric_chunk_ids_are_curve_ids(kind):
-    # all 2^16 masks: the ids joined from byte halves against each model's
-    # own curve_id
-    ids = census._quadric_chunk(kind)[0]
+    # all 2^16 masks: the ids spelled from the job's positions against each
+    # model's own curve_id
+    ids = census._curve_ids(census._quadric_chunk(kind)[0])
     assert ids == [quadric_curve_from_mask(kind, m).curve_id for m in range(1 << 16)]
 
 
@@ -489,8 +490,8 @@ def test_flagged_notes_built_once_per_field(monkeypatch, kind):
     # field degree, not one per flagged mask
     calls = []
     monkeypatch.setattr(census, "_scan_singular", lambda *args: calls.append(args) or _scan_singular(*args))
-    ids, row, rows = census._quadric_chunk(kind)
-    assert ids == [f"{kind};c=0x{m:04x}" for m in range(1 << 16)]
+    pos, row, rows = census._quadric_chunk(kind)
+    assert census._curve_ids(pos) == [f"{kind};c=0x{m:04x}" for m in range(1 << 16)]
     _, flagged, witness = census._quadric_scan(kind, 0, 1 << 16)
     notes = [rows[r][2] for r in row.tolist()]
     flagged_masks = np.flatnonzero(flagged).tolist()
@@ -573,11 +574,17 @@ def test_workers_byte_identity(full_census):
     assert all(type(r) is CensusRecord for r in two)
 
 
+@functools.lru_cache(maxsize=None)
+def _all_ids() -> list[str]:
+    """Every curve id of the model space, in id order."""
+    return sorted([f"{kind};c=0x{m:04x}" for kind in ("cone", "ns") for m in range(1 << 16)]
+                  + [f"hyp;h=0x{hm:02x};f=0x{fm:03x}" for hm in range(1, 64)
+                     for fm in range(0 if hm >= 32 else 512, 2048)])
+
+
 def _bench_sample_ids():
     """The ids that the benchmark's sample keeps: CRC-32 of the id mod 16 == 0."""
-    ids = [f"{kind};c=0x{m:04x}" for kind in ("cone", "ns") for m in range(1 << 16)]
-    ids += [f"hyp;h=0x{hm:02x};f=0x{fm:03x}" for hm in range(1, 64) for fm in range(0 if hm >= 32 else 512, 2048)]
-    return frozenset(cid for cid in ids if zlib.crc32(cid.encode()) % 16 == 0)
+    return frozenset(cid for cid in _all_ids() if zlib.crc32(cid.encode()) % 16 == 0)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -597,7 +604,8 @@ def test_job_row_tables():
     # each job: one uint16 row index per kept model, every row referenced,
     # rows pairwise distinct (as values and by the key the census compares)
     for job in census._census_jobs(census.KINDS, 2, None):
-        ids, row, rows = census._census_job(job)
+        pos, row, rows = census._census_job(job)
+        ids = census._curve_ids(pos)
         assert row.dtype == np.uint16 and row.shape == (len(ids),), job
         assert ids == sorted(ids) and len(ids) == (_hyp_models(*job[1:3]) if job[0] == "hyp" else 1 << 16)
         assert set(row.tolist()) == set(range(len(rows))), job
@@ -734,6 +742,7 @@ def test_jsonl_round_trip(tmp_path):
     records = run_census(id_filter=set(NAMED_EXPECTATIONS).__contains__)
     path = tmp_path / "records.jsonl"
     write_records(path, records)
+    assert read_records(path) == records
     assert list(read_records(path)) == list(records)
     for rec in records:
         assert record_from_json(record_to_json(rec)) == rec
@@ -742,6 +751,40 @@ def test_jsonl_round_trip(tmp_path):
     bad.write_text('{"schema":"g4c2-census/0","records":0}\n')
     with pytest.raises(ValueError, match="schema"):
         read_records(bad)
+
+
+def test_read_records_refuses_schema_1(tmp_path):
+    # the layout of one line per model, which the reader no longer reads
+    path = tmp_path / "old.jsonl"
+    rec = classify_model(parse_curve_id("ns;c=0x1d0c"))
+    path.write_text('{"records":1,"schema":"g4c2-census/1"}\n' + record_to_json(rec) + "\n")
+    with pytest.raises(ValueError, match=r"old\.jsonl: line 1: records schema /1 is no longer read"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampled_census_round_trip(tmp_path, workers):
+    # the benchmark's sample: written, read back and rewritten, the table,
+    # its bytes and its dropped-model markers survive
+    keep = _bench_sample_ids().__contains__
+    table = run_census(id_filter=keep, workers=workers)
+    path = tmp_path / "sample.jsonl"
+    write_records(path, table)
+    back = read_records(path)
+    assert back == table and len(back) == len(table) > 15000
+    assert list(back) == list(table)
+    write_records(tmp_path / "again.jsonl", back)
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["rows"] == len(table.rows) == len(lines) - 4
+    assert header["records"] == dict(Counter(rec.kind for rec in table))
+    entries = [e for line in lines[-3:] for e in index_entries(line)]
+    everyone = _all_ids()
+    assert len(entries) == len(everyone) == 244224
+    assert [cid for cid, e in zip(everyone, entries) if e == 0xFFFF] == [cid for cid in everyone if not keep(cid)]
+    assert [(cid, *table.rows[e]) for cid, e in zip(everyone, entries) if e != 0xFFFF] == list(table)
 
 
 def _mixed_records():
@@ -758,14 +801,18 @@ def _mixed_records():
 
 
 def test_write_records_lines_are_record_to_json(tmp_path):
+    # the row lines are record_to_json of the rows without their empty id,
+    # followed by one index line per kind
     records = _mixed_records()
     assert {(r.kind, r.smooth) for r in records} == {
         (kind, smooth) for kind in census.KINDS for smooth in (False, True)}
     path = tmp_path / "records.jsonl"
     write_records(path, records)
+    rows = census.CensusTable.of(records).row_records()
     lines = path.read_text(encoding="ascii").splitlines()[1:]
-    assert lines == [record_to_json(r) for r in records]
-    assert '"jacobian_aut":12' in lines[-2] and '\\"quoted\\"' in lines[-1]
+    assert lines[:len(rows)] == [record_to_json(r).replace('"id":"",', "") for r in rows]
+    assert [json.loads(line)["kind"] for line in lines[len(rows):]] == list(census.KINDS)
+    assert '"jacobian_aut":12' in lines[len(rows) - 2] and '\\"quoted\\"' in lines[len(rows) - 1]
 
     back = read_records(path)
     assert list(back) == records
@@ -790,12 +837,14 @@ def test_write_records_refuses_id_outside_the_rule(tmp_path, cid):
 
 def test_write_records_refuses_kind_that_contradicts_id(tmp_path):
     """A cone record moved under an ns id is refused before the file is
-    opened, naming the line read_records would name."""
+    opened, naming the line read_records would name: the line of the cone
+    row, which the ns id uses."""
     records = _mixed_records()
     i = len(records) - 2
     cone = next(r for r in records if r.kind == "cone")
     moved = records[:i] + [cone._replace(id=records[i].id)] + records[i + 1:]
-    message = rf"line {i + 2}: kind 'cone' contradicts id 'ns;c=0xfffe'"
+    r = int(census.CensusTable.of(moved).row[i])
+    message = rf"line {r + 2}: kind 'cone' contradicts id 'ns;c=0xfffe'"
     path = tmp_path / "records.jsonl"
     with pytest.raises(ValueError, match=message):
         write_records(path, moved)
@@ -810,8 +859,8 @@ def test_write_records_refuses_kind_that_contradicts_id(tmp_path):
 
 @pytest.mark.parametrize("order", [(0, 1, 2, 2), (1, 0, 2)], ids=["duplicate", "out-of-order"])
 def test_write_records_refuses_id_that_does_not_follow(tmp_path, order):
-    # the reader refuses such a file ("ids must be strictly ascending"), so
-    # the writer refuses to write it, naming both ids, and keeps the old file
+    # a table holds each model once, in id order, so the writer refuses
+    # such records, naming both ids, and keeps the old file
     path = tmp_path / "records.jsonl"
     records = _h1_subset()[:3]
     write_records(path, records)
@@ -824,21 +873,30 @@ def test_write_records_refuses_id_that_does_not_follow(tmp_path, order):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda line: line.replace('{', '{"id":"cone;c=0x4207",', 1), id="two-ids"),
-    pytest.param(lambda line: line.replace('}', ',"id":""}', 1), id="two-ids-empty-last"),
-    pytest.param(lambda line: line.replace('"id":"cone;c=0x4208",', ""), id="no-id"),
-    pytest.param(lambda line: line.replace('"cone;c=0x4208"', "4208"), id="number-id"),
-    pytest.param(lambda line: line.replace("cone;c=0x4208", 'cone;c=\\"0x4208'), id="quote-escape"),
-    pytest.param(lambda line: line.replace("cone;c=0x4208", "cone;c=0x420\\u0038"), id="u-escape"),
-    pytest.param(lambda line: line[:line.index("cone;c=0x42")] + "cone;c=0x42\n", id="cut-in-id"),
-    pytest.param(lambda line: line.replace('"slopes":["', '"slopes":["1/0","', 1), id="zero-denominator"),
+_MALFORMED = r"records\.jsonl: line 2: malformed record: .*, the row of 'cone;c=0x4208'$"
+
+
+# the cases of the layout with one line per model, each carried over to the
+# row line of the model it edited: an id in the row, a row without a field
+# it needs, a field of another type, escapes and a cut
+@pytest.mark.parametrize("edit, why", [
+    pytest.param(lambda line: line.replace('{', '{"id":"cone;c=0x4207",', 1), _MALFORMED, id="two-ids"),
+    pytest.param(lambda line: line.replace('}', ',"id":""}', 1), _MALFORMED, id="two-ids-empty-last"),
+    pytest.param(lambda line: line.replace('"kind":"cone",', ""), _MALFORMED, id="no-id"),
+    pytest.param(lambda line: line.replace('"kind":"cone"', '"kind":4208'), _MALFORMED, id="number-id"),
+    pytest.param(lambda line: line.replace('"counts":["3"', '"counts":["\\"3"'), _MALFORMED, id="quote-escape"),
+    # the same row spelled another way: only the body's SHA-256 sees it
+    pytest.param(lambda line: line.replace('"kind":"cone"', '"kind":"con\\u0065"'),
+                 r"records\.jsonl: line 1: the body's SHA-256 is [0-9a-f]{64}, not the header's '[0-9a-f]{64}'$",
+                 id="u-escape"),
+    pytest.param(lambda line: line[:line.index('"kind":"co')] + '"kind":"co\n', _MALFORMED, id="cut-in-id"),
+    pytest.param(lambda line: line.replace('"slopes":["', '"slopes":["1/0","', 1), _MALFORMED, id="zero-denominator"),
 ])
-def test_read_records_refuses_malformed_line(tmp_path, edit):
+def test_read_records_refuses_malformed_line(tmp_path, edit, why):
     path, lines = _written_lines(tmp_path)
-    assert '"id":"cone;c=0x4208"' in lines[1]
+    assert lines[1].startswith('{"a_number":2,"counts":["3","5","9","9"]') and '"kind":"cone"' in lines[1]
     path.write_text("".join(lines[:1] + [edit(lines[1])] + lines[2:]))
-    with pytest.raises(ValueError, match=r"records\.jsonl: line 2: malformed record"):
+    with pytest.raises(ValueError, match=why):
         read_records(path)
 
 
@@ -857,19 +915,22 @@ def test_read_records_refuses_malformed_line(tmp_path, edit):
 ], ids=["smooth-1", "type43-0", "p-rank-false", "kind-list", "counts-string", "weil-number", "count-leading-zero",
         "slope-decimal-point", "eo-mu-true"])
 def test_read_records_refuses_field_of_another_json_type(tmp_path, old, new, why):
-    # each of these reads as a record the writer never writes: a smooth
-    # flag of 1, counts (3, 5, 9, 9) from the string "3599", ...
+    # each of these reads as a row the writer never writes: a smooth flag
+    # of 1, counts (3, 5, 9, 9) from the string "3599", ...
     path, lines = _written_lines(tmp_path)
     assert old in lines[1]
     path.write_text("".join(lines[:1] + [lines[1].replace(old, new, 1)] + lines[2:]))
-    with pytest.raises(ValueError, match=r"records\.jsonl: line 2: malformed record: .*" + re.escape(why)):
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 2: malformed record: .*" + re.escape(why)
+                       + ".*, the row of 'cone;c=0x4208'"):
         read_records(path)
 
 
 @pytest.mark.parametrize("lineno, kind", [(2, "hyp"), (4, "ns"), (6, "cone"), (2, "quartic")])
 def test_read_records_refuses_kind_that_contradicts_its_id(tmp_path, lineno, kind):
+    # the row on line lineno, edited to another kind, named with the first id that uses it
     path, lines = _written_lines(tmp_path)
-    cid = re.search('"id":"([^"]*)"', lines[lineno - 1])[1]
+    table = _named_records()
+    cid = table[table.row.tolist().index(lineno - 2)].id
     lines[lineno - 1] = re.sub('"kind":"[a-z]+"', f'"kind":"{kind}"', lines[lineno - 1])
     path.write_text("".join(lines))
     why = f"records.jsonl: line {lineno}: kind {kind!r} contradicts id {cid!r}"
@@ -894,8 +955,9 @@ def test_read_records_refuses_non_ascii_byte(tmp_path, encoding):
 @pytest.mark.parametrize("count", ["", ',"records":"5"', ',"records":-1', ',"records":true',
                                    ',"records":5.0'])
 def test_read_records_refuses_header_without_a_record_count(tmp_path, count):
+    # the header's records count is the number of kept models of each kind
     path, lines = _written_lines(tmp_path)
-    path.write_text("".join(['{"schema":"g4c2-census/1"' + count + "}\n"] + lines[1:]))
+    path.write_text("".join(['{"rows":5,"schema":"g4c2-census/2"' + count + "}\n"] + lines[1:]))
     with pytest.raises(ValueError, match=r"records\.jsonl: line 1: header records count .* non-negative integer"):
         read_records(path)
 
@@ -925,9 +987,9 @@ def test_write_records_failure_leaves_target_unchanged(tmp_path):
 
 
 def test_write_records_template_outlives_its_slopes(tmp_path):
-    # records built on the fly, each with a fresh slopes tuple freed after its
-    # line is written, all other fields equal: a freed tuple's id must not
-    # pick up the template of another tuple
+    # records built on the fly, each with a fresh slopes tuple freed after
+    # it is read, all other fields equal: rows that differ only in their
+    # slopes stay apart, each written as its own row line
     base = next(r for r in _h1_subset() if r.smooth)
     values = (Fraction(0), Fraction(1, 2), Fraction(1))
 
@@ -942,7 +1004,8 @@ def test_write_records_template_outlives_its_slopes(tmp_path):
     path = tmp_path / "records.jsonl"
     write_records(path, OnTheFly())
     lines = path.read_text(encoding="ascii").splitlines()[1:]
-    assert lines == [record_to_json(r) for r in OnTheFly()]
+    assert lines[:-1] == [record_to_json(r._replace(id="")).replace('"id":"",', "") for r in list(OnTheFly())[:6]]
+    assert list(read_records(path)) == list(OnTheFly())
 
 
 def test_read_records_interns_slopes(tmp_path):
@@ -954,8 +1017,8 @@ def test_read_records_interns_slopes(tmp_path):
 
 
 def test_read_records_shares_one_fraction_per_slope_string(tmp_path):
-    # records of different remainders (different counts) that share a slope
-    # value share one Fraction object for it
+    # records of different rows (different counts) that share a slope value
+    # share one Fraction object for it
     path = tmp_path / "records.jsonl"
     write_records(path, _h1_subset())
     objects: dict[Fraction, set[int]] = {}
@@ -974,20 +1037,25 @@ def _named_records():
 
 
 def _written_lines(tmp_path):
+    """The file of the named records: the header, the five rows of
+    cone;c=0x4208, hyp;h=0x01;f=0x220, hyp;h=0x01;f=0x221, ns;c=0x038c and
+    ns;c=0x1d0c on lines 2 to 6, and the index lines of cone, hyp and ns."""
     path = tmp_path / "records.jsonl"
     write_records(path, _named_records())
     return path, path.read_text().splitlines(keepends=True)
 
 
 def test_read_records_refuses_second_spelling_of_an_id(tmp_path):
-    # one model under its own id and under a second spelling that int()
-    # accepts: the ids ascend, so only the id grammar refuses the file
+    # ids are never spelled in the file, so a model is read under one id;
+    # its row, spelled a second way on a second line, is refused as a repeat
     path = tmp_path / "twice.jsonl"
     rec = classify_model(parse_curve_id("ns;c=0x1d0c"))
     write_records(path, [rec, rec._replace(id="ns;c=0x1d0d")])
-    path.write_text(path.read_text().replace("ns;c=0x1d0d", "ns;c=0x1d_0c"))
-    with pytest.raises(ValueError, match=r"twice\.jsonl: line 3: malformed record: .*'ns;c=0x1d_0c' is not the "
-                                         "curve_id of a census model"):
+    header, row, index = path.read_text().splitlines(keepends=True)
+    again = row.replace('"kind":"ns"', '"kind":"n\\u0073"')
+    path.write_text(header.replace('"rows":1', '"rows":2') + row + again + with_index_entry(index, 0x1d0d, 1))
+    with pytest.raises(ValueError, match=r"twice\.jsonl: line 3: repeats the row of line 2, "
+                                         "the row of 'ns;c=0x1d0d'"):
         read_records(path)
 
 
@@ -1005,27 +1073,81 @@ def test_read_records_id_grammar_is_the_census_id_domain():
                 "hyp;h=0x00;f=0x200", "hyp;h=0x1f;f=0x1ff", "hyp;h=0x40;f=0x000", "hyp;h=0x20;f=0x800",
                 "hyp;h=0x3;f=0x200", "hyp;f=0x200;h=0x03"):
         assert not grammar.fullmatch(bad), bad
+    # the positions of the model space spell the same ids, in id order
+    assert census._curve_ids(np.arange(244224)) == _all_ids()
 
 
 def test_read_records_refuses_truncated_file(tmp_path):
     path, lines = _written_lines(tmp_path)
     path.write_text("".join(lines[:-1]))
-    with pytest.raises(ValueError, match="header promises 5 records, the body has 4"):
+    with pytest.raises(ValueError, match="line 9: missing; the header promises 5 rows and 3 index lines"):
         read_records(path)
-    # cut inside the last line
+    # cut inside the last index line
     path.write_text("".join(lines)[:-10])
-    with pytest.raises(ValueError, match="line 6: malformed record"):
+    with pytest.raises(ValueError, match="line 9: malformed index line of kind 'ns'"):
         read_records(path)
 
 
 def test_read_records_refuses_duplicated_or_moved_line(tmp_path):
     path, lines = _written_lines(tmp_path)
     path.write_text("".join(lines[:4] + lines[3:]))
-    with pytest.raises(ValueError, match=r"line 5: id 'hyp;h=0x01;f=0x221' does not follow"):
+    with pytest.raises(ValueError, match=r"line 5: repeats the row of line 4, the row of 'ns;c=0x038c'"):
         read_records(path)
+    # the rows of two kinds swapped: the kind check names the first
     path.write_text("".join(lines[:1] + lines[2:3] + lines[1:2] + lines[3:]))
-    with pytest.raises(ValueError, match=r"line 3: id 'cone;c=0x4208' does not follow"):
+    with pytest.raises(ValueError, match=r"line 2: kind 'hyp' contradicts id 'cone;c=0x4208'"):
         read_records(path)
+    # the rows of two hyp models swapped: only the body's SHA-256 sees it
+    path.write_text("".join(lines[:2] + lines[3:4] + lines[2:3] + lines[4:]))
+    with pytest.raises(ValueError, match=r"line 1: the body's SHA-256 is [0-9a-f]{64}, not the header's"):
+        read_records(path)
+
+
+def _header_with(lines, **change):
+    header = json.loads(lines[0])
+    header.update(change)
+    return json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("edit, why", [
+    pytest.param(lambda lines: [_header_with(lines, rows="5")] + lines[1:],
+                 r"line 1: header records count .* or row count '5' is not a non-negative integer",
+                 id="row-count-not-int"),
+    pytest.param(lambda lines: lines[:7] + [lines[7].replace('"rows":"', '"rows":"0000')] + lines[8:],
+                 r"line 8: malformed index line of kind 'hyp': 113153 entries, not one for each of the 113152",
+                 id="index-too-long"),
+    pytest.param(lambda lines: lines[:6] + lines[8:9] + lines[7:8] + lines[6:7],
+                 'line 7: malformed index line of kind \'cone\': not {"kind":"cone","rows":...}', id="index-lines-moved"),
+    pytest.param(lambda lines: lines[:6] + [with_index_entry(lines[6], 0, 1)] + lines[7:],
+                 "line 7: index of kind 'cone' keeps 2 models, the header promises 1", id="index-keeps-more"),
+    pytest.param(lambda lines: lines[:6] + [lines[1].replace('"a_number":2', '"a_number":1')] + lines[6:],
+                 "line 1: header promises 5 rows, the body has 6", id="extra-row"),
+    pytest.param(lambda lines: lines[:6] + [with_index_entry(lines[6], 0x4208, 5)] + lines[7:],
+                 "line 7: index of kind 'cone' gives 'cone;c=0x4208' row 5, beyond the 5 rows", id="index-beyond"),
+    pytest.param(lambda lines: lines[:7] + [with_index_entry(lines[7], 0x221 - 512, 1)] + lines[8:],
+                 "line 4: a row no model uses", id="unused-row"),
+    pytest.param(lambda lines: lines[:3] + [lines[3].replace('"13"', '"12"')] + lines[4:],
+                 r"line 1: the body's SHA-256 is [0-9a-f]{64}, not the header's '[0-9a-f]{64}'", id="edited-row"),
+])
+def test_read_records_refuses_inconsistent_table(tmp_path, edit, why):
+    # every other way the rows, the index lines and the header can disagree
+    path, lines = _written_lines(tmp_path)
+    path.write_text("".join(edit(lines)))
+    with pytest.raises(ValueError, match=rf"records\.jsonl: {why}"):
+        read_records(path)
+
+
+def test_write_records_refuses_rows_beyond_the_index_digits(tmp_path):
+    # four hex digits per model, ffff marking a dropped model, leave room
+    # for rows 0..0xfffe; a table with more is refused before the file is opened
+    rows = tuple(CensusRecord("", "cone", False, f"note {i}")[1:] for i in range(0x10000))
+    path = tmp_path / "records.jsonl"
+    write_records(path, census.CensusTable(np.arange(0xFFFF), np.arange(0xFFFF), rows[:0xFFFF]))
+    assert path.read_text().splitlines()[-1].endswith('fffdfffeffff"}')  # the last mask dropped
+    path.unlink()
+    with pytest.raises(ValueError, match="65536 rows do not fit the index's four hex digits"):
+        write_records(path, census.CensusTable(np.arange(0x10000), np.arange(0x10000), rows))
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1261,6 +1383,12 @@ def test_verify_propositions_negative_paths():
     fake = _fake_smooth("ns;c=0xfeed", "ns", a_number=3, eo_candidates=((4, 2, 1),), eo_mu=None)
     rep = verify_propositions(list(records) + [fake])
     assert not rep.ok and "ns;c=0xfeed" in rep.failures
+
+    # a smooth model without an a-number fails the a-number line too
+    fake = _fake_smooth("ns;c=0xfeed", "ns", a_number=None)
+    rep = verify_propositions(list(records) + [fake])
+    assert not rep.ok and rep.failures == ("ns;c=0xfeed",)
+    assert rep.lines[2] == "FAIL: no smooth model has a-number >= 3 (1 violations: ns;c=0xfeed)"
 
     # 66 distinct fake supersingular Weil keys break the class bound
     fakes = [_fake_smooth(f"ns;c=0x{m:04x}", "ns", weil=(16, 16, 8, 0, -4, 0, 2, 2, m + 2))

@@ -12,6 +12,8 @@ from genus4census.census import CensusRecord, write_records
 from genus4census.cli import _poly_str, main
 from genus4census.curves import is_smooth, parse_curve_id
 
+from oracles import index_entries, reseal, with_index_entry
+
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
@@ -201,22 +203,22 @@ def test_verify_reports_failure_exit_code(capsys, tmp_path):
 
 
 def test_verify_counts_violations_per_model(capsys, tmp_path):
-    # one smooth ns row shared by many models, edited to meet the [4,3]
-    # criterion on every line that carries it: the FAIL line counts and
-    # names models, as a per-record reference over the file's lines does
+    # the smooth ns row that the most models share, edited to meet the
+    # [4,3] criterion: the FAIL line counts and names its models, as a
+    # reference over the file's rows and index line does
     path = tmp_path / "edited.jsonl"
     write_records(path, census.run_census(kinds="ns"))
     lines = path.read_text().splitlines(keepends=True)
-    carriers = Counter(census._ID_FIELD.sub('"id":""', line) for line in lines[1:]
-                       if '"smooth":true' in line and '"type43":false' in line)
+    entries = index_entries(lines[-1])
+    carriers = Counter(r for r in entries if '"smooth":true' in lines[r + 1] and '"type43":false' in lines[r + 1])
     row, models = carriers.most_common(1)[0]
     assert models > 8
-    edited = [line.replace('"type43":false', '"type43":true')
-              if census._ID_FIELD.sub('"id":""', line) == row else line for line in lines[1:]]
-    path.write_text(lines[0] + "".join(edited))
+    lines[row + 1] = lines[row + 1].replace('"type43":false', '"type43":true')
+    path.write_text("".join(lines))
+    reseal(path)
 
-    records = [census.record_from_json(line) for line in edited]
-    bad = [rec.id for rec in records if rec.smooth and rec.kind == "ns" and rec.type43]
+    rows = [census.record_from_json(line.replace("{", '{"id":"",', 1)) for line in lines[1:-1]]
+    bad = [f"ns;c=0x{m:04x}" for m, r in enumerate(entries) if rows[r].smooth and rows[r].type43]
     assert len(bad) == models
     rc, out, _ = run_cli(capsys, "verify", "--records", str(path))
     assert rc == 1
@@ -234,7 +236,13 @@ def test_verify_refuses_truncated_file(capsys, tmp_path):
     path.write_text("".join(lines[:-1]))
     rc, out, err = run_cli(capsys, "verify", "--records", str(path))
     assert rc == 2 and "PASS" not in out
-    assert f"header promises {len(records)} records, the body has {len(records) - 1}" in err
+    rows = len(records.rows)
+    assert f"cut.jsonl: line {rows + 2}: missing; the header promises {rows} rows and 1 index lines" in err
+    # cut inside the index line
+    path.write_text("".join(lines)[:-100])
+    rc, out, err = run_cli(capsys, "verify", "--records", str(path))
+    assert rc == 2 and "PASS" not in out
+    assert f"cut.jsonl: line {rows + 2}: malformed index line of kind 'hyp'" in err
 
 
 def test_verify_refuses_header_that_is_not_an_object(capsys, tmp_path):
@@ -261,27 +269,46 @@ def test_verify_refuses_field_the_writer_never_writes(capsys, tmp_path, old, new
     assert why in err
 
 
-def test_stack_count_refuses_second_spelling_of_an_id(capsys, tmp_path):
-    # one model under its own id and under a second spelling int() accepts:
-    # counted as two orbits, it would halve the class's stack count
+def _twice(tmp_path):
+    """A file whose model ns;c=0x1d0d reads its row from a second line that
+    spells the row of ns;c=0x1d0c another way, resealed."""
     path = tmp_path / "twice.jsonl"
     rec = census.classify_model(census.parse_curve_id("ns;c=0x1d0c"))
     write_records(path, [rec, rec._replace(id="ns;c=0x1d0d")])
-    path.write_text(path.read_text().replace("ns;c=0x1d0d", "ns;c=0x1d_0c"))
-    rc, out, err = run_cli(capsys, "stack-count", "--records", str(path),
+    header, row, index = path.read_text().splitlines(keepends=True)
+    again = row.replace('"kind":"ns"', '"kind":"n\\u0073"')
+    path.write_text(header.replace('"rows":1', '"rows":2') + row + again + with_index_entry(index, 0x1d0d, 1))
+    reseal(path)
+    return path
+
+
+def test_stack_count_refuses_second_spelling_of_an_id(capsys, tmp_path):
+    # ids are never spelled in the file, so a model is read under one id;
+    # a row read as two would count one isomorphism class twice
+    rc, out, err = run_cli(capsys, "stack-count", "--records", str(_twice(tmp_path)),
                            "--weil", "16,32,40,40,32,20,10,4,1")
     assert rc == 2 and out == ""
-    assert "ns;c=0x1d_0c" in err
+    assert "twice.jsonl: line 3: repeats the row of line 2, the row of 'ns;c=0x1d0d'" in err
 
 
 def test_verify_refuses_second_spelling_of_an_id(capsys, tmp_path):
-    path = tmp_path / "twice.jsonl"
-    rec = census.classify_model(census.parse_curve_id("ns;c=0x1d0c"))
-    write_records(path, [rec, rec._replace(id="ns;c=0x1d0d")])
-    path.write_text(path.read_text().replace("ns;c=0x1d0d", "ns;c=0x1d_0c"))
-    rc, out, err = run_cli(capsys, "verify", "--records", str(path))
+    rc, out, err = run_cli(capsys, "verify", "--records", str(_twice(tmp_path)))
     assert rc == 2 and "PASS" not in out
-    assert "twice.jsonl: line 3: malformed record" in err and "ns;c=0x1d_0c" in err
+    assert "twice.jsonl: line 3: repeats the row of line 2, the row of 'ns;c=0x1d0d'" in err
+
+
+def test_verify_fails_a_smooth_row_without_a_number(capsys, tmp_path):
+    # a hand-edited row with no a-number fails the a-number line, naming
+    # its model, instead of passing it by
+    path = tmp_path / "edited.jsonl"
+    write_records(path, [census.classify_model(census.parse_curve_id("cone;c=0x4208"))])
+    text = path.read_text()
+    assert '"a_number":2,' in text
+    path.write_text(text.replace('"a_number":2,', "", 1))
+    reseal(path)
+    rc, out, err = run_cli(capsys, "verify", "--records", str(path))
+    assert rc == 1 and err == ""
+    assert out.splitlines()[2] == "FAIL: no smooth model has a-number >= 3 (1 violations: cone;c=0x4208)"
 
 
 def test_missing_records_file(capsys, tmp_path):
