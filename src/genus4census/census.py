@@ -79,19 +79,21 @@ models.  Queries run each predicate once per row and spell ids only for
 the models they select.  run_census cuts the census into jobs by cost
 (_census_jobs); a job reduces each model to a head (a note or Cartier data)
 above its counts, checks and builds each distinct (head, counts) once as a
-row (_row_table), and the parent merges equal rows across jobs; no record
-is built.
+row (_row_table), and the census process merges equal rows across jobs;
+no record is built.  With N workers the census process runs a share of the
+jobs itself, beside a pool of N - 1 processes (_shared_jobs).
 
 Persistence stores the table itself, as JSON lines of schema
 g4c2-census/2: a header with the schema, the number of kept models of each
 kind ("records"), the row count and the SHA-256 of the body; one line per
 row, in the order of each row's first member, record_to_json of the row
-with '"id":"",' cut out; and one index line per kind with kept models, the
+without its id; and one index line per kind with kept models, the
 row of every model of the kind's domain in id order as four hex digits,
 ffff for a model that id_filter dropped.  Output is byte-identical for any
 worker count.  No id is written or read, so none is read twice.
 """
 
+import binascii
 import json
 import operator
 import os
@@ -249,6 +251,10 @@ def _blocks(pos: np.ndarray) -> list[tuple[str, int, int]]:
     return list(zip(KINDS, ends, ends[1:]))
 
 
+# models per block of ids that CensusTable.__iter__ spells at once
+_ITER_BLOCK = 4096
+
+
 class CensusTable(Sequence):
     """A census result, one row index per model.
 
@@ -290,13 +296,27 @@ class CensusTable(Sequence):
         return CensusRecord(*_curve_ids(self.pos[[i]]), *self.rows[self.row[i]])
 
     def __iter__(self):
-        # CensusRecord._make((cid, *rows[r])) per model, looped in C
-        return map(tuple.__new__, repeat(CensusRecord),
-                   map(add, zip(_curve_ids(self.pos)), map(self.rows.__getitem__, self.row.tolist())))
+        # CensusRecord._make((cid, *rows[r])) per model, looped in C; the ids
+        # are spelled a block at a time, so that a loop over the full census
+        # never holds all 244,224 of them, about 35 MB of strings
+        for lo in range(0, len(self.pos), _ITER_BLOCK):
+            block = slice(lo, lo + _ITER_BLOCK)
+            yield from map(tuple.__new__, repeat(CensusRecord), map(
+                add, zip(_curve_ids(self.pos[block])), map(self.rows.__getitem__, self.row[block].tolist())))
 
     def __eq__(self, other):  # which also makes a table unhashable
         return (isinstance(other, CensusTable) and np.array_equal(self.pos, other.pos)
                 and np.array_equal(self.row, other.row) and self.rows == other.rows)
+
+    def lookup(self, cid: str) -> CensusRecord | None:
+        """The record of the model with curve id cid, None when the table
+        does not hold it (id_filter dropped it); an id that is not the
+        curve_id of a census model is refused, as by _positions."""
+        (p,) = _positions([cid])
+        i = int(np.searchsorted(self.pos, p))
+        if i == len(self.pos) or self.pos[i] != p:
+            return None
+        return CensusRecord(cid, *self.rows[self.row[i]])
 
     def row_records(self) -> list[CensusRecord]:
         """Each row as a CensusRecord with an empty id."""
@@ -320,9 +340,18 @@ class CensusTable(Sequence):
         return [_curve_ids(self.pos[order[lo:hi]]) for lo, hi in zip([0] + ends, ends[:len(groups)])]
 
 
+# one encoder for every line: json.dumps with options builds a new one per call
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def record_to_json(rec: CensusRecord) -> str:
     """One JSON line; exact integers as strings, None fields omitted."""
-    d: dict = {"id": rec.id, "kind": rec.kind, "smooth": rec.smooth}
+    return _encode({"id": rec.id, **_json_fields(rec)})
+
+
+def _json_fields(rec: CensusRecord) -> dict:
+    """The JSON object of record_to_json without the id."""
+    d: dict = {"kind": rec.kind, "smooth": rec.smooth}
     if rec.note:
         d["note"] = rec.note
     if rec.counts is not None:
@@ -339,7 +368,7 @@ def record_to_json(rec: CensusRecord) -> str:
         d["eo_mu"] = list(rec.eo_mu)
     if rec.eo_candidates is not None:
         d["eo_candidates"] = [list(mu) for mu in rec.eo_candidates]
-    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return d
 
 
 def _unique_keys(pairs) -> dict:
@@ -467,22 +496,24 @@ def write_records(path, records) -> None:
     _check_kinds(path, table)
     if len(table.rows) > _DROPPED:
         raise ValueError(f"{len(table.rows)} rows do not fit the index's four hex digits")
-    lines = [record_to_json(rec).replace('"id":"",', "", 1) for rec in table.row_records()]
+    # the body as bytes chunks, hashed and written without a joined copy
+    body = [f"{_encode(_json_fields(rec))}\n".encode("ascii") for rec in table.row_records()]
     kept = {}
     for kind, lo, hi in _blocks(table.pos):
         if lo < hi:
             index = np.full(_DOMAIN[kind], _DROPPED, ">u2")
             index[table.pos[lo:hi] - _START[kind]] = table.row[lo:hi]
-            lines.append(f'{{"kind":"{kind}","rows":"{index.tobytes().hex()}"}}')
+            body += [f'{{"kind":"{kind}","rows":"'.encode("ascii"), binascii.hexlify(index), b'"}\n']
             kept[kind] = hi - lo
-    body = "".join(f"{line}\n" for line in lines).encode("ascii")
-    header = {"body_sha256": hashlib.sha256(body).hexdigest(), "records": kept, "rows": len(table.rows),
-              "schema": SCHEMA}
+    digest = hashlib.sha256()
+    for chunk in body:
+        digest.update(chunk)
+    header = {"body_sha256": digest.hexdigest(), "records": kept, "rows": len(table.rows), "schema": SCHEMA}
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n")
-            fh.write(body)
+            fh.write(f"{_encode(header)}\n".encode("ascii"))
+            fh.writelines(body)
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
@@ -494,6 +525,8 @@ def write_records(path, records) -> None:
 def read_records(path) -> CensusTable:
     """The CensusTable of a file written by write_records, checked line by
     line: a refusal names its line, and a refused row the first id using it.
+    The index lines are read first, so each row line is checked, as it is
+    parsed, against the kinds of the models that use it.
     The body's SHA-256 is checked last, so that an edit every other check
     passes is refused too.  Schema /1, one line per model, is not read."""
     import hashlib  # here, as nothing else the package imports loads it
@@ -525,8 +558,9 @@ def read_records(path) -> CensusTable:
         raise ValueError(f"{path}: line {len(lines) + 2}: missing; the header promises {promised} rows "
                          f"and {len(kinds)} index lines")
     split = len(lines) - len(kinds)  # row lines, then index lines
-    pos, row = [np.zeros(0, np.intp)], [np.zeros(0, np.uint16)]
-    for lineno, kind, line in zip(range(split + 2, len(lines) + 2), kinds, lines[split:]):
+    pos, row = [], []  # per kind
+    owner = np.full(split, -1)  # per row, the index in kinds of its models' kind; -1 none, -2 several
+    for k, (lineno, kind, line) in enumerate(zip(range(split + 2, len(lines) + 2), kinds, lines[split:])):
         try:
             d = _decode(line)
             if type(d) is not dict or d.keys() != {"kind", "rows"} or d["kind"] != kind:
@@ -544,7 +578,10 @@ def read_records(path) -> CensusTable:
                 f"gives {_curve_ids(beyond + _START[kind])[0]!r} row {index[beyond[0]]}, beyond the {promised} rows"))
         pos.append(keep + _START[kind])
         row.append(index[keep])
-    table = CensusTable(np.concatenate(pos), np.concatenate(row), ())
+        owner[row[-1]] = np.where(owner[row[-1]] == -1, k, -2)
+    table = CensusTable(np.concatenate([np.zeros(0, np.intp), *pos]),
+                        np.concatenate([np.zeros(0, np.uint16), *row]), ())
+    owner = list(map({-1: "", -2: None, **dict(enumerate(kinds))}.__getitem__, owner.tolist()))
 
     def row_of(r: int) -> str:  # the first model of row r, for an error
         return next((f"the row of {cid!r}" for cid in _curve_ids(table.pos[table.row == r][:1])), "a row no model uses")
@@ -561,6 +598,10 @@ def read_records(path) -> CensusTable:
         earlier = seen.setdefault((_row_key(fields), *d.get("slopes", ())), r)
         if earlier != r:
             raise ValueError(f"{path}: line {r + 2}: repeats the row of line {earlier + 2}, {row_of(r)}")
+        if owner[r] not in ("", fields[0]):  # named with the first model of another kind that uses it
+            k = next(k for k, kind in enumerate(kinds) if kind != fields[0] and (row[k] == r).any())
+            cid = _curve_ids(pos[k][row[k] == r][:1])[0]
+            raise ValueError(f"{path}: line {r + 2}: kind {fields[0]!r} contradicts id {cid!r}")
         rows.append(fields)
     if len(rows) != promised:
         raise ValueError(f"{path}: line 1: header promises {promised} rows, the body has {len(rows)}")
@@ -568,7 +609,6 @@ def read_records(path) -> CensusTable:
     if len(unused):
         raise ValueError(f"{path}: line {unused[0] + 2}: a row no model uses")
     table = CensusTable(table.pos, _row_array(table.row, len(rows)), tuple(rows))
-    _check_kinds(path, table)
     digest = hashlib.sha256(memoryview(data)[len(first) + 1:]).hexdigest()
     if digest != header.get("body_sha256"):
         raise ValueError(f"{path}: line 1: the body's SHA-256 is {digest}, not the header's "
@@ -750,10 +790,10 @@ def _smooth_rows(counts, carts: list, ids: list[str]) -> list[tuple]:
     and runs the checks of weil_from_counts, the round trip included.  The
     Newton polygon and stratum are built once per valuation pattern of the
     L-coefficients (zeta._newton_polygon), and each row's 2-rank is
-    checked against its zero slopes.  The first failing row i raises
-    RuntimeError naming ids[i], with the first check it fails in the order
-    of the scalar route (weil_from_counts, newton_polygon, the 2-rank,
-    eo_classify_curve).
+    checked against the p-rank that its stratum holds, its zero slopes.
+    The first failing row i raises RuntimeError naming ids[i], with the
+    first check it fails in the order of the scalar route
+    (weil_from_counts, newton_polygon, the 2-rank, eo_classify_curve).
     """
     a, fail = weil_rows_f2(counts)
     sound = np.flatnonzero(fail == 0)
@@ -774,11 +814,12 @@ def _smooth_rows(counts, carts: list, ids: list[str]) -> list[tuple]:
                 poly = _newton_polygon(tuple(None if v < 0 else v for v in patterns[k].tolist()), 1)
                 strata[k] = poly, classify_stratum(poly)
             poly, stratum = strata[k]
+            p_rank = stratum.p_rank
             an, s2, t43 = carts[i]
-            if s2 != poly.p_rank:
-                raise ValueError(f"2-rank {s2} from the Cartier operator, {poly.p_rank} zero slopes")
+            if s2 != p_rank:
+                raise ValueError(f"2-rank {s2} from the Cartier operator, {p_rank} zero slopes")
             eo_mu = eo_candidates = None
-            if poly.p_rank == 0:
+            if p_rank == 0:
                 label = eo_classify_curve(stratum, an, t43)
                 if isinstance(label, EoLabel):
                     eo_mu = label.mu
@@ -786,7 +827,7 @@ def _smooth_rows(counts, carts: list, ids: list[str]) -> list[tuple]:
                     eo_candidates = label.options
         except ValueError as exc:
             raise RuntimeError(f"inconsistent invariants for {ids[i]}: {exc}") from None
-        rows.append((tuple(n), tuple(reversed(l_coeffs)), poly.slopes, stratum.name, poly.p_rank,
+        rows.append((tuple(n), tuple(reversed(l_coeffs)), poly.slopes, stratum.name, p_rank,
                      an, s2, t43, eo_mu, eo_candidates))
     return rows
 
@@ -1003,17 +1044,47 @@ def _census_jobs(kinds, workers: int, keep) -> list[tuple]:
     return jobs
 
 
+def _shared_jobs(jobs: list, processes: int) -> list:
+    """The row tables of jobs, in plan order, computed in `processes`
+    processes: this one runs jobs[::processes] while a pool of
+    processes - 1 runs the rest, handed over by one pool.map.  For two
+    processes and every kind, this one takes cone and the lower h-range,
+    the lighter half of the plan, as it also starts the pool.  A failure
+    raises the error of the earliest failing job in plan order, whichever
+    process ran it."""
+    with ProcessPoolExecutor(max_workers=processes - 1) as pool:
+        # iter: an in-process stand-in for the pool may return a list
+        theirs = iter(pool.map(_census_job, [job for i, job in enumerate(jobs) if i % processes]))
+        mine, failure = {}, None
+        for i in range(0, len(jobs), processes):
+            try:
+                mine[i] = _census_job(jobs[i])
+            except Exception as exc:  # raised below unless an earlier pool job failed
+                failure = exc
+                break
+        tables = []
+        for i in range(len(jobs)):
+            if i % processes:
+                tables.append(next(theirs))  # raises the error of a failed pool job
+            elif i in mine:
+                tables.append(mine[i])
+            else:
+                raise failure
+        return tables
+
+
 def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> CensusTable:
     """The CensusTable of every model of the requested kinds, in id order.
 
     The jobs are those of _census_jobs: one per quadric kind, and hyp cut
     into `workers` contiguous h-ranges of about equal model count.  They run
-    in a pool of min(workers, jobs) processes, or in this process when that
-    is one, and each returns a row table (_census_job).  The parent merges
-    equal rows across jobs and concatenates the tables in kind order, which
-    is id order; the result is identical for any worker count.  id_filter,
-    when given, keeps only ids it accepts (it must be picklable when a pool
-    runs).
+    in p = min(workers, jobs) processes: this one runs its share, every p-th
+    job from the first, and a pool of p - 1 processes the rest
+    (_shared_jobs); no pool opens when p is one.  Each job returns a row
+    table (_census_job).  This process merges equal rows across jobs and
+    concatenates the tables in kind order, which is id order; the result is
+    identical for any worker count.  id_filter, when given, keeps only ids
+    it accepts (it must be picklable when a pool runs).
     """
     if isinstance(kinds, str):
         kinds = (kinds,)
@@ -1028,8 +1099,7 @@ def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> CensusTable:
     if processes <= 1:
         tables = [_census_job(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            tables = list(pool.map(_census_job, jobs))
+        tables = _shared_jobs(jobs, processes)
     index: dict[tuple, int] = {}  # _row_key -> index in rows
     rows: list[tuple] = []
     pos, parts = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]

@@ -686,9 +686,11 @@ def test_job_plan_cuts_hyp_at_most_once_per_h():
 
 
 class _RecordingExecutor:
-    """Runs the pool's jobs in this process and records the pool size."""
+    """Runs the pool's jobs in this process and records the pool size and
+    the jobs handed to the pool."""
 
     sizes: list = []
+    jobs: list = []
 
     def __init__(self, max_workers=None):
         self.sizes.append(max_workers)
@@ -699,23 +701,71 @@ class _RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return list(map(fn, *iterables))
+    def map(self, fn, jobs):
+        self.jobs.extend(jobs)
+        return list(map(fn, jobs))
 
 
 @pytest.mark.parametrize("kinds, workers, pool", [
     ("ns", 2, []),
-    (("cone", "ns"), 3, [2]),
-    ("hyp", 3, [3]),
-    (census.KINDS, 2, [2]),
+    (("cone", "ns"), 3, [1]),
+    ("hyp", 3, [2]),
+    (census.KINDS, 2, [1]),
 ])
 def test_pool_runs_no_more_processes_than_jobs(monkeypatch, kinds, workers, pool):
+    # the census process is one of the computing processes, so the pool
+    # has one process fewer than min(workers, jobs)
     monkeypatch.setattr(census, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(_RecordingExecutor, "sizes", [])
     keep = {"ns;c=0x1d0c", "cone;c=0x4208", "hyp;h=0x01;f=0x221"}.__contains__
     records = run_census(kinds=kinds, workers=workers, id_filter=keep)
     assert records
     assert _RecordingExecutor.sizes == pool
+
+
+@pytest.mark.parametrize("kinds, workers, pool_jobs", [
+    (census.KINDS, 2, [("ns",), ("hyp", 36, 64)]),
+    (census.KINDS, 3, [("ns",), ("hyp", 1, 26), ("hyp", 46, 64)]),
+    ("hyp", 3, [("hyp", 26, 46), ("hyp", 46, 64)]),
+    (("cone", "ns"), 2, [("ns",)]),
+])
+def test_pool_gets_exactly_its_share_of_the_plan(monkeypatch, kinds, workers, pool_jobs):
+    # with p processes the census process runs every p-th job of the plan
+    # from the first (at two workers, cone and the lower h-range), the pool
+    # the rest, in plan order; the table is the one-process table
+    monkeypatch.setattr(census, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "jobs", [])
+    keep = frozenset(NAMED_EXPECTATIONS).__contains__
+    got = run_census(kinds=kinds, workers=workers, id_filter=keep)
+    assert [job[:-1] for job in _RecordingExecutor.jobs] == pool_jobs
+    assert all(job[-1] is keep for job in _RecordingExecutor.jobs)
+    one = run_census(kinds=kinds, workers=1, id_filter=keep)
+    assert got == one and list(got) == list(one)
+
+
+_CENSUS_JOB = census._census_job
+
+
+def _job_failing_for(failing, job):
+    """census._census_job, except that the jobs whose kind and h-range are
+    in failing raise; module-level, so a pool process can unpickle it."""
+    if job[:-1] in failing:
+        raise RuntimeError(f"job {job[:-1]} failed")
+    return _CENSUS_JOB(job)
+
+
+@pytest.mark.parametrize("failing", [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+def test_failure_names_the_earliest_failing_job_in_plan_order(monkeypatch, failing):
+    # the 2-worker plan is cone, ns, hyp 1..35, hyp 36..63; the census
+    # process runs jobs 0 and 2, a real pool jobs 1 and 3, and two of the
+    # four fail; the error is the earlier one's, whichever process ran it
+    keep = frozenset(NAMED_EXPECTATIONS).__contains__
+    jobs = [job[:-1] for job in census._census_jobs(census.KINDS, 2, keep)]
+    assert jobs == [("cone",), ("ns",), ("hyp", 1, 36), ("hyp", 36, 64)]
+    monkeypatch.setattr(census, "_census_job",
+                        functools.partial(_job_failing_for, frozenset(jobs[i] for i in failing)))
+    with pytest.raises(RuntimeError, match=re.escape(f"job {jobs[failing[0]]} failed")):
+        run_census(workers=2, id_filter=keep)
 
 
 def test_hyp_workers_byte_identity(full_census):
@@ -785,6 +835,37 @@ def test_sampled_census_round_trip(tmp_path, workers):
     assert len(entries) == len(everyone) == 244224
     assert [cid for cid, e in zip(everyone, entries) if e == 0xFFFF] == [cid for cid in everyone if not keep(cid)]
     assert [(cid, *table.rows[e]) for cid, e in zip(everyone, entries) if e != 0xFFFF] == list(table)
+
+
+def test_read_records_names_the_kind_edited_line_of_a_sampled_file(tmp_path):
+    # the first row, cone's, edited to ns equals an ns row on a later line;
+    # the edited line is refused, for its kind, before any repeat is seen
+    table = run_census(id_filter=_bench_sample_ids().__contains__)
+    path = tmp_path / "sample.jsonl"
+    write_records(path, table)
+    lines = path.read_text().splitlines(keepends=True)
+    (first,) = census._curve_ids(table.pos[:1])
+    assert first.startswith("cone;") and table.row[0] == 0
+    for kind in ("ns", "hyp"):
+        edited = lines[1].replace('"kind":"cone"', f'"kind":"{kind}"')
+        if kind == "ns":
+            assert edited in lines[2:]
+        path.write_text("".join(lines[:1] + [edited] + lines[2:]))
+        with pytest.raises(ValueError, match=re.escape(f"line 2: kind '{kind}' contradicts id '{first}'")):
+            read_records(path)
+
+
+def test_lookup_finds_one_model_by_id():
+    keep = frozenset(NAMED_EXPECTATIONS).__contains__
+    table = run_census(id_filter=keep)
+    assert [table.lookup(rec.id) for rec in table] == list(table)
+    assert table.lookup("ns;c=0x1d0c") == classify_model(parse_curve_id("ns;c=0x1d0c"))
+    # valid ids that id_filter dropped: before, between and after the kept ones
+    for cid in ("cone;c=0x0000", "hyp;h=0x01;f=0x222", "ns;c=0xffff"):
+        assert not keep(cid) and table.lookup(cid) is None
+    for cid in ("ns;c=0x1D0C", "hyp;h=0x01;f=0x021", "quartic;c=0x0000", 7):
+        with pytest.raises(ValueError, match="is not the curve_id of a census model"):
+            table.lookup(cid)
 
 
 def _mixed_records():
