@@ -87,10 +87,14 @@ Persistence stores the table itself, as JSON lines of schema
 g4c2-census/2: a header with the schema, the number of kept models of each
 kind ("records"), the row count and the SHA-256 of the body; one line per
 row, in the order of each row's first member, record_to_json of the row
-without its id; and one index line per kind with kept models, the
-row of every model of the kind's domain in id order as four hex digits,
-ffff for a model that id_filter dropped.  Output is byte-identical for any
-worker count.  No id is written or read, so none is read twice.
+without its id (_row_json spells it field by field); and one index line
+per kind with kept models, {"kind":"<kind>","rows":"<hex>"} spelled
+exactly so, the row of every model of the kind's domain in id order as
+four hex digits, ffff for a model that id_filter dropped.  read_records
+takes the index lines from the file's bytes, the hex straight to numpy,
+and parses only the header and the row lines as JSON.  Output is
+byte-identical for any worker count.  No id is written or read, so none
+is read twice.
 """
 
 import binascii
@@ -102,7 +106,7 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, product, repeat, starmap
+from itertools import accumulate, compress, count, product, repeat, starmap
 from operator import add
 from typing import NamedTuple
 
@@ -340,35 +344,50 @@ class CensusTable(Sequence):
         return [_curve_ids(self.pos[order[lo:hi]]) for lo, hi in zip([0] + ends, ends[:len(groups)])]
 
 
-# one encoder for every line: json.dumps with options builds a new one per call
+# one encoder for the header, the ids and _spell: json.dumps with options builds a new one per call
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the encoder's spelling of a value (a tuple as a list), made once per distinct
+# value (typed, so that 1 is not spelled as True)
+_spell = lru_cache(maxsize=None, typed=True)(_encode)
+
+
+def _decimals(values) -> str:
+    """The JSON list of str of each of values (counts, weil, slopes)."""
+    return '["' + '","'.join(map(str, values)) + '"]' if values else "[]"
+
+
+def _row_json(row: tuple, slopes_text: dict, cid: str | None = None) -> str:
+    """record_to_json of the record (cid, *row), without an id when cid is
+    None, spelled field by field in sorted key order: no dict, and the
+    encoder runs once per distinct value (_spell).  slopes_text maps
+    id(slopes) to (slopes, its text), so a caller that keeps it spells each
+    slopes tuple once."""
+    (kind, smooth, note, counts, weil, slopes, stratum, p_rank, a_number, two_rank, type43, eo_mu, eo_candidates,
+     aut, jacobian_aut) = row
+    if slopes is not None and id(slopes) not in slopes_text:
+        slopes_text[id(slopes)] = slopes, _decimals(slopes)
+    return "{" + ",".join(filter(None, (  # a field left out is False, None or ""
+        a_number is not None and f'"a_number":{_spell(a_number)}',
+        aut is not None and f'"aut":{_spell(aut)}',
+        counts is not None and f'"counts":{_decimals(counts)}',
+        eo_candidates is not None and f'"eo_candidates":{_spell(eo_candidates)}',
+        eo_mu is not None and f'"eo_mu":{_spell(eo_mu)}',
+        cid is not None and f'"id":{_encode(cid)}',
+        jacobian_aut is not None and f'"jacobian_aut":{_spell(jacobian_aut)}',
+        f'"kind":{_spell(kind)}',
+        note and f'"note":{_spell(note)}',
+        p_rank is not None and f'"p_rank":{_spell(p_rank)}',
+        slopes is not None and f'"slopes":{slopes_text[id(slopes)][1]}',
+        f'"smooth":{_spell(smooth)}',
+        stratum is not None and f'"stratum":{_spell(stratum)}',
+        two_rank is not None and f'"two_rank":{_spell(two_rank)}',
+        type43 is not None and f'"type43":{_spell(type43)}',
+        weil is not None and f'"weil":{_decimals(weil)}'))) + "}"
 
 
 def record_to_json(rec: CensusRecord) -> str:
     """One JSON line; exact integers as strings, None fields omitted."""
-    return _encode({"id": rec.id, **_json_fields(rec)})
-
-
-def _json_fields(rec: CensusRecord) -> dict:
-    """The JSON object of record_to_json without the id."""
-    d: dict = {"kind": rec.kind, "smooth": rec.smooth}
-    if rec.note:
-        d["note"] = rec.note
-    if rec.counts is not None:
-        d["counts"] = [str(n) for n in rec.counts]
-    if rec.weil is not None:
-        d["weil"] = [str(c) for c in rec.weil]
-    if rec.slopes is not None:
-        d["slopes"] = [str(s) for s in rec.slopes]
-    for key in ("stratum", "p_rank", "a_number", "two_rank", "type43", "aut", "jacobian_aut"):
-        v = getattr(rec, key)
-        if v is not None:
-            d[key] = v
-    if rec.eo_mu is not None:
-        d["eo_mu"] = list(rec.eo_mu)
-    if rec.eo_candidates is not None:
-        d["eo_candidates"] = [list(mu) for mu in rec.eo_candidates]
-    return d
+    return _row_json(rec[1:], {}, rec.id)
 
 
 def _unique_keys(pairs) -> dict:
@@ -497,7 +516,8 @@ def write_records(path, records) -> None:
     if len(table.rows) > _DROPPED:
         raise ValueError(f"{len(table.rows)} rows do not fit the index's four hex digits")
     # the body as bytes chunks, hashed and written without a joined copy
-    body = [f"{_encode(_json_fields(rec))}\n".encode("ascii") for rec in table.row_records()]
+    slopes_text: dict = {}
+    body = [f"{_row_json(row, slopes_text)}\n".encode("ascii") for row in table.rows]
     kept = {}
     for kind, lo, hi in _blocks(table.pos):
         if lo < hi:
@@ -525,19 +545,20 @@ def write_records(path, records) -> None:
 def read_records(path) -> CensusTable:
     """The CensusTable of a file written by write_records, checked line by
     line: a refusal names its line, and a refused row the first id using it.
-    The index lines are read first, so each row line is checked, as it is
-    parsed, against the kinds of the models that use it.
+    The index lines, the file's last lines, are read first and from its
+    bytes, so each must be spelled as the writer spells it; each row line is
+    then checked, as it is parsed, against the kinds of the models that use it.
     The body's SHA-256 is checked last, so that an edit every other check
     passes is refused too.  Schema /1, one line per model, is not read."""
     import hashlib  # here, as nothing else the package imports loads it
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        first, *lines = data.decode("ascii").splitlines() or [""]
-    except UnicodeDecodeError as exc:
-        at = exc.start
+    if not data.isascii():
+        at = re.search(b"[\x80-\xff]", data).start()
         lineno, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
-        raise ValueError(f"{path}: line {lineno}: non-ASCII byte 0x{data[at]:02x} at column {col}") from None
+        raise ValueError(f"{path}: line {lineno}: non-ASCII byte 0x{data[at]:02x} at column {col}")
+    # line 1 as splitlines cuts it, which is how the row lines are cut below
+    first, *_ = str(data[:data.find(b"\n") + 1 or len(data)], "ascii").splitlines() or [""]
     try:
         header = json.loads(first)
     except ValueError:
@@ -554,18 +575,24 @@ def read_records(path) -> CensusTable:
         raise ValueError(f"{path}: line 1: header records count {kept!r} (per kind) or row count {promised!r} "
                          "is not a non-negative integer")
     kinds = [kind for kind in KINDS if kind in kept]
-    if len(lines) < promised + len(kinds):
-        raise ValueError(f"{path}: line {len(lines) + 2}: missing; the header promises {promised} rows "
-                         f"and {len(kinds)} index lines")
-    split = len(lines) - len(kinds)  # row lines, then index lines
+    # the end of the last line, then the newline before each index line,
+    # found from the end; the row lines lie between line 1 and the first index line
+    breaks = [len(data) - data.endswith(b"\n")]
+    while len(breaks) <= len(kinds) and (nl := data.rfind(b"\n", 0, breaks[-1])) >= 0:
+        breaks.append(nl)
+    lines = str(memoryview(data)[:breaks[-1] + 1], "ascii").splitlines()[1:] if len(breaks) > len(kinds) else []
+    if len(lines) + len(breaks) - 1 < promised + len(kinds):
+        raise ValueError(f"{path}: line {len(lines) + len(breaks) + 1}: missing; the header promises {promised} "
+                         f"rows and {len(kinds)} index lines")
     pos, row = [], []  # per kind
-    owner = np.full(split, -1)  # per row, the index in kinds of its models' kind; -1 none, -2 several
-    for k, (lineno, kind, line) in enumerate(zip(range(split + 2, len(lines) + 2), kinds, lines[split:])):
+    owner = np.full(len(lines), -1)  # per row, the index in kinds of its models' kind; -1 none, -2 several
+    for k, (lineno, kind, end, nl) in enumerate(zip(count(len(lines) + 2), kinds, breaks[-2::-1], breaks[::-1])):
+        spelled = f'{{"kind":"{kind}","rows":"'.encode("ascii")
+        start = nl + 1 + len(spelled)  # the first hex digit
         try:
-            d = _decode(line)
-            if type(d) is not dict or d.keys() != {"kind", "rows"} or d["kind"] != kind:
+            if not (data.startswith(spelled, nl + 1, end) and data.endswith(b'"}', start, end)):
                 raise ValueError(f'not {{"kind":"{kind}","rows":...}}')
-            index = np.frombuffer(bytes.fromhex(d["rows"]), ">u2")
+            index = np.frombuffer(binascii.unhexlify(memoryview(data)[start:end - 2]), ">u2")
             if len(index) != _DOMAIN[kind]:
                 raise ValueError(f"{len(index)} entries, not one for each of the {_DOMAIN[kind]} models")
         except (ValueError, TypeError) as exc:
@@ -588,7 +615,7 @@ def read_records(path) -> CensusTable:
 
     seen: dict[tuple, int] = {}  # _row_key and slope strings -> row; no Fraction is hashed
     rows = []
-    for r, line in enumerate(lines[:split]):
+    for r, line in enumerate(lines):
         try:
             d, fields = _json_row(line)
             if "id" in d:

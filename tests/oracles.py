@@ -98,8 +98,29 @@ def l_series(counts, q: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# records files edited by hand
+# records lines and records files edited by hand
 # ---------------------------------------------------------------------------
+
+
+def record_json(rec, with_id: bool = True) -> str:
+    """record_to_json of rec (without its id unless with_id) built as a dict
+    and spelled by json.dumps with sorted keys: exact integers as strings,
+    None fields and an empty note omitted."""
+    d: dict = {"id": rec.id} if with_id else {}
+    d.update(kind=rec.kind, smooth=rec.smooth)
+    if rec.note:
+        d["note"] = rec.note
+    for key in ("counts", "weil", "slopes"):
+        if getattr(rec, key) is not None:
+            d[key] = [str(n) for n in getattr(rec, key)]
+    for key in ("stratum", "p_rank", "a_number", "two_rank", "type43", "aut", "jacobian_aut"):
+        if getattr(rec, key) is not None:
+            d[key] = getattr(rec, key)
+    if rec.eo_mu is not None:
+        d["eo_mu"] = list(rec.eo_mu)
+    if rec.eo_candidates is not None:
+        d["eo_candidates"] = [list(mu) for mu in rec.eo_candidates]
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
 def reseal(path) -> None:

@@ -49,7 +49,7 @@ from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_t
 from genus4census.gfarith import (F2X, _squarefree_decomposition, embedding, field, gf2x_degree, gf2x_factor,
                                   gf2x_gcd, gf2x_mul)
 
-from oracles import cubic_partials, index_entries, with_index_entry
+from oracles import cubic_partials, index_entries, record_json, reseal, with_index_entry
 
 
 # ---------------------------------------------------------------------------
@@ -904,6 +904,31 @@ def test_write_records_lines_are_record_to_json(tmp_path):
     assert len(first_of_key) < len([r for r in back if r.smooth])
 
 
+def test_row_lines_are_the_dict_spelling(full_census):
+    # the writer spells each field itself; json.dumps of the record's dict,
+    # sorted keys, is the oracle, on every row of the census
+    records, _ = full_census
+    slopes_text: dict = {}
+    assert [census._row_json(row, slopes_text) for row in records.rows] == [
+        record_json(CensusRecord("", *row), with_id=False) for row in records.rows]
+    # one slopes text per slopes tuple, which rows of a job share
+    assert len(slopes_text) == len({id(row[5]) for row in records.rows if row[5] is not None}) < len(records.rows) / 4
+
+
+def test_record_to_json_is_the_dict_spelling():
+    # the fields the census never sets, escapes, an empty partition list
+    # and ids, against the oracle
+    smooth = classify_model(parse_curve_id("ns;c=0x1d0c"))
+    singular = next(r for r in _h1_subset() if not r.smooth)
+    for rec in (smooth, singular, smooth._replace(aut=6, jacobian_aut=12),
+                smooth._replace(eo_mu=None, eo_candidates=((4, 2), (4, 1), (3,))),
+                smooth._replace(eo_candidates=(), counts=(), slopes=()),
+                singular._replace(note='a "quoted" \\ note,\twith\u00e9 escapes', id='hyp;"x"\u00e9'),
+                smooth._replace(id="", stratum="s\u00e9", type43=True, p_rank=0, a_number=None)):
+        assert record_to_json(rec) == record_json(rec)
+        assert census._row_json(rec[1:], {}) == record_json(rec, with_id=False)
+
+
 @pytest.mark.parametrize("cid", ['hyp;"x"', "hyp;\\x", "hyp;\tx", "hyp;\u00e9", "", 7, "ns;c=0x1d_0c", "zz;x"])
 def test_write_records_refuses_id_outside_the_rule(tmp_path, cid):
     path = tmp_path / "records.jsonl"
@@ -1182,6 +1207,43 @@ def test_read_records_refuses_duplicated_or_moved_line(tmp_path):
     path.write_text("".join(lines[:2] + lines[3:4] + lines[2:3] + lines[4:]))
     with pytest.raises(ValueError, match=r"line 1: the body's SHA-256 is [0-9a-f]{64}, not the header's"):
         read_records(path)
+
+
+# index lines that json.loads reads as the writer's, or with a hex string that
+# is not a whole number of bytes; resealed, so that only the spelling is refused
+@pytest.mark.parametrize("edit, lineno, kind, why", [
+    pytest.param(lambda lines: lines[:7] + [lines[7].replace('"kind":"hyp"', '"kind": "hyp"')] + lines[8:],
+                 8, "hyp", 'not {"kind":"hyp","rows":...}', id="space-after-colon"),
+    pytest.param(lambda lines: lines[:7] + [json.dumps({"rows": json.loads(lines[7])["rows"], "kind": "hyp"},
+                                                       separators=(",", ":")) + "\n"] + lines[8:],
+                 8, "hyp", 'not {"kind":"hyp","rows":...}', id="swapped-keys"),
+    pytest.param(lambda lines: [line.replace("\n", "\r\n") for line in lines],
+                 7, "cone", 'not {"kind":"cone","rows":...}', id="crlf"),
+    pytest.param(lambda lines: lines[:7] + [lines[7].replace('"rows":"', '"rows":"0')] + lines[8:],
+                 8, "hyp", "Odd-length string", id="odd-length-hex"),
+    pytest.param(lambda lines: lines[:7] + [lines[7].replace('"rows":"ffff', '"rows":"fffg')] + lines[8:],
+                 8, "hyp", "Non-hexadecimal digit found", id="non-hex-digit"),
+    pytest.param(lambda lines: lines[:8] + [lines[8].replace('"}', '"} ')],
+                 9, "ns", 'not {"kind":"ns","rows":...}', id="byte-after-the-brace"),
+])
+def test_read_records_refuses_index_line_in_another_spelling(tmp_path, edit, lineno, kind, why):
+    path, lines = _written_lines(tmp_path)
+    edited = edit(lines)
+    assert len(edited) == len(lines) and edited != lines
+    path.write_text("".join(edited))
+    reseal(path)
+    with pytest.raises(ValueError, match=re.escape(
+            f"records.jsonl: line {lineno}: malformed index line of kind {kind!r}: {why}")):
+        read_records(path)
+
+
+def test_read_records_decodes_row_lines_only(tmp_path, monkeypatch):
+    # the JSON decoder runs once per row line; the index lines are read from the bytes
+    path, lines = _written_lines(tmp_path)
+    decoded, decode = [], census._decode
+    monkeypatch.setattr(census, "_decode", lambda line: decoded.append(line) or decode(line))
+    assert read_records(path) == _named_records()
+    assert decoded == [line.rstrip("\n") for line in lines[1:6]]
 
 
 def _header_with(lines, **change):
