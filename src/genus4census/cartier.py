@@ -50,8 +50,11 @@ the XOR of the matrices of its set bits.  A matrix over F_2 packs into a
 16-bit word, bit 4 i + j holding row i, column j (cartier_word), so the
 word of any mask is the XOR of 16 basis words, one per single-bit mask,
 built from cartier_operator once per kind on first use
-(quadric_cartier_word, by xor_apply).  Nibble i of a word is C(e_i), so the ranks read
-the word directly (word_invariants), once per distinct word.
+(quadric_cartier_word, by xor_apply).  The same holds for hyp in the
+bits of h: row i is the odd part of x^i h, so the word of any h is the XOR
+of 6 basis words, one per h = x^j (hyp_cartier_word).  Nibble i of a word
+is C(e_i), so the ranks read the word directly (word_invariants), once per
+distinct word, for every kind.
 
 The [4,3]-candidate criterion (rank 2 and C^2 = 0 at 2-rank 0) is stated for
 curves on the smooth quadric; this module applies the same matrix test to
@@ -65,7 +68,7 @@ from functools import lru_cache
 
 from ._value import Value, setfield
 from .curves import (HyperellipticCurve, QuadricCubicCurve, biv_from_rows, chart_polynomial,
-                     quadric_curve_from_mask)
+                     hyperelliptic_from_masks, quadric_curve_from_mask)
 from .gfarith import FieldSpec, f2_rref, xor_apply
 
 __all__ = [
@@ -73,6 +76,7 @@ __all__ = [
     "cartier_operator",
     "cartier_word",
     "quadric_cartier_word",
+    "hyp_cartier_word",
     "word_invariants",
     "hasse_witt_rows",
     "a_number",
@@ -158,6 +162,18 @@ def quadric_cartier_word(kind: str, mask: int) -> int:
     """cartier_word(cartier_operator(quadric_curve_from_mask(kind, mask))),
     as the XOR of the basis words of the mask's set bits."""
     return xor_apply(_quadric_basis_words(kind), mask)
+
+
+@lru_cache(maxsize=None)
+def _hyp_basis_words() -> tuple[int, ...]:
+    """The Cartier words of h = x^j, j < 6; f does not enter, so f = x^10."""
+    return tuple(cartier_word(cartier_operator(hyperelliptic_from_masks(1 << j, 1 << 10))) for j in range(6))
+
+
+def hyp_cartier_word(hm: int) -> int:
+    """cartier_word(cartier_operator(hyperelliptic_from_masks(hm, f))) for
+    any f, as the XOR of the basis words of the set bits of the h mask hm."""
+    return xor_apply(_hyp_basis_words(), hm)
 
 
 def hasse_witt_rows(op: SemilinearOperator) -> tuple[tuple[int, int, int, int], ...]:

@@ -33,19 +33,18 @@ Fast paths, each validated against the generic engines in the test suite:
   representative's scan flag is read from the kind's one scan of all 2^16
   masks, and its smoothness (_quadric_smooth_f2: gcds of packed
   u-polynomials on one chart, no factorization) and Cartier data are
-  computed once per process and broadcast to the members; counts stay
-  per mask, so each distinct count vector of an orbit is checked against
-  the broadcast 2-rank.  classify_model and is_smooth decide the model
-  itself, and classify_model builds the model's own Cartier operator, a
-  second route to the same records;
-* the Cartier matrix of a quadric mask is F_2-linear in its bits, so an
-  orbit representative's Cartier data (_ns_cartier) is read from its
-  Cartier word, the XOR of 16 basis words, one per single-bit mask
-  (cartier.quadric_cartier_word), and ranked once per distinct word
-  (cartier.word_invariants); an h's (_hyp_cartier) from its operator
-  (cartier.invariants).  Both rank the matrix as F_2 bit images: C^2 and
-  C^4 composed by gfarith.xor_apply and ranked by gfarith.f2_rref, C^2
-  computed once for the 2-rank and the [4,3] test;
+  computed once per process and broadcast to the members; counts are read
+  per mask and must equal the representative's, an isomorphism invariant
+  checked on every open mask.  classify_model and is_smooth decide the
+  model itself, and classify_model ranks the model's own Cartier
+  operator (cartier.invariants), a second route to the same records;
+* the Cartier matrix is F_2-linear in the bits of a quadric mask and of h,
+  so an orbit representative's Cartier data (_ns_cartier) is read from its
+  Cartier word, the XOR of 16 basis words (cartier.quadric_cartier_word),
+  and an h's (_hyp_cartier) from the XOR of 6 (cartier.hyp_cartier_word);
+  cartier.word_invariants ranks each distinct word once, as F_2 bit
+  images: C^2 and C^4 composed by gfarith.xor_apply and ranked by
+  gfarith.f2_rref, C^2 computed once for the 2-rank and the [4,3] test;
 * hyperelliptic counting uses that Tr(f(x)/h(x)^2) is F_2-linear in the
   coefficient bits of f, so one 11-bit functional per (h, x) gives the counts
   of all f at once: one gather of parity(f & l) over the functionals of
@@ -77,11 +76,13 @@ A census result is a CensusTable: the models' positions in the model space
 and the distinct id-free rows; the whole census has 679 rows for 244,224
 models.  Queries run each predicate once per row and spell ids only for
 the models they select.  run_census cuts the census into jobs by cost
-(_census_jobs); a job reduces each model to a head (a note or Cartier data)
-above its counts, checks and builds each distinct (head, counts) once as a
-row (_row_table), and the census process merges equal rows across jobs;
-no record is built.  With N workers the census process runs a share of the
-jobs itself, beside a pool of N - 1 processes (_shared_jobs).
+(_census_jobs).  A job calls id_filter once per id, in id order, spelling
+the ids one prefix of _HEADS at a time (_kept); it reduces each kept model
+to a head (a note or Cartier data) above its counts, checks and builds
+each distinct (head, counts) once as a row (_row_table), and the census
+process merges equal rows across jobs; no record is built.  With N
+workers the census process runs a share of the jobs itself, beside a pool
+of N - 1 processes (_shared_jobs).
 
 Persistence stores the table itself, as JSON lines of schema
 g4c2-census/2: a header with the schema, the number of kept models of each
@@ -106,7 +107,7 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, count, product, repeat, starmap
+from itertools import accumulate, chain, count, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -132,7 +133,6 @@ from .curves import (
     # name, which tests/test_surface.py checks
     apply_transform,  # noqa: F401
     count_points,
-    hyperelliptic_from_masks,
     hyperelliptic_transformed,  # noqa: F401
     is_smooth,
     jacobian_aut_order,
@@ -605,10 +605,11 @@ def read_records(path) -> CensusTable:
                 f"gives {_curve_ids(beyond + _START[kind])[0]!r} row {index[beyond[0]]}, beyond the {promised} rows"))
         pos.append(keep + _START[kind])
         row.append(index[keep])
-        owner[row[-1]] = np.where(owner[row[-1]] == -1, k, -2)
+        used = np.bincount(row[-1], minlength=len(lines)) > 0  # the rows of the kind's models
+        owner[used] = np.where(owner[used] == -1, k, -2)
     table = CensusTable(np.concatenate([np.zeros(0, np.intp), *pos]),
                         np.concatenate([np.zeros(0, np.uint16), *row]), ())
-    owner = list(map({-1: "", -2: None, **dict(enumerate(kinds))}.__getitem__, owner.tolist()))
+    kind_of = list(map({-1: "", -2: None, **dict(enumerate(kinds))}.__getitem__, owner.tolist()))
 
     def row_of(r: int) -> str:  # the first model of row r, for an error
         return next((f"the row of {cid!r}" for cid in _curve_ids(table.pos[table.row == r][:1])), "a row no model uses")
@@ -625,14 +626,14 @@ def read_records(path) -> CensusTable:
         earlier = seen.setdefault((_row_key(fields), *d.get("slopes", ())), r)
         if earlier != r:
             raise ValueError(f"{path}: line {r + 2}: repeats the row of line {earlier + 2}, {row_of(r)}")
-        if owner[r] not in ("", fields[0]):  # named with the first model of another kind that uses it
+        if kind_of[r] not in ("", fields[0]):  # named with the first model of another kind that uses it
             k = next(k for k, kind in enumerate(kinds) if kind != fields[0] and (row[k] == r).any())
             cid = _curve_ids(pos[k][row[k] == r][:1])[0]
             raise ValueError(f"{path}: line {r + 2}: kind {fields[0]!r} contradicts id {cid!r}")
         rows.append(fields)
     if len(rows) != promised:
         raise ValueError(f"{path}: line 1: header promises {promised} rows, the body has {len(rows)}")
-    unused = np.flatnonzero(np.bincount(table.row, minlength=len(rows)) == 0)[:1]
+    unused = np.flatnonzero(owner == -1)[:1]
     if len(unused):
         raise ValueError(f"{path}: line {unused[0] + 2}: a row no model uses")
     table = CensusTable(table.pos, _row_array(table.row, len(rows)), tuple(rows))
@@ -779,19 +780,17 @@ def _hyp_smooth_table() -> np.ndarray:
 def _hyp_cartier(hm: int):
     """(a_number, two_rank, type43) for every model sharing this h.
 
-    The Cartier matrix in the basis x^(i-1) dx/h depends on h alone.  An
-    Artin-Schreier double cover has 2-rank = (number of branch points) - 1;
-    the branch points are the distinct roots of h, as many as the degree
-    of its radical (no factorization needed), plus infinity when
-    deg h < 5, so the matrix-side 2-rank is checked against that count.
+    The Cartier matrix in the basis x^(i-1) dx/h depends on h alone, and is
+    read from its word (cartier.hyp_cartier_word).  An Artin-Schreier double
+    cover has 2-rank = (number of branch points) - 1; the branch points are
+    the distinct roots of h, as many as the degree of its radical (no
+    factorization needed), plus infinity when deg h < 5, so the word's
+    2-rank is checked against that count.
     """
-    a, s2, t43 = cartier.invariants(cartier_operator(hyperelliptic_from_masks(hm, 1 << 10)))
-    branch = sum(gf2x_degree(s) for s, _ in _squarefree_decomposition(F2X, hm))
-    branch += 1 if gf2x_degree(hm) < 5 else 0
+    a, s2, t43 = cartier.word_invariants(cartier.hyp_cartier_word(hm))
+    branch = sum(gf2x_degree(s) for s, _ in _squarefree_decomposition(F2X, hm)) + (gf2x_degree(hm) < 5)
     if s2 != branch - 1:
-        raise RuntimeError(
-            f"2-rank {s2} of the Cartier operator disagrees with {branch} branch points for h=0x{hm:02x}"
-        )
+        raise RuntimeError(f"2-rank {s2} of the Cartier word disagrees with {branch} branch points for h=0x{hm:02x}")
     return a, s2, t43
 
 
@@ -902,12 +901,14 @@ def _row_key(row: tuple) -> tuple:
     return row[:5] + row[6:]
 
 
-def _kept(ids, n: int, keep) -> np.ndarray:
-    """The indices in 0..n-1 of the n ids (an iterator, read only when keep
-    is given) that keep accepts, calling it once per id, in order; all when keep is None."""
+def _kept(heads, tails, keep) -> np.ndarray:
+    """The indices i * len(tails) + j of the ids heads[i] + tails[j] that keep
+    accepts, calling it once per id, in id order; all when keep is None.  A
+    head's ids are spelled by one join and one split."""
     if keep is None:
-        return np.arange(n)
-    return np.fromiter(compress(range(n), map(keep, ids)), np.intp)
+        return np.arange(len(heads) * len(tails))
+    ids = ((head + ("\n" + head).join(tails)).split("\n") for head in heads)
+    return np.flatnonzero(np.fromiter(map(keep, chain.from_iterable(ids)), bool, len(heads) * len(tails)))
 
 
 def _head_index(heads: dict, values) -> np.ndarray:
@@ -957,12 +958,12 @@ def _quadric_chunk(kind: str, keep=None) -> tuple[np.ndarray, np.ndarray, tuple]
     witness column, so it is built once per field.  An open mask's head is
     its orbit representative's decision, made once per distinct
     representative: the note when it is singular, else its Cartier data,
-    which is broadcast to every member's counts, so the 2-rank is checked
-    against every distinct count vector of the orbit.
+    which is broadcast to every member.  An isomorphism keeps the scan's
+    flag and counts, so a member's must equal its representative's.
     """
     counts, flagged, witness = _quadric_scan(kind, 0, 1 << 16)
     base = _HEAD_BASE[KINDS.index(kind)]
-    masks = _kept(starmap(add, product(_HEADS[base:base + 256], _HEX2)), 1 << 16, keep)
+    masks = _kept(_HEADS[base:base + 256], _HEX2, keep)
     pos = _START[kind] + masks
     heads: dict = {}
     head = np.empty(len(masks), np.intp)
@@ -973,12 +974,12 @@ def _quadric_chunk(kind: str, keep=None) -> tuple[np.ndarray, np.ndarray, tuple]
     head[flag_pos] = _head_index(heads, notes)[of_field]
     open_pos = np.flatnonzero(~flagged[masks])
     reps = _quadric_images(kind, masks[open_pos]).min(axis=1)
-    bad = flagged[reps]
+    bad = flagged[reps] | (counts[masks[open_pos]] != counts[reps]).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
         (cid,) = _curve_ids(pos[open_pos[i:i + 1]])
-        raise RuntimeError(f"the scan flags the orbit representative {kind};c=0x{reps[i]:04x} "
-                           f"of {cid} but not {cid} itself")
+        raise RuntimeError(f"the scan flags or counts the orbit representative {kind};c=0x{reps[i]:04x} "
+                           f"of {cid} otherwise than {cid} itself")
     distinct, of_rep = np.unique(reps, return_inverse=True)
     decisions = [_quadric_orbit_decision(kind, rep) for rep in distinct.tolist()]
     head[open_pos] = _head_index(heads, [cart if res.smooth else res.note for res, cart in decisions])[of_rep]
@@ -993,13 +994,10 @@ def _hyp_chunk(h0: int, h1: int, keep=None) -> tuple[np.ndarray, np.ndarray, tup
     Cartier data, which depends on h alone, and the two notes of
     _HYP_NOTES.  Per h, one parity gather counts the kept smooth models.
     """
-    pos: list[np.ndarray] = []
-    head: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
-    heads: dict = {}
+    pos, head, counts, heads = [], [], [], {}  # pos, head and counts per h
     for hm in range(h0, h1):
         f0 = _hyp_f_min(hm)
-        kept = _kept(map(_HEADS[256 + hm].__add__, _F_SUFFIX[f0:]), 2048 - f0, keep)
+        kept = _kept(_HEADS[256 + hm:257 + hm], _F_SUFFIX[f0:], keep)
         pos.append(_HYP_FIRST[hm] + kept)
         fms = f0 + kept
         codes = _hyp_smooth_masks(hm)[fms]
@@ -1026,8 +1024,8 @@ def classify_model(curve) -> CensusRecord:
     if not res.smooth:
         return CensusRecord(id=cid, kind=kind, smooth=False, note=res.note)
     counts = tuple(count_points(curve, n, raw=True) for n in _DEGREES)
-    # the model's own operator, not the census's Cartier word of its mask
-    cart = _hyp_cartier(curve.masks[0]) if kind == "hyp" else cartier.invariants(cartier_operator(curve))
+    # the model's own operator, not the census's Cartier word of its mask or h
+    cart = cartier.invariants(cartier_operator(curve))
     return _classified_record(kind, cid, counts, cart)
 
 

@@ -262,6 +262,15 @@ def test_bit_route_matches_oracle_on_every_hyp_h():
         assert census._hyp_cartier(hm) == _assert_bit_route_matches_oracle(op), hm
 
 
+def test_hyp_cartier_word_matches_operator_on_every_h():
+    # the XOR of the six basis words against cartier_operator, for f = x^10
+    # and other f of the genus-4 shape: f does not enter the matrix
+    for hm in range(1, 64):
+        for fm in (1 << 10, 1 << 9, 0x7FF, 0x2A5, 0x4C3):
+            op = cartier_operator(hyperelliptic_from_masks(hm, fm))
+            assert cartier.hyp_cartier_word(hm) == cartier.cartier_word(op), (hex(hm), hex(fm))
+
+
 def test_bit_route_matches_oracle_on_census_quadric_representatives():
     # the orbit representatives _quadric_chunk decides: least image of each
     # mask the scan leaves unflagged

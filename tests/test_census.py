@@ -448,6 +448,54 @@ def test_orbit_representative_flagged_aborts(monkeypatch, fresh_orbit_decisions)
         run_census(kinds="cone", id_filter={"cone;c=0x4208"}.__contains__)
 
 
+def test_orbit_count_constancy_kills_a_one_member_bump(monkeypatch, fresh_orbit_decisions):
+    # one member of cone;c=0x4208's orbit gets the counts of another smooth
+    # representative with the same Cartier data: every later check accepts
+    # those counts, so only the orbit-constancy check can refuse the model
+    real = census._quadric_scan
+    counts, flagged, _ = real("cone", 0, 1 << 16)
+    rep = 0x4208
+    member = int(min(m for m in census._quadric_images("cone", [rep])[0].tolist() if m != rep))
+    cart = census._quadric_orbit_decision("cone", rep)[1]
+    reps = set(census._quadric_images("cone", np.flatnonzero(~flagged)).min(axis=1).tolist())
+    donor = min(r for r in reps if census._quadric_orbit_decision("cone", r)[1] == cart
+                and (counts[r] != counts[rep]).any())
+
+    def bumped(kind, m0, m1):
+        counts, flagged, witness = real(kind, m0, m1)
+        counts = counts.copy()
+        counts[member - m0] = counts[donor - m0]
+        return counts, flagged, witness
+
+    monkeypatch.setattr(census, "_quadric_scan", bumped)
+    member_id = f"cone;c=0x{member:04x}"
+    with pytest.raises(RuntimeError, match=f"the scan flags or counts the orbit representative "
+                                           f"cone;c=0x{rep:04x} of {member_id} otherwise than {member_id} itself"):
+        run_census(kinds="cone", id_filter={member_id}.__contains__)
+
+
+@pytest.mark.parametrize("job", [("cone",), ("ns",), ("hyp", 30, 34)], ids=["cone", "ns", "hyp-30-34"])
+def test_id_filter_sees_every_id_of_the_job_once_in_order(job):
+    # a spy on one job of each quadric kind and on an h-range across
+    # deg h = 4 (f from 0x200) and deg h = 5 (every f); it keeps a CRC-32
+    # share, and the job's positions are exactly the kept ids'
+    if job[0] == "hyp":
+        lo, hi = census._HYP_FIRST[job[1]], census._HYP_FIRST[job[2]]
+    else:
+        lo = census._START[job[0]]
+        hi = lo + (1 << 16)
+    seen = []
+
+    def spy(cid):
+        seen.append(cid)
+        return zlib.crc32(cid.encode()) % 3 == 0
+
+    pos, _, _ = census._census_job((*job, spy))
+    want = census._curve_ids(np.arange(lo, hi))
+    assert seen == want
+    assert pos.tolist() == [p for p, cid in zip(range(lo, hi), want) if zlib.crc32(cid.encode()) % 3 == 0]
+
+
 def test_hyp_cartier_checked_per_member_of_its_h(monkeypatch):
     # the hyp twin of the broadcast test: a wrong 2-rank for one h reaches
     # every smooth model of that h through its rows, and the census names
