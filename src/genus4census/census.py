@@ -75,14 +75,15 @@ A census result is a CensusTable: the models' positions in the model space
 (the domains of KINDS in order, which is id order), one row index per model
 and the distinct id-free rows; the whole census has 679 rows for 244,224
 models.  Queries run each predicate once per row and spell ids only for
-the models they select.  run_census cuts the census into jobs by cost
-(_census_jobs).  A job calls id_filter once per id, in id order, spelling
-the ids one prefix of _HEADS at a time (_kept); it reduces each kept model
-to a head (a note or Cartier data) above its counts, checks and builds
-each distinct (head, counts) once as a row (_row_table), and the census
-process merges equal rows across jobs; no record is built.  With N
-workers the census process runs a share of the jobs itself, beside a pool
-of N - 1 processes (_shared_jobs).
+the models they select (_curve_ids).  run_census cuts the census into
+jobs by cost (_census_jobs).  A job calls id_filter once per id, in id
+order (_kept).  Both spell ids a head of _HEADS at a time, by one join
+and one split (_spelled).  A job reduces each kept model to a head (a
+note or Cartier data) above its counts, checks and builds each distinct
+(head, counts) once as a row (_row_table), and the census process merges
+equal rows across jobs; no record is built.  With N workers the census
+process runs a share of the jobs itself, beside a pool of N - 1
+processes (_shared_jobs).
 
 Persistence stores the table itself, as JSON lines of schema
 g4c2-census/2: a header with the schema, the number of kept models of each
@@ -93,9 +94,11 @@ per kind with kept models, {"kind":"<kind>","rows":"<hex>"} spelled
 exactly so, the row of every model of the kind's domain in id order as
 four hex digits, ffff for a model that id_filter dropped.  read_records
 takes the index lines from the file's bytes, the hex straight to numpy,
-and parses only the header and the row lines as JSON.  Output is
-byte-identical for any worker count.  No id is written or read, so none
-is read twice.
+and parses only the header and the row lines as JSON: each row line on
+its own, by one decoder whose object hook builds the row from the pairs
+(_row_object), checking each layout of keys and value types once
+(_row_plan).  Output is byte-identical for any worker count.  No id is
+written or read, so none is read twice.
 """
 
 import binascii
@@ -235,18 +238,29 @@ _HEADS = (*[f"cone;c=0x{b:02x}" for b in range(256)], *[f"hyp;h=0x{hm:02x}" for 
           *[f"ns;c=0x{b:02x}" for b in range(256)])
 _HEAD_BASE = (0, 256, 320)
 _TAILS = _HEX2 + _F_SUFFIX
+# the position of each head's first model (h = 0 has none and shares h = 1's)
+# and what a position of the head adds for its tail's index in _TAILS, built
+# from lists, as a numpy ufunc call at import raises every process's peak memory
+_HEAD_FIRST = np.array((*range(0, 1 << 16, 256), *_HYP_FIRST[:64], *range(_START["ns"], _BOUNDS[3], 256)))
+_TAIL_SHIFT = np.array([(256 + _hyp_f_min(h - 256) if 256 <= h < 320 else 0) - first
+                        for h, first in enumerate(_HEAD_FIRST.tolist())])
+
+
+def _spelled(head: str, tails) -> list[str]:
+    """head + tail for each of tails (at least one), by one join and one split."""
+    return (head + ("\n" + head).join(tails)).split("\n")
 
 
 def _curve_ids(pos) -> list[str]:
-    """The curve ids of the models at positions pos (a numpy integer array)."""
-    k = np.searchsorted(_BOUNDS, pos, side="right") - 1
-    m = pos - np.take(_BOUNDS, k)  # a quadric mask
-    hm = np.searchsorted(_HYP_FIRST, pos, side="right") - 1
-    hyp = k == 1
-    head = np.where(hyp, 256 + hm, np.take(_HEAD_BASE, k) + (m >> 8))
-    # a hyp tail is 256 + f, f = pos - _HYP_FIRST[h] + _hyp_f_min(h)
-    tail = np.where(hyp, 256 + pos - np.take(_HYP_FIRST, hm) + np.where(hm < 32, 512, 0), m & 255)
-    return list(map(add, map(_HEADS.__getitem__, head.tolist()), map(_TAILS.__getitem__, tail.tolist())))
+    """The curve ids of the models at positions pos (a numpy integer array),
+    spelled a run of one head at a time."""
+    head = np.searchsorted(_HEAD_FIRST, pos, side="right") - 1
+    tail = (pos + np.take(_TAIL_SHIFT, head)).tolist()
+    starts = np.flatnonzero(np.diff(head, prepend=-1)).tolist()
+    ids = []
+    for h, lo, hi in zip(np.take(head, starts).tolist(), starts, starts[1:] + [len(tail)]):
+        ids += _spelled(_HEADS[h], map(_TAILS.__getitem__, tail[lo:hi]))
+    return ids
 
 
 def _blocks(pos: np.ndarray) -> list[tuple[str, int, int]]:
@@ -390,17 +404,6 @@ def record_to_json(rec: CensusRecord) -> str:
     return _row_json(rec[1:], {}, rec.id)
 
 
-def _unique_keys(pairs) -> dict:
-    d = dict(pairs)
-    if len(d) != len(pairs):
-        keys = [k for k, _ in pairs]
-        raise ValueError(f"repeated key {next(k for k in d if keys.count(k) > 1)!r}")
-    return d
-
-
-# one decoder for every line: json.loads with a hook builds a new one per call
-_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
-
 # the JSON type record_to_json writes for each scalar field
 _SCALAR_TYPES = {"id": str, "kind": str, "smooth": bool, "note": str, "stratum": str, "type43": bool,
                  **dict.fromkeys(("p_rank", "a_number", "two_rank", "aut", "jacobian_aut"), int)}
@@ -438,43 +441,97 @@ def _ints(v) -> tuple[int, ...]:
     return tuple(map(_json_int, v))
 
 
-def _list_field(d: dict, key: str, parse, what: str):
-    """The tuple of parse over the list field key of d, None when d has no
-    such field; a value that is not a list of what is refused, naming it."""
-    if key not in d:
-        return None
-    v = d[key]
+# the parse of each item of a list field, and what the items must be
+_LIST_FIELDS = {"counts": (_integer, "decimal strings"), "weil": (_integer, "decimal strings"),
+                "slopes": (_slope, "fraction strings"), "eo_mu": (_json_int, "integers"),
+                "eo_candidates": (_ints, "lists of integers")}
+_ROW_FIELDS = CensusRecord._fields[1:]
+# (keys, their values' types) -> (a getter of the row, slope strings and id
+# from the values and (None, "", ()), and (index in the row, parse) of each
+# list field), for each layout that passed _row_plan
+_ROW_PLANS: dict[tuple, tuple] = {}
+
+
+class _Object(list):
+    """The pairs of a decoded JSON object, printed as their dict, and the
+    row they spell (cid, the id or None; row; slopes, the slope strings) or
+    the error that refuses them as one.  Every object is one, nested or not."""
+
+    __slots__ = ("cid", "row", "slopes", "error")
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
+def _row_plan(keys: tuple, types: tuple, values: tuple) -> tuple:
+    """The plan of a layout (see _ROW_PLANS), cached.  It refuses a scalar
+    field of another JSON type than record_to_json writes for it (1 for
+    true), then a missing kind or smooth (KeyError)."""
+    for key, t, value in zip(keys, types, values):
+        if key in _SCALAR_TYPES and t is not _SCALAR_TYPES[key]:
+            raise ValueError(f"field {key!r} is {value!r}, not of type {_SCALAR_TYPES[key].__name__}")
+    for key in ("kind", "smooth"):
+        if key not in keys:
+            raise KeyError(key)
+    n = len(keys)  # a missing field reads None, a missing note "" and missing slope strings ()
+    at = {**dict.fromkeys(CensusRecord._fields, n), "note": n + 1, **dict(zip(keys, range(n)))}
+    get = operator.itemgetter(*map(at.get, _ROW_FIELDS), at["slopes"] if "slopes" in keys else n + 2, at["id"])
+    lists = tuple((i, _LIST_FIELDS[key][0]) for i, key in enumerate(_ROW_FIELDS) if key in _LIST_FIELDS and key in keys)
+    plan = _ROW_PLANS[keys, types] = get, lists
+    return plan
+
+
+def _row_object(pairs: list) -> _Object:
+    """The decoder's object_pairs_hook: pairs as an _Object.  A repeated key
+    is refused at once, at any depth; the other faults are kept in error, so
+    that a nested object prints as its dict in its parent's refusal: those
+    of _row_plan, then a list field that is no list of what _LIST_FIELDS
+    says ("1234" for counts)."""
+    obj = _Object(pairs)
+    keys, values = zip(*pairs) if pairs else ((), ())
+    layout = keys, tuple(map(type, values))
+    plan = _ROW_PLANS.get(layout)
+    if plan is None and len(set(keys)) != len(keys):
+        raise ValueError(f"repeated key {next(k for k in dict(pairs) if keys.count(k) > 1)!r}")
     try:
-        if type(v) is list:
-            return tuple(map(parse, v))
-    except (ValueError, TypeError):  # TypeError: an unhashable value for a cached parse
-        pass
-    raise ValueError(f"field {key!r} is {v!r}, not a list of {what}")
+        get, lists = plan or _row_plan(*layout, values)
+        *fields, obj.slopes, obj.cid = get(values + (None, "", ()))
+        for i, parse in lists:
+            items = fields[i]
+            try:
+                if type(items) is list:
+                    fields[i] = tuple(map(parse, items))
+                    continue
+            except (ValueError, TypeError):  # TypeError: an unhashable item for a cached parse
+                pass
+            raise ValueError(f"field {_ROW_FIELDS[i]!r} is {items!r}, not a list of {_LIST_FIELDS[_ROW_FIELDS[i]][1]}")
+    except (ValueError, KeyError) as exc:
+        obj.error = exc
+        return obj
+    obj.row, obj.error = tuple(fields), None
+    return obj
 
 
-def _json_row(line: str) -> tuple[dict, tuple]:
-    """(the JSON object of line, its id-free row: the CensusRecord fields
-    after id).  A line that is not an object or repeats a key is refused,
-    and so is a field of another JSON type than record_to_json writes for
-    it (1 for true, "1234" for a list of counts)."""
-    d = _decode(line)
-    if type(d) is not dict:
-        raise ValueError(f"{d!r} is not a JSON object")
-    for key in d.keys() & _SCALAR_TYPES.keys():
-        if type(d[key]) is not _SCALAR_TYPES[key]:
-            raise ValueError(f"field {key!r} is {d[key]!r}, not of type {_SCALAR_TYPES[key].__name__}")
-    return d, (d["kind"], d["smooth"], d.get("note", ""),
-               *(_list_field(d, key, _integer, "decimal strings") for key in ("counts", "weil")),
-               _list_field(d, "slopes", _slope, "fraction strings"),
-               *map(d.get, ("stratum", "p_rank", "a_number", "two_rank", "type43")),
-               _list_field(d, "eo_mu", _json_int, "integers"),
-               _list_field(d, "eo_candidates", _ints, "lists of integers"), d.get("aut"), d.get("jacobian_aut"))
+# one decoder for every row line: json.loads with a hook builds a new one per call
+_decode = json.JSONDecoder(object_pairs_hook=_row_object).decode
+
+
+def _decode_row(line: str) -> _Object:
+    """The _Object of a row line, refused when it is no object or no row."""
+    obj = _decode(line)
+    if type(obj) is not _Object:
+        raise ValueError(f"{obj!r} is not a JSON object")
+    if obj.error is not None:
+        raise obj.error
+    return obj
 
 
 def record_from_json(line: str) -> CensusRecord:
-    """The record of one record_to_json line (see _json_row)."""
-    d, row = _json_row(line)
-    return CensusRecord(d["id"], *row)
+    """The record of one record_to_json line (see _decode_row)."""
+    obj = _decode_row(line)
+    if obj.cid is None:
+        raise KeyError("id")
+    return CensusRecord(obj.cid, *obj.row)
 
 
 # the curve_id of every census model, in its one spelling: a quadric mask
@@ -618,12 +675,13 @@ def read_records(path) -> CensusTable:
     rows = []
     for r, line in enumerate(lines):
         try:
-            d, fields = _json_row(line)
-            if "id" in d:
-                raise ValueError(f"a row carries no id, this one {d['id']!r}")
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            obj = _decode_row(line)
+            if obj.cid is not None:
+                raise ValueError(f"a row carries no id, this one {obj.cid!r}")
+        except (ValueError, KeyError) as exc:
             raise ValueError(f"{path}: line {r + 2}: malformed record: {exc!r}, {row_of(r)}") from None
-        earlier = seen.setdefault((_row_key(fields), *d.get("slopes", ())), r)
+        fields = obj.row
+        earlier = seen.setdefault((_row_key(fields), *obj.slopes), r)
         if earlier != r:
             raise ValueError(f"{path}: line {r + 2}: repeats the row of line {earlier + 2}, {row_of(r)}")
         if kind_of[r] not in ("", fields[0]):  # named with the first model of another kind that uses it
@@ -904,10 +962,10 @@ def _row_key(row: tuple) -> tuple:
 def _kept(heads, tails, keep) -> np.ndarray:
     """The indices i * len(tails) + j of the ids heads[i] + tails[j] that keep
     accepts, calling it once per id, in id order; all when keep is None.  A
-    head's ids are spelled by one join and one split."""
+    head's ids are spelled at once (_spelled)."""
     if keep is None:
         return np.arange(len(heads) * len(tails))
-    ids = ((head + ("\n" + head).join(tails)).split("\n") for head in heads)
+    ids = (_spelled(head, tails) for head in heads)
     return np.flatnonzero(np.fromiter(map(keep, chain.from_iterable(ids)), bool, len(heads) * len(tails)))
 
 

@@ -155,54 +155,54 @@ def _cmd_discrepancy(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# each command: its help, its handler and its arguments, as (flag, add_argument keywords)
+_COMMANDS = {
+    "census": ("run the exhaustive model census", _cmd_census, (
+        ("--kind", dict(choices=("ns", "cone", "hyp", "all"), default="all")),
+        ("--out", dict(required=True, help="output JSONL path")),
+        ("--workers", dict(type=int, default=1)))),
+    "classify": ("classify a single model by curve id", _cmd_classify, (
+        ("--curve", dict(required=True, help="curve id, e.g. 'ns;c=0x1d0c'")),)),
+    "zeta": ("Weil polynomial and Newton data from counts", _cmd_zeta, (
+        ("--counts", dict(type=_ints, required=True, help="N_1,N_2,N_3,N_4")),
+        ("--q", dict(type=int, default=2)))),
+    "hasse-witt": ("Cartier/Hasse-Witt matrix of a model", _cmd_hasse_witt, (
+        ("--curve", dict(required=True)),)),
+    "dieudonne": ("data of one Ekedahl-Oort Young type", _cmd_dieudonne, (
+        ("--mu", dict(type=_ints, required=True, help="e.g. 4,1")),)),
+    "stack-count": ("stack count of one isogeny class", _cmd_stack_count, (
+        ("--weil", dict(type=_ints, required=True, help="ascending Weil coefficients c0,...,c8")),
+        ("--records", dict(required=True, help="census JSONL path")))),
+    "verify": ("check the census-wide assertions", _cmd_verify, (
+        ("--records", dict(required=True)),)),
+    "discrepancy": ("curve-side vs published abelian-side stack count", _cmd_discrepancy, (
+        ("--records", dict(required=True)),
+        ("--weil", dict(type=_ints, default=census.CLASS_H_WEIL)))),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of command alone: its usage, help and
+    errors read as in the parser of every command, whose choices it names
+    in its metavar."""
     parser = argparse.ArgumentParser(prog="genus4census",
                                      description="genus-4 curve invariants over F_2")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("census", help="run the exhaustive model census")
-    p.add_argument("--kind", choices=("ns", "cone", "hyp", "all"), default="all")
-    p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("classify", help="classify a single model by curve id")
-    p.add_argument("--curve", required=True, help="curve id, e.g. 'ns;c=0x1d0c'")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("zeta", help="Weil polynomial and Newton data from counts")
-    p.add_argument("--counts", type=_ints, required=True, help="N_1,N_2,N_3,N_4")
-    p.add_argument("--q", type=int, default=2)
-    p.set_defaults(func=_cmd_zeta)
-
-    p = sub.add_parser("hasse-witt", help="Cartier/Hasse-Witt matrix of a model")
-    p.add_argument("--curve", required=True)
-    p.set_defaults(func=_cmd_hasse_witt)
-
-    p = sub.add_parser("dieudonne", help="data of one Ekedahl-Oort Young type")
-    p.add_argument("--mu", type=_ints, required=True, help="e.g. 4,1")
-    p.set_defaults(func=_cmd_dieudonne)
-
-    p = sub.add_parser("stack-count", help="stack count of one isogeny class")
-    p.add_argument("--weil", type=_ints, required=True,
-                   help="ascending Weil coefficients c0,...,c8")
-    p.add_argument("--records", required=True, help="census JSONL path")
-    p.set_defaults(func=_cmd_stack_count)
-
-    p = sub.add_parser("verify", help="check the census-wide assertions")
-    p.add_argument("--records", required=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("discrepancy", help="curve-side vs published abelian-side stack count")
-    p.add_argument("--records", required=True)
-    p.add_argument("--weil", type=_ints, default=census.CLASS_H_WEIL)
-    p.set_defaults(func=_cmd_discrepancy)
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, (text, func, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a query builds only its own command's parser; no command, or an
+    # unknown one, gets the parser of every command for its help or error
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, TypeError, OSError) as exc:

@@ -876,21 +876,21 @@ def is_smooth(curve) -> SmoothnessResult:
 def _stabilizer_matrices(kind: str) -> np.ndarray:
     """The elements of GL_4(F_2) preserving the quadric form (as a function
     on F_2^4, which pins the form itself), as ascending 16-bit matrices m
-    whose row i is bits 4i..4i+3; a read-only uint16 array.  Computed once
-    from the images of the 16 vectors under all 2^16 matrices: a matrix is
-    kept when it preserves the quadric's values and maps no nonzero vector
-    to 0."""
-    ms = np.arange(1 << 16, dtype=np.uint16)
-    # column j of every matrix as a 4-bit vector; the image of v XORs the
-    # columns at the set bits of v
-    cols = [sum(((ms >> (4 * i + j)) & 1) << i for i in range(4)).astype(np.uint8) for j in range(4)]
+    whose row i is bits 4i..4i+3; a read-only uint16 array.  Column j of
+    such a matrix, the image of e_j, is a nonzero vector where the quadric
+    takes its value at e_j, so only the matrices of such columns are tried
+    (6,561 for ns, 2,744 for the cone, of 2^16): one is kept when it
+    preserves the quadric's values and maps no nonzero vector to 0."""
     values = [eval_quadric(kind, F2, tuple((v >> i) & 1 for i in range(4))) for v in range(16)]
     qset = np.uint16(sum(val << v for v, val in enumerate(values)))  # bit v is the value at v
-    keep = np.ones(1 << 16, np.bool_)
+    columns = [np.array([w for w in range(1, 16) if values[w] == values[1 << j]], np.uint16) for j in range(4)]
+    cols = [c.ravel() for c in np.meshgrid(*columns, indexing="ij")]
+    keep = np.ones(len(cols[0]), np.bool_)
     for v in range(1, 16):
-        image = xor_apply(cols, v)
+        image = xor_apply(cols, v)  # the XOR of the columns at the set bits of v
         keep &= (image != 0) & (((qset >> image) & 1) == values[v])
-    mats = np.flatnonzero(keep).astype(np.uint16)
+    cols = [c[keep] for c in cols]
+    mats = np.sort(sum(((cols[j] >> i) & 1) << (4 * i + j) for i in range(4) for j in range(4)).astype(np.uint16))
     mats.flags.writeable = False
     return mats
 

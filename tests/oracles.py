@@ -6,9 +6,11 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from genus4census.cartier import SemilinearOperator, invariants
-from genus4census.curves import MONOMIALS3, _powers
-from genus4census.gfarith import poly_degree, poly_mod
+from genus4census.curves import MONOMIALS3, _powers, eval_quadric
+from genus4census.gfarith import F2, poly_degree, poly_mod, xor_apply
 from genus4census.zeta import WeilPolynomial, predicted_counts
 
 
@@ -59,6 +61,23 @@ def is_type43_candidate(op: SemilinearOperator) -> bool:
     if t43 is None:
         raise ValueError("criterion only valid at p-rank 0")
     return t43
+
+
+def stabilizer_matrices_by_filter(kind: str) -> np.ndarray:
+    """curves._stabilizer_matrices(kind) from all 2^16 4x4 matrices over F_2:
+    the images of the 16 vectors under every matrix, kept when the matrix
+    preserves the quadric's values and maps no nonzero vector to 0."""
+    ms = np.arange(1 << 16, dtype=np.uint16)
+    # column j of every matrix as a 4-bit vector; the image of v XORs the
+    # columns at the set bits of v
+    cols = [sum(((ms >> (4 * i + j)) & 1) << i for i in range(4)).astype(np.uint8) for j in range(4)]
+    values = [eval_quadric(kind, F2, tuple((v >> i) & 1 for i in range(4))) for v in range(16)]
+    qset = np.uint16(sum(val << v for v, val in enumerate(values)))  # bit v is the value at v
+    keep = np.ones(1 << 16, np.bool_)
+    for v in range(1, 16):
+        image = xor_apply(cols, v)
+        keep &= (image != 0) & (((qset >> image) & 1) == values[v])
+    return np.flatnonzero(keep).astype(np.uint16)
 
 
 def base_extend(w: WeilPolynomial, n: int) -> WeilPolynomial:
@@ -146,3 +165,4 @@ def with_index_entry(line: str, i: int, row: int) -> str:
     hexrows = fields["rows"]
     fields["rows"] = hexrows[:4 * i] + f"{row:04x}" + hexrows[4 * i + 4:]
     return json.dumps(fields, separators=(",", ":")) + line[len(line.rstrip("\n")):]
+

@@ -1066,8 +1066,15 @@ def test_read_records_refuses_malformed_line(tmp_path, edit, why):
     ('"1/4"', '"0.25"', "field 'slopes' is ['0.25', '1/4', '1/4', '1/4', '3/4', '3/4', '3/4', '3/4'], not a list "
                         "of fraction strings"),
     ('"eo_mu":[4,1]', '"eo_mu":[4,true]', "field 'eo_mu' is [4, True], not a list of integers"),
+    # a nested object prints as a dict, even one that spells a row; a key
+    # repeated at any depth is refused first
+    ('"kind":"cone"', '"kind":{"kind":"cone","smooth":true}',
+     "field 'kind' is {'kind': 'cone', 'smooth': True}, not of type str"),
+    ('"counts":["3"', '"counts":[{"3":[]}', "field 'counts' is [{'3': []}, '5', '9', '9'], not a list of decimal strings"),
+    ('"kind":"cone"', '"kind":"cone","kind":"cone"', "repeated key 'kind'"),
+    ('"kind":"cone"', '"kind":1,"note":{"b":1,"a":2,"b":3}', "repeated key 'b'"),
 ], ids=["smooth-1", "type43-0", "p-rank-false", "kind-list", "counts-string", "weil-number", "count-leading-zero",
-        "slope-decimal-point", "eo-mu-true"])
+        "slope-decimal-point", "eo-mu-true", "kind-row-object", "counts-object", "repeated-key", "nested-repeated-key"])
 def test_read_records_refuses_field_of_another_json_type(tmp_path, old, new, why):
     # each of these reads as a row the writer never writes: a smooth flag
     # of 1, counts (3, 5, 9, 9) from the string "3599", ...
@@ -1292,6 +1299,34 @@ def test_read_records_decodes_row_lines_only(tmp_path, monkeypatch):
     monkeypatch.setattr(census, "_decode", lambda line: decoded.append(line) or decode(line))
     assert read_records(path) == _named_records()
     assert decoded == [line.rstrip("\n") for line in lines[1:6]]
+
+
+@pytest.mark.parametrize("lineno, first", [(2, "cone;c=0x4208"), (5, "ns;c=0x038c")])
+@pytest.mark.parametrize("sealed", [False, True])
+def test_read_records_refuses_row_line_broken_in_two(tmp_path, lineno, first, sealed):
+    # each row line is decoded on its own, so an object that opens on one
+    # line and closes on the next is refused, naming the line where it opens
+    path, lines = _written_lines(tmp_path)
+    head, cut, rest = lines[lineno - 1].partition('"counts":[')
+    assert cut
+    path.write_text("".join(lines[:lineno - 1] + [head + cut + "\n", rest] + lines[lineno:]))
+    if sealed:
+        reseal(path)
+    with pytest.raises(ValueError, match=re.escape(f"records.jsonl: line {lineno}: malformed record: JSONDecodeError(")
+                       + r".*, the row of " + re.escape(repr(first)) + "$"):
+        read_records(path)
+
+
+def test_read_records_takes_a_resealed_row_line_padded_with_whitespace(tmp_path):
+    # JSON whitespace around and inside a row line reads as the same row;
+    # only the body's SHA-256 sees it, so resealed the file reads as written
+    path, lines = _written_lines(tmp_path)
+    padded = " \t" + lines[1].rstrip("\n").replace(",", " ,\t").replace(":", ": ") + "\t \n"
+    path.write_text("".join(lines[:1] + [padded] + lines[2:]))
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 1: the body's SHA-256 is [0-9a-f]{64}, not the "):
+        read_records(path)
+    reseal(path)
+    assert read_records(path) == _named_records()
 
 
 def _header_with(lines, **change):

@@ -1,5 +1,7 @@
 """Command-line interface tests, driving cli.main in process."""
 
+import argparse
+import contextlib
 import errno
 import json
 import os
@@ -9,7 +11,7 @@ import pytest
 
 from genus4census import census
 from genus4census.census import CensusRecord, write_records
-from genus4census.cli import _poly_str, main
+from genus4census.cli import _COMMANDS, _build_parser, _poly_str, main
 from genus4census.curves import is_smooth, parse_curve_id
 
 from oracles import index_entries, reseal, with_index_entry
@@ -421,3 +423,46 @@ def test_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def _exit_output(capsys, parse, argv):
+    """(exit code, stdout, stderr) of parse(argv), which exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = _exit_output(capsys, main, ["--help"])
+    assert code == 0
+    assert list(_COMMANDS) == ["census", "classify", "zeta", "hasse-witt", "dieudonne", "stack-count", "verify",
+                               "discrepancy"]
+    for name, (text, _, _) in _COMMANDS.items():
+        assert f"    {name}" in out and text in out, name
+
+
+@pytest.mark.parametrize("argv", [[name, "-h"] for name in _COMMANDS] + [
+    ["census", "--kind", "elliptic", "--out", "x.jsonl"],
+    ["verify"],
+    ["verify", "--records", "x.jsonl", "extra"],
+    ["stack-count", "--records", "x.jsonl", "--weil", "1,a"],
+])
+def test_command_parser_reads_as_the_parser_of_every_command(capsys, argv):
+    # help, usage and errors of a command are those of the parser built
+    # with every command, whose choices its usage line names
+    assert _exit_output(capsys, main, argv) == _exit_output(capsys, _build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["zeta", "--counts", "7,9,13,9"], ["zeta"]),
+    (["dieudonne", "--mu", "4,1"], ["dieudonne"]),
+    (["frobenius"], list(_COMMANDS)),
+])
+def test_a_known_command_builds_only_its_own_parser(capsys, monkeypatch, argv, built):
+    names, add_parser = [], argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw))
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert names == built

@@ -59,13 +59,14 @@ from genus4census.curves import (
     _quadric_scan,
     _quadric_smooth_generic,
     _quadric_tables,
+    _stabilizer_matrices,
 )
 from genus4census import elimination as el
 from genus4census.elimination import biv_eval
 from genus4census.gfarith import (F2, F2X, field, gf2x_gcd, gf2x_mul, poly_eval, poly_from_coeffs,
                                   poly_mul, poly_ring, xor_table)
 
-from oracles import cubic_partials
+from oracles import cubic_partials, stabilizer_matrices_by_filter
 
 IDX = {e: i for i, e in enumerate(MONOMIALS3)}
 
@@ -754,6 +755,15 @@ def test_stabilizer_sizes_and_closure():
         for _ in range(200):
             s, t = rng.choice(grp), rng.choice(grp)
             assert s.compose(t).rows in rows
+
+
+@pytest.mark.parametrize("kind", ["ns", "cone"])
+def test_stabilizer_from_candidate_columns_is_the_filter_of_every_matrix(kind):
+    # the matrices built from columns of the right quadric value are exactly
+    # those of all 2^16 matrices that preserve the quadric, in the same order
+    mats = _stabilizer_matrices(kind)
+    assert mats.dtype == np.uint16 and not mats.flags.writeable
+    assert np.array_equal(mats, stabilizer_matrices_by_filter(kind))
 
 
 def test_aut_order_by_orbit_stabilizer():
