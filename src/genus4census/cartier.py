@@ -31,17 +31,13 @@ F(v, u) = 0 and a regular differential m dv/F_u,
     C(m dv/F_u) = (d^2(F m)/du dv)^(1/2) dv/F_u,
 
 so the row of m reads the coefficients of F m at odd-odd exponents.  Each
-kind supplies a plane polynomial and the monomials m of its basis:
-
-* ns: the bidegree-(3,3) grid on the chart T = 1 of X*Y + Z*T,
-  (X : Y : Z : T) = (x : y : xy : 1) with v = x, u = y, and m in
-  {1, x, y, xy};
-* cone: the chart X = 1 of X*Y + T^2, (1 : u^2 : v : u), with m in
-  {1, u, u^2, v};
-* hyp: y^2 + h(x) y + f(x) with v = y, u = x, and m in {1, x, x^2, x^3}.  Only the h y terms
-  have odd y-degree, so row i is B with x^i h = A^2 + B^2 x; only h enters,
-  consistent with Deuring-Shafarevich (the 2-rank depends on the branch
-  divisor only).
+kind's description (kinds.Kind) gives the monomials m of its basis, and a
+quadric kind the chart of its quadric that is its plane model (the
+bidegree-(3,3) grid T = 1 on ns, X = 1 on the cone).  On hyp the model is
+y^2 + h(x) y + f(x) with v = y, u = x, and m in {1, x, x^2, x^3}.  Only the
+h y terms have odd y-degree, so row i is B with x^i h = A^2 + B^2 x; only h
+enters, consistent with Deuring-Shafarevich (the 2-rank depends on the
+branch divisor only).
 
 On a quadric kind the chart polynomial's coefficients are F_2-linear in
 the 16 bits of the cubic's mask, and over F_2 the square root is the
@@ -70,6 +66,7 @@ from ._value import Value, setfield
 from .curves import (HyperellipticCurve, QuadricCubicCurve, biv_from_rows, chart_polynomial,
                      hyperelliptic_from_masks, quadric_curve_from_mask)
 from .gfarith import FieldSpec, f2_rref, xor_apply
+from .kinds import DESCRIPTIONS, quadric
 
 __all__ = [
     "SemilinearOperator",
@@ -110,24 +107,20 @@ class SemilinearOperator(Value):
 # the Stohr-Voloch rule
 # ---------------------------------------------------------------------------
 
-# the basis monomials v^i u^j of each plane model as cells (i, j), and on the
-# quadrics the chart of curves._CHARTS that is the model
-_QUADRIC_MODEL = {"ns": ("T", ((0, 0), (1, 0), (0, 1), (1, 1))),   # 1, x, y, xy
-                  "cone": ("X", ((0, 0), (0, 1), (0, 2), (1, 0)))}  # 1, u, u^2, v
-_HYP_BASIS = ((0, 0), (0, 1), (0, 2), (0, 3))                       # 1, x, x^2, x^3
-
 
 def cartier_operator(curve) -> SemilinearOperator:
     """Cartier matrix of a smooth model by the Stohr-Voloch rule: the row
     of basis monomial m holds the square roots of the coefficients of F m
-    at the odd-odd cells (2i+1, 2j+1), in the column of basis cell (i, j)."""
+    at the odd-odd cells (2i+1, 2j+1), in the column of basis cell (i, j)
+    of the differential basis of the model's kind (kinds.Kind.cartier_basis);
+    a quadric model's plane model is the chart of its Kind.cartier_chart."""
     if isinstance(curve, HyperellipticCurve):
-        f, basis = biv_from_rows(curve.spec, (curve.f, curve.h, (1,))), _HYP_BASIS
+        f = biv_from_rows(curve.spec, (curve.f, curve.h, (1,)))
     elif isinstance(curve, QuadricCubicCurve):
-        chart, basis = _QUADRIC_MODEL[curve.kind]
-        f = chart_polynomial(curve, chart)
+        f = chart_polynomial(curve, DESCRIPTIONS[curve.kind].cartier_chart)
     else:
         raise TypeError(f"not a curve: {curve!r}")
+    basis = DESCRIPTIONS[curve.kind].cartier_basis
     spec = curve.spec
     column = {cell: j for j, cell in enumerate(basis)}
     rows = []
@@ -153,27 +146,24 @@ def cartier_word(op: SemilinearOperator) -> int:
 
 
 @lru_cache(maxsize=None)
-def _quadric_basis_words(kind: str) -> tuple[int, ...]:
-    """The Cartier words of the 16 single-bit masks of a quadric kind."""
-    return tuple(cartier_word(cartier_operator(quadric_curve_from_mask(kind, 1 << bit))) for bit in range(16))
+def _basis_words(kind: str) -> tuple[int, ...]:
+    """The Cartier words of the 16 single-bit masks of a quadric kind, or for
+    hyp of h = x^j, j < 6 (f does not enter, so f = x^10)."""
+    models = ([quadric_curve_from_mask(kind, 1 << bit) for bit in range(16)] if DESCRIPTIONS[kind].quadric
+              else [hyperelliptic_from_masks(1 << j, 1 << 10) for j in range(6)])
+    return tuple(cartier_word(cartier_operator(model)) for model in models)
 
 
 def quadric_cartier_word(kind: str, mask: int) -> int:
     """cartier_word(cartier_operator(quadric_curve_from_mask(kind, mask))),
     as the XOR of the basis words of the mask's set bits."""
-    return xor_apply(_quadric_basis_words(kind), mask)
-
-
-@lru_cache(maxsize=None)
-def _hyp_basis_words() -> tuple[int, ...]:
-    """The Cartier words of h = x^j, j < 6; f does not enter, so f = x^10."""
-    return tuple(cartier_word(cartier_operator(hyperelliptic_from_masks(1 << j, 1 << 10))) for j in range(6))
+    return xor_apply(_basis_words(quadric(kind).name), mask)
 
 
 def hyp_cartier_word(hm: int) -> int:
     """cartier_word(cartier_operator(hyperelliptic_from_masks(hm, f))) for
     any f, as the XOR of the basis words of the set bits of the h mask hm."""
-    return xor_apply(_hyp_basis_words(), hm)
+    return xor_apply(_basis_words("hyp"), hm)
 
 
 def hasse_witt_rows(op: SemilinearOperator) -> tuple[tuple[int, int, int, int], ...]:

@@ -1,11 +1,6 @@
-"""Exhaustive census of genus-4 curve models over F_2.
-
-Model domains
--------------
-
-* ``ns`` / ``cone``: all 2^16 reduced cubic bitmasks on the fixed quadric.
-* ``hyp``: all (h, f) with deg h <= 5, deg f <= 10 and the genus-4 shape
-  max(2 deg h, deg f) in {9, 10}; 113152 models in total.
+"""Exhaustive census of genus-4 curve models over F_2: every model of the
+domain of each kind in kinds, all 2^16 cubic masks of ns and of the cone
+and the 113152 hyp models (h, f) of the genus-4 shape.
 
 Every model gets one CensusRecord, keyed by its curve id.  Singular models
 carry only a diagnostic note; smooth models carry counts N_1..N_4, the Weil
@@ -58,11 +53,7 @@ Fast paths, each validated against the generic engines in the test suite:
   residue decides it; the check at infinity is a bit test.  The result is a code
   per (h, f) (_hyp_smooth_table), and a note is built only per singular row;
 * a stack count reads each isomorphism orbit from packed F_2-linear image
-  tables: the quadric stabilizer's (_quadric_images), and the 384
-  hyperelliptic substitutions' (curves._hyp_images), which act F_2-linearly
-  on the bits of h and of f, plus a shift t^2 + h' t linear in t.  The
-  generic transports apply_transform and hyperelliptic_transformed are
-  their test oracles;
+  tables (_isomorphism_orbit);
 * the zeta fields of a job's smooth rows come from one array pass
   (_smooth_rows): zeta.weil_rows_f2 runs the Newton identities and every
   check of weil_from_counts, the count round trip included, on int64
@@ -71,19 +62,13 @@ Fast paths, each validated against the generic engines in the test suite:
 * the field arithmetic under all of these (gfarith.FieldSpec) reads
   log/antilog tables.
 
-A census result is a CensusTable: the models' positions in the model space
-(the domains of KINDS in order, which is id order), one row index per model
-and the distinct id-free rows; the whole census has 679 rows for 244,224
-models.  Queries run each predicate once per row and spell ids only for
-the models they select (_curve_ids).  run_census cuts the census into
-jobs by cost (_census_jobs).  A job calls id_filter once per id, in id
-order (_kept).  Both spell ids a head of _HEADS at a time, by one join
-and one split (_spelled).  A job reduces each kept model to a head (a
-note or Cartier data) above its counts, checks and builds each distinct
-(head, counts) once as a row (_row_table), and the census process merges
-equal rows across jobs; no record is built.  With N workers the census
-process runs a share of the jobs itself, beside a pool of N - 1
-processes (_shared_jobs).
+A census result is a CensusTable, 679 distinct rows for the 244,224 models
+of the whole census.  The model space is the kinds' domains in id order,
+spelled from the heads and tails of each kind's description.  run_census
+cuts it into jobs by cost (_census_jobs); a job calls id_filter once per
+id, in id order (_kept), and returns a row table (_row_table), and the
+census process merges the tables, running a share of the jobs itself
+beside a pool of N - 1 processes (_shared_jobs).  No record is built.
 
 Persistence stores the table itself, as JSON lines of schema
 g4c2-census/2: a header with the schema, the number of kept models of each
@@ -145,6 +130,7 @@ from .curves import (
 )
 from .dieudonne import EoLabel, eo_classify_curve
 from .gfarith import F2X, _squarefree_decomposition, field, gf2x_degree, xor_table
+from .kinds import DESCRIPTIONS
 from .zeta import GENUS, WEIL_ROW_FAILURES, WeilPolynomial, _newton_polygon, classify_stratum, weil_rows_f2
 # unused here since _smooth_rows checks all rows of a job in one array pass;
 # kept bound because the benchmark's traced run wraps them in this module by
@@ -152,7 +138,8 @@ from .zeta import GENUS, WEIL_ROW_FAILURES, WeilPolynomial, _newton_polygon, cla
 from .zeta import newton_polygon, predicted_counts, weil_from_counts  # noqa: F401
 
 SCHEMA = "g4c2-census/2"
-KINDS = ("cone", "hyp", "ns")
+# the kinds in id order, as an id begins with its kind's name and ";"
+KINDS = tuple(sorted(DESCRIPTIONS))
 _DEGREES = (1, 2, 3, 4)
 
 # the two supersingular isogeny classes singled out for the stack-count
@@ -213,37 +200,33 @@ def _row_array(row, rows: int) -> np.ndarray:
     return np.asarray(row, np.min_scalar_type(rows))
 
 
-def _hyp_f_min(hm: int) -> int:
-    """Least f mask of the genus-4 shape: deg h = 5 admits every f, deg h <= 4
-    forces deg f in {9, 10}."""
-    return 0 if hm >= 32 else 512
-
-
-# The model space: the domains of the kinds in KINDS order, which is id
-# order.  A model's position in it is its kind's start plus its mask for a
-# quadric model, the first position of its h plus f - _hyp_f_min(h) for hyp.
-_DOMAIN = {"cone": 1 << 16, "hyp": 113152, "ns": 1 << 16}
-_BOUNDS = tuple(accumulate(_DOMAIN.values(), initial=0))
+# The model space: the kinds' domains in id order.  A curve id is a head and
+# a tail (kinds.Kind); a model's position is its head's first position plus
+# its tail's index past the head's first tail.
+_BOUNDS = tuple(accumulate((DESCRIPTIONS[kind].domain for kind in KINDS), initial=0))
 _START = dict(zip(KINDS, _BOUNDS))
-# the first position of each h in 0..64 (h = 0 has no model)
-_HYP_FIRST = tuple(accumulate((2048 - _hyp_f_min(hm) if hm else 0 for hm in range(64)), initial=_START["hyp"]))
-_HEX2 = tuple(f"{b:02x}" for b in range(256))
-# ";f=0x..." for every f mask in 0..0x7ff: eight high digits, each joined with _HEX2
-_F_SUFFIX = tuple([prefix + low for prefix in [f";f=0x{hi:x}" for hi in range(8)] for low in _HEX2])
+_HYP = DESCRIPTIONS["hyp"]  # counted by its own route, _hyp_chunk
 
 
-# a curve id is a head, the kind with the mask's high byte or h, and a tail,
-# the low byte or f; _HEAD_BASE[k] is kind k's first head
-_HEADS = (*[f"cone;c=0x{b:02x}" for b in range(256)], *[f"hyp;h=0x{hm:02x}" for hm in range(64)],
-          *[f"ns;c=0x{b:02x}" for b in range(256)])
-_HEAD_BASE = (0, 256, 320)
-_TAILS = _HEX2 + _F_SUFFIX
-# the position of each head's first model (h = 0 has none and shares h = 1's)
-# and what a position of the head adds for its tail's index in _TAILS, built
-# from lists, as a numpy ufunc call at import raises every process's peak memory
-_HEAD_FIRST = np.array((*range(0, 1 << 16, 256), *_HYP_FIRST[:64], *range(_START["ns"], _BOUNDS[3], 256)))
-_TAIL_SHIFT = np.array([(256 + _hyp_f_min(h - 256) if 256 <= h < 320 else 0) - first
-                        for h, first in enumerate(_HEAD_FIRST.tolist())])
+def _id_tables():
+    """Every head and tail in KINDS order; each head's first position, per
+    kind and as an array for searchsorted; what a position of each head adds
+    for its tail's index in the tails; per kind, its tails' width and index.
+    The arrays are built from lists, as a numpy ufunc call at import raises
+    every process's peak memory; h = 0 has no model and shares h = 1's first."""
+    heads, tails, first, shift, tail_index = [], [], {}, [], {}
+    for kind in KINDS:
+        desc = DESCRIPTIONS[kind]
+        first[kind] = list(accumulate((len(desc.tails) - t for t in desc.first_tail[:-1]), initial=_START[kind]))
+        shift += [len(tails) + t - f for t, f in zip(desc.first_tail, first[kind])]
+        heads += desc.heads
+        tail_index[kind] = len(desc.tails[0]), {tail: len(tails) + i for i, tail in enumerate(desc.tails)}
+        tails += desc.tails
+    return tuple(heads), tuple(tails), first, np.array(sum(first.values(), [])), np.array(shift), tail_index
+
+
+_HEADS, _TAILS, _FIRST, _HEAD_FIRST, _TAIL_SHIFT, _TAIL_INDEX = _id_tables()
+_HEAD_INDEX = {head: h for h, head in enumerate(_HEADS)}
 
 
 def _spelled(head: str, tails) -> list[str]:
@@ -276,8 +259,8 @@ _ITER_BLOCK = 4096
 class CensusTable(Sequence):
     """A census result, one row index per model.
 
-    pos is a numpy integer array of the models' positions in the model space
-    (_DOMAIN), ascending, which is id order; row[i] is the index in rows of
+    pos is a numpy integer array of the models' positions in the model space,
+    ascending, which is id order; row[i] is the index in rows of
     model i's id-free row, the CensusRecord fields after id.  The table is
     a read-only Sequence of CensusRecords, built on demand, and the records
     of one row share its field objects.  Queries run a predicate once per
@@ -546,14 +529,15 @@ def _positions(ids: list) -> np.ndarray:
     """The positions of ids, refusing the first that is not the curve_id of a
     census model (_CURVE_ID) or does not strictly follow the one before."""
     pos = np.empty(len(ids), np.intp)
+    shift = _TAIL_SHIFT.tolist()
     prev = ""
     for i, cid in enumerate(ids):
         if not (isinstance(cid, str) and _IS_CURVE_ID(cid)):
             raise ValueError(f"record id {cid!r} is not the curve_id of a census model")
         if cid <= prev:
             raise ValueError(f"record id {cid!r} does not follow {prev!r} (ids must be strictly ascending)")
-        hm = int(cid[8:10], 16) if cid[0] == "h" else 0  # hyp;h=0x..;f=0x...
-        pos[i] = _HYP_FIRST[hm] + int(cid[-3:], 16) - _hyp_f_min(hm) if hm else _START[cid[:-9]] + int(cid[-4:], 16)
+        width, tail_index = _TAIL_INDEX[cid[:cid.index(";")]]
+        pos[i] = tail_index[cid[-width:]] - shift[_HEAD_INDEX[cid[:-width]]]
         prev = cid
     return pos
 
@@ -578,7 +562,7 @@ def write_records(path, records) -> None:
     kept = {}
     for kind, lo, hi in _blocks(table.pos):
         if lo < hi:
-            index = np.full(_DOMAIN[kind], _DROPPED, ">u2")
+            index = np.full(DESCRIPTIONS[kind].domain, _DROPPED, ">u2")
             index[table.pos[lo:hi] - _START[kind]] = table.row[lo:hi]
             body += [f'{{"kind":"{kind}","rows":"'.encode("ascii"), binascii.hexlify(index), b'"}\n']
             kept[kind] = hi - lo
@@ -650,8 +634,8 @@ def read_records(path) -> CensusTable:
             if not (data.startswith(spelled, nl + 1, end) and data.endswith(b'"}', start, end)):
                 raise ValueError(f'not {{"kind":"{kind}","rows":...}}')
             index = np.frombuffer(binascii.unhexlify(memoryview(data)[start:end - 2]), ">u2")
-            if len(index) != _DOMAIN[kind]:
-                raise ValueError(f"{len(index)} entries, not one for each of the {_DOMAIN[kind]} models")
+            if len(index) != DESCRIPTIONS[kind].domain:
+                raise ValueError(f"{len(index)} entries, not one for each of the {DESCRIPTIONS[kind].domain} models")
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{path}: line {lineno}: malformed index line of kind {kind!r}: {exc}") from None
         keep = np.flatnonzero(index != _DROPPED)
@@ -1020,8 +1004,7 @@ def _quadric_chunk(kind: str, keep=None) -> tuple[np.ndarray, np.ndarray, tuple]
     flag and counts, so a member's must equal its representative's.
     """
     counts, flagged, witness = _quadric_scan(kind, 0, 1 << 16)
-    base = _HEAD_BASE[KINDS.index(kind)]
-    masks = _kept(_HEADS[base:base + 256], _HEX2, keep)
+    masks = _kept(DESCRIPTIONS[kind].heads, DESCRIPTIONS[kind].tails, keep)
     pos = _START[kind] + masks
     heads: dict = {}
     head = np.empty(len(masks), np.intp)
@@ -1054,9 +1037,9 @@ def _hyp_chunk(h0: int, h1: int, keep=None) -> tuple[np.ndarray, np.ndarray, tup
     """
     pos, head, counts, heads = [], [], [], {}  # pos, head and counts per h
     for hm in range(h0, h1):
-        f0 = _hyp_f_min(hm)
-        kept = _kept(_HEADS[256 + hm:257 + hm], _F_SUFFIX[f0:], keep)
-        pos.append(_HYP_FIRST[hm] + kept)
+        f0 = _HYP.first_tail[hm]
+        kept = _kept(_HYP.heads[hm:hm + 1], _HYP.tails[f0:], keep)
+        pos.append(_FIRST[_HYP.name][hm] + kept)
         fms = f0 + kept
         codes = _hyp_smooth_masks(hm)[fms]
         smooth = codes == 0
@@ -1065,20 +1048,14 @@ def _hyp_chunk(h0: int, h1: int, keep=None) -> tuple[np.ndarray, np.ndarray, tup
         head.append(_head_index(heads, (_hyp_cartier(hm), *_HYP_NOTES[1:]))[codes])
         counts.append(h_counts)
     pos = np.concatenate(pos)
-    return (pos, *_row_table("hyp", lambda i: _curve_ids(pos[i]), np.concatenate(head), list(heads),
+    return (pos, *_row_table(_HYP.name, lambda i: _curve_ids(pos[i]), np.concatenate(head), list(heads),
                              np.concatenate(counts)))
 
 
 def classify_model(curve) -> CensusRecord:
     """The census pipeline applied to a single model (any census encoding)."""
-    if isinstance(curve, HyperellipticCurve):
-        kind = "hyp"
-    elif isinstance(curve, QuadricCubicCurve):
-        kind = curve.kind
-    else:
-        raise TypeError(f"not a curve: {curve!r}")
-    cid = curve.curve_id
-    res = is_smooth(curve)
+    res = is_smooth(curve)  # which refuses what is no curve
+    kind, cid = curve.kind, curve.curve_id
     if not res.smooth:
         return CensusRecord(id=cid, kind=kind, smooth=False, note=res.note)
     counts = tuple(count_points(curve, n, raw=True) for n in _DEGREES)
@@ -1091,9 +1068,9 @@ def _census_job(job) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The row table of one job: the positions of its kept models in id order, a
     uint16 array with one row index per model, and the tuple of the job's
     distinct id-free rows (CensusRecord fields after id).  A job is
-    (kind, keep) for a quadric kind and ("hyp", h0, h1, keep)."""
+    (kind, keep), or (kind, h0, h1, keep) for hyp, whose jobs split by h."""
     kind, *h_range, keep = job
-    if kind == "hyp":
+    if DESCRIPTIONS[kind].split_by_h:
         return _hyp_chunk(*h_range, keep)
     return _quadric_chunk(kind, keep)
 
@@ -1102,7 +1079,7 @@ def _hyp_ranges(pieces: int) -> list[tuple[int, int]]:
     """Contiguous ranges [h0, h1) covering h = 1..63, min(pieces, 63) of them,
     of about equal model count: each range takes the next h while that
     brings it closer to an equal share of the models still left."""
-    models = [2048 - _hyp_f_min(hm) for hm in range(64)]
+    models = [len(_HYP.tails) - f0 for f0 in _HYP.first_tail]
     left = sum(models[1:])
     ranges = []
     h0 = 1
@@ -1120,11 +1097,11 @@ def _hyp_ranges(pieces: int) -> list[tuple[int, int]]:
 def _census_jobs(kinds, workers: int, keep) -> list[tuple]:
     """The job plan: one job per quadric kind, so its scan tables, image
     tables and orbit decisions are paid once, placed first as the largest;
-    then hyp cut into `workers` h-ranges of about equal model count."""
-    jobs = [(kind, keep) for kind in kinds if kind != "hyp"]
-    if "hyp" in kinds:
-        jobs += [("hyp", h0, h1, keep) for h0, h1 in _hyp_ranges(workers)]
-    return jobs
+    then hyp, whose jobs split by h, cut into `workers` h-ranges of about
+    equal model count."""
+    split = [kind for kind in kinds if DESCRIPTIONS[kind].split_by_h]
+    jobs = [(kind, keep) for kind in kinds if kind not in split]
+    return jobs + [(kind, h0, h1, keep) for kind in split for h0, h1 in _hyp_ranges(workers)]
 
 
 def _shared_jobs(jobs: list, processes: int) -> list:
@@ -1159,15 +1136,14 @@ def _shared_jobs(jobs: list, processes: int) -> list:
 def run_census(kinds=KINDS, workers: int = 1, id_filter=None) -> CensusTable:
     """The CensusTable of every model of the requested kinds, in id order.
 
-    The jobs are those of _census_jobs: one per quadric kind, and hyp cut
-    into `workers` contiguous h-ranges of about equal model count.  They run
-    in p = min(workers, jobs) processes: this one runs its share, every p-th
-    job from the first, and a pool of p - 1 processes the rest
-    (_shared_jobs); no pool opens when p is one.  Each job returns a row
-    table (_census_job).  This process merges equal rows across jobs and
-    concatenates the tables in kind order, which is id order; the result is
-    identical for any worker count.  id_filter, when given, keeps only ids
-    it accepts (it must be picklable when a pool runs).
+    The jobs are those of _census_jobs.  They run in p = min(workers, jobs)
+    processes: this one runs its share, every p-th job from the first, and
+    a pool of p - 1 processes the rest (_shared_jobs); no pool opens when p
+    is one.  Each job returns a row table (_census_job).  This process
+    merges equal rows across jobs and concatenates the tables in kind
+    order, which is id order; the result is identical for any worker count.
+    id_filter, when given, keeps only ids it accepts (it must be picklable
+    when a pool runs).
     """
     if isinstance(kinds, str):
         kinds = (kinds,)

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    census      --kind ns|cone|hyp|all --out records.jsonl [--workers N]
+    census      --kind cone|hyp|ns|all --out records.jsonl [--workers N]
     classify    --curve <id>
     zeta        --counts N1,N2,N3,N4 [--q 2]
     hasse-witt  --curve <id>
@@ -158,7 +158,7 @@ def _cmd_discrepancy(args) -> int:
 # each command: its help, its handler and its arguments, as (flag, add_argument keywords)
 _COMMANDS = {
     "census": ("run the exhaustive model census", _cmd_census, (
-        ("--kind", dict(choices=("ns", "cone", "hyp", "all"), default="all")),
+        ("--kind", dict(choices=(*census.KINDS, "all"), default="all")),
         ("--out", dict(required=True, help="output JSONL path")),
         ("--workers", dict(type=int, default=1)))),
     "classify": ("classify a single model by curve id", _cmd_classify, (

@@ -1,43 +1,37 @@
-"""Genus-4 curve models over binary fields.
+"""Genus-4 curve models over binary fields, of the kinds described in kinds.
 
-Two families of models:
-
-* quadric-cubic ("ns" and "cone"): the canonical model of a non-hyperelliptic
-  genus-4 curve is the intersection of a quadric surface and a cubic surface
-  in P^3.  In characteristic 2 the quadric can be put into one of two shapes,
-
-      ns:    X*Y + Z*T         (smooth quadric)
-      cone:  X*Y + T^2         (rank-3 quadric, vertex at (0:0:1:0))
-
-  and the cubic is stored as 20 coefficients in a fixed degree-3 monomial
-  order.  The four monomials divisible by Z*T (ns) or T^2 (cone) are folded
-  into X*Y-multiples modulo the quadric at construction time, so exactly 16
-  coefficients are free; over F_2 they pack into a 16-bit mask.
-
-  Smoothness is decided on two affine charts, X = 1 and Y = 1, which cover
-  the quadric up to its distinguished points X = Y = 0 ((0:0:1:0) and
-  (0:0:0:1) on ns, the vertex on the cone); those are checked by their
-  coefficient patterns, and a chart by gcds of its u-polynomials
-  (_chart_singular_fibre), written once over a gfarith Ring.  Over F_2 a
-  scan of the points over F_2..F_16, one per Frobenius orbit, settles
-  most masks first, and one chart is left, decided on packed polynomials.
+* quadric-cubic (ns and cone): the canonical model of a non-hyperelliptic
+  genus-4 curve is the intersection of a quadric surface and a cubic
+  surface in P^3; in characteristic 2 the quadric is X*Y + Z*T (smooth) or
+  X*Y + T^2 (a cone).  The cubic is stored as 20 coefficients in MONOMIALS3
+  order, the four monomials divisible by the quadric's extra monomial
+  folded into X*Y-multiples at construction time, so exactly 16 are free;
+  over F_2 they pack into a 16-bit mask.  Smoothness is decided on two
+  affine charts, which cover the quadric up to its distinguished points,
+  checked by their coefficient patterns; a chart by gcds of its
+  u-polynomials, written once over a gfarith Ring.  Over F_2 a scan of the
+  points over F_2..F_16, one per Frobenius orbit, settles most masks
+  first, and one chart is left, decided on packed polynomials.
 
 * hyperelliptic: y^2 + h(x) y = f(x) with deg h <= 5, deg f <= 10,
   max(2 deg h, deg f) in {9, 10}, h != 0.  The smooth model lives in the
   weighted projective plane P(1, 5, 1); the chart at infinity is
   x = 1/u, y = w/u^5.
 
-All coefficient arithmetic is exact, through gfarith.FieldSpec.  Points over
-extension fields of composite degree beyond F_{2^16} are out of range for
-concrete coordinates, but smoothness decisions never need them: the chart
-analysis takes only gcds and products of polynomials in u, so it names no
-singular point and builds no residue field.
+The functions here take a kind's name and apply one rule to its
+description.  All coefficient arithmetic is exact, through
+gfarith.FieldSpec.  Points over extension fields of composite degree
+beyond F_{2^16} are out of range for concrete coordinates, but smoothness
+decisions never need them: the chart analysis takes only gcds and
+products of polynomials in u, so it names no singular point and builds no
+residue field.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -63,6 +57,7 @@ from .gfarith import (
     xor_apply,
     xor_table,
 )
+from .kinds import _INDEX3, DESCRIPTIONS, MONOMIALS2, MONOMIALS3, quadric
 
 __all__ = [
     "MONOMIALS3",
@@ -94,62 +89,20 @@ __all__ = [
     "jacobian_aut_order",
 ]
 
-def _graded_monomials(degree: int) -> tuple[tuple[int, int, int, int], ...]:
-    out = []
-    for exps in itertools.product(range(degree, -1, -1), repeat=4):
-        if sum(exps) == degree:
-            out.append(exps)
-    return tuple(out)
-
-
-#: The 20 degree-3 monomials in X, Y, Z, T, exponent-lexicographic descending:
-#: X^3, X^2 Y, X^2 Z, X^2 T, X Y^2, X Y Z, X Y T, X Z^2, X Z T, X T^2,
-#: Y^3, Y^2 Z, Y^2 T, Y Z^2, Y Z T, Y T^2, Z^3, Z^2 T, Z T^2, T^3.
-MONOMIALS3 = _graded_monomials(3)
-MONOMIALS2 = _graded_monomials(2)
-_INDEX3 = {e: i for i, e in enumerate(MONOMIALS3)}
 _INDEX2 = {e: i for i, e in enumerate(MONOMIALS2)}
 
-QUADRIC_KINDS = ("ns", "cone")
-
-# the quadric as a 10-vector in MONOMIALS2 order, and what its last term is
-_QUADRIC_EXTRA = {"ns": (0, 0, 1, 1), "cone": (0, 0, 0, 2)}  # Z*T, T^2
+QUADRIC_KINDS = tuple(name for name, kind in DESCRIPTIONS.items() if kind.quadric)
 
 
 def quadric_coeffs(kind: str) -> tuple[int, ...]:
-    """X*Y + Z*T or X*Y + T^2 as a coefficient vector (valid over any field)."""
-    out = [0] * len(MONOMIALS2)
-    out[_INDEX2[(1, 1, 0, 0)]] = 1
-    out[_INDEX2[_QUADRIC_EXTRA[kind]]] = 1
-    return tuple(out)
-
-
-def _build_reduction(kind: str) -> dict[int, int]:
-    """src -> dst: monomial src is congruent to monomial dst modulo the
-    quadric (Z*T = X*Y on ns, T^2 = X*Y on the cone)."""
-    rem = _QUADRIC_EXTRA[kind]
-    table = {}
-    for idx, e in enumerate(MONOMIALS3):
-        if all(e[i] >= rem[i] for i in range(4)):
-            partner = tuple(e[i] - rem[i] + (1 if i < 2 else 0) for i in range(4))
-            table[idx] = _INDEX3[partner]
-    return table
-
-
-_REDUCTION = {kind: _build_reduction(kind) for kind in QUADRIC_KINDS}
-_KEPT = {
-    kind: tuple(i for i in range(len(MONOMIALS3)) if i not in _REDUCTION[kind])
-    for kind in QUADRIC_KINDS
-}
-# replacement targets are never themselves reducible, so one pass suffices
-assert all(dst not in _REDUCTION[k] for k in QUADRIC_KINDS for dst in _REDUCTION[k].values())
-assert all(len(_KEPT[k]) == 16 for k in QUADRIC_KINDS)
+    """The quadric's form as a coefficient vector (valid over any field)."""
+    return tuple(int(e in quadric(kind).form) for e in MONOMIALS2)
 
 
 def reduce_cubic(kind: str, spec: FieldSpec, coeffs) -> tuple[int, ...]:
     """Fold the four quadric-divisible monomials into their X*Y partners."""
     out = list(coeffs)
-    for src, dst in _REDUCTION[kind].items():
+    for src, dst in quadric(kind).reduction.items():
         if out[src]:
             out[dst] = spec.add(out[dst], out[src])
             out[src] = 0
@@ -175,13 +128,12 @@ class QuadricCubicCurve(Value):
         setfield(self, "kind", kind)
         setfield(self, "spec", spec)
         setfield(self, "coeffs", coeffs)
-        if kind not in QUADRIC_KINDS:
-            raise ValueError(f"unknown quadric kind {kind!r}")
+        reduction = quadric(kind).reduction
         if len(coeffs) != len(MONOMIALS3):
             raise ValueError("a cubic needs one coefficient per degree-3 monomial")
         for c in coeffs:
             spec.check(c)
-        for src in _REDUCTION[kind]:
+        for src in reduction:
             if coeffs[src]:
                 raise ValueError("coefficients are not reduced modulo the quadric")
 
@@ -190,7 +142,7 @@ class QuadricCubicCurve(Value):
         if self.spec.k != 1:
             raise ValueError("bitmask encoding is defined over F_2 only")
         m = 0
-        for bit, idx in enumerate(_KEPT[self.kind]):
+        for bit, idx in enumerate(quadric(self.kind).kept):
             if self.coeffs[idx]:
                 m |= 1 << bit
         return m
@@ -205,10 +157,11 @@ def quadric_curve(kind: str, spec: FieldSpec, coeffs) -> QuadricCubicCurve:
 
 
 def quadric_curve_from_mask(kind: str, mask: int) -> QuadricCubicCurve:
+    kept = quadric(kind).kept
     if not 0 <= mask < 1 << 16:
         raise ValueError("cubic masks have 16 bits")
     coeffs = [0] * len(MONOMIALS3)
-    for bit, idx in enumerate(_KEPT[kind]):
+    for bit, idx in enumerate(kept):
         coeffs[idx] = (mask >> bit) & 1
     return QuadricCubicCurve(kind, F2, tuple(coeffs))
 
@@ -217,6 +170,7 @@ class HyperellipticCurve(Value):
     """y^2 + h(x) y = f(x), the standard genus-4 hyperelliptic shape."""
 
     __slots__ = _fields = ("spec", "h", "f")
+    kind = "hyp"
 
     def __init__(self, spec: FieldSpec, h: tuple[int, ...], f: tuple[int, ...]):
         setfield(self, "spec", spec)
@@ -257,14 +211,13 @@ def hyperelliptic_from_masks(h_mask: int, f_mask: int) -> HyperellipticCurve:
 def parse_curve_id(s: str):
     """Inverse of the curve_id properties (census encodings, base field F_2).
     Only a model's own curve_id is accepted, so no model has two ids."""
-    parts = s.split(";")
+    name, *fields = s.split(";")
     try:
-        if parts[0] in QUADRIC_KINDS and len(parts) == 2 and parts[1].startswith("c="):
-            curve = quadric_curve_from_mask(parts[0], int(parts[1][2:], 16))
-        elif parts[0] == "hyp" and len(parts) == 3 and parts[1].startswith("h=") and parts[2].startswith("f="):
-            curve = hyperelliptic_from_masks(int(parts[1][2:], 16), int(parts[2][2:], 16))
-        else:
+        kind = DESCRIPTIONS.get(name)  # a quadric id has one field, c=..., a hyp id two, h=... and f=...
+        if kind is None or len(fields) != (1 if kind.quadric else 2):
             raise ValueError("not a census id")
+        masks = [int(field[2:], 16) for field in fields]
+        curve = quadric_curve_from_mask(name, *masks) if kind.quadric else hyperelliptic_from_masks(*masks)
         if curve.curve_id != s:
             raise ValueError(f"the model's own id is {curve.curve_id!r}")
     except ValueError as exc:
@@ -295,38 +248,25 @@ def eval_cubic(spec, coeffs, point):
     return acc
 
 
+def _form_value(spec, monomials, point):
+    """The sum of monomials (exponent tuples of degree >= 1) at point."""
+    acc = spec.zero
+    for e in monomials:
+        acc = spec.add(acc, reduce(spec.mul, [c for c, n in zip(point, e) for _ in range(n)]))
+    return acc
+
+
 def eval_quadric(kind: str, spec, point):
-    x, y, z, t = point
-    if kind == "ns":
-        return spec.add(spec.mul(x, y), spec.mul(z, t))
-    return spec.add(spec.mul(x, y), spec.mul(t, t))
+    return _form_value(spec, quadric(kind).form, point)
 
 
 def quadric_gradient(kind: str, spec, point) -> tuple:
-    x, y, z, t = point
-    if kind == "ns":
-        return (y, x, t, z)
-    return (y, x, spec.zero, spec.zero)  # d(T^2)/dT = 2T = 0
-
-
-# the affine charts of each quadric: (kind, chart) -> the exponent pairs of
-# X, Y, Z, T in the chart's two parameters ((v, u), or (x, y) on the grid),
-# so X^a Y^b Z^g T^d lands on cell a*X + b*Y + g*Z + d*T.  The charts Y = 1
-# and X = 1 of a kind, with its distinguished points X = Y = 0, cover the
-# quadric.  The ns chart T = 1 (the bidegree grid) and the cone chart X = 1
-# are the plane models of cartier.cartier_operator.
-_CHARTS = {
-    ("ns", "Y"): ((1, 1), (0, 0), (1, 0), (0, 1)),    # (u v, 1, v, u)
-    ("ns", "X"): ((0, 0), (1, 1), (1, 0), (0, 1)),    # (1, u v, v, u)
-    ("ns", "T"): ((1, 0), (0, 1), (1, 1), (0, 0)),    # (x, y, x y, 1)
-    ("cone", "X"): ((0, 0), (0, 2), (1, 0), (0, 1)),  # (1, u^2, v, u)
-    ("cone", "Y"): ((0, 2), (0, 0), (1, 0), (0, 1)),  # (u^2, 1, v, u)
-}
-# the cover decided by the generic route; the first chart is the packed one
-_COVER = {"ns": ("Y", "X"), "cone": ("X", "Y")}
-_CELLS = {key: tuple(tuple(sum(e * xy[i] for e, xy in zip(mono, chart)) for i in (0, 1))
-                     for mono in MONOMIALS3)
-          for key, chart in _CHARTS.items()}
+    """The partials of the quadric's form at point.  In characteristic 2 the
+    partial in X_v of a monomial is the monomial with X_v lowered by one
+    when X_v has an odd exponent, and 0 otherwise (d(T^2)/dT = 2T = 0)."""
+    form = quadric(kind).form
+    return tuple(_form_value(spec, [tuple(n - (w == v) for w, n in enumerate(e)) for e in form if e[v] & 1], point)
+                 for v in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +416,12 @@ def _projective_line(spec: FieldSpec):
 
 
 def quadric_points(kind: str, spec: FieldSpec) -> list[tuple[int, int, int, int]]:
-    """Every point of the quadric over spec, each once.
-
-    ns is P^1 x P^1 via (X, Y, Z, T) = (x z, y t, y z, x t); the cone is
+    """Every point of the quadric over spec, each once, in an order that fixes
+    the scan's columns and witnesses: by its parametrization, segre (ns) is
+    P^1 x P^1 via (X, Y, Z, T) = (x z, y t, y z, x t); conic (the cone) is
     (1 : u^2 : v : u), then (0 : 1 : v : 0), then the vertex (0 : 0 : 1 : 0).
     """
-    if kind == "ns":
+    if quadric(kind).points == "segre":
         line = list(_projective_line(spec))
         return [(spec.mul(x, z), spec.mul(y, t), spec.mul(y, z), spec.mul(x, t))
                 for x, y in line for z, t in line]
@@ -531,7 +471,7 @@ def _quadric_tables(kind: str):
     the curve where the Jacobian drops rank: a singular point, and
     conversely; a zero low nibble is a point on the curve.
     """
-    exps = np.array([MONOMIALS3[idx] for idx in _KEPT[kind]])  # (16, 4)
+    exps = np.array([MONOMIALS3[idx] for idx in quadric(kind).kept])  # (16, 4)
     shifts = np.array([[12], [8], [4], [0]])  # a point's coordinates as one 16-bit key
     points, bounds, words = [], [0], []
     for d in (1, 2, 3, 4):
@@ -561,7 +501,7 @@ def _quadric_tables(kind: str):
                        mul(mul(pw[v, exps[:, v] - 1], f[:, (v + 1) % 4]),
                            mul(f[:, (v + 2) % 4], f[:, (v + 3) % 4])), 0)
               for v in range(4)]
-        qg = quadric_gradient(kind, K, tuple(coords))
+        qg = quadric_gradient(kind, SimpleNamespace(zero=0, add=np.bitwise_xor, mul=mul), tuple(coords))
         word = mul(mul(f[:, 0], f[:, 1]), mul(f[:, 2], f[:, 3]))
         for n, (i, j) in enumerate(_MINOR_PAIRS, start=1):
             word |= (mul(cp[i], qg[j]) ^ mul(cp[j], qg[i])) << 4 * n
@@ -685,64 +625,54 @@ def biv_from_rows(F, rows) -> tuple:
 
 
 def chart_polynomial(curve: QuadricCubicCurve, chart: str):
-    """The cubic pulled back to one affine chart of its quadric (_CHARTS)."""
+    """The cubic pulled back to one affine chart of its quadric (kinds.Kind.charts)."""
     spec = curve.spec
+    cells = quadric(curve.kind).cells[chart]
     rows = [[0] * 7 for _ in range(4)]
     for idx, c in enumerate(curve.coeffs):
         if c:
-            v_e, u_e = _CELLS[curve.kind, chart][idx]
+            v_e, u_e = cells[idx]
             rows[v_e][u_e] = spec.add(rows[v_e][u_e], c)
     return biv_from_rows(spec, rows)
 
 
 def _distinguished_checks(curve: QuadricCubicCurve) -> SmoothnessResult | None:
-    spec = curve.spec
-    co = curve.coeffs
-    if curve.kind == "ns":
-        # (0:0:0:1) is singular iff c(T^3) = c(XT^2) = c(YT^2) = 0
-        if not co[_INDEX3[(0, 0, 0, 3)]] and not co[_INDEX3[(1, 0, 0, 2)]] and not co[_INDEX3[(0, 1, 0, 2)]]:
-            return SmoothnessResult(False, (spec.k, (0, 0, 0, 1)), "singular at (0:0:0:1)")
-        # (0:0:1:0) is singular iff c(Z^3) = c(XZ^2) = c(YZ^2) = 0
-        if not co[_INDEX3[(0, 0, 3, 0)]] and not co[_INDEX3[(1, 0, 2, 0)]] and not co[_INDEX3[(0, 1, 2, 0)]]:
-            return SmoothnessResult(False, (spec.k, (0, 0, 1, 0)), "singular at (0:0:1:0)")
-    else:
-        # the cone vertex: if the cubic passes through it the intersection is
-        # singular there, because the quadric gradient vanishes at the vertex
-        if not co[_INDEX3[(0, 0, 3, 0)]]:
-            return SmoothnessResult(False, (spec.k, (0, 0, 1, 0)), "the cubic meets the cone vertex")
+    """The first distinguished point (kinds.Kind.distinguished) where the
+    cubic's coefficients of the point's monomials all vanish, a singular one."""
+    for point, monomials, note in quadric(curve.kind).distinguished:
+        if not any(curve.coeffs[_INDEX3[e]] for e in monomials):
+            return SmoothnessResult(False, (curve.spec.k, point), note)
     return None
 
 
 def _quadric_smooth_generic(curve: QuadricCubicCurve) -> SmoothnessResult:
     """Smoothness over any base field F_{2^k}.  Every point of the quadric
-    lies in one of the two affine charts of _COVER or is a distinguished
-    point (X = Y = 0: (0:0:1:0) and (0:0:0:1) on ns, the vertex on the
-    cone).  The distinguished points are checked by their coefficient
-    patterns, and each chart by the gcds of _chart_singular_fibre over
-    F_{2^k}[u], the decision the F_2 route makes on packed polynomials.
-    Its reference is elimination.exists_common_zero on the chart
-    polynomial and its two partials, which the tests compare it against.
+    lies in one of the two affine charts of its cover or is a distinguished
+    point (X = Y = 0).  The distinguished points are checked by their
+    coefficient patterns, and each chart by the gcds of _chart_singular_fibre
+    over F_{2^k}[u], the decision the F_2 route makes on packed polynomials.
+    Its reference is elimination.exists_common_zero on the chart polynomial
+    and its two partials, which the tests compare it against.
     """
     res = _distinguished_checks(curve)
     if res is not None:
         return res
     R = poly_ring(curve.spec)
-    for chart in _COVER[curve.kind]:
+    for chart in quadric(curve.kind).cover:
         if _chart_singular_fibre(R, chart_polynomial(curve, chart)):
             return SmoothnessResult(False, None, "singular point inside the affine chart")
     return SmoothnessResult(True)
 
 
-# the packed chart's (v-degree, u-degree) of each F_2 mask bit
-_F2_CELLS = {kind: tuple(_CELLS[kind, _COVER[kind][0]][i] for i in _KEPT[kind]) for kind in QUADRIC_KINDS}
-
-
 def _packed_chart(kind: str, mask: int) -> list[int]:
-    """The chart polynomial of an F_2 mask on the first chart of _COVER, as
-    packed u-polynomials f0..f3, the coefficients of v^0..v^3."""
+    """The chart polynomial of an F_2 mask on the first chart of its kind's
+    cover, as packed u-polynomials f0..f3, the coefficients of v^0..v^3."""
+    desc = quadric(kind)
+    cells = desc.cells[desc.cover[0]]
     f = [0] * 4
-    for bit, (v_e, u_e) in enumerate(_F2_CELLS[kind]):
+    for bit, idx in enumerate(desc.kept):
         if (mask >> bit) & 1:
+            v_e, u_e = cells[idx]
             f[v_e] ^= 1 << u_e
     return f
 
@@ -809,7 +739,7 @@ def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
     stabilizer orbit, whose result holds for the whole orbit.
 
     The quadric is covered as in _quadric_smooth_generic, and this route
-    decides the first chart of _COVER only, by the gcds of
+    decides the first chart of the cover only, by the gcds of
     _chart_singular_fibre over F2X, the packed F_2[u]: the same decision
     the generic route makes over F_{2^k}[u].  Every other point is a scan
     column: the distinguished points lie over F_2, and what the second
@@ -935,15 +865,16 @@ def _quadric_image_tables(kind: str) -> tuple[np.ndarray, np.ndarray]:
     10-bit quadratic in MONOMIALS2 order, and quadric monomial x form
     (10 x 16) gives the 16 kept bits, the quadric's reduction folded in.
     """
-    kept = {idx: bit for bit, idx in enumerate(_KEPT[kind])}
-    fold = {e: kept[_REDUCTION[kind].get(i, i)] for i, e in enumerate(MONOMIALS3)}
+    desc = quadric(kind)
+    kept = {idx: bit for bit, idx in enumerate(desc.kept)}
+    fold = {e: kept[desc.reduction.get(i, i)] for i, e in enumerate(MONOMIALS3)}
     units = [tuple(int(i == v) for i in range(4)) for v in range(4)]
     var_lin = _form_products(_INDEX2, units)  # (variable, form)
     lin_lin = np.bitwise_xor.reduce(_FORM_BITS[:, :, None] * var_lin, axis=1).astype(np.uint16)
     quad_lin = _form_products(fold, MONOMIALS2).astype(np.uint16)
     forms = (_stabilizer_matrices(kind)[:, None] >> np.arange(0, 16, 4, dtype=np.uint16)) & 15
     # the three variables of each kept monomial, with multiplicity
-    var = np.array([[v for v in range(4) for _ in range(MONOMIALS3[idx][v])] for idx in _KEPT[kind]])
+    var = np.array([[v for v in range(4) for _ in range(MONOMIALS3[idx][v])] for idx in desc.kept])
     quad = lin_lin[forms[:, var[:, 0]], forms[:, var[:, 1]]]  # (G, bit)
     terms = quad_lin[np.arange(10), forms[:, var[:, 2], None]]  # (G, bit, quadric monomial)
     terms *= (quad[..., None] >> np.arange(10, dtype=np.uint16)) & 1
@@ -1068,7 +999,6 @@ def aut_order_f2(curve) -> int:
 
 def jacobian_aut_order(curve, aut: int) -> int:
     """|Aut(Jacobian, principal polarization)| from aut = |Aut(C)|: aut for
-    hyperelliptic C and 2 aut otherwise, by the Torelli theorem."""
-    if isinstance(curve, HyperellipticCurve):
-        return aut
-    return 2 * aut
+    hyperelliptic C and 2 aut otherwise (kinds.Kind.jacobian_factor), by the
+    Torelli theorem."""
+    return DESCRIPTIONS[curve.kind].jacobian_factor * aut

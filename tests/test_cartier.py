@@ -30,6 +30,7 @@ from genus4census.curves import (
     quadric_curve_from_mask,
 )
 from genus4census.gfarith import F2, field, gf2x_degree, gf2x_factor, poly_from_coeffs, poly_mul, poly_shift
+from genus4census.kinds import DESCRIPTIONS, Kind
 from genus4census.zeta import newton_polygon, weil_from_counts
 
 from oracles import is_type43_candidate
@@ -207,7 +208,8 @@ def test_cartier_operator_dispatch():
 
 def test_term_outside_the_basis_raises(monkeypatch):
     # x^4 in place of x^3: with h = x^3 the row of x^4 reads x^7 y, the cell of x^3
-    monkeypatch.setattr(cartier, "_HYP_BASIS", ((0, 0), (0, 1), (0, 2), (0, 4)))
+    hyp = dict(zip(Kind._fields, DESCRIPTIONS["hyp"]._values()), cartier_basis=((0, 0), (0, 1), (0, 2), (0, 4)))
+    monkeypatch.setitem(DESCRIPTIONS, "hyp", Kind(**hyp))
     with pytest.raises(AssertionError, match="outside the differential basis"):
         cartier_operator(hyperelliptic_from_masks(0x08, 0x200))
 

@@ -48,6 +48,7 @@ from genus4census.curves import (
 from genus4census.curves import _HYP_AFFINE_NOTE, _HYP_INFINITY_NOTE, _quadric_tables, _scan_singular
 from genus4census.gfarith import (F2X, _squarefree_decomposition, embedding, field, gf2x_degree, gf2x_factor,
                                   gf2x_gcd, gf2x_mul)
+from genus4census.kinds import DESCRIPTIONS
 
 from oracles import cubic_partials, index_entries, record_json, reseal, with_index_entry
 
@@ -480,7 +481,7 @@ def test_id_filter_sees_every_id_of_the_job_once_in_order(job):
     # deg h = 4 (f from 0x200) and deg h = 5 (every f); it keeps a CRC-32
     # share, and the job's positions are exactly the kept ids'
     if job[0] == "hyp":
-        lo, hi = census._HYP_FIRST[job[1]], census._HYP_FIRST[job[2]]
+        lo, hi = census._FIRST["hyp"][job[1]], census._FIRST["hyp"][job[2]]
     else:
         lo = census._START[job[0]]
         hi = lo + (1 << 16)
@@ -1228,7 +1229,7 @@ def test_read_records_id_grammar_is_the_census_id_domain():
         assert all(grammar.fullmatch(f"{kind};c=0x{m:04x}") for m in range(1 << 16))
     hyp = [(h, f) for h in range(64) for f in range(2048)
            if grammar.fullmatch(f"hyp;h=0x{h:02x};f=0x{f:03x}")]
-    assert hyp == [(h, f) for h in range(1, 64) for f in range(census._hyp_f_min(h), 2048)]
+    assert hyp == [(h, f) for h in range(1, 64) for f in range(DESCRIPTIONS["hyp"].first_tail[h], 2048)]
     assert len(hyp) == 113152
     for bad in ("ns;c=0x1D0C", "ns;c=0x1d0", "ns;c=0x01d0c", "ns;c=1d0c", "ell;c=0x1d0c", "cone;c=0x1d0c ",
                 "hyp;h=0x00;f=0x200", "hyp;h=0x1f;f=0x1ff", "hyp;h=0x40;f=0x000", "hyp;h=0x20;f=0x800",
@@ -1390,6 +1391,8 @@ def test_census_totals(full_census):
         totals[rec.kind] = totals.get(rec.kind, 0) + 1
         smooth[rec.kind] = smooth.get(rec.kind, 0) + rec.smooth
     assert totals == {"cone": 1 << 16, "ns": 1 << 16, "hyp": 113152}
+    assert {kind: desc.domain for kind, desc in DESCRIPTIONS.items()} == totals
+    assert sum(desc.domain for desc in DESCRIPTIONS.values()) == 244224
     assert smooth == {"cone": 12288, "ns": 16020, "hyp": 49152}
     ids = [rec.id for rec in records]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)

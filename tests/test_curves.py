@@ -45,11 +45,7 @@ from genus4census.curves import (
     substitute_quadric,
 )
 from genus4census.curves import (
-    _CHARTS,
-    _COVER,
-    _KEPT,
     _MINOR_PAIRS,
-    _REDUCTION,
     _chart_singular_fibre,
     _distinguished_checks,
     _hyp_images,
@@ -65,6 +61,7 @@ from genus4census import elimination as el
 from genus4census.elimination import biv_eval
 from genus4census.gfarith import (F2, F2X, field, gf2x_gcd, gf2x_mul, poly_eval, poly_from_coeffs,
                                   poly_mul, poly_ring, xor_table)
+from genus4census.kinds import DESCRIPTIONS
 
 from oracles import cubic_partials, stabilizer_matrices_by_filter
 
@@ -95,10 +92,10 @@ def test_monomial_tables_frozen():
     assert MONOMIALS3[1] == (2, 1, 0, 0)
     assert MONOMIALS3[10] == (0, 3, 0, 0)
     assert MONOMIALS3[19] == (0, 0, 0, 3)
-    assert _REDUCTION["ns"] == {8: 1, 14: 4, 17: 5, 18: 6}
-    assert _REDUCTION["cone"] == {9: 1, 15: 4, 18: 5, 19: 6}
-    assert _KEPT["ns"] == (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 16, 19)
-    assert _KEPT["cone"] == (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 16, 17)
+    assert DESCRIPTIONS["ns"].reduction == {8: 1, 14: 4, 17: 5, 18: 6}
+    assert DESCRIPTIONS["cone"].reduction == {9: 1, 15: 4, 18: 5, 19: 6}
+    assert DESCRIPTIONS["ns"].kept == (0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 15, 16, 19)
+    assert DESCRIPTIONS["cone"].kept == (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 16, 17)
 
 
 def test_reduce_cubic_folds_partners():
@@ -270,12 +267,12 @@ def test_count_points_guards():
 
 
 def test_chart_polynomials_match_cubic():
-    # on every chart of _CHARTS (the smoothness cover and the Cartier plane
-    # models) the chart point (v^i u^j per coordinate) lies on the quadric and
-    # the chart polynomial at (v, u) is the cubic there
+    # on every chart of every quadric kind (the smoothness cover and the
+    # Cartier plane models) the chart point (v^i u^j per coordinate) lies on
+    # the quadric and the chart polynomial at (v, u) is the cubic there
     rng = random.Random(31)
     K = field(3)
-    for (kind, chart), cells in _CHARTS.items():
+    for kind, (chart, cells) in ((d.name, c) for d in DESCRIPTIONS.values() for c in d.charts):
         for _ in range(10):
             c = quadric_curve(kind, K, [rng.randrange(8) for _ in range(20)])
             f = chart_polynomial(c, chart)
@@ -420,10 +417,10 @@ def _chart_singular_by_elimination(F, f):
 
 def _smooth_by_elimination(curve):
     """The reference decision: the distinguished points by their
-    coefficient patterns, then both charts of _COVER by elimination."""
+    coefficient patterns, then both charts of its kind's cover by elimination."""
     return _distinguished_checks(curve) is None and not any(
         _chart_singular_by_elimination(curve.spec, chart_polynomial(curve, chart))
-        for chart in _COVER[curve.kind])
+        for chart in DESCRIPTIONS[curve.kind].cover)
 
 
 def test_smoothness_engines_agree():
@@ -512,7 +509,7 @@ def test_chart_decision_matches_elimination_over_extensions(k):
         kind, density = ("ns", "cone")[i % 2], (0.5, 0.7, 0.9)[i % 3]
         c = quadric_curve(kind, F, [rng.randrange(F.order) if rng.random() < density else 0
                                     for _ in range(20)])
-        singular = [chart_singular(chart_polynomial(c, chart)) for chart in _COVER[kind]]
+        singular = [chart_singular(chart_polynomial(c, chart)) for chart in DESCRIPTIONS[kind].cover]
         want = _distinguished_checks(c) is None and not any(singular)
         assert _quadric_smooth_generic(c).smooth == want, (k, c.coeffs)
         smooth_seen[want] += 1
@@ -579,7 +576,7 @@ def test_scan_flags_every_off_chart_pattern(kind):
     # already be flagged by the quadric scan
     masks = np.arange(1 << 16)
     flagged = _quadric_scan(kind, 0, 1 << 16)[1]
-    bit = {idx: b for b, idx in enumerate(_KEPT[kind])}
+    bit = {idx: b for b, idx in enumerate(DESCRIPTIONS[kind].kept)}
 
     def vanish(monomials):
         return (masks & sum(1 << bit[IDX[e]] for e in monomials)) == 0
@@ -614,7 +611,7 @@ def _quadric_tables_onehot(kind):
     of the one-pass build."""
     points = _frobenius_representatives(kind)
     bits = np.zeros((16, len(points)), np.uint32)
-    for bit, idx in enumerate(_KEPT[kind]):
+    for bit, idx in enumerate(DESCRIPTIONS[kind].kept):
         onehot = tuple(int(i == idx) for i in range(len(MONOMIALS3)))
         for col, (d, pt) in enumerate(points):
             K = field(d)
@@ -650,7 +647,7 @@ def test_quadric_image_tables_match_substitution(kind):
     # every stabilizer element and every mask bit: the bitset products of
     # the image tables against substitute_cubic followed by reduce_cubic
     lo, hi = _quadric_image_tables(kind)
-    kept = _KEPT[kind]
+    kept = DESCRIPTIONS[kind].kept
     group = quadric_stabilizer_f2(kind)
     assert lo.shape == hi.shape == (256, len(group))
     for g, t in enumerate(group):
@@ -744,6 +741,7 @@ def test_stabilizer_sizes_and_closure():
     assert len(g_ns) == 72  # (PGL_2 x PGL_2) x swap on P^1 x P^1
     assert len(g_cone) == 48  # 6 conic motions x 8 choices for the Z row
     for kind, grp in (("ns", g_ns), ("cone", g_cone)):
+        assert len(_stabilizer_matrices(kind)) == len(grp) == DESCRIPTIONS[kind].group_order
         q = quadric_coeffs(kind)
         rows = {t.rows for t in grp}
         # ascending in the 16-bit matrix whose row i is bits 4i..4i+3
@@ -792,6 +790,11 @@ def test_aut_of_named_curves():
     orbit = {apply_transform(ss, t).coeffs for t in quadric_stabilizer_f2("ns")}
     assert a * len(orbit) == 72
     assert jacobian_aut_order(ss, aut_order_f2(ss)) == 2 * a
+    # |Aut(Jacobian)| = j |Aut(C)|, j = 1 for hyperelliptic C and 2 otherwise
+    cone = curve_from_monomials("cone", EO41_CONE)
+    assert jacobian_aut_order(cone, 3) == 6
+    for curve in (hyp, ss, cone):
+        assert jacobian_aut_order(curve, 3) == DESCRIPTIONS[curve.kind].jacobian_factor * 3
 
 
 def test_aut_hyperelliptic_orbit_stabilizer():
@@ -800,6 +803,7 @@ def test_aut_hyperelliptic_orbit_stabilizer():
     rng = random.Random(73)
     mats = gl2_f2()
     assert len(mats) == 6
+    assert len(mats) * 64 == DESCRIPTIONS["hyp"].group_order == 384
     checked = 0
     while checked < 4:
         hm = rng.randrange(1, 64)
