@@ -130,7 +130,7 @@ from .curves import (
 )
 from .dieudonne import EoLabel, eo_classify_curve
 from .gfarith import F2X, _squarefree_decomposition, field, gf2x_degree, xor_table
-from .kinds import DESCRIPTIONS
+from .kinds import DESCRIPTIONS, parse_id
 from .zeta import GENUS, WEIL_ROW_FAILURES, WeilPolynomial, _newton_polygon, classify_stratum, weil_rows_f2
 # unused here since _smooth_rows checks all rows of a job in one array pass;
 # kept bound because the benchmark's traced run wraps them in this module by
@@ -211,22 +211,20 @@ _HYP = DESCRIPTIONS["hyp"]  # counted by its own route, _hyp_chunk
 def _id_tables():
     """Every head and tail in KINDS order; each head's first position, per
     kind and as an array for searchsorted; what a position of each head adds
-    for its tail's index in the tails; per kind, its tails' width and index.
-    The arrays are built from lists, as a numpy ufunc call at import raises
-    every process's peak memory; h = 0 has no model and shares h = 1's first."""
-    heads, tails, first, shift, tail_index = [], [], {}, [], {}
+    for its tail's index in the tails.  The arrays are built from lists, as
+    a numpy ufunc call at import raises every process's peak memory; h = 0
+    has no model and shares h = 1's first."""
+    heads, tails, first, shift = [], [], {}, []
     for kind in KINDS:
         desc = DESCRIPTIONS[kind]
         first[kind] = list(accumulate((len(desc.tails) - t for t in desc.first_tail[:-1]), initial=_START[kind]))
         shift += [len(tails) + t - f for t, f in zip(desc.first_tail, first[kind])]
         heads += desc.heads
-        tail_index[kind] = len(desc.tails[0]), {tail: len(tails) + i for i, tail in enumerate(desc.tails)}
         tails += desc.tails
-    return tuple(heads), tuple(tails), first, np.array(sum(first.values(), [])), np.array(shift), tail_index
+    return tuple(heads), tuple(tails), first, np.array(sum(first.values(), [])), np.array(shift)
 
 
-_HEADS, _TAILS, _FIRST, _HEAD_FIRST, _TAIL_SHIFT, _TAIL_INDEX = _id_tables()
-_HEAD_INDEX = {head: h for h, head in enumerate(_HEADS)}
+_HEADS, _TAILS, _FIRST, _HEAD_FIRST, _TAIL_SHIFT = _id_tables()
 
 
 def _spelled(head: str, tails) -> list[str]:
@@ -517,27 +515,21 @@ def record_from_json(line: str) -> CensusRecord:
     return CensusRecord(obj.cid, *obj.row)
 
 
-# the curve_id of every census model, in its one spelling: a quadric mask
-# in four hex digits; hyp h in 0x01..0x3f with f in 0x000..0x7ff when
-# deg h = 5 and in 0x200..0x7ff otherwise (the genus-4 shape)
-_CURVE_ID = (r"(?:cone|ns);c=0x[0-9a-f]{4}"
-             r"|hyp;h=0x(?:[23][0-9a-f];f=0x[0-7]|(?:0[1-9a-f]|1[0-9a-f]);f=0x[2-7])[0-9a-f]{2}")
-_IS_CURVE_ID = re.compile(_CURVE_ID).fullmatch
-
-
 def _positions(ids: list) -> np.ndarray:
     """The positions of ids, refusing the first that is not the curve_id of a
-    census model (_CURVE_ID) or does not strictly follow the one before."""
+    census model (kinds.parse_id) or does not strictly follow the one before."""
     pos = np.empty(len(ids), np.intp)
-    shift = _TAIL_SHIFT.tolist()
     prev = ""
     for i, cid in enumerate(ids):
-        if not (isinstance(cid, str) and _IS_CURVE_ID(cid)):
-            raise ValueError(f"record id {cid!r} is not the curve_id of a census model")
+        try:
+            kind, key = parse_id(cid)
+        except ValueError:
+            raise ValueError(f"record id {cid!r} is not the curve_id of a census model") from None
         if cid <= prev:
             raise ValueError(f"record id {cid!r} does not follow {prev!r} (ids must be strictly ascending)")
-        width, tail_index = _TAIL_INDEX[cid[:cid.index(";")]]
-        pos[i] = tail_index[cid[-width:]] - shift[_HEAD_INDEX[cid[:-width]]]
+        desc = DESCRIPTIONS[kind]
+        head, tail = divmod(key, len(desc.tails))
+        pos[i] = _FIRST[kind][head] + tail - desc.first_tail[head]
         prev = cid
     return pos
 
@@ -1019,8 +1011,9 @@ def _quadric_chunk(kind: str, keep=None) -> tuple[np.ndarray, np.ndarray, tuple]
     if bad.any():
         i = int(bad.argmax())
         (cid,) = _curve_ids(pos[open_pos[i:i + 1]])
-        raise RuntimeError(f"the scan flags or counts the orbit representative {kind};c=0x{reps[i]:04x} "
-                           f"of {cid} otherwise than {cid} itself")
+        rep = DESCRIPTIONS[kind].spell(int(reps[i]))
+        raise RuntimeError(f"the scan flags or counts the orbit representative {rep} of {cid} "
+                           f"otherwise than {cid} itself")
     distinct, of_rep = np.unique(reps, return_inverse=True)
     decisions = [_quadric_orbit_decision(kind, rep) for rep in distinct.tolist()]
     head[open_pos] = _head_index(heads, [cart if res.smooth else res.note for res, cart in decisions])[of_rep]
@@ -1222,14 +1215,14 @@ def _isomorphism_orbit(curve) -> tuple[set[str], int]:
     """
     if isinstance(curve, QuadricCubicCurve):
         row = _quadric_images(curve.kind, [curve.mask])[0].tolist()
-        return {f"{curve.kind};c=0x{m:04x}" for m in row}, len(row)
+        return set(map(DESCRIPTIONS[curve.kind].spell, row)), len(row)
     if isinstance(curve, HyperellipticCurve):
         images = _hyp_images(*curve.masks)
         # max(2 deg h, deg f) in {9, 10} means deg h = 5 or deg f >= 9
         if not all(h >> 5 or f >> 9 for h, f in images):
             raise ValueError(f"{curve.curve_id}: a transported model leaves the genus-4 shape "
                              "(the model is singular)")
-        return {f"hyp;h=0x{h:02x};f=0x{f:03x}" for h, f in images}, len(images)
+        return {_HYP.spell(h * len(_HYP.tails) + f) for h, f in images}, len(images)
     raise TypeError(f"not a curve: {curve!r}")
 
 

@@ -57,7 +57,7 @@ from .gfarith import (
     xor_apply,
     xor_table,
 )
-from .kinds import _INDEX3, DESCRIPTIONS, MONOMIALS2, MONOMIALS3, quadric
+from .kinds import _INDEX3, DESCRIPTIONS, MONOMIALS2, MONOMIALS3, parse_id, quadric
 
 __all__ = [
     "MONOMIALS3",
@@ -141,15 +141,11 @@ class QuadricCubicCurve(Value):
     def mask(self) -> int:
         if self.spec.k != 1:
             raise ValueError("bitmask encoding is defined over F_2 only")
-        m = 0
-        for bit, idx in enumerate(quadric(self.kind).kept):
-            if self.coeffs[idx]:
-                m |= 1 << bit
-        return m
+        return sum(self.coeffs[idx] << bit for bit, idx in enumerate(quadric(self.kind).kept))
 
     @property
     def curve_id(self) -> str:
-        return f"{self.kind};c=0x{self.mask:04x}"
+        return quadric(self.kind).spell(self.mask)
 
 
 def quadric_curve(kind: str, spec: FieldSpec, coeffs) -> QuadricCubicCurve:
@@ -199,7 +195,8 @@ class HyperellipticCurve(Value):
     @property
     def curve_id(self) -> str:
         hm, fm = self.masks
-        return f"hyp;h=0x{hm:02x};f=0x{fm:03x}"
+        kind = DESCRIPTIONS[self.kind]
+        return kind.spell(hm * len(kind.tails) + fm)
 
 
 def hyperelliptic_from_masks(h_mask: int, f_mask: int) -> HyperellipticCurve:
@@ -209,20 +206,16 @@ def hyperelliptic_from_masks(h_mask: int, f_mask: int) -> HyperellipticCurve:
 
 
 def parse_curve_id(s: str):
-    """Inverse of the curve_id properties (census encodings, base field F_2).
-    Only a model's own curve_id is accepted, so no model has two ids."""
-    name, *fields = s.split(";")
+    """The model whose curve_id is s, read by kinds.parse_id (census encodings,
+    base field F_2): so no model has two ids."""
     try:
-        kind = DESCRIPTIONS.get(name)  # a quadric id has one field, c=..., a hyp id two, h=... and f=...
-        if kind is None or len(fields) != (1 if kind.quadric else 2):
-            raise ValueError("not a census id")
-        masks = [int(field[2:], 16) for field in fields]
-        curve = quadric_curve_from_mask(name, *masks) if kind.quadric else hyperelliptic_from_masks(*masks)
-        if curve.curve_id != s:
-            raise ValueError(f"the model's own id is {curve.curve_id!r}")
-    except ValueError as exc:
-        raise ValueError(f"bad curve id {s!r}: {exc}") from None
-    return curve
+        name, key = parse_id(s)
+    except ValueError:
+        raise ValueError(f"bad curve id {s!r}: not the curve_id of a census model") from None
+    kind = DESCRIPTIONS[name]
+    if kind.quadric:
+        return quadric_curve_from_mask(name, key)
+    return hyperelliptic_from_masks(*divmod(key, len(kind.tails)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +307,7 @@ class ProjectiveTransform(Value):
         F = self.spec
         rows = tuple(
             tuple(
-                _xor_sum(F, (F.mul(self.rows[i][k], other.rows[k][j]) for k in range(4)))
+                reduce(F.add, (F.mul(self.rows[i][k], other.rows[k][j]) for k in range(4)), 0)
                 for j in range(4)
             )
             for i in range(4)
@@ -325,13 +318,6 @@ class ProjectiveTransform(Value):
         inv = _mat_inverse(self.spec, self.rows)
         assert inv is not None
         return ProjectiveTransform(self.spec, inv)
-
-
-def _xor_sum(spec: FieldSpec, items) -> int:
-    acc = 0
-    for x in items:
-        acc = spec.add(acc, x)
-    return acc
 
 
 def _expand_linear_product(spec: FieldSpec, forms) -> dict[tuple, int]:
@@ -352,30 +338,24 @@ def _expand_linear_product(spec: FieldSpec, forms) -> dict[tuple, int]:
     return acc
 
 
-def substitute_quadric(spec: FieldSpec, q10, rows) -> tuple[int, ...]:
-    out = [0] * len(MONOMIALS2)
-    for c, e in zip(q10, MONOMIALS2):
-        if not c:
-            continue
-        forms = []
-        for v in range(4):
-            forms.extend([rows[v]] * e[v])
-        for e2, c2 in _expand_linear_product(spec, forms).items():
-            out[_INDEX2[e2]] = spec.add(out[_INDEX2[e2]], spec.mul(c, c2))
+def _substitute(spec: FieldSpec, coeffs, rows, monomials, index) -> tuple[int, ...]:
+    """The form with coeffs on monomials (index: monomial -> slot) after
+    each variable is replaced by its row's linear form."""
+    out = [0] * len(monomials)
+    for c, e in zip(coeffs, monomials):
+        if c:
+            forms = [row for row, n in zip(rows, e) for _ in range(n)]
+            for e2, c2 in _expand_linear_product(spec, forms).items():
+                out[index[e2]] = spec.add(out[index[e2]], spec.mul(c, c2))
     return tuple(out)
+
+
+def substitute_quadric(spec: FieldSpec, q10, rows) -> tuple[int, ...]:
+    return _substitute(spec, q10, rows, MONOMIALS2, _INDEX2)
 
 
 def substitute_cubic(spec: FieldSpec, c20, rows) -> tuple[int, ...]:
-    out = [0] * len(MONOMIALS3)
-    for c, e in zip(c20, MONOMIALS3):
-        if not c:
-            continue
-        forms = []
-        for v in range(4):
-            forms.extend([rows[v]] * e[v])
-        for e2, c2 in _expand_linear_product(spec, forms).items():
-            out[_INDEX3[e2]] = spec.add(out[_INDEX3[e2]], spec.mul(c, c2))
-    return tuple(out)
+    return _substitute(spec, c20, rows, MONOMIALS3, _INDEX3)
 
 
 def apply_transform(curve: QuadricCubicCurve, t: ProjectiveTransform) -> QuadricCubicCurve:
@@ -386,11 +366,7 @@ def apply_transform(curve: QuadricCubicCurve, t: ProjectiveTransform) -> Quadric
     spec = curve.spec
     q = quadric_coeffs(curve.kind)
     qt = substitute_quadric(spec, q, t.rows)
-    lam = None
-    for qc, qtc in zip(q, qt):
-        if qc:
-            lam = qtc
-            break
+    lam = next((qtc for qc, qtc in zip(q, qt) if qc), None)
     if not lam or any(qtc != spec.mul(lam, qc) for qc, qtc in zip(q, qt)):
         raise ValueError("substitution does not preserve the quadric")
     return quadric_curve(curve.kind, spec, substitute_cubic(spec, curve.coeffs, t.rows))

@@ -2,9 +2,11 @@
 ``ns``, cubics on the split quadric X*Y + Z*T (P^1 x P^1); ``cone``, cubics
 on the quadric cone X*Y + T^2; ``hyp``, hyperelliptic curves.  Functions
 elsewhere take a kind's name and read its description in DESCRIPTIONS,
-through quadric where the name may be none.  This module imports no numpy.
+through quadric where the name may be none.  Kind.spell and its inverse
+parse_id are the one codec of curve ids.  This module imports no numpy.
 """
 
+import functools
 import itertools
 
 from ._value import Value, setfield
@@ -24,9 +26,10 @@ class Kind(Value):
       cells (i, j) of v^i u^j;
     * group_order: |G|, the group whose orbits are the F_2-isomorphism
       classes; jacobian_factor: j with |Aut(Jacobian)| = j |Aut(C)|;
-    * heads, tails, first_tail: a curve id is a head and a tail, and the
-      ids of heads[i] are heads[i] + tails[t], t >= first_tail[i], in id
-      order; split_by_h: whether the census cuts the kind's jobs by head;
+    * heads, tails, first_tail: a curve id is a head and a tail of one
+      width; the ids of heads[i] are heads[i] + tails[t], t >= first_tail[i],
+      in id order, with key i * len(tails) + t (a mask, h * 2048 + f on
+      hyp); split_by_h: whether the census cuts the kind's jobs by head;
     * quadric kinds only: the quadric is X*Y + extra, its points are named
       by their parametrization in curves, charts holds (chart, the exponent
       pairs of X, Y, Z, T in the chart's parameters (v, u)), so X^a Y^b Z^g
@@ -61,6 +64,10 @@ class Kind(Value):
         setfield(self, "cells", {chart: tuple(tuple(sum(a * pair[i] for a, pair in zip(e, pairs)) for i in (0, 1))
                                               for e in MONOMIALS3) for chart, pairs in charts})
         setfield(self, "domain", sum(len(tails) - t for t in first_tail))
+
+    def spell(self, key: int) -> str:
+        """The curve id of the model with key (see heads)."""
+        return self.heads[key // len(self.tails)] + self.tails[key % len(self.tails)]
 
 
 def _mask_ids(name: str) -> dict:
@@ -100,3 +107,24 @@ def quadric(name: str) -> Kind:
     if name not in DESCRIPTIONS or not DESCRIPTIONS[name].quadric:
         raise ValueError(f"unknown quadric kind {name!r}")
     return DESCRIPTIONS[name]
+
+
+@functools.cache
+def _id_index(name: str) -> tuple[dict, dict]:
+    """The index of each head and of each tail of the kind called name."""
+    kind = DESCRIPTIONS[name]
+    return {head: i for i, head in enumerate(kind.heads)}, {tail: i for i, tail in enumerate(kind.tails)}
+
+
+def parse_id(cid) -> tuple[str, int]:
+    """The kind's name and the key (Kind.spell) of the curve id cid, refusing
+    with a ValueError what is no str, an unknown head or tail and a tail
+    before its head's first tail.  A kind's index is built at its first id."""
+    name = cid.partition(";")[0] if isinstance(cid, str) else None
+    if name in DESCRIPTIONS:
+        kind, (heads, tails) = DESCRIPTIONS[name], _id_index(name)
+        width = len(kind.tails[0])
+        head, tail = heads.get(cid[:-width]), tails.get(cid[-width:])
+        if head is not None and tail is not None and tail >= kind.first_tail[head]:
+            return name, head * len(kind.tails) + tail
+    raise ValueError(f"{cid!r} is not the curve_id of a census model")
