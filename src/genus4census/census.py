@@ -12,8 +12,8 @@ the run with the offending curve id rather than emit a bad record.
 
 Fast paths, each validated against the generic engines in the test suite:
 
-* quadric counting runs the quadric scan of curves (_quadric_scan): each of
-  the 2^16 masks is the XOR of two byte tables (gfarith.xor_table) of
+* quadric counting runs the quadric scan of curves (_quadric_scan): each
+  mask a job keeps is the XOR of two byte tables (gfarith.xor_table) of
   packed words, one uint32 per Frobenius orbit of quadric points over
   F_2..F_16 holding the monomial value and the six Jacobian 2x2 minors as
   nibbles, in numpy blocks; a zero word is exactly a rational singular
@@ -25,14 +25,16 @@ Fast paths, each validated against the generic engines in the test suite:
   least mask.  numpy builds them for all elements at once, each a 16-bit
   matrix whose rows are linear forms, by gathering F_2 bitset products
   from a form x form and a quadric monomial x form table.  That
-  representative's scan flag is read from the kind's one scan of all 2^16
-  masks, and its smoothness (_quadric_smooth_f2: gcds of packed
-  u-polynomials on one chart, no factorization) and Cartier data are
-  computed once per process and broadcast to the members; counts are read
-  per mask and must equal the representative's, an isomorphism invariant
-  checked on every open mask.  classify_model and is_smooth decide the
-  model itself, and classify_model ranks the model's own Cartier
-  operator (cartier.invariants), a second route to the same records;
+  representative's scan flag and counts are read from the scan of the
+  kept masks when it is one of them, else from a second scan of the
+  representatives that are not, and its smoothness (_quadric_smooth_f2:
+  gcds of packed u-polynomials on one chart, no factorization) and
+  Cartier data are decided from its mask once per process and broadcast
+  to the members; counts are read per mask and must equal the
+  representative's, an isomorphism invariant checked on every open mask.
+  classify_model and is_smooth decide the model itself, and
+  classify_model ranks the model's own Cartier operator
+  (cartier.invariants), a second route to the same records;
 * the Cartier matrix is F_2-linear in the bits of a quadric mask and of h,
   so an orbit representative's Cartier data (_ns_cartier) is read from its
   Cartier word, the XOR of 16 basis words (cartier.quadric_cartier_word),
@@ -68,7 +70,8 @@ spelled from the heads and tails of each kind's description.  run_census
 cuts it into jobs by cost (_census_jobs); a job calls id_filter once per
 id, in id order (_kept), and returns a row table (_row_table), and the
 census process merges the tables, running a share of the jobs itself
-beside a pool of N - 1 processes (_shared_jobs).  No record is built.
+beside a pool of N - 1 processes (_shared_jobs), once the pool has
+returned a first no-op item.  No record is built.
 
 Persistence stores the table itself, as JSON lines of schema
 g4c2-census/2: a header with the schema, the number of kept models of each
@@ -125,7 +128,6 @@ from .curves import (
     is_smooth,
     jacobian_aut_order,
     parse_curve_id,
-    quadric_curve_from_mask,
     quadric_stabilizer_f2,  # noqa: F401
 )
 from .dieudonne import EoLabel, eo_classify_curve
@@ -528,7 +530,7 @@ def _positions(ids: list) -> np.ndarray:
         if cid <= prev:
             raise ValueError(f"record id {cid!r} does not follow {prev!r} (ids must be strictly ascending)")
         desc = DESCRIPTIONS[kind]
-        head, tail = divmod(key, len(desc.tails))
+        head, tail = desc.parts(key)
         pos[i] = _FIRST[kind][head] + tail - desc.first_tail[head]
         prev = cid
     return pos
@@ -834,10 +836,10 @@ def _hyp_cartier(hm: int):
 
 
 # serves both quadric kinds, ns and cone; the name is the one the benchmark traces
-def _ns_cartier(curve: QuadricCubicCurve):
+def _ns_cartier(kind: str, mask: int):
     """The Cartier data of a quadric model from its mask's Cartier word,
     ranked once per distinct word."""
-    return cartier.word_invariants(cartier.quadric_cartier_word(curve.kind, curve.mask))
+    return cartier.word_invariants(cartier.quadric_cartier_word(kind, mask))
 
 
 def _smooth_rows(counts, carts: list, ids: list[str]) -> list[tuple]:
@@ -904,10 +906,8 @@ def _quadric_orbit_decision(kind: str, rep: int):
     leaves unflagged.  Decided once per process and broadcast to the orbit:
     an F_2-automorphism of the quadric maps a model to an isomorphic one,
     with the same smoothness and the same Cartier data."""
-    curve = quadric_curve_from_mask(kind, rep)
-    res = _quadric_smooth_f2(curve)
-    cart = _ns_cartier(curve) if res.smooth else None
-    return res, cart
+    res = _quadric_smooth_f2(kind, rep)
+    return res, _ns_cartier(kind, rep) if res.smooth else None
 
 
 # a job's model keys put N_1..N_4 in the low 24 bits, 6 bits each
@@ -985,8 +985,9 @@ def _row_table(kind: str, name, head: np.ndarray, heads: list,
 
 def _quadric_chunk(kind: str, keep=None) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Row table (see _census_job) of the masks of one quadric kind that
-    keep accepts.  One scan covers all 2^16 masks, so every orbit
-    representative lies in it.
+    keep accepts.  The scan reads the kept masks, then the orbit
+    representatives of the open ones that are not among them, so it reads
+    no mask twice and, on a full census, each mask once.
 
     A flagged mask's head is its note, which names only the field of its
     witness column, so it is built once per field.  An open mask's head is
@@ -995,29 +996,33 @@ def _quadric_chunk(kind: str, keep=None) -> tuple[np.ndarray, np.ndarray, tuple]
     which is broadcast to every member.  An isomorphism keeps the scan's
     flag and counts, so a member's must equal its representative's.
     """
-    counts, flagged, witness = _quadric_scan(kind, 0, 1 << 16)
-    masks = _kept(DESCRIPTIONS[kind].heads, DESCRIPTIONS[kind].tails, keep)
+    masks = _kept(DESCRIPTIONS[kind].heads, DESCRIPTIONS[kind].tails, keep)  # ascending
     pos = _START[kind] + masks
+    counts, flagged, witness = _quadric_scan(kind, masks)
     heads: dict = {}
     head = np.empty(len(masks), np.intp)
-    flag_pos = np.flatnonzero(flagged[masks])
-    degree = np.searchsorted(_quadric_tables(kind)[2], witness[masks[flag_pos]], side="right")
+    flag_pos = np.flatnonzero(flagged)
+    degree = np.searchsorted(_quadric_tables(kind)[2], witness[flag_pos], side="right")
     _, first, of_field = np.unique(degree, return_index=True, return_inverse=True)
-    notes = [_scan_singular(kind, int(witness[masks[flag_pos[i]]])).note for i in first.tolist()]
+    notes = [_scan_singular(kind, int(witness[flag_pos[i]])).note for i in first.tolist()]
     head[flag_pos] = _head_index(heads, notes)[of_field]
-    open_pos = np.flatnonzero(~flagged[masks])
-    reps = _quadric_images(kind, masks[open_pos]).min(axis=1)
-    bad = flagged[reps] | (counts[masks[open_pos]] != counts[reps]).any(axis=1)
+    open_pos = np.flatnonzero(~flagged)
+    distinct, of_rep = np.unique(_quadric_images(kind, masks[open_pos]).min(axis=1), return_inverse=True)
+    # each representative's scan row: the kept masks' scan, else a scan of its own
+    at = np.minimum(np.searchsorted(masks, distinct), len(masks) - 1)
+    kept = masks[at] == distinct
+    rep_counts, rep_flagged = counts[at], flagged[at]
+    rep_counts[~kept], rep_flagged[~kept], _ = _quadric_scan(kind, distinct[~kept])
+    bad = rep_flagged[of_rep] | (counts[open_pos] != rep_counts[of_rep]).any(axis=1)
     if bad.any():
         i = int(bad.argmax())
         (cid,) = _curve_ids(pos[open_pos[i:i + 1]])
-        rep = DESCRIPTIONS[kind].spell(int(reps[i]))
+        rep = DESCRIPTIONS[kind].spell(int(distinct[of_rep[i]]))
         raise RuntimeError(f"the scan flags or counts the orbit representative {rep} of {cid} "
                            f"otherwise than {cid} itself")
-    distinct, of_rep = np.unique(reps, return_inverse=True)
     decisions = [_quadric_orbit_decision(kind, rep) for rep in distinct.tolist()]
     head[open_pos] = _head_index(heads, [cart if res.smooth else res.note for res, cart in decisions])[of_rep]
-    return (pos, *_row_table(kind, lambda i: _curve_ids(pos[i]), head, list(heads), counts[masks]))
+    return (pos, *_row_table(kind, lambda i: _curve_ids(pos[i]), head, list(heads), counts))
 
 
 def _hyp_chunk(h0: int, h1: int, keep=None) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -1097,17 +1102,30 @@ def _census_jobs(kinds, workers: int, keep) -> list[tuple]:
     return jobs + [(kind, h0, h1, keep) for kind in split for h0, h1 in _hyp_ranges(workers)]
 
 
+def _pool_job(job):
+    """_census_job(job), or None for the pool's first item, None, whose
+    return shows that the pool has started and been handed its jobs."""
+    return None if job is None else _census_job(job)
+
+
 def _shared_jobs(jobs: list, processes: int) -> list:
     """The row tables of jobs, in plan order, computed in `processes`
     processes: this one runs jobs[::processes] while a pool of
     processes - 1 runs the rest, handed over by one pool.map.  For two
     processes and every kind, this one takes cone and the lower h-range,
-    the lighter half of the plan, as it also starts the pool.  A failure
-    raises the error of the earliest failing job in plan order, whichever
-    process ran it."""
+    the lighter half of the plan, as it also starts the pool.
+
+    The map's first item is None (_pool_job), and this process waits for
+    its return before it runs its share: the executor's threads that
+    start the pool and send it its jobs need the GIL, which this process's
+    own job would hold, so the pool's first job would start late.  A pool
+    process that dies breaks the pool, and the wait raises
+    BrokenProcessPool.  A failure raises the error of the earliest failing
+    job in plan order, whichever process ran it."""
     with ProcessPoolExecutor(max_workers=processes - 1) as pool:
         # iter: an in-process stand-in for the pool may return a list
-        theirs = iter(pool.map(_census_job, [job for i, job in enumerate(jobs) if i % processes]))
+        theirs = iter(pool.map(_pool_job, [None, *(job for i, job in enumerate(jobs) if i % processes)]))
+        next(theirs)
         mine, failure = {}, None
         for i in range(0, len(jobs), processes):
             try:
@@ -1222,7 +1240,7 @@ def _isomorphism_orbit(curve) -> tuple[set[str], int]:
         if not all(h >> 5 or f >> 9 for h, f in images):
             raise ValueError(f"{curve.curve_id}: a transported model leaves the genus-4 shape "
                              "(the model is singular)")
-        return {_HYP.spell(h * len(_HYP.tails) + f) for h, f in images}, len(images)
+        return {_HYP.spell(_HYP.key(h, f)) for h, f in images}, len(images)
     raise TypeError(f"not a curve: {curve!r}")
 
 

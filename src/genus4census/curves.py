@@ -196,7 +196,7 @@ class HyperellipticCurve(Value):
     def curve_id(self) -> str:
         hm, fm = self.masks
         kind = DESCRIPTIONS[self.kind]
-        return kind.spell(hm * len(kind.tails) + fm)
+        return kind.spell(kind.key(hm, fm))
 
 
 def hyperelliptic_from_masks(h_mask: int, f_mask: int) -> HyperellipticCurve:
@@ -215,7 +215,7 @@ def parse_curve_id(s: str):
     kind = DESCRIPTIONS[name]
     if kind.quadric:
         return quadric_curve_from_mask(name, key)
-    return hyperelliptic_from_masks(*divmod(key, len(kind.tails)))
+    return hyperelliptic_from_masks(*kind.parts(key))
 
 
 # ---------------------------------------------------------------------------
@@ -490,35 +490,35 @@ def _quadric_tables(kind: str):
 _ORBIT_WEIGHTS = np.array([[1, 1, 1, 1], [0, 2, 0, 2], [0, 0, 3, 0], [0, 0, 0, 4]], np.float32)
 
 
-def _quadric_scan(kind: str, m0: int, m1: int):
-    """Counts and rational-singularity data for the masks m0 <= m < m1.
+def _quadric_scan(kind: str, masks):
+    """Counts and rational-singularity data for each mask of masks, an
+    integer array in any order.
 
-    The masks of a few high bytes are evaluated as one numpy block of
-    packed words, one per Frobenius orbit, and a mask's counts are its
+    The words of a block of masks are one numpy gather and XOR, lo[m & 255]
+    ^ hi[m >> 8], one word per Frobenius orbit, and a mask's counts are its
     on-curve columns times their _ORBIT_WEIGHTS rows (a float32 product,
     exact on these small integers).  Returns (counts, flagged,
-    witness_col), indexed by mask - m0; witness_col is the first zero word
+    witness_col), indexed as masks; witness_col is the first zero word
     of a flagged mask, which is the first singular point of quadric_points
     over the least field that has one (its conjugates come after it).
     """
     lo, hi, bounds, _ = _quadric_tables(kind)
     weights = _ORBIT_WEIGHTS[np.repeat(np.arange(4), np.diff(bounds))]  # (columns, n)
-    n = m1 - m0
+    masks = np.asarray(masks, np.intp)
+    n = len(masks)
     counts = np.zeros((n, 4), np.int16)
     flagged = np.zeros(n, np.bool_)
     witness = np.zeros(n, np.int32)
-    step = 256 * 404 // lo.size  # high bytes per block: at most 256 masks x 404 points of words
-    a = m0
-    while a < m1:
-        h = a >> 8
-        b = min((h + step) << 8, m1)
-        cur = (hi[h:((b - 1) >> 8) + 1, None] ^ lo).reshape(-1, lo.shape[1])[a - (h << 8):b - (h << 8)]
+    step = 256 * 404 // lo.shape[1]  # masks per block: at most 256 masks x 404 points of words
+    for a in range(0, n, step):
+        m = masks[a:a + step]
+        cur = lo.take(m & 255, axis=0)
+        cur ^= hi.take(m >> 8, axis=0)
         dead = cur == 0
-        rows = slice(a - m0, b - m0)
+        rows = slice(a, a + len(m))
         witness[rows] = first = dead.argmax(axis=1)
-        flagged[rows] = dead[np.arange(b - a), first]
+        flagged[rows] = dead[np.arange(len(m)), first]
         counts[rows] = ((cur & 15) == 0).astype(np.float32) @ weights
-        a = b
     return counts, flagged, witness
 
 
@@ -709,8 +709,8 @@ def _chart_singular_fibre(R: Ring, f) -> str | None:
     return None
 
 
-def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
-    """Smoothness of an F_2 model whose mask the quadric scan did not flag:
+def _quadric_smooth_f2(kind: str, mask: int) -> SmoothnessResult:
+    """Smoothness of the F_2 model of a mask that the quadric scan did not flag:
     the one model in is_smooth, and in the census the least mask of each
     stabilizer orbit, whose result holds for the whole orbit.
 
@@ -723,7 +723,7 @@ def _quadric_smooth_f2(curve: QuadricCubicCurve) -> SmoothnessResult:
     cone), which a cubic not containing them meets over F_2, F_4 or F_8
     (no unflagged cubic contains a whole line).
     """
-    if _chart_singular_fibre(F2X, _packed_chart(curve.kind, curve.mask)):
+    if _chart_singular_fibre(F2X, _packed_chart(kind, mask)):
         return SmoothnessResult(False, None, "singular point inside the affine chart")
     return SmoothnessResult(True)
 
@@ -766,10 +766,11 @@ def is_smooth(curve) -> SmoothnessResult:
     if isinstance(curve, QuadricCubicCurve):
         if curve.spec.k != 1:
             return _quadric_smooth_generic(curve)
-        _, flagged, witness = _quadric_scan(curve.kind, curve.mask, curve.mask + 1)
+        kind, mask = curve.kind, curve.mask
+        _, flagged, witness = _quadric_scan(kind, [mask])
         if flagged[0]:
-            return _scan_singular(curve.kind, witness[0])
-        return _quadric_smooth_f2(curve)
+            return _scan_singular(kind, witness[0])
+        return _quadric_smooth_f2(kind, mask)
     raise TypeError(f"not a curve: {curve!r}")
 
 

@@ -29,7 +29,7 @@ class Kind(Value):
     * heads, tails, first_tail: a curve id is a head and a tail of one
       width; the ids of heads[i] are heads[i] + tails[t], t >= first_tail[i],
       in id order, with key i * len(tails) + t (a mask, h * 2048 + f on
-      hyp); split_by_h: whether the census cuts the kind's jobs by head;
+      hyp), which only Kind.key and Kind.parts compose and split; split_by_h: whether the census cuts the kind's jobs by head;
     * quadric kinds only: the quadric is X*Y + extra, its points are named
       by their parametrization in curves, charts holds (chart, the exponent
       pairs of X, Y, Z, T in the chart's parameters (v, u)), so X^a Y^b Z^g
@@ -65,9 +65,18 @@ class Kind(Value):
                                               for e in MONOMIALS3) for chart, pairs in charts})
         setfield(self, "domain", sum(len(tails) - t for t in first_tail))
 
+    def key(self, head: int, tail: int) -> int:
+        """The key of the id heads[head] + tails[tail]."""
+        return head * len(self.tails) + tail
+
+    def parts(self, key: int) -> tuple[int, int]:
+        """The (head, tail) indices of key, the inverse of Kind.key."""
+        return divmod(key, len(self.tails))
+
     def spell(self, key: int) -> str:
         """The curve id of the model with key (see heads)."""
-        return self.heads[key // len(self.tails)] + self.tails[key % len(self.tails)]
+        head, tail = self.parts(key)
+        return self.heads[head] + self.tails[tail]
 
 
 def _mask_ids(name: str) -> dict:
@@ -126,5 +135,5 @@ def parse_id(cid) -> tuple[str, int]:
         width = len(kind.tails[0])
         head, tail = heads.get(cid[:-width]), tails.get(cid[-width:])
         if head is not None and tail is not None and tail >= kind.first_tail[head]:
-            return name, head * len(kind.tails) + tail
+            return name, kind.key(head, tail)
     raise ValueError(f"{cid!r} is not the curve_id of a census model")

@@ -277,7 +277,7 @@ def test_bit_route_matches_oracle_on_census_quadric_representatives():
     # the orbit representatives _quadric_chunk decides: least image of each
     # mask the scan leaves unflagged
     for kind, smooth_orbits in (("ns", 252), ("cone", 274)):
-        _, flagged, _ = census._quadric_scan(kind, 0, 1 << 16)
+        _, flagged, _ = census._quadric_scan(kind, np.arange(1 << 16))
         open_masks = np.flatnonzero(~flagged)
         smooth = 0
         for rep in sorted(set(census._quadric_images(kind, open_masks).min(axis=1).tolist())):
@@ -303,7 +303,7 @@ def test_quadric_cartier_words_match_operator():
     # (the CI step covers all 2^16 masks of both kinds)
     rng = random.Random(2121)
     for kind, smooth_orbits in (("ns", 252), ("cone", 274)):
-        _, flagged, _ = census._quadric_scan(kind, 0, 1 << 16)
+        _, flagged, _ = census._quadric_scan(kind, np.arange(1 << 16))
         reps = set(census._quadric_images(kind, np.flatnonzero(~flagged)).min(axis=1).tolist())
         smooth = [rep for rep in sorted(reps) if census._quadric_orbit_decision(kind, rep)[0].smooth]
         assert len(smooth) == smooth_orbits

@@ -8,10 +8,14 @@ enumeration; the named example curves pin the classification columns.
 import functools
 import gc
 import json
+import multiprocessing
+import os
 import random
 import re
+import time
 import zlib
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 
 import numpy as np
@@ -98,7 +102,7 @@ def _rational_singular_point(curve):
 
 @pytest.mark.parametrize("kind", ["ns", "cone"])
 def test_quadric_scan_matches_engines(kind):
-    counts, flagged, witness = census._quadric_scan(kind, 0, 1 << 16)
+    counts, flagged, witness = census._quadric_scan(kind, np.arange(1 << 16))
     rng = random.Random(5150 + len(kind))
     masks = [rng.randrange(1 << 16) for _ in range(40)] + [0, 0xFFFF]
     if kind == "ns":
@@ -116,14 +120,42 @@ def test_quadric_scan_matches_engines(kind):
             assert _quadric_tables(kind)[3][witness[m]] == found, hex(m)
 
 
-def test_quadric_scan_chunks_agree():
-    whole = census._quadric_scan("ns", 0, 1 << 16)
-    lo = census._quadric_scan("ns", 0, 21000)
-    hi = census._quadric_scan("ns", 21000, 1 << 16)
-    one = census._quadric_scan("ns", 0x1D0C, 0x1D0D)
-    for i in range(3):
-        assert np.array_equal(whole[i], np.concatenate([lo[i], hi[i]]))
-        assert np.array_equal(whole[i][0x1D0C:0x1D0D], one[i])
+@pytest.mark.parametrize("kind", ["ns", "cone"])
+def test_quadric_scan_of_any_masks_is_the_full_scan_at_them(kind):
+    # every mask in reverse, an unsorted sample across several blocks, a
+    # repeated mask, one mask and none: each row is the full scan's row at
+    # its mask
+    whole = census._quadric_scan(kind, np.arange(1 << 16))
+    shuffled = np.random.default_rng(5150).permutation(1 << 16)[:3000]
+    for masks in (np.arange(1 << 16)[::-1], shuffled, [0x1D0C, 7, 0x1D0C, 0xFFFF, 7], [0x1D0C], [],
+                  np.zeros(0, np.intp)):
+        got = census._quadric_scan(kind, masks)
+        for full, part in zip(whole, got):
+            assert part.dtype == full.dtype
+            assert np.array_equal(part, full[np.asarray(masks, np.intp)])
+
+
+def test_sampled_quadric_jobs_scan_only_kept_masks_and_their_representatives(monkeypatch):
+    # the benchmark's 1/16 CRC-32 sample: each quadric kind's scans read
+    # every kept mask and otherwise only the distinct orbit representatives
+    # of the open ones, each mask once
+    real = census._quadric_scan
+    read = {"cone": [], "ns": []}
+
+    def spy(kind, masks):
+        read[kind] += np.asarray(masks).tolist()
+        return real(kind, masks)
+
+    monkeypatch.setattr(census, "_quadric_scan", spy)
+    keep = _bench_sample_ids().__contains__
+    run_census(kinds=("cone", "ns"), id_filter=keep)
+    for kind, masks in read.items():
+        kept = [m for m in range(1 << 16) if keep(DESCRIPTIONS[kind].spell(m))]
+        flagged = real(kind, np.arange(1 << 16))[1]
+        reps = set(census._quadric_images(kind, [m for m in kept if not flagged[m]]).min(axis=1).tolist())
+        assert 4000 < len(kept) < 4300 and 100 < len(reps - set(kept)) < 400, (kind, len(kept), len(reps))
+        assert len(masks) <= len(kept) + len(reps), kind
+        assert len(set(masks)) == len(masks) and set(kept) <= set(masks) <= set(kept) | reps, kind
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +464,9 @@ def test_orbit_broadcast_checked_per_member(monkeypatch, fresh_orbit_decisions):
         members = {f"{kind};c=0x{int(m):04x}" for m in row if m != rep}
         assert len(members) > 1
 
-        def wrong(curve, rep=rep):
-            a, s2, t43 = real(curve)
-            return (a, s2 + 1, t43) if curve.mask == rep else (a, s2, t43)
+        def wrong(kind, mask, rep=rep):
+            a, s2, t43 = real(kind, mask)
+            return (a, s2 + 1, t43) if mask == rep else (a, s2, t43)
 
         monkeypatch.setattr(census, "_ns_cartier", wrong)
         with pytest.raises(RuntimeError, match=f"inconsistent invariants for {min(members)}"):
@@ -454,7 +486,7 @@ def test_orbit_count_constancy_kills_a_one_member_bump(monkeypatch, fresh_orbit_
     # representative with the same Cartier data: every later check accepts
     # those counts, so only the orbit-constancy check can refuse the model
     real = census._quadric_scan
-    counts, flagged, _ = real("cone", 0, 1 << 16)
+    counts, flagged, _ = real("cone", np.arange(1 << 16))
     rep = 0x4208
     member = int(min(m for m in census._quadric_images("cone", [rep])[0].tolist() if m != rep))
     cart = census._quadric_orbit_decision("cone", rep)[1]
@@ -462,11 +494,10 @@ def test_orbit_count_constancy_kills_a_one_member_bump(monkeypatch, fresh_orbit_
     donor = min(r for r in reps if census._quadric_orbit_decision("cone", r)[1] == cart
                 and (counts[r] != counts[rep]).any())
 
-    def bumped(kind, m0, m1):
-        counts, flagged, witness = real(kind, m0, m1)
-        counts = counts.copy()
-        counts[member - m0] = counts[donor - m0]
-        return counts, flagged, witness
+    def bumped(kind, masks):
+        got, flagged, witness = real(kind, masks)
+        got[np.asarray(masks) == member] = counts[donor]
+        return got, flagged, witness
 
     monkeypatch.setattr(census, "_quadric_scan", bumped)
     member_id = f"cone;c=0x{member:04x}"
@@ -541,7 +572,7 @@ def test_flagged_notes_built_once_per_field(monkeypatch, kind):
     monkeypatch.setattr(census, "_scan_singular", lambda *args: calls.append(args) or _scan_singular(*args))
     pos, row, rows = census._quadric_chunk(kind)
     assert census._curve_ids(pos) == [f"{kind};c=0x{m:04x}" for m in range(1 << 16)]
-    _, flagged, witness = census._quadric_scan(kind, 0, 1 << 16)
+    _, flagged, witness = census._quadric_scan(kind, np.arange(1 << 16))
     notes = [rows[r][2] for r in row.tolist()]
     flagged_masks = np.flatnonzero(flagged).tolist()
     assert len(flagged_masks) > 40000
@@ -556,10 +587,9 @@ def test_counts_wider_than_the_row_key_abort(monkeypatch):
     # aborts the census, naming the model, instead of aliasing another key
     real = census._quadric_scan
 
-    def wide(kind, m0, m1):
-        counts, flagged, witness = real(kind, m0, m1)
-        counts = counts.copy()
-        counts[0x4208 - m0, 3] = 64
+    def wide(kind, masks):
+        counts, flagged, witness = real(kind, masks)
+        counts[np.asarray(masks) == 0x4208, 3] = 64
         return counts, flagged, witness
 
     monkeypatch.setattr(census, "_quadric_scan", wide)
@@ -638,8 +668,8 @@ def _bench_sample_ids():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sampled_census_is_the_full_census_filtered(full_census, workers):
-    # the path the benchmark times: every job scans the whole space and
-    # keeps 1/16 of the ids; the filter pickles as a frozenset method
+    # the path the benchmark times: every job asks the filter about every
+    # id and keeps 1/16 of them; the filter pickles as a frozenset method
     keep = _bench_sample_ids().__contains__
     want = [rec for rec in full_census[0] if keep(rec.id)]
     got = run_census(id_filter=keep, workers=workers)
@@ -786,8 +816,10 @@ def test_pool_gets_exactly_its_share_of_the_plan(monkeypatch, kinds, workers, po
     monkeypatch.setattr(_RecordingExecutor, "jobs", [])
     keep = frozenset(NAMED_EXPECTATIONS).__contains__
     got = run_census(kinds=kinds, workers=workers, id_filter=keep)
-    assert [job[:-1] for job in _RecordingExecutor.jobs] == pool_jobs
-    assert all(job[-1] is keep for job in _RecordingExecutor.jobs)
+    # the pool's first item is the None that the census process waits for
+    assert _RecordingExecutor.jobs[0] is None
+    assert [job[:-1] for job in _RecordingExecutor.jobs[1:]] == pool_jobs
+    assert all(job[-1] is keep for job in _RecordingExecutor.jobs[1:])
     one = run_census(kinds=kinds, workers=1, id_filter=keep)
     assert got == one and list(got) == list(one)
 
@@ -815,6 +847,25 @@ def test_failure_names_the_earliest_failing_job_in_plan_order(monkeypatch, faili
                         functools.partial(_job_failing_for, frozenset(jobs[i] for i in failing)))
     with pytest.raises(RuntimeError, match=re.escape(f"job {jobs[failing[0]]} failed")):
         run_census(workers=2, id_filter=keep)
+
+
+def _exit_at_once(job):
+    """Ends the pool process that calls it, as a crash would; module-level,
+    so a pool process can unpickle it."""
+    os._exit(3)
+
+
+def test_a_dead_pool_raises_at_once_and_leaves_no_process(monkeypatch):
+    # the pool process dies on its first item: the census process is
+    # waiting for that item, so the broken pool raises within seconds, and
+    # the pool's process is gone when run_census returns
+    before = set(multiprocessing.active_children())
+    monkeypatch.setattr(census, "_pool_job", _exit_at_once)
+    t0 = time.perf_counter()
+    with pytest.raises(BrokenProcessPool):
+        run_census(workers=2)
+    assert time.perf_counter() - t0 < 10
+    assert set(multiprocessing.active_children()) <= before
 
 
 def test_hyp_workers_byte_identity(full_census):

@@ -454,7 +454,7 @@ def test_chart_decision_matches_elimination():
     # f1 = f3 = 0, and a common u-factor of all four rows)
     systems = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0b10, 0, 0, 0]]
     for kind, orbits in (("ns", 257), ("cone", 275)):
-        open_masks = np.flatnonzero(~_quadric_scan(kind, 0, 1 << 16)[1])
+        open_masks = np.flatnonzero(~_quadric_scan(kind, np.arange(1 << 16))[1])
         reps = np.unique(_quadric_images(kind, open_masks).min(axis=1))
         assert len(reps) == orbits
         systems += [_packed_chart(kind, m) for m in reps.tolist()]
@@ -536,7 +536,7 @@ def test_smoothness_survives_base_extension(kind):
     # distinguished points and both charts) and must get the F_2 route's
     # decision: flagged masks, unflagged masks and orbit representatives
     rng = random.Random(4242 + len(kind))
-    flagged = _quadric_scan(kind, 0, 1 << 16)[1]
+    flagged = _quadric_scan(kind, np.arange(1 << 16))[1]
     open_masks = np.flatnonzero(~flagged)
     reps = np.unique(_quadric_images(kind, open_masks).min(axis=1))
     masks = ([int(m) for m in rng.sample(list(np.flatnonzero(flagged)), 24)]
@@ -575,7 +575,7 @@ def test_scan_flags_every_off_chart_pattern(kind):
     # a distinguished point, or whose cubic contains a boundary line, must
     # already be flagged by the quadric scan
     masks = np.arange(1 << 16)
-    flagged = _quadric_scan(kind, 0, 1 << 16)[1]
+    flagged = _quadric_scan(kind, np.arange(1 << 16))[1]
     bit = {idx: b for b, idx in enumerate(DESCRIPTIONS[kind].kept)}
 
     def vanish(monomials):
@@ -666,7 +666,7 @@ def test_scan_decision_constant_on_orbits(kind):
     # do not change along an orbit, which is what lets the census decide
     # one representative per orbit
     masks = np.arange(1 << 16)
-    _, flagged, witness = _quadric_scan(kind, 0, 1 << 16)
+    _, flagged, witness = _quadric_scan(kind, np.arange(1 << 16))
     degree = np.searchsorted(_quadric_tables(kind)[2], witness, side="right").astype(np.uint8)
     images = _quadric_images(kind, masks)
     assert images.shape == (1 << 16, len(quadric_stabilizer_f2(kind)))

@@ -154,6 +154,18 @@ def test_every_id_parses_to_the_key_that_spells_it():
     assert keys["hyp"] == [h * 2048 + f for h in range(64) for f in range(hyp.first_tail[h], 2048)]
 
 
+@pytest.mark.parametrize("name", sorted(DESCRIPTIONS))
+def test_key_and_parts_round_trip_the_first_and_last_head(name):
+    # the one home of the key layout, head index * len(tails) + tail index
+    kind = DESCRIPTIONS[name]
+    for head in (0, len(kind.heads) - 1):
+        for tail in (0, len(kind.tails) - 1):
+            key = kind.key(head, tail)
+            assert key == head * len(kind.tails) + tail
+            assert kind.parts(key) == (head, tail)
+            assert kind.spell(key) == kind.heads[head] + kind.tails[tail]
+
+
 def test_the_first_and_last_id_of_each_head_is_its_model_s_curve_id():
     # every head but hyp's h = 0, which has no id
     ends = [kind.heads[h] + kind.tails[t] for kind in DESCRIPTIONS.values()
